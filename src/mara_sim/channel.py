@@ -54,12 +54,15 @@ def initial_state(scenario: Scenario, scheme: str) -> AntennaState:
 
 
 def project_to_movement_region(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
-    """Radially clamp each position into its closed per-antenna ball."""
+    """Radially clamp each position into its closed per-antenna ball.
+
+    positions has shape (..., M, 3); leading candidate axes are kept.
+    """
     offsets = positions - scenario.initial_positions
     radius = scenario.config.movement_radius
-    norms = np.linalg.norm(offsets, axis=1)
+    norms = np.linalg.norm(offsets, axis=-1)
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
-    return scenario.initial_positions + offsets * scale[:, None]
+    return scenario.initial_positions + offsets * scale[..., None]
 
 
 def validate_state(scenario: Scenario, state: AntennaState, scheme: str | None = None) -> None:
@@ -132,9 +135,12 @@ def ecsi(path_set: PathSet, omega: np.ndarray, position: np.ndarray,
 class ChannelWorkspace:
     """Precomputed per-scenario factors for fast channel/gradient evaluation.
 
-    Holds, per UE: the pattern-response matrix omega (L, K), the transmit wave
-    vectors (L, 3), and the position/pattern-independent path factors
-    env[i, g] = a_i * gains_i * exp(-j 2 pi tau_i f_g) of shape (L, G).
+    Holds, stacked over UEs: the pattern-response matrices omega (U, L, K),
+    the transmit wave vectors (U, L, 3), and the position/pattern-independent
+    path factors env[u, i, g] = a_i * gains_i * exp(-j 2 pi tau_i f_g) of
+    shape (U, L, G). L is the largest path count of any UE; a UE with fewer
+    paths is zero-padded in omega and env, so its padding paths contribute
+    exactly 0.
     """
 
     def __init__(self, scenario: Scenario, basis: BasisSet | None = None):
@@ -144,31 +150,43 @@ class ChannelWorkspace:
         if self.basis.max_degree != cfg.shod_max_degree:
             raise ContractError("basis degree does not match the scenario config")
         self.wavenumber = 2.0 * np.pi / scenario.wavelength
-        self.omegas = []
-        self.tx_vectors = []
-        self.env = []
+        U, K = len(scenario.path_sets), self.basis.size
+        L = max(ps.num_paths for ps in scenario.path_sets)
         freqs = scenario.subcarrier_frequencies
+        self.omega = np.zeros((U, L, K))
+        self.tx_wave_vectors = np.zeros((U, L, 3))
+        self.env = np.zeros((U, L, freqs.size), dtype=np.complex128)
         for u, ps in enumerate(scenario.path_sets):
-            self.omegas.append(build_omega(self.basis, ps))
-            self.tx_vectors.append(ps.tx_wave_vectors)
+            n = ps.num_paths
+            self.omega[u, :n] = build_omega(self.basis, ps)
+            self.tx_wave_vectors[u, :n] = ps.tx_wave_vectors
             a = rx_steering(ps, scenario.ue_positions[u], scenario.wavelength)
             x = ps.gains[:, None] * np.exp(-2j * np.pi * ps.delays[:, None] * freqs[None, :])
-            self.env.append(a[:, None] * x)
+            self.env[u, :n] = a[:, None] * x
+        # (U, 3, L) and (U, K, L) views, so each product is a plain stacked matmul.
+        self._tx_t = self.tx_wave_vectors.transpose(0, 2, 1)
+        self._omega_t = self.omega.transpose(0, 2, 1)
 
-    def tx_phases(self, u: int, positions: np.ndarray) -> np.ndarray:
-        """Transmit steering factors for all antennas at once, shape (L, M)."""
-        return np.exp(-1j * self.wavenumber * (self.tx_vectors[u] @ positions.T))
+    def path_factors(self, positions: np.ndarray,
+                     coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Transmit phases and pattern responses per (UE, antenna, path).
+
+        Both have shape (..., U, M, L): positions (..., M, 3) and
+        coefficients (..., M, K) may carry leading candidate axes, and the
+        phases follow the former, the responses the latter.
+        """
+        phase = positions[..., None, :, :] @ self._tx_t
+        pattern = coefficients[..., None, :, :] @ self._omega_t
+        return np.exp(-1j * self.wavenumber * phase), pattern
 
     def tensor(self, positions: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        """Channel coefficients h[u, m, g] without feasibility checks."""
-        cfg = self.scenario.config
-        h = np.empty((cfg.num_ues, cfg.num_bs_antennas, cfg.num_subcarriers),
-                     dtype=np.complex128)
-        for u in range(cfg.num_ues):
-            pattern = self.omegas[u] @ coefficients.T          # (L, M)
-            per_path = self.tx_phases(u, positions) * pattern  # (L, M)
-            h[u] = per_path.T @ self.env[u]                    # (M, G)
-        return h
+        """Channel coefficients h[..., u, m, g] without feasibility checks.
+
+        positions (..., M, 3) and coefficients (..., M, K) may carry leading
+        candidate axes, which broadcast against each other.
+        """
+        phases, pattern = self.path_factors(positions, coefficients)
+        return (phases * pattern) @ self.env
 
     def state_tensor(self, state: AntennaState) -> np.ndarray:
         return self.tensor(state.positions, state.coefficients)

@@ -83,8 +83,10 @@ def _cell_config(spec: ExperimentSpec, seed: int, sweep_value) -> SystemConfig:
     return config
 
 
-def _run_cell(spec: ExperimentSpec, seed: int, sweep_value,
-              trace_sink=None) -> list[ResultRow]:
+def _run_cell(spec: ExperimentSpec, seed: int,
+              sweep_value) -> tuple[list[ResultRow], list[tuple]]:
+    """Solve one cell; returns its rows and the objective trace of every
+    scheme solved, as (seed, sweep_value, scheme, trace)."""
     sweep_param = spec.sweep[0] if spec.sweep is not None else "none"
     value = float(sweep_value) if sweep_value is not None else 0.0
 
@@ -103,6 +105,7 @@ def _run_cell(spec: ExperimentSpec, seed: int, sweep_value,
         needed.add("TFA")
     warm = {}
     rows = {}
+    traces = []
     for scheme in SCHEME_ORDER:
         if scheme not in needed:
             continue
@@ -113,10 +116,9 @@ def _run_cell(spec: ExperimentSpec, seed: int, sweep_value,
             if se_fault_hook is not None:
                 se_sum = se_fault_hook(scheme, se_sum)
         except Exception as exc:  # diagnostic row aborts the cell, not the run
-            return [make_row(scheme, ok=False, note=f"error: {exc}")]
+            return [make_row(scheme, ok=False, note=f"error: {exc}")], traces
         warm[scheme] = result
-        if trace_sink is not None:
-            trace_sink.append((seed, value, scheme, tuple(result.se_trace)))
+        traces.append((seed, value, scheme, tuple(result.se_trace)))
         rows[scheme] = make_row(scheme, se_sum, result.iterations,
                                 time.perf_counter() - start)
     out = [rows[s] for s in spec.schemes]
@@ -126,26 +128,29 @@ def _run_cell(spec: ExperimentSpec, seed: int, sweep_value,
                 out.append(make_row(
                     "nesting_violation", ok=False,
                     note=f"{hi} se {rows[hi].se_sum!r} < {lo} se {rows[lo].se_sum!r}"))
-    return out
+    return out, traces
 
 
 def run_experiment(spec: ExperimentSpec, trace_sink: list | None = None) -> list[ResultRow]:
     """Run every (seed, sweep value, scheme) cell; rows in deterministic order.
 
     When a list is passed as trace_sink, every per-scheme objective trace is
-    appended to it as (seed, sweep_value, scheme, trace).
+    appended to it as (seed, sweep_value, scheme, trace), in cell order at
+    any thread count.
     """
     values = list(spec.sweep[1]) if spec.sweep is not None else [None]
     cells = [(seed, value) for seed in spec.seeds for value in values]
     workers = _worker_count()
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _run_cell(spec, *c, trace_sink), cells))
+            results = list(pool.map(lambda c: _run_cell(spec, *c), cells))
     else:
-        results = [_run_cell(spec, *cell, trace_sink) for cell in cells]
+        results = [_run_cell(spec, *cell) for cell in cells]
     rows = []
-    for cell_rows in results:
+    for cell_rows, cell_traces in results:
         rows.extend(cell_rows)
+        if trace_sink is not None:
+            trace_sink.extend(cell_traces)
     return rows
 
 

@@ -31,6 +31,8 @@ from .se import PrecoderSet, sum_se_arrays
 
 _LN2 = math.log(2.0)
 _BRUTE_FORCE_GUARD = 10_000_000
+# Line-search steps evaluated in the first batch; each further batch doubles.
+LADDER_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -82,25 +84,26 @@ class OptimResult:
 def water_fill(slopes: np.ndarray, total_power: float) -> np.ndarray:
     """Allocate total_power over parallel channels with per-unit-power SINRs `slopes`.
 
-    Returns p maximizing sum log(1 + p_j * slopes_j); the water level is found
-    by bisection to 1e-10 absolute power residual, then the allocation is
-    rescaled so the powers sum to total_power exactly.
+    Returns p maximizing sum log(1 + p_j * slopes_j) in closed form: with the
+    floors 1/slope sorted, k channels are active for the largest k whose
+    k-th floor lies below the level the budget fills over the first k. Floors
+    are taken relative to the lowest one, so a budget far below the floors
+    loses nothing to cancellation. The allocation is then rescaled so the
+    powers sum to total_power exactly.
     """
     slopes = np.asarray(slopes, dtype=np.float64)
     if np.any(slopes <= 0):
         raise ContractError("water_fill requires strictly positive channel slopes")
+    if total_power < 0:
+        raise ContractError("water_fill requires a nonnegative total_power")
+    if total_power == 0:
+        return np.zeros_like(slopes)
     floors = 1.0 / slopes
-    lo, hi = float(np.min(floors)), float(np.max(floors)) + total_power
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        excess = float(np.sum(np.maximum(0.0, mid - floors))) - total_power
-        if abs(excess) <= 1e-10:
-            break
-        if excess > 0:
-            hi = mid
-        else:
-            lo = mid
-    powers = np.maximum(0.0, mid - floors)
+    floors = floors - floors.min()
+    ordered = np.sort(floors)
+    levels = (total_power + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
+    active = np.flatnonzero(ordered < levels)[-1]
+    powers = np.maximum(0.0, levels[active] - floors)
     return powers * (total_power / powers.sum())
 
 
@@ -113,8 +116,6 @@ def digital_precoder(channel: ChannelTensor, total_power: float, noise_power: fl
     Both spend the budget exactly.
     """
     h = channel.h
-    U, M, G = h.shape
-    w = np.zeros((G, M, U), dtype=np.complex128)
     if method == "MRT":
         cols = np.conj(np.transpose(h, (2, 1, 0)))  # (G, M, U)
         norms = np.linalg.norm(cols, axis=1)        # (G, U)
@@ -125,21 +126,19 @@ def digital_precoder(channel: ChannelTensor, total_power: float, noise_power: fl
         return PrecoderSet(w)
     if method != "ZF":
         raise ContractError(f"unknown precoding method {method!r}")
-    directions = np.zeros((G, M, U), dtype=np.complex128)
-    slopes = np.zeros((G, U))
-    for g in range(G):
-        H = h[:, :, g]
-        sv = np.linalg.svd(H, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-            raise SingularChannelError(
-                f"channel matrix is rank-deficient at subcarrier {g}")
-        pinv = H.conj().T @ np.linalg.inv(H @ H.conj().T)  # (M, U), H @ pinv = I
-        norms = np.linalg.norm(pinv, axis=0)
-        directions[g] = pinv / norms
-        slopes[g] = 1.0 / (norms ** 2 * noise_power)
-    powers = water_fill(slopes.ravel(), total_power).reshape(G, U)
-    w = directions * np.sqrt(powers)[:, None, :]
-    return PrecoderSet(w)
+    # One stacked SVD H_g = U S V^H over every subcarrier; the pseudo-inverse
+    # V S^-1 U^H is the ZF precoder (H_g @ pinv = I).
+    left, sv, right_h = np.linalg.svd(np.transpose(h, (2, 0, 1)), full_matrices=False)
+    singular = (sv[:, 0] == 0.0) | (sv[:, -1] <= 1e-12 * sv[:, 0])
+    if np.any(singular):
+        raise SingularChannelError(
+            f"channel matrix is rank-deficient at subcarrier {int(np.argmax(singular))}")
+    pinv = np.conj(np.swapaxes(right_h, 1, 2)) @ (
+        np.conj(np.swapaxes(left, 1, 2)) / sv[:, :, None])  # (G, M, U)
+    norms = np.linalg.norm(pinv, axis=1)                     # (G, U)
+    slopes = 1.0 / (norms ** 2 * noise_power)
+    powers = water_fill(slopes.ravel(), total_power).reshape(slopes.shape)
+    return PrecoderSet(pinv * (np.sqrt(powers) / norms)[:, None, :])
 
 
 def _sinr_chain_weights(gains: np.ndarray, noise_power: float) -> np.ndarray:
@@ -155,35 +154,34 @@ def _sinr_chain_weights(gains: np.ndarray, noise_power: float) -> np.ndarray:
     return coef * np.conj(gains) / _LN2
 
 
-def _grad_positions_all(ws: ChannelWorkspace, positions: np.ndarray,
-                        coefficients: np.ndarray, precoders: PrecoderSet,
-                        noise_power: float) -> np.ndarray:
-    """Gradient of sum_se with respect to every antenna position, shape (M, 3)."""
+def _chain_factors(ws: ChannelWorkspace, positions: np.ndarray, coefficients: np.ndarray,
+                   precoders: PrecoderSet, noise_power: float):
+    """Transmit phases and pattern responses (U, M, L), and the chain-rule
+    sensitivities of sum_se per (UE, antenna, path): z folded through env."""
     h = ws.tensor(positions, coefficients)
     gains = np.einsum("umg,gmv->guv", h, precoders.w)
     weights = _sinr_chain_weights(gains, noise_power)
     z = np.einsum("guv,gmv->umg", weights, precoders.w)
-    grad = np.zeros((positions.shape[0], 3))
-    for u in range(h.shape[0]):
-        per_path = ws.tx_phases(u, positions) * (ws.omegas[u] @ coefficients.T)  # (L, M)
-        summed = per_path * (ws.env[u] @ z[u].T)                                 # (L, M)
-        grad += 2.0 * np.real(-1j * ws.wavenumber * (ws.tx_vectors[u].T @ summed)).T
-    return grad
+    phases, pattern = ws.path_factors(positions, coefficients)
+    return phases, pattern, z @ np.swapaxes(ws.env, 1, 2)
+
+
+def _grad_positions_all(ws: ChannelWorkspace, positions: np.ndarray,
+                        coefficients: np.ndarray, precoders: PrecoderSet,
+                        noise_power: float) -> np.ndarray:
+    """Gradient of sum_se with respect to every antenna position, shape (M, 3)."""
+    phases, pattern, sens = _chain_factors(ws, positions, coefficients, precoders,
+                                           noise_power)
+    moment = np.imag(phases * pattern * sens) @ ws.tx_wave_vectors  # (U, M, 3)
+    return 2.0 * ws.wavenumber * moment.sum(axis=0)
 
 
 def _grad_patterns_all(ws: ChannelWorkspace, positions: np.ndarray,
                        coefficients: np.ndarray, precoders: PrecoderSet,
                        noise_power: float) -> np.ndarray:
     """Euclidean gradient of sum_se with respect to every alpha_m, shape (M, K)."""
-    h = ws.tensor(positions, coefficients)
-    gains = np.einsum("umg,gmv->guv", h, precoders.w)
-    weights = _sinr_chain_weights(gains, noise_power)
-    z = np.einsum("guv,gmv->umg", weights, precoders.w)
-    grad = np.zeros_like(coefficients)
-    for u in range(h.shape[0]):
-        q = ws.tx_phases(u, positions) * (ws.env[u] @ z[u].T)  # (L, M)
-        grad += 2.0 * np.real(ws.omegas[u].T @ q).T
-    return grad
+    phases, _, sens = _chain_factors(ws, positions, coefficients, precoders, noise_power)
+    return 2.0 * (np.real(phases * sens) @ ws.omega).sum(axis=0)
 
 
 def se_gradient_positions(scenario: Scenario, state: AntennaState,
@@ -213,39 +211,79 @@ def _check_antenna_index(scenario: Scenario, m: int) -> None:
         raise ContractError(f"antenna index {m} out of range")
 
 
+def _armijo_ladder(t0: float, ratio: float) -> np.ndarray:
+    """Backtracking steps t0, t0*ratio, ... above 1e-14 * t0, multiplied out in order."""
+    steps = [t0]
+    while steps[-1] * ratio > 1e-14 * t0:
+        steps.append(steps[-1] * ratio)
+    return np.array(steps)
+
+
+def _line_search(steps, propose, objective, f, armijo_c):
+    """First step of the ladder, in order, whose candidate passes the Armijo test.
+
+    propose(t) returns the candidates for the steps t, stacked on a leading
+    axis, and the ascent each one promises; the first step promising none
+    ends the search. objective evaluates a stack of candidates in one call.
+    The ladder is evaluated in chunks of LADDER_CHUNK steps that double after
+    each chunk without an accepted step. Returns (candidate, objective), or
+    None when no step is accepted.
+    """
+    start, size = 0, LADDER_CHUNK
+    while start < steps.size:
+        cands, advance = propose(steps[start:start + size])
+        stop = np.flatnonzero(advance <= 0.0)
+        n = stop[0] if stop.size else advance.size
+        if n:
+            fc = objective(cands[:n])
+            accepted = np.flatnonzero(fc >= f + armijo_c * advance[:n])
+            if accepted.size:
+                k = accepted[0]
+                return cands[k].copy(), float(fc[k])
+        if stop.size:
+            return None
+        start, size = start + size, 2 * size
+    return None
+
+
 def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
     scenario = ws.scenario
-    step0 = opts.step_init_pos * scenario.config.antenna_spacing
+    steps = _armijo_ladder(opts.step_init_pos * scenario.config.antenna_spacing,
+                           opts.backtrack_ratio)
     positions = start.copy()
     f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
+
+    def objective(cands):
+        return sum_se_arrays(ws.tensor(cands, coefficients), precoders.w, noise_power)
+
     for _ in range(opts.inner_grad_iters):
         grad = _grad_positions_all(ws, positions, coefficients, precoders, noise_power)
         if float(np.sum(grad * grad)) < 1e-24 * max(1.0, f * f):
             break
-        t = step0
-        accepted = False
-        while t > 1e-14 * step0:
-            cand = project_to_movement_region(scenario, positions + t * grad)
-            advance = float(np.sum(grad * (cand - positions)))
-            if advance <= 0.0:
-                break
-            fc = sum_se_arrays(ws.tensor(cand, coefficients), precoders.w, noise_power)
-            if fc >= f + opts.armijo_c * advance:
-                accepted = True
-                break
-            t *= opts.backtrack_ratio
-        if not accepted:
+
+        def propose(t):
+            cands = project_to_movement_region(
+                scenario, positions + t[:, None, None] * grad)
+            return cands, np.sum(grad * (cands - positions), axis=(1, 2))
+
+        found = _line_search(steps, propose, objective, f, opts.armijo_c)
+        if found is None:
             break
-        gain = fc - f
-        positions, f = cand, fc
+        gain = found[1] - f
+        positions, f = found
         if gain < opts.tol_rel * max(abs(f), 1e-12):
             break
     return positions, f
 
 
 def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
+    steps = _armijo_ladder(opts.step_init_alpha, opts.backtrack_ratio)
     coefficients = start.copy()
     f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
+
+    def objective(cands):
+        return sum_se_arrays(ws.tensor(positions, cands), precoders.w, noise_power)
+
     for _ in range(opts.inner_grad_iters):
         grad = _grad_patterns_all(ws, positions, coefficients, precoders, noise_power)
         radial = np.sum(grad * coefficients, axis=1, keepdims=True)
@@ -253,20 +291,17 @@ def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
         tnorm2 = float(np.sum(tangent * tangent))
         if tnorm2 < 1e-24 * max(1.0, f * f):
             break
-        t = opts.step_init_alpha
-        accepted = False
-        while t > 1e-14 * opts.step_init_alpha:
-            cand = coefficients + t * tangent
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc = sum_se_arrays(ws.tensor(positions, cand), precoders.w, noise_power)
-            if fc >= f + opts.armijo_c * t * tnorm2:
-                accepted = True
-                break
-            t *= opts.backtrack_ratio
-        if not accepted:
+
+        def propose(t):
+            cands = coefficients + t[:, None, None] * tangent
+            cands /= np.linalg.norm(cands, axis=2, keepdims=True)
+            return cands, t * tnorm2
+
+        found = _line_search(steps, propose, objective, f, opts.armijo_c)
+        if found is None:
             break
-        gain = fc - f
-        coefficients, f = cand, fc
+        gain = found[1] - f
+        coefficients, f = found
         if gain < opts.tol_rel * max(abs(f), 1e-12):
             break
     return coefficients, f
@@ -418,8 +453,7 @@ def _accept_precoder(state, precoders, current, precoder_for, se_of):
 
 
 def brute_force_positions(scenario: Scenario, state: AntennaState,
-                          precoders: PrecoderSet, grid_step: float,
-                          rederive_precoders: bool = False) -> AntennaState:
+                          precoders: PrecoderSet, grid_step: float) -> AntennaState:
     """Coordinate-wise exhaustive position search (test oracle).
 
     Antennas are processed in index order; each one is moved to the best point
@@ -449,12 +483,7 @@ def brute_force_positions(scenario: Scenario, state: AntennaState,
     positions = project_to_movement_region(scenario, state.positions).copy()
 
     def evaluate(pos):
-        h = ws.tensor(pos, state.coefficients)
-        if rederive_precoders:
-            w = digital_precoder(ChannelTensor(h, state.scheme),
-                                 cfg.total_power_w, noise)
-            return sum_se_arrays(h, w.w, noise)
-        return sum_se_arrays(h, precoders.w, noise)
+        return sum_se_arrays(ws.tensor(pos, state.coefficients), precoders.w, noise)
 
     for m in range(cfg.num_bs_antennas):
         candidates = np.vstack([positions[m][None, :],

@@ -31,21 +31,6 @@ class PrecoderSet:
         return PrecoderSet(self.w.copy())
 
 
-def effective_gains(channel: ChannelTensor, precoders: PrecoderSet) -> np.ndarray:
-    """Complex link gains gains[g, u, u'] = h_{u,g}^H w_{u',g}."""
-    return np.einsum("umg,gmv->guv", channel.h, precoders.w)
-
-
-def sinr_matrix(channel: ChannelTensor, precoders: PrecoderSet,
-                noise_power: float) -> np.ndarray:
-    """SINR for every (u, g), shape (G, U)."""
-    gains = effective_gains(channel, precoders)
-    power = np.abs(gains) ** 2
-    signal = np.einsum("guu->gu", power)
-    interference = power.sum(axis=2) - signal
-    return signal / (interference + noise_power)
-
-
 def sinr(channel: ChannelTensor, precoders: PrecoderSet, u: int, g: int,
          noise_power: float) -> float:
     """SINR of user u on subcarrier g."""
@@ -64,14 +49,19 @@ def sum_se(channel: ChannelTensor, precoders: PrecoderSet, noise_power: float) -
     return sum_se_arrays(channel.h, precoders.w, noise_power)
 
 
-def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float) -> float:
-    """sum_se on raw arrays h (U, M, G) and w (G, M, U); the optimizer hot path."""
-    gains = np.einsum("umg,gmv->guv", h, w)
-    power = np.abs(gains) ** 2
-    signal = np.einsum("guu->gu", power)
-    interference = power.sum(axis=2) - signal
-    s = signal / (interference + noise_power)
-    return float(np.sum(np.log1p(s)) / _LN2)
+def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
+    """sum_se on raw arrays h (..., U, M, G) and w (G, M, U); the optimizer hot path.
+
+    Returns a float for one channel tensor h (U, M, G), and an array of
+    shape (B,) for a batch of candidate tensors h (B, U, M, G).
+    """
+    gains = np.einsum("...umg,gmv->...guv", h, w)
+    power = gains.real ** 2 + gains.imag ** 2
+    signal = np.diagonal(power, axis1=-2, axis2=-1)
+    se = np.log1p(signal / (power.sum(axis=-1) - signal + noise_power))
+    if se.ndim == 2:
+        return float(np.sum(se) / _LN2)
+    return se.reshape(se.shape[0], -1).sum(axis=1) / _LN2
 
 
 def per_subcarrier_se(channel: ChannelTensor, precoders: PrecoderSet,

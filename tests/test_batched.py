@@ -1,0 +1,280 @@
+"""The stacked kernels and the chunked line search against per-item references.
+
+Each reference is the loop the stacked code replaced: one UE, one candidate
+or one line-search step at a time.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from mara_sim.scenario import Scenario, generate_scenario
+from mara_sim.shod import build_omega
+from mara_sim.channel import (ChannelTensor, ChannelWorkspace, ecsi, initial_state,
+                              project_to_movement_region)
+from mara_sim.se import sum_se_arrays
+from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
+                            _grad_patterns_all, _grad_positions_all,
+                            digital_precoder)
+
+from conftest import make_config, random_feasible_state
+from test_channel import random_path_set
+from test_optim import two_path_axis_scenario
+
+BATCH = 5
+
+
+def instance(seed, rng, **overrides):
+    cfg = make_config(seed=seed, **overrides)
+    scen = generate_scenario(cfg)
+    ws = ChannelWorkspace(scen)
+    state = random_feasible_state(scen, rng, scheme="MARA")
+    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "MARA"),
+                            cfg.total_power_w, cfg.noise_power_w)
+    return cfg, scen, ws, state, prec
+
+
+def random_batch(scen, rng, B):
+    states = [random_feasible_state(scen, rng, scheme="MARA") for _ in range(B)]
+    return (np.stack([s.positions for s in states]),
+            np.stack([s.coefficients for s in states]))
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tensor_batch_matches_single_calls(seed, rng):
+    cfg, scen, ws, state, _ = instance(seed, rng)
+    positions, coefficients = random_batch(scen, rng, BATCH)
+    cases = ((positions, state.coefficients), (state.positions, coefficients),
+             (positions, coefficients))
+    for pos, coeff in cases:
+        batch = ws.tensor(pos, coeff)
+        assert batch.shape == (BATCH, cfg.num_ues, cfg.num_bs_antennas,
+                               cfg.num_subcarriers)
+        single = np.stack([ws.tensor(np.broadcast_to(pos, positions.shape)[b],
+                                     np.broadcast_to(coeff, coefficients.shape)[b])
+                           for b in range(BATCH)])
+        assert max_rel(batch, single) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sum_se_batch_matches_single_calls(seed, rng):
+    cfg, scen, ws, _, prec = instance(seed, rng)
+    h = ws.tensor(*random_batch(scen, rng, BATCH))
+    batch = sum_se_arrays(h, prec.w, cfg.noise_power_w)
+    assert isinstance(batch, np.ndarray) and batch.shape == (BATCH,)
+    single = [sum_se_arrays(h[b], prec.w, cfg.noise_power_w) for b in range(BATCH)]
+    assert all(isinstance(v, float) for v in single)
+    assert max_rel(batch, np.array(single)) < 1e-12
+    one = sum_se_arrays(h[:1], prec.w, cfg.noise_power_w)
+    assert one.shape == (1,) and one[0] == pytest.approx(single[0], rel=1e-12)
+
+
+def unequal_paths_scenario(rng, path_counts=(2, 5, 1)):
+    cfg = make_config(num_ues=len(path_counts), num_bs_antennas=4, seed=40)
+    base = generate_scenario(cfg)
+    path_sets = tuple(random_path_set(rng, L) for L in path_counts)
+    return Scenario(config=cfg, initial_positions=base.initial_positions,
+                    ue_positions=base.ue_positions, path_sets=path_sets,
+                    subcarrier_frequencies=base.subcarrier_frequencies)
+
+
+def one_ue(scen, u):
+    cfg = dataclasses.replace(scen.config, num_ues=1)
+    return Scenario(config=cfg, initial_positions=scen.initial_positions,
+                    ue_positions=scen.ue_positions[u:u + 1],
+                    path_sets=(scen.path_sets[u],),
+                    subcarrier_frequencies=scen.subcarrier_frequencies)
+
+
+def test_unequal_path_counts_are_zero_padded(rng):
+    scen = unequal_paths_scenario(rng)
+    ws = ChannelWorkspace(scen)
+    assert ws.omega.shape[:2] == ws.env.shape[:2] == (3, 5)
+    assert np.all(ws.env[0, 2:] == 0) and np.all(ws.omega[2, 1:] == 0)
+    state = random_feasible_state(scen, rng, scheme="MARA")
+    h = ws.state_tensor(state)
+    for u, ps in enumerate(scen.path_sets):
+        alone = ChannelWorkspace(one_ue(scen, u)).state_tensor(state)[0]
+        assert max_rel(h[u], alone) < 1e-12
+        omega = build_omega(ws.basis, ps)
+        for m in range(scen.config.num_bs_antennas):
+            for g, f in enumerate(scen.subcarrier_frequencies):
+                q = ecsi(ps, omega, state.positions[m], scen.ue_positions[u], f,
+                         scen.wavelength)
+                assert abs(h[u, m, g] - np.conj(q) @ state.coefficients[m]) < 1e-12
+
+
+def test_unequal_path_counts_gradients_match_finite_differences(rng):
+    scen = unequal_paths_scenario(rng)
+    cfg = scen.config
+    ws = ChannelWorkspace(scen)
+    state = random_feasible_state(scen, rng, scheme="MARA")
+    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "MARA"),
+                            cfg.total_power_w, cfg.noise_power_w)
+    noise = cfg.noise_power_w
+
+    def se(pos, coeff):
+        return sum_se_arrays(ws.tensor(pos, coeff), prec.w, noise)
+
+    grad_p = _grad_positions_all(ws, state.positions, state.coefficients, prec, noise)
+    grad_a = _grad_patterns_all(ws, state.positions, state.coefficients, prec, noise)
+    step_p, step_a = 1e-6 * scen.wavelength, 1e-6
+    for m in range(cfg.num_bs_antennas):
+        for ax in range(3):
+            e = np.zeros_like(state.positions)
+            e[m, ax] = step_p
+            fd = (se(state.positions + e, state.coefficients)
+                  - se(state.positions - e, state.coefficients)) / (2 * step_p)
+            assert fd == pytest.approx(grad_p[m, ax], rel=1e-5, abs=1e-6)
+        for k in range(state.coefficients.shape[1]):
+            e = np.zeros_like(state.coefficients)
+            e[m, k] = step_a
+            fd = (se(state.positions, state.coefficients + e)
+                  - se(state.positions, state.coefficients - e)) / (2 * step_a)
+            assert fd == pytest.approx(grad_a[m, k], rel=1e-5, abs=1e-6)
+
+
+# Reference line searches: the sequential Armijo loops the chunked ladder
+# replaced, one candidate per sum_se call. They also return why the ascent
+# stopped.
+
+def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
+    scenario = ws.scenario
+    step0 = opts.step_init_pos * scenario.config.antenna_spacing
+    positions = start.copy()
+    f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
+    reason = "iterations"
+    for _ in range(opts.inner_grad_iters):
+        grad = _grad_positions_all(ws, positions, coefficients, precoders, noise_power)
+        if float(np.sum(grad * grad)) < 1e-24 * max(1.0, f * f):
+            reason = "gradient"
+            break
+        t = step0
+        accepted = False
+        reason = "ladder"
+        while t > 1e-14 * step0:
+            cand = project_to_movement_region(scenario, positions + t * grad)
+            advance = float(np.sum(grad * (cand - positions)))
+            if advance <= 0.0:
+                reason = "advance"
+                break
+            fc = sum_se_arrays(ws.tensor(cand, coefficients), precoders.w, noise_power)
+            if fc >= f + opts.armijo_c * advance:
+                accepted = True
+                break
+            t *= opts.backtrack_ratio
+        if not accepted:
+            break
+        gain = fc - f
+        positions, f = cand, fc
+        if gain < opts.tol_rel * max(abs(f), 1e-12):
+            reason = "tolerance"
+            break
+    return positions, f, reason
+
+
+def reference_patterns(ws, positions, start, precoders, noise_power, opts):
+    coefficients = start.copy()
+    f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
+    reason = "iterations"
+    for _ in range(opts.inner_grad_iters):
+        grad = _grad_patterns_all(ws, positions, coefficients, precoders, noise_power)
+        radial = np.sum(grad * coefficients, axis=1, keepdims=True)
+        tangent = grad - radial * coefficients
+        tnorm2 = float(np.sum(tangent * tangent))
+        if tnorm2 < 1e-24 * max(1.0, f * f):
+            reason = "gradient"
+            break
+        t = opts.step_init_alpha
+        accepted = False
+        reason = "ladder"
+        while t > 1e-14 * opts.step_init_alpha:
+            cand = coefficients + t * tangent
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            fc = sum_se_arrays(ws.tensor(positions, cand), precoders.w, noise_power)
+            if fc >= f + opts.armijo_c * t * tnorm2:
+                accepted = True
+                break
+            t *= opts.backtrack_ratio
+        if not accepted:
+            break
+        gain = fc - f
+        coefficients, f = cand, fc
+        if gain < opts.tol_rel * max(abs(f), 1e-12):
+            reason = "tolerance"
+            break
+    return coefficients, f, reason
+
+
+ASCENT = OptimOptions(inner_grad_iters=40, tol_rel=1e-8)
+
+
+def assert_same_ascent(got, ref, scale):
+    point, f = got
+    ref_point, ref_f, _ = ref
+    assert np.max(np.abs(point - ref_point)) <= 1e-12 * scale
+    assert f == pytest.approx(ref_f, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [70, 71, 72, 73])
+def test_position_ascent_matches_sequential_reference(seed, rng):
+    cfg, scen, ws, state, prec = instance(seed, rng)
+    noise = cfg.noise_power_w
+    for opts in (ASCENT, OptimOptions(inner_grad_iters=40, backtrack_ratio=0.7,
+                                      step_init_pos=0.5)):
+        got = _ascend_positions(ws, state.positions, state.coefficients, prec, noise, opts)
+        ref = reference_positions(ws, state.positions, state.coefficients, prec, noise,
+                                  opts)
+        assert_same_ascent(got, ref, cfg.antenna_spacing)
+
+
+@pytest.mark.parametrize("seed", [70, 71, 72, 73])
+def test_pattern_ascent_matches_sequential_reference(seed, rng):
+    cfg, scen, ws, state, prec = instance(seed, rng)
+    noise = cfg.noise_power_w
+    for opts in (ASCENT, OptimOptions(inner_grad_iters=40, backtrack_ratio=0.7,
+                                      step_init_alpha=5.0)):
+        got = _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, opts)
+        ref = reference_patterns(ws, state.positions, state.coefficients, prec, noise,
+                                 opts)
+        assert_same_ascent(got, ref, 1.0)
+
+
+def test_position_ascent_stops_where_no_step_advances():
+    # At x = -r the two-path objective falls towards the ball's interior, so
+    # the gradient points straight out of the ball: every projected step
+    # lands back on the start and promises no ascent.
+    scen, *_ = two_path_axis_scenario()
+    cfg = scen.config
+    ws = ChannelWorkspace(scen)
+    state = initial_state(scen, "SMA")
+    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
+                            cfg.total_power_w, cfg.noise_power_w)
+    start = np.array([[-cfg.movement_radius, 0.0, 0.0]])
+    ref = reference_positions(ws, start, state.coefficients, prec,
+                              cfg.noise_power_w, ASCENT)
+    assert ref[2] == "advance"
+    got = _ascend_positions(ws, start, state.coefficients, prec, cfg.noise_power_w,
+                            ASCENT)
+    assert_same_ascent(got, ref, cfg.antenna_spacing)
+    assert np.array_equal(got[0], start)
+
+
+def test_ascent_that_exhausts_the_ladder_matches_reference(rng):
+    # With a huge armijo_c no step passes, so every chunk of the ladder is
+    # evaluated and the ascent stops where it started.
+    cfg, scen, ws, state, prec = instance(74, rng)
+    opts = OptimOptions(inner_grad_iters=5, armijo_c=1e6)
+    got = _ascend_patterns(ws, state.positions, state.coefficients, prec,
+                           cfg.noise_power_w, opts)
+    ref = reference_patterns(ws, state.positions, state.coefficients, prec,
+                             cfg.noise_power_w, opts)
+    assert ref[2] == "ladder"
+    assert_same_ascent(got, ref, 1.0)
+    assert np.array_equal(got[0], state.coefficients)
+

@@ -194,3 +194,17 @@ def test_trace_sink_collects_monotone_traces():
     assert sink, "expected traces"
     for _, _, _, trace in sink:
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+def test_trace_sink_order_independent_of_threads(monkeypatch):
+    spec = tiny_spec(seeds=(0, 1, 2), sweep=("total_power_w", (0.5, 1.0)))
+    sinks = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MARA_SIM_THREADS", threads)
+        sinks.append([])
+        run_experiment(spec, trace_sink=sinks[-1])
+    assert sinks[0] == sinks[1]
+    cells = [(seed, value) for seed in (0, 1, 2) for value in (0.5, 1.0)]
+    assert [entry[:3] for entry in sinks[0]] == [
+        (seed, value, scheme) for seed, value in cells
+        for scheme in ("TFA", "SMA", "ERA", "MARA")]

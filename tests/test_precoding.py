@@ -39,6 +39,23 @@ def test_water_fill_budget_met_exactly(rng):
     assert p.sum() == pytest.approx(7.3, rel=1e-12)
 
 
+def test_water_fill_budget_far_below_the_floors():
+    # Floors 1/slope are (0.5, 0.5 - 5e-12, 1, 2); a 1e-12 budget fills only
+    # the lowest one, to 0.5 - 4e-12, below every other floor.
+    slopes = np.array([2.0, 2.0 * (1 + 1e-11), 1.0, 0.5])
+    p = water_fill(slopes, 1e-12)
+    level = 1.0 / slopes[1] + 1e-12
+    assert np.all(p[1.0 / slopes > level] == 0.0)
+    assert p[1] == pytest.approx(1e-12, rel=1e-12)
+    assert p.sum() == pytest.approx(1e-12, rel=1e-15)
+
+
+def test_water_fill_zero_budget_gives_zero_powers():
+    assert np.array_equal(water_fill(np.array([2.0, 1.0]), 0.0), [0.0, 0.0])
+    with pytest.raises(ContractError):
+        water_fill(np.array([2.0, 1.0]), -1.0)
+
+
 def test_water_fill_rejects_nonpositive_slope():
     with pytest.raises(ContractError):
         water_fill(np.array([1.0, 0.0]), 1.0)
@@ -53,6 +70,29 @@ def test_zf_identity_channel_diagonal_equal_powers():
     assert np.max(np.abs(off)) < 1e-12
     powers = np.abs(np.diag(w)) ** 2
     assert np.allclose(powers, 2.0, atol=1e-9)
+
+
+def reference_zf(h, total_power, noise_power):
+    """Per-subcarrier ZF through inv(H H^H), the loop the stacked SVD replaced."""
+    U, M, G = h.shape
+    directions = np.zeros((G, M, U), dtype=complex)
+    slopes = np.zeros((G, U))
+    for g in range(G):
+        H = h[:, :, g]
+        pinv = H.conj().T @ np.linalg.inv(H @ H.conj().T)
+        norms = np.linalg.norm(pinv, axis=0)
+        directions[g] = pinv / norms
+        slopes[g] = 1.0 / (norms ** 2 * noise_power)
+    powers = water_fill(slopes.ravel(), total_power).reshape(G, U)
+    return directions * np.sqrt(powers)[:, None, :]
+
+
+@pytest.mark.parametrize("U, M, G", [(1, 1, 1), (2, 2, 3), (3, 5, 4), (4, 8, 16)])
+def test_stacked_zf_matches_per_subcarrier_inverse(rng, U, M, G):
+    channel = random_tensor(rng, U, M, G)
+    w = digital_precoder(channel, 1.3, 0.02).w
+    ref = reference_zf(channel.h, 1.3, 0.02)
+    assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_zf_nulls_cross_user_terms(rng):
