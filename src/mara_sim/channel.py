@@ -65,6 +65,22 @@ def project_to_movement_region(scenario: Scenario, positions: np.ndarray) -> np.
     return scenario.initial_positions + offsets * scale[..., None]
 
 
+def sample_movement_region(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random positions (M, 3), one in each antenna's movement ball:
+    a normal direction, then a cube-root radius."""
+    M = scenario.config.num_bs_antennas
+    direction = rng.standard_normal((M, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    frac = np.cbrt(rng.uniform(0.0, 1.0, (M, 1)))
+    return scenario.initial_positions + scenario.config.movement_radius * frac * direction
+
+
+def sample_unit_spheres(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform random rows on the unit sphere, shape (M, K)."""
+    rows = rng.standard_normal(shape)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def validate_state(scenario: Scenario, state: AntennaState, scheme: str | None = None) -> None:
     """Check state invariants for its scheme; raises ContractError on violation."""
     if scheme is not None and scheme != state.scheme:

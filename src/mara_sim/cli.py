@@ -17,26 +17,21 @@ import numpy as np
 
 from . import harness
 from .errors import ConfigError, ContractError, SizeLimitError
-from .scenario import (SCHEME_ORDER, SystemConfig, config_from_mapping,
-                       generate_scenario, load_config)
+from .scenario import (_INT_KEYS, _OPTIONAL_KEYS, _REQUIRED_KEYS, SCHEME_ORDER,
+                       SystemConfig, config_from_mapping, generate_scenario,
+                       load_config)
 from .shod import build_basis, build_omega, pattern_gain, pattern_power
 from .channel import (AntennaState, ChannelTensor, ChannelWorkspace, ecsi,
-                      initial_state, project_to_movement_region)
+                      initial_state, sample_movement_region, sample_unit_spheres)
 from .se import sum_se_arrays
 from .optim import (OptimOptions, alternating_optimize, brute_force_positions,
                     digital_precoder, optimize_patterns, optimize_positions,
                     se_gradient_patterns, se_gradient_positions)
 
-_CONFIG_KEYS = (
-    "carrier_frequency_hz", "num_subcarriers", "subcarrier_spacing_hz",
-    "num_ues", "num_bs_antennas", "antenna_spacing_wavelengths",
-    "num_paths_per_ue", "max_delay_s", "total_power_w", "noise_power_w",
-    "shod_max_degree", "seed", "schemes",
-)
-_INT_KEYS = {"num_subcarriers", "num_ues", "num_bs_antennas",
-             "num_paths_per_ue", "shod_max_degree", "seed"}
 # Extra override keys understood by `check` and `oracle`.
 _TOOL_KEYS = {"fd_step", "grid_step"}
+# Default finite-difference step of the `check` gradient suite.
+_FD_STEP = 1e-6
 
 
 class _UsageError(Exception):
@@ -77,7 +72,7 @@ def _parse_overrides(pairs, allow_tool_keys=False):
         if key in _TOOL_KEYS and allow_tool_keys:
             tool_updates[key] = float(raw)
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
             raise ContractError(f"unknown override key: {key}")
         if key == "schemes":
             config_updates[key] = [s.strip() for s in raw.split(",") if s.strip()]
@@ -97,7 +92,7 @@ def _load_base_config(args, default: SystemConfig | None, allow_tool_keys):
     else:
         raise ContractError("--config is required for this command")
     if updates:
-        merged = {k: getattr(base, k) for k in _CONFIG_KEYS}
+        merged = {k: getattr(base, k) for k in _REQUIRED_KEYS + _OPTIONAL_KEYS}
         merged["schemes"] = list(merged["schemes"])
         merged.update(updates)
         base = config_from_mapping(merged)
@@ -169,19 +164,15 @@ def _fd_gradient_patterns(ws, state, precoders, noise, m, step):
 def _random_feasible_state(scenario, rng) -> AntennaState:
     cfg = scenario.config
     K = (cfg.shod_max_degree + 1) ** 2
-    direction = rng.standard_normal((cfg.num_bs_antennas, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    frac = np.cbrt(rng.uniform(0, 1, (cfg.num_bs_antennas, 1)))
-    positions = scenario.initial_positions + cfg.movement_radius * frac * direction
-    coeffs = rng.standard_normal((cfg.num_bs_antennas, K))
-    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    positions = sample_movement_region(scenario, rng)
+    coeffs = sample_unit_spheres(rng, (cfg.num_bs_antennas, K))
     return AntennaState(positions, coeffs, "MARA")
 
 
 def cmd_check(args) -> int:
     base, tool = _load_base_config(args, default=_check_default_config(),
                                    allow_tool_keys=True)
-    fd_step = tool.get("fd_step", OptimOptions().fd_step)
+    fd_step = tool.get("fd_step", _FD_STEP)
     quiet = args.quiet
     results = []
 

@@ -3,16 +3,17 @@
 Cells (seed, sweep value) are independent pure computations; within a cell the
 schemes are solved in nesting order so warm starts can be shared. After each
 cell the scheme-ordering assertions are evaluated and any violation is
-recorded as a failure row rather than aborting the run.
+recorded as a failure row rather than aborting the run. An error in one scheme
+ends its cell with a diagnostic row after the rows already solved. Cells run
+in order in the calling thread: each cell is a few large numpy calls, and
+threads contending for the interpreter lock made a sweep slower, not faster.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,7 @@ def _run_cell(spec: ExperimentSpec, seed: int,
     warm = {}
     rows = {}
     traces = []
+    error = []
     for scheme in SCHEME_ORDER:
         if scheme not in needed:
             continue
@@ -115,13 +117,14 @@ def _run_cell(spec: ExperimentSpec, seed: int,
             se_sum = result.se
             if se_fault_hook is not None:
                 se_sum = se_fault_hook(scheme, se_sum)
-        except Exception as exc:  # diagnostic row aborts the cell, not the run
-            return [make_row(scheme, ok=False, note=f"error: {exc}")], traces
+        except Exception as exc:  # diagnostic row ends the cell, not the run
+            error.append(make_row(scheme, ok=False, note=f"error: {exc}"))
+            break
         warm[scheme] = result
         traces.append((seed, value, scheme, tuple(result.se_trace)))
         rows[scheme] = make_row(scheme, se_sum, result.iterations,
                                 time.perf_counter() - start)
-    out = [rows[s] for s in spec.schemes]
+    out = [rows[s] for s in spec.schemes if s in rows] + error
     for lo, hi in (("TFA", "SMA"), ("TFA", "ERA"), ("SMA", "MARA"), ("ERA", "MARA")):
         if lo in rows and hi in rows:
             if rows[hi].se_sum < rows[lo].se_sum - NESTING_TOL:
@@ -135,33 +138,18 @@ def run_experiment(spec: ExperimentSpec, trace_sink: list | None = None) -> list
     """Run every (seed, sweep value, scheme) cell; rows in deterministic order.
 
     When a list is passed as trace_sink, every per-scheme objective trace is
-    appended to it as (seed, sweep_value, scheme, trace), in cell order at
-    any thread count.
+    appended to it as (seed, sweep_value, scheme, trace), in cell order.
+    Cells run in order in the calling thread.
     """
     values = list(spec.sweep[1]) if spec.sweep is not None else [None]
-    cells = [(seed, value) for seed in spec.seeds for value in values]
-    workers = _worker_count()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _run_cell(spec, *c), cells))
-    else:
-        results = [_run_cell(spec, *cell) for cell in cells]
     rows = []
-    for cell_rows, cell_traces in results:
-        rows.extend(cell_rows)
-        if trace_sink is not None:
-            trace_sink.extend(cell_traces)
+    for seed in spec.seeds:
+        for value in values:
+            cell_rows, cell_traces = _run_cell(spec, seed, value)
+            rows.extend(cell_rows)
+            if trace_sink is not None:
+                trace_sink.extend(cell_traces)
     return rows
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MARA_SIM_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ContractError(f"MARA_SIM_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
 
 
 def emit_csv(rows, path, include_wall_time: bool = True) -> None:

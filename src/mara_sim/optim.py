@@ -26,6 +26,8 @@ from .channel import (
     ChannelWorkspace,
     initial_state,
     project_to_movement_region,
+    sample_movement_region,
+    sample_unit_spheres,
 )
 from .se import PrecoderSet, sum_se_arrays
 
@@ -46,7 +48,6 @@ class OptimOptions:
     armijo_c: float = 1e-4
     backtrack_ratio: float = 0.5
     tol_rel: float = 1e-6
-    fd_step: float = 1e-6          # finite-difference step for gradient checks
     restarts: int = 4
     seed: int = 0
 
@@ -54,7 +55,7 @@ class OptimOptions:
         if not 0.0 < self.backtrack_ratio < 1.0:
             raise ContractError("backtrack_ratio must lie in (0, 1)")
         for name in ("step_init_pos", "step_init_alpha", "armijo_c",
-                     "tol_rel", "fd_step"):
+                     "tol_rel"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
         for name in ("max_outer_iters", "inner_grad_iters", "restarts"):
@@ -246,65 +247,80 @@ def _line_search(steps, propose, objective, f, armijo_c):
     return None
 
 
-def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
-    scenario = ws.scenario
-    steps = _armijo_ladder(opts.step_init_pos * scenario.config.antenna_spacing,
-                           opts.backtrack_ratio)
-    positions = start.copy()
-    f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
+def _ascend(x, steps, direction, propose, objective, opts):
+    """Armijo ascent from x, shared by positions and patterns.
 
+    direction(x) is the ascent direction at x; propose(x, d, t) returns the
+    retracted candidates for the steps t and the ascent each one promises;
+    objective evaluates one point or a stack of candidates. Stops when the
+    direction vanishes, no step is accepted, or the gain drops below tol_rel.
+    Returns (x, objective(x)).
+    """
+    x = x.copy()
+    f = objective(x)
+    for _ in range(opts.inner_grad_iters):
+        d = direction(x)
+        if float(np.sum(d * d)) < 1e-24 * max(1.0, f * f):
+            break
+        found = _line_search(steps, lambda t: propose(x, d, t), objective, f,
+                             opts.armijo_c)
+        if found is None:
+            break
+        gain = found[1] - f
+        x, f = found
+        if gain < opts.tol_rel * max(abs(f), 1e-12):
+            break
+    return x, f
+
+
+def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
+    """Projected ascent over positions: gradient steps clamped into the balls."""
     def objective(cands):
         return sum_se_arrays(ws.tensor(cands, coefficients), precoders.w, noise_power)
 
-    for _ in range(opts.inner_grad_iters):
-        grad = _grad_positions_all(ws, positions, coefficients, precoders, noise_power)
-        if float(np.sum(grad * grad)) < 1e-24 * max(1.0, f * f):
-            break
+    def direction(positions):
+        return _grad_positions_all(ws, positions, coefficients, precoders, noise_power)
 
-        def propose(t):
-            cands = project_to_movement_region(
-                scenario, positions + t[:, None, None] * grad)
-            return cands, np.sum(grad * (cands - positions), axis=(1, 2))
+    def propose(positions, grad, t):
+        cands = project_to_movement_region(ws.scenario, positions + t[:, None, None] * grad)
+        return cands, np.sum(grad * (cands - positions), axis=(1, 2))
 
-        found = _line_search(steps, propose, objective, f, opts.armijo_c)
-        if found is None:
-            break
-        gain = found[1] - f
-        positions, f = found
-        if gain < opts.tol_rel * max(abs(f), 1e-12):
-            break
-    return positions, f
+    steps = _armijo_ladder(opts.step_init_pos * ws.scenario.config.antenna_spacing,
+                           opts.backtrack_ratio)
+    return _ascend(start, steps, direction, propose, objective, opts)
 
 
 def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
-    steps = _armijo_ladder(opts.step_init_alpha, opts.backtrack_ratio)
-    coefficients = start.copy()
-    f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
-
+    """Retracted ascent over patterns: tangent steps renormalised onto the spheres."""
     def objective(cands):
         return sum_se_arrays(ws.tensor(positions, cands), precoders.w, noise_power)
 
-    for _ in range(opts.inner_grad_iters):
+    def direction(coefficients):
         grad = _grad_patterns_all(ws, positions, coefficients, precoders, noise_power)
-        radial = np.sum(grad * coefficients, axis=1, keepdims=True)
-        tangent = grad - radial * coefficients
-        tnorm2 = float(np.sum(tangent * tangent))
-        if tnorm2 < 1e-24 * max(1.0, f * f):
-            break
+        return grad - np.sum(grad * coefficients, axis=1, keepdims=True) * coefficients
 
-        def propose(t):
-            cands = coefficients + t[:, None, None] * tangent
-            cands /= np.linalg.norm(cands, axis=2, keepdims=True)
-            return cands, t * tnorm2
+    def propose(coefficients, tangent, t):
+        cands = coefficients + t[:, None, None] * tangent
+        cands /= np.linalg.norm(cands, axis=2, keepdims=True)
+        return cands, t * float(np.sum(tangent * tangent))
 
-        found = _line_search(steps, propose, objective, f, opts.armijo_c)
-        if found is None:
-            break
-        gain = found[1] - f
-        coefficients, f = found
-        if gain < opts.tol_rel * max(abs(f), 1e-12):
-            break
-    return coefficients, f
+    steps = _armijo_ladder(opts.step_init_alpha, opts.backtrack_ratio)
+    return _ascend(start, steps, direction, propose, objective, opts)
+
+
+def _best_of_restarts(start, draw, ascend, opts):
+    """The point reached by the best of the restarts of ascend(init) -> (x, f).
+
+    Restart 0 starts from `start`; restart r > 0 from draw(rng), with rng
+    seeded opts.seed + r. Ties keep the earliest restart.
+    """
+    best_x, best_f = None, -np.inf
+    for r in range(max(1, opts.restarts)):
+        init = start if r == 0 else draw(np.random.default_rng(opts.seed + r))
+        x, f = ascend(init)
+        if f > best_f:
+            best_x, best_f = x, f
+    return best_x
 
 
 def optimize_positions(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
@@ -325,22 +341,11 @@ def optimize_positions(scenario: Scenario, state: AntennaState, precoders: Preco
     if opts.inner_grad_iters == 0:
         return AntennaState(start, state.coefficients.copy(), state.scheme)
     noise = scenario.config.noise_power_w
-    radius = scenario.config.movement_radius
-    best_positions, best_f = None, -np.inf
-    for r in range(max(1, opts.restarts)):
-        if r == 0:
-            init = start
-        else:
-            rng = np.random.default_rng(opts.seed + r)
-            direction = rng.standard_normal(start.shape)
-            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-            frac = np.cbrt(rng.uniform(0.0, 1.0, (start.shape[0], 1)))
-            init = scenario.initial_positions + radius * frac * direction
-        positions, f = _ascend_positions(ws, init, state.coefficients, precoders,
-                                         noise, opts)
-        if f > best_f:
-            best_positions, best_f = positions, f
-    return AntennaState(best_positions, state.coefficients.copy(), state.scheme)
+    best = _best_of_restarts(
+        start, lambda rng: sample_movement_region(scenario, rng),
+        lambda init: _ascend_positions(ws, init, state.coefficients, precoders,
+                                       noise, opts), opts)
+    return AntennaState(best, state.coefficients.copy(), state.scheme)
 
 
 def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
@@ -355,18 +360,11 @@ def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: Precod
     if opts.inner_grad_iters == 0:
         return AntennaState(state.positions.copy(), start, state.scheme)
     noise = scenario.config.noise_power_w
-    best_coeffs, best_f = None, -np.inf
-    for r in range(max(1, opts.restarts)):
-        if r == 0:
-            init = start
-        else:
-            rng = np.random.default_rng(opts.seed + r)
-            init = rng.standard_normal(start.shape)
-            init /= np.linalg.norm(init, axis=1, keepdims=True)
-        coeffs, f = _ascend_patterns(ws, state.positions, init, precoders, noise, opts)
-        if f > best_f:
-            best_coeffs, best_f = coeffs, f
-    return AntennaState(state.positions.copy(), best_coeffs, state.scheme)
+    best = _best_of_restarts(
+        start, lambda rng: sample_unit_spheres(rng, start.shape),
+        lambda init: _ascend_patterns(ws, state.positions, init, precoders,
+                                      noise, opts), opts)
+    return AntennaState(state.positions.copy(), best, state.scheme)
 
 
 def alternating_optimize(scenario: Scenario, scheme: str,

@@ -33,7 +33,8 @@ def test_run_seeds_flag(tmp_path):
     cfg = small_run_config(tmp_path)
     out = tmp_path / "out2"
     code = main(["run", "--config", str(cfg), "--out", str(out),
-                 "--seeds", "0,1", "--set", "schemes=TFA,SMA", "-q"])
+                 "--seeds", "0,1", "--set", "schemes=TFA,SMA",
+                 "--set", "antenna_spacing_wavelengths=0.6", "-q"])
     assert code == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 5  # header + 2 schemes x 2 seeds
@@ -74,6 +75,23 @@ def test_run_injected_nesting_violation_exits_two(tmp_path, capsys, monkeypatch)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "y"), "-q"])
     assert code == 2
     assert "nesting" in capsys.readouterr().err
+
+
+def test_run_error_in_mara_exits_one_and_keeps_rows(tmp_path, capsys, monkeypatch):
+    def boom_at_mara(scheme, se):
+        if scheme == "MARA":
+            raise RuntimeError("injected failure")
+        return se
+    monkeypatch.setattr(harness, "se_fault_hook", boom_at_mara)
+    cfg = small_run_config(tmp_path)
+    out = tmp_path / "e"
+    code = main(["run", "--config", str(cfg), "--out", str(out), "-q"])
+    assert code == 1
+    assert "injected failure" in capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    # The three schemes solved before the failure keep their rows.
+    assert [(row[1], row[4] != "nan") for row in rows] == [
+        ("TFA", True), ("SMA", True), ("ERA", True), ("MARA", False)]
 
 
 def test_run_json_summary(tmp_path, capsys):
