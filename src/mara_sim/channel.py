@@ -29,9 +29,6 @@ class AntennaState:
     coefficients: np.ndarray  # (M, K) real pattern coefficients, unit rows
     scheme: str
 
-    def copy(self) -> "AntennaState":
-        return AntennaState(self.positions.copy(), self.coefficients.copy(), self.scheme)
-
     def retagged(self, scheme: str) -> "AntennaState":
         return AntennaState(self.positions.copy(), self.coefficients.copy(), scheme)
 

@@ -8,25 +8,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from . import harness
+from . import checks, harness
 from .errors import ConfigError, ContractError, SizeLimitError
 from .scenario import (_INT_KEYS, _OPTIONAL_KEYS, _REQUIRED_KEYS, SCHEME_ORDER,
                        SystemConfig, config_from_mapping, generate_scenario,
                        load_config)
-from .shod import build_basis, build_omega, pattern_gain, pattern_power
-from .channel import (AntennaState, ChannelTensor, ChannelWorkspace, ecsi,
-                      initial_state, sample_movement_region, sample_unit_spheres)
-from .se import sum_se_arrays
-from .optim import (OptimOptions, alternating_optimize, brute_force_positions,
-                    digital_precoder, optimize_patterns, optimize_positions,
-                    se_gradient_patterns, se_gradient_positions)
+from .shod import build_basis
+from .channel import ChannelWorkspace
+from .optim import OptimOptions
 
 # Extra override keys understood by `check` and `oracle`.
 _TOOL_KEYS = {"fd_step", "grid_step"}
@@ -70,7 +65,10 @@ def _parse_overrides(pairs, allow_tool_keys=False):
         key, raw = pair.split("=", 1)
         key = key.strip()
         if key in _TOOL_KEYS and allow_tool_keys:
-            tool_updates[key] = float(raw)
+            value = float(raw)
+            if not 0.0 < value < np.inf:
+                raise ContractError(f"{key} must be finite and > 0, got {raw!r}")
+            tool_updates[key] = value
             continue
         if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
             raise ContractError(f"unknown override key: {key}")
@@ -138,105 +136,42 @@ def _check_default_config() -> SystemConfig:
         schemes=SCHEME_ORDER)
 
 
-def _fd_gradient_positions(ws, state, precoders, noise, m, step):
-    grad = np.zeros(3)
-    for axis in range(3):
-        for sign, slot in ((+1, 0), (-1, 1)):
-            pos = state.positions.copy()
-            pos[m, axis] += sign * step
-            f = sum_se_arrays(ws.tensor(pos, state.coefficients), precoders.w, noise)
-            grad[axis] += sign * f
-    return grad / (2.0 * step)
-
-
-def _fd_gradient_patterns(ws, state, precoders, noise, m, step):
-    K = state.coefficients.shape[1]
-    grad = np.zeros(K)
-    for k in range(K):
-        for sign in (+1, -1):
-            coeff = state.coefficients.copy()
-            coeff[m, k] += sign * step
-            f = sum_se_arrays(ws.tensor(state.positions, coeff), precoders.w, noise)
-            grad[k] += sign * f
-    return grad / (2.0 * step)
-
-
-def _random_feasible_state(scenario, rng) -> AntennaState:
-    cfg = scenario.config
-    K = (cfg.shod_max_degree + 1) ** 2
-    positions = sample_movement_region(scenario, rng)
-    coeffs = sample_unit_spheres(rng, (cfg.num_bs_antennas, K))
-    return AntennaState(positions, coeffs, "MARA")
-
-
 def cmd_check(args) -> int:
     base, tool = _load_base_config(args, default=_check_default_config(),
                                    allow_tool_keys=True)
     fd_step = tool.get("fd_step", _FD_STEP)
-    quiet = args.quiet
     results = []
 
     def record(name, passed, detail):
         results.append(passed)
-        if not quiet or not passed:
+        if not args.quiet or not passed:
             print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
 
     degree = base.shod_max_degree
-    worst = 0.0
-    for n in range(degree + 1):
-        basis = build_basis(n)
-        gram = basis.gram_matrix()
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(basis.size)))))
+    worst = checks.orthonormality_error(degree)
     record("orthonormality", worst < 1e-8, f"max |Gram - I| = {worst:.3e}, N <= {degree}")
 
     basis = build_basis(degree)
     rng = np.random.default_rng(base.seed)
-    worst = 0.0
-    for _ in range(1000):
-        alpha = rng.standard_normal(basis.size)
-        worst = max(worst, abs(pattern_power(basis, alpha) - float(alpha @ alpha)))
+    worst = checks.parseval_error(basis, rng)
     record("parseval", worst < 1e-8, f"max |power - ||a||^2| = {worst:.3e}")
 
-    scenario = generate_scenario(base)
-    ws = ChannelWorkspace(scenario, basis)
-    state = _random_feasible_state(scenario, rng)
-    h = ws.state_tensor(state)
-    worst = 0.0
-    for u, ps in enumerate(scenario.path_sets):
-        omega = build_omega(basis, ps)
-        for m in range(base.num_bs_antennas):
-            for g in range(base.num_subcarriers):
-                q = ecsi(ps, omega, state.positions[m], scenario.ue_positions[u],
-                         scenario.subcarrier_frequencies[g], scenario.wavelength)
-                direct = np.conj(q) @ state.coefficients[m]
-                worst = max(worst, abs(h[u, m, g] - direct))
+    ws = ChannelWorkspace(generate_scenario(base), basis)
+    worst = checks.factorization_error(ws, checks.random_feasible_state(ws.scenario, rng))
     record("factorization", worst < 1e-12, f"max |h - q^H a| = {worst:.3e}")
 
-    worst = 0.0
-    noise = base.noise_power_w
+    errors = []
     for trial in range(5):
-        cfg = replace(base, seed=base.seed + trial)
-        scen = generate_scenario(cfg)
-        wst = ChannelWorkspace(scen, basis)
-        st = _random_feasible_state(scen, rng)
-        prec = digital_precoder(ChannelTensor(wst.state_tensor(st), "MARA"),
-                                cfg.total_power_w, noise)
-        for m in range(cfg.num_bs_antennas):
-            ga = se_gradient_positions(scen, st, prec, m, ws=wst)
-            gf = _fd_gradient_positions(wst, st, prec, noise, m,
-                                        fd_step * scen.wavelength)
-            worst = max(worst, _rel_err(ga, gf))
-            ga = se_gradient_patterns(scen, st, prec, m, ws=wst)
-            gf = _fd_gradient_patterns(wst, st, prec, noise, m, fd_step)
-            worst = max(worst, _rel_err(ga, gf))
+        ws = ChannelWorkspace(generate_scenario(replace(base, seed=base.seed + trial)), basis)
+        state = checks.random_feasible_state(ws.scenario, rng)
+        prec = checks.zf_precoder(ws, state)
+        errors += [checks.gradient_errors(ws, state, prec, m, fd_step)
+                   for m in range(base.num_bs_antennas)]
+    worst = float(np.max(errors))
     record("gradients", worst < 1e-5,
            f"max rel err = {worst:.3e} at fd_step {fd_step:g}")
 
     return 0 if all(results) else 1
-
-
-def _rel_err(a, b):
-    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
 def cmd_oracle(args) -> int:
@@ -244,40 +179,16 @@ def cmd_oracle(args) -> int:
                                    allow_tool_keys=True)
     grid_step = tool.get("grid_step", base.antenna_spacing / 40.0)
     opts = OptimOptions(restarts=4, seed=123)
-    gap_pos = 0.0
     try:
-        for trial in range(3):
-            cfg = replace(base, seed=base.seed + trial)
-            scen = generate_scenario(cfg)
-            state = initial_state(scen, "SMA")
-            ws = ChannelWorkspace(scen)
-            prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
-                                    cfg.total_power_w, cfg.noise_power_w)
-            opt_state = optimize_positions(scen, state, prec, opts, ws)
-            bf_state = brute_force_positions(scen, state, prec, grid_step)
-            se_opt = sum_se_arrays(ws.state_tensor(opt_state), prec.w, cfg.noise_power_w)
-            se_bf = sum_se_arrays(ws.state_tensor(bf_state), prec.w, cfg.noise_power_w)
-            gap_pos = max(gap_pos, (se_bf - se_opt) / max(se_bf, 1e-300))
+        gap_pos = np.max([checks.position_oracle_gap(
+            generate_scenario(replace(base, seed=base.seed + trial)), opts, grid_step)
+            for trial in range(3)])
     except SizeLimitError as exc:
         print(f"oracle aborted: {exc}", file=sys.stderr)
         return 1
-
-    gap_pat = 0.0
-    for trial in range(3):
-        cfg = replace(base, num_subcarriers=1, seed=base.seed + 100 + trial)
-        scen = generate_scenario(cfg)
-        state = initial_state(scen, "ERA")
-        ws = ChannelWorkspace(scen)
-        prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "ERA"),
-                                cfg.total_power_w, cfg.noise_power_w)
-        opt_state = optimize_patterns(scen, state, prec, opts, ws)
-        ps = scen.path_sets[0]
-        q = ecsi(ps, build_omega(ws.basis, ps), scen.initial_positions[0],
-                 scen.ue_positions[0], scen.subcarrier_frequencies[0], scen.wavelength)
-        best = float(np.linalg.eigvalsh(np.real(np.outer(np.conj(q), q)))[-1])
-        achieved = abs(np.conj(q) @ opt_state.coefficients[0]) ** 2
-        gap_pat = max(gap_pat, (best - achieved) / max(best, 1e-300))
-
+    gap_pat = np.max([checks.pattern_oracle_gap(generate_scenario(
+        replace(base, num_subcarriers=1, seed=base.seed + 100 + trial)), opts)
+        for trial in range(3)])
     print(f"max relative SE gap, positions vs grid: {max(gap_pos, 0.0):.3e}")
     print(f"max relative gap, patterns vs eigenvector: {max(gap_pat, 0.0):.3e}")
     return 0

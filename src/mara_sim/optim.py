@@ -442,8 +442,14 @@ def _optimize_scheme(scenario, scheme, opts, warm):
 
 
 def _accept_precoder(state, precoders, current, precoder_for, se_of):
-    """Re-derive the precoder and keep it only if the objective does not drop."""
-    candidate = precoder_for(state)
+    """Re-derive the precoder and keep it only if the objective does not drop.
+
+    A channel that is singular at `state` keeps the current precoder.
+    """
+    try:
+        candidate = precoder_for(state)
+    except SingularChannelError:
+        return state, precoders, current
     se_candidate = se_of(state, candidate)
     if se_candidate > current:
         return state, candidate, se_candidate

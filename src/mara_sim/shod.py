@@ -32,8 +32,6 @@ class BasisSet:
     """
 
     max_degree: int
-    theta_nodes: np.ndarray   # (n_q,) polar angles of the quadrature nodes
-    phi_nodes: np.ndarray     # (n_q,)
     weights: np.ndarray       # (n_q,) includes the sin(theta) surface factor
     node_values: np.ndarray   # (n_q, K) basis evaluated at the nodes
 
@@ -70,8 +68,6 @@ def build_basis(max_degree: int) -> BasisSet:
     weights = np.repeat(w, n_azimuth) * (2.0 * np.pi / n_azimuth)
     return BasisSet(
         max_degree=max_degree,
-        theta_nodes=_lock(theta_grid),
-        phi_nodes=_lock(phi_grid),
         weights=_lock(weights),
         node_values=_lock(evaluate_basis(max_degree, theta_grid, phi_grid)),
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mara_sim import checks
 from mara_sim.scenario import SCHEME_ORDER, SystemConfig
 from mara_sim.channel import AntennaState
 
@@ -56,19 +57,14 @@ def write_config(tmp_path, name="config.json", **overrides):
 
 
 def random_feasible_state(scenario, rng, scheme="MARA") -> AntennaState:
-    """Random positions inside the movement balls, random unit pattern rows."""
-    cfg = scenario.config
-    K = (cfg.shod_max_degree + 1) ** 2
-    direction = rng.standard_normal((cfg.num_bs_antennas, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    frac = np.cbrt(rng.uniform(0, 1, (cfg.num_bs_antennas, 1)))
-    positions = scenario.initial_positions + cfg.movement_radius * frac * direction
-    coeffs = rng.standard_normal((cfg.num_bs_antennas, K))
-    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    """Random positions inside the movement balls, random unit pattern rows,
+    then the scheme's pinned parts reset to the nominal array and isotropy."""
+    drawn = checks.random_feasible_state(scenario, rng)
+    positions, coeffs = drawn.positions, drawn.coefficients
     if scheme in ("TFA", "ERA"):
         positions = scenario.initial_positions.copy()
     if scheme in ("TFA", "SMA"):
-        coeffs = np.zeros((cfg.num_bs_antennas, K))
+        coeffs = np.zeros_like(coeffs)
         coeffs[:, 0] = 1.0
     return AntennaState(positions, coeffs, scheme)
 

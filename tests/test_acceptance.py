@@ -11,17 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from mara_sim.errors import ContractError
+from mara_sim import checks
 from mara_sim.scenario import generate_scenario
-from mara_sim.shod import (build_basis, build_omega, departure_angles,
-                           pattern_gain, pattern_power)
-from mara_sim.channel import (ChannelTensor, ChannelWorkspace, channel_tensor,
-                              ecsi, initial_state)
-from mara_sim.se import PrecoderSet, sum_se, sum_se_arrays
-from mara_sim.optim import (OptimOptions, brute_force_positions,
-                            digital_precoder, optimize_patterns,
-                            optimize_positions, se_gradient_patterns,
-                            se_gradient_positions)
+from mara_sim.shod import build_basis, build_omega, departure_angles, pattern_gain
+from mara_sim.channel import ChannelTensor, ChannelWorkspace, channel_tensor, ecsi
+from mara_sim.se import PrecoderSet, sum_se
+from mara_sim.optim import OptimOptions, digital_precoder
 from mara_sim.harness import emit_csv, reference_experiment, run_experiment
 
 from conftest import make_config, random_feasible_state
@@ -83,18 +78,8 @@ def test_criterion_02_mara_tfa_ratio(reference_run):
 
 def test_criterion_03_basis_orthonormality_and_parseval():
     t0 = time.perf_counter()
-    worst_gram = 0.0
-    for degree in range(7):
-        basis = build_basis(degree)
-        gram = basis.gram_matrix()
-        worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(basis.size)))))
-    basis = build_basis(3)
-    rng = np.random.default_rng(100)
-    worst_parseval = 0.0
-    for _ in range(1000):
-        alpha = rng.standard_normal(basis.size)
-        worst_parseval = max(worst_parseval,
-                             abs(pattern_power(basis, alpha) - float(alpha @ alpha)))
+    worst_gram = checks.orthonormality_error(6)
+    worst_parseval = checks.parseval_error(build_basis(3), np.random.default_rng(100))
     elapsed = time.perf_counter() - t0
     ok = worst_gram < 1e-8 and worst_parseval < 1e-8 and elapsed < 10
     check(3, ok, f"max |Gram-I| = {worst_gram:.2e} (N<=6), "
@@ -104,8 +89,7 @@ def test_criterion_03_basis_orthonormality_and_parseval():
 def test_criterion_04_factorization_exactness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst = 0.0
-    count = 0
+    errors = []
     for trial in range(10):
         cfg = make_config(seed=200 + trial)
         # A close-in (still far-field) annulus keeps the receive phases small
@@ -132,8 +116,8 @@ def test_criterion_04_factorization_exactness():
                 phase *= cmath.exp(-1j * kappa * float(
                     ps.rx_wave_vectors[i] @ scen.ue_positions[u]))
                 total += x * f_tx * phase
-            worst = max(worst, abs(h[u, m, g] - total))
-            count += 1
+            errors.append(abs(h[u, m, g] - total))
+    worst, count = float(np.max(errors)), len(errors)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and count == 10_000 and elapsed < 10
     check(4, ok, f"max |q^H a - direct sum| = {worst:.2e} over {count} "
@@ -142,7 +126,7 @@ def test_criterion_04_factorization_exactness():
 
 def test_criterion_05_se_form_equivalence():
     rng = np.random.default_rng(102)
-    worst = 0.0
+    errors = []
     for trial in range(100):
         cfg = make_config(num_subcarriers=2, num_bs_antennas=3,
                           num_paths_per_ue=3, shod_max_degree=1, seed=300 + trial)
@@ -172,49 +156,22 @@ def test_criterion_05_se_form_equivalence():
                 interf = sum(abs(row @ w[g][:, up]) ** 2
                              for up in range(U) if up != u)
                 se_q += math.log2(1 + sig / (interf + noise))
-        worst = max(worst, abs(se_h - se_q))
+        errors.append(abs(se_h - se_q))
+    worst = float(np.max(errors))
     check(5, worst < 1e-10, f"max |SE_h - SE_q| = {worst:.2e} over 100 instances")
 
 
 def test_criterion_06_gradient_checks():
     t0 = time.perf_counter()
     rng = np.random.default_rng(103)
-    worst_pos, worst_pat = 0.0, 0.0
+    errors = []
     for trial in range(100):
         cfg = make_config(num_subcarriers=2, seed=400 + trial)
-        scen = generate_scenario(cfg)
-        ws = ChannelWorkspace(scen)
-        state = random_feasible_state(scen, rng, scheme="MARA")
-        prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "MARA"),
-                                cfg.total_power_w, cfg.noise_power_w)
-        noise = cfg.noise_power_w
-        m = trial % cfg.num_bs_antennas
-
-        analytic = se_gradient_positions(scen, state, prec, m, ws=ws)
-        step = 1e-6 * scen.wavelength
-        numeric = np.zeros(3)
-        for ax in range(3):
-            for sign in (1.0, -1.0):
-                pos = state.positions.copy()
-                pos[m, ax] += sign * step
-                numeric[ax] += sign * sum_se_arrays(
-                    ws.tensor(pos, state.coefficients), prec.w, noise)
-        numeric /= 2 * step
-        worst_pos = max(worst_pos, float(np.linalg.norm(analytic - numeric)
-                                         / np.linalg.norm(numeric)))
-
-        analytic = se_gradient_patterns(scen, state, prec, m, ws=ws)
-        K = state.coefficients.shape[1]
-        numeric = np.zeros(K)
-        for k in range(K):
-            for sign in (1.0, -1.0):
-                coeff = state.coefficients.copy()
-                coeff[m, k] += sign * 1e-6
-                numeric[k] += sign * sum_se_arrays(
-                    ws.tensor(state.positions, coeff), prec.w, noise)
-        numeric /= 2e-6
-        worst_pat = max(worst_pat, float(np.linalg.norm(analytic - numeric)
-                                         / np.linalg.norm(numeric)))
+        ws = ChannelWorkspace(generate_scenario(cfg))
+        state = random_feasible_state(ws.scenario, rng, scheme="MARA")
+        errors.append(checks.gradient_errors(ws, state, checks.zf_precoder(ws, state),
+                                             trial % cfg.num_bs_antennas, 1e-6))
+    worst_pos, worst_pat = np.max(errors, axis=0)
     elapsed = time.perf_counter() - t0
     ok = worst_pos < 1e-5 and worst_pat < 1e-5 and elapsed < 30
     check(6, ok, f"100 instances each: position rel err <= {worst_pos:.2e}, "
@@ -222,39 +179,18 @@ def test_criterion_06_gradient_checks():
 
 
 def test_criterion_07_oracle_equivalence():
-    worst_pos_gap = 0.0
+    pos_gaps = []
     for trial in range(10):
         cfg = make_config(num_ues=1, num_bs_antennas=1, num_subcarriers=1,
                           num_paths_per_ue=2, seed=500 + trial)
-        scen = generate_scenario(cfg)
-        ws = ChannelWorkspace(scen)
-        state = initial_state(scen, "SMA")
-        prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
-                                cfg.total_power_w, cfg.noise_power_w)
-        opt = optimize_positions(scen, state, prec, OptimOptions(seed=6), ws)
-        bf = brute_force_positions(scen, state, prec, cfg.antenna_spacing / 25)
-        se_opt = sum_se_arrays(ws.state_tensor(opt), prec.w, cfg.noise_power_w)
-        se_bf = sum_se_arrays(ws.state_tensor(bf), prec.w, cfg.noise_power_w)
-        worst_pos_gap = max(worst_pos_gap, (se_bf - se_opt) / se_bf)
+        pos_gaps.append(checks.position_oracle_gap(
+            generate_scenario(cfg), OptimOptions(seed=6), cfg.antenna_spacing / 25))
+    worst_pos_gap = np.max(pos_gaps)
 
-    worst_pat_gap = 0.0
-    for trial in range(10):
-        cfg = make_config(num_ues=1, num_bs_antennas=1, num_subcarriers=1,
-                          seed=600 + trial)
-        scen = generate_scenario(cfg)
-        basis = build_basis(cfg.shod_max_degree)
-        ps = scen.path_sets[0]
-        q = ecsi(ps, build_omega(basis, ps), scen.initial_positions[0],
-                 scen.ue_positions[0], scen.subcarrier_frequencies[0],
-                 scen.wavelength)
-        best = float(np.linalg.eigvalsh(np.real(np.outer(np.conj(q), q)))[-1])
-        state = initial_state(scen, "ERA")
-        prec = digital_precoder(channel_tensor(scen, state, "ERA", basis),
-                                cfg.total_power_w, cfg.noise_power_w)
-        opts = OptimOptions(seed=7, tol_rel=1e-9, inner_grad_iters=200)
-        out = optimize_patterns(scen, state, prec, opts)
-        achieved = abs(np.conj(q) @ out.coefficients[0]) ** 2
-        worst_pat_gap = max(worst_pat_gap, abs(best - achieved) / best)
+    opts = OptimOptions(seed=7, tol_rel=1e-9, inner_grad_iters=200)
+    worst_pat_gap = np.max(np.abs([checks.pattern_oracle_gap(generate_scenario(
+        make_config(num_ues=1, num_bs_antennas=1, num_subcarriers=1, seed=600 + trial)),
+        opts) for trial in range(10)]))
 
     ok = worst_pos_gap <= 1e-4 and worst_pat_gap <= 1e-6
     check(7, ok, f"position gap vs brute force <= {worst_pos_gap:.2e} "
@@ -273,15 +209,14 @@ def test_criterion_08_monotone_ascent(reference_run):
 
 def test_criterion_09_zero_forcing_nulling():
     rng = np.random.default_rng(104)
-    worst_leak, worst_power = 0.0, 0.0
+    leaks, power_errors = [], []
     for _ in range(100):
         U, M, G = 3, 5, 2
         h = rng.standard_normal((U, M, G)) + 1j * rng.standard_normal((U, M, G))
         channel = ChannelTensor(h, "TFA")
         total_power = float(rng.uniform(0.5, 4.0))
         prec = digital_precoder(channel, total_power, 0.01)
-        worst_power = max(worst_power,
-                          abs(prec.total_power - total_power) / total_power)
+        power_errors.append(abs(prec.total_power - total_power) / total_power)
         for g in range(G):
             for u in range(U):
                 for up in range(U):
@@ -291,8 +226,9 @@ def test_criterion_09_zero_forcing_nulling():
                     if wnorm == 0.0:
                         continue
                     leak = abs(h[u, :, g] @ prec.w[g][:, up])
-                    worst_leak = max(worst_leak,
-                                     leak / (np.linalg.norm(h[u, :, g]) * wnorm))
+                    leaks.append(leak / (np.linalg.norm(h[u, :, g]) * wnorm))
+    worst_leak = float(np.max(leaks, initial=0.0))
+    worst_power = float(np.max(power_errors))
     ok = worst_leak < 1e-10 and worst_power < 1e-9
     check(9, ok, f"max normalized residual = {worst_leak:.2e}, "
                  f"max power error = {worst_power:.2e} over 100 instances")

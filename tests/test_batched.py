@@ -9,14 +9,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mara_sim import checks
 from mara_sim.scenario import Scenario, generate_scenario
-from mara_sim.shod import build_omega
-from mara_sim.channel import (ChannelTensor, ChannelWorkspace, ecsi, initial_state,
+from mara_sim.channel import (ChannelWorkspace, initial_state,
                               project_to_movement_region)
 from mara_sim.se import sum_se_arrays
 from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
-                            _grad_patterns_all, _grad_positions_all,
-                            digital_precoder)
+                            _grad_patterns_all, _grad_positions_all)
 
 from conftest import make_config, random_feasible_state
 from test_channel import random_path_set
@@ -30,8 +29,7 @@ def instance(seed, rng, **overrides):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "MARA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = checks.zf_precoder(ws, state)
     return cfg, scen, ws, state, prec
 
 
@@ -98,15 +96,10 @@ def test_unequal_path_counts_are_zero_padded(rng):
     assert np.all(ws.env[0, 2:] == 0) and np.all(ws.omega[2, 1:] == 0)
     state = random_feasible_state(scen, rng, scheme="MARA")
     h = ws.state_tensor(state)
-    for u, ps in enumerate(scen.path_sets):
+    for u in range(len(scen.path_sets)):
         alone = ChannelWorkspace(one_ue(scen, u)).state_tensor(state)[0]
         assert max_rel(h[u], alone) < 1e-12
-        omega = build_omega(ws.basis, ps)
-        for m in range(scen.config.num_bs_antennas):
-            for g, f in enumerate(scen.subcarrier_frequencies):
-                q = ecsi(ps, omega, state.positions[m], scen.ue_positions[u], f,
-                         scen.wavelength)
-                assert abs(h[u, m, g] - np.conj(q) @ state.coefficients[m]) < 1e-12
+    assert checks.factorization_error(ws, state) < 1e-12
 
 
 def test_unequal_path_counts_gradients_match_finite_differences(rng):
@@ -114,8 +107,7 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
     cfg = scen.config
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "MARA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = checks.zf_precoder(ws, state)
     noise = cfg.noise_power_w
 
     def se(pos, coeff):
@@ -123,20 +115,13 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
 
     grad_p = _grad_positions_all(ws, state.positions, state.coefficients, prec, noise)
     grad_a = _grad_patterns_all(ws, state.positions, state.coefficients, prec, noise)
-    step_p, step_a = 1e-6 * scen.wavelength, 1e-6
     for m in range(cfg.num_bs_antennas):
-        for ax in range(3):
-            e = np.zeros_like(state.positions)
-            e[m, ax] = step_p
-            fd = (se(state.positions + e, state.coefficients)
-                  - se(state.positions - e, state.coefficients)) / (2 * step_p)
-            assert fd == pytest.approx(grad_p[m, ax], rel=1e-5, abs=1e-6)
-        for k in range(state.coefficients.shape[1]):
-            e = np.zeros_like(state.coefficients)
-            e[m, k] = step_a
-            fd = (se(state.positions, state.coefficients + e)
-                  - se(state.positions, state.coefficients - e)) / (2 * step_a)
-            assert fd == pytest.approx(grad_a[m, k], rel=1e-5, abs=1e-6)
+        fd_p = checks.fd_gradient(lambda p: se(p, state.coefficients), state.positions,
+                                  m, 1e-6 * scen.wavelength)
+        fd_a = checks.fd_gradient(lambda a: se(state.positions, a), state.coefficients,
+                                  m, 1e-6)
+        assert fd_p == pytest.approx(grad_p[m], rel=1e-5, abs=1e-6)
+        assert fd_a == pytest.approx(grad_a[m], rel=1e-5, abs=1e-6)
 
 
 # Reference line searches: the sequential Armijo loops the chunked ladder
@@ -253,8 +238,7 @@ def test_position_ascent_stops_where_no_step_advances():
     cfg = scen.config
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = checks.zf_precoder(ws, state)
     start = np.array([[-cfg.movement_radius, 0.0, 0.0]])
     ref = reference_positions(ws, start, state.coefficients, prec,
                               cfg.noise_power_w, ASCENT)

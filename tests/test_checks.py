@@ -1,0 +1,89 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from mara_sim import checks
+from mara_sim.scenario import generate_scenario
+from mara_sim.shod import build_basis
+from mara_sim.channel import AntennaState, ChannelWorkspace, validate_state
+from mara_sim.optim import OptimOptions
+
+from conftest import make_config
+
+FAST = OptimOptions(inner_grad_iters=5, restarts=1, seed=0)
+
+
+def mara_instance(rng, **overrides):
+    ws = ChannelWorkspace(generate_scenario(make_config(**overrides)))
+    state = checks.random_feasible_state(ws.scenario, rng)
+    return ws, state, checks.zf_precoder(ws, state)
+
+
+def with_nan(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+def one_by_one(seed):
+    return generate_scenario(make_config(num_ues=1, num_bs_antennas=1,
+                                         num_subcarriers=1, num_paths_per_ue=2,
+                                         seed=seed))
+
+
+def test_fd_gradient_of_quadratic(rng):
+    c = rng.uniform(0.5, 2.0, (3, 4))
+    x = rng.standard_normal((3, 4))
+    before = x.copy()
+    grad = checks.fd_gradient(lambda y: float(np.sum(c * y * y)), x, 1, 1e-4)
+    assert np.max(np.abs(grad - 2 * c[1] * x[1])) < 1e-9
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("seed, degree, antennas", [(0, 2, 3), (1, 0, 2), (2, 3, 4)])
+def test_random_feasible_state_is_feasible(seed, degree, antennas, rng):
+    scen = generate_scenario(make_config(seed=seed, shod_max_degree=degree,
+                                         num_bs_antennas=antennas))
+    validate_state(scen, checks.random_feasible_state(scen, rng), "MARA")
+
+
+def test_orthonormality_nan(monkeypatch):
+    def nan_basis(degree):
+        basis = build_basis(degree)
+        return dataclasses.replace(basis, weights=with_nan(basis.weights))
+
+    monkeypatch.setattr(checks, "build_basis", nan_basis)
+    assert np.isnan(checks.orthonormality_error(2))
+
+
+def test_parseval_nan(rng):
+    basis = build_basis(2)
+    nan_basis = dataclasses.replace(basis, node_values=with_nan(basis.node_values))
+    assert np.isnan(checks.parseval_error(nan_basis, rng, trials=10))
+
+
+def test_factorization_nan(rng):
+    ws, state, _ = mara_instance(rng)
+    nan_state = AntennaState(state.positions, with_nan(state.coefficients), "MARA")
+    assert np.isnan(checks.factorization_error(ws, nan_state))
+
+
+def test_gradient_errors_nan(rng):
+    ws, state, prec = mara_instance(rng)
+    nan_prec = type(prec)(with_nan(prec.w))
+    assert np.all(np.isnan(checks.gradient_errors(ws, state, nan_prec, 0, 1e-6)))
+
+
+def test_position_oracle_gap_nan(monkeypatch):
+    monkeypatch.setattr(checks, "brute_force_positions",
+                        lambda scen, state, *args: AntennaState(
+                            with_nan(state.positions), state.coefficients, state.scheme))
+    assert np.isnan(checks.position_oracle_gap(one_by_one(0), FAST, 1e-3))
+
+
+def test_pattern_oracle_gap_nan(monkeypatch):
+    monkeypatch.setattr(checks, "optimize_patterns",
+                        lambda scen, state, *args: AntennaState(
+                            state.positions, with_nan(state.coefficients), state.scheme))
+    assert np.isnan(checks.pattern_oracle_gap(one_by_one(1), FAST))

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import mara_sim.harness as harness
+import mara_sim.optim as optim
 from mara_sim.cli import main
 
 from conftest import write_config
@@ -114,6 +116,20 @@ def test_check_coarse_fd_step_fails_gradients(capsys):
     code = main(["check", "--set", "fd_step=1e-1"])
     assert code == 1
     assert "FAIL gradients" in capsys.readouterr().out
+
+
+def test_check_nan_gradient_fails(capsys, monkeypatch):
+    monkeypatch.setattr(optim, "_grad_positions_all",
+                        lambda ws, positions, *args: np.full(positions.shape, np.nan))
+    assert main(["check"]) == 1
+    assert "FAIL gradients" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, key", [("check", "fd_step"), ("oracle", "grid_step")])
+@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+def test_tool_step_must_be_finite_and_positive(command, key, value, capsys):
+    assert main([command, "--set", f"{key}={value}"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be finite and > 0")
 
 
 def test_check_degree_six_orthonormality(capsys):

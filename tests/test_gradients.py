@@ -1,37 +1,13 @@
 import numpy as np
 import pytest
 
+from mara_sim import checks
 from mara_sim.scenario import PathSet, Scenario, generate_scenario
-from mara_sim.channel import (AntennaState, ChannelTensor, ChannelWorkspace,
-                              initial_state)
+from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.se import sum_se_arrays
-from mara_sim.optim import (digital_precoder, se_gradient_patterns,
-                            se_gradient_positions)
+from mara_sim.optim import se_gradient_patterns, se_gradient_positions
 
 from conftest import make_config, random_feasible_state
-
-
-def fd_positions(ws, state, prec, noise, m, step):
-    grad = np.zeros(3)
-    for ax in range(3):
-        for sign in (1.0, -1.0):
-            pos = state.positions.copy()
-            pos[m, ax] += sign * step
-            grad[ax] += sign * sum_se_arrays(ws.tensor(pos, state.coefficients),
-                                             prec.w, noise)
-    return grad / (2 * step)
-
-
-def fd_patterns(ws, state, prec, noise, m, step):
-    K = state.coefficients.shape[1]
-    grad = np.zeros(K)
-    for k in range(K):
-        for sign in (1.0, -1.0):
-            coeff = state.coefficients.copy()
-            coeff[m, k] += sign * step
-            grad[k] += sign * sum_se_arrays(ws.tensor(state.positions, coeff),
-                                            prec.w, noise)
-    return grad / (2 * step)
 
 
 def build_instance(seed, rng, **config_overrides):
@@ -39,30 +15,22 @@ def build_instance(seed, rng, **config_overrides):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "MARA"),
-                            cfg.total_power_w, cfg.noise_power_w)
-    return cfg, scen, ws, state, prec
+    return cfg, scen, ws, state, checks.zf_precoder(ws, state)
+
+
+def gradient_errors(seed, rng):
+    cfg, _, ws, state, prec = build_instance(seed, rng)
+    return checks.gradient_errors(ws, state, prec, seed % cfg.num_bs_antennas, 1e-6)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_position_gradient_matches_finite_differences(seed, rng):
-    cfg, scen, ws, state, prec = build_instance(seed, rng)
-    m = seed % cfg.num_bs_antennas
-    analytic = se_gradient_positions(scen, state, prec, m, ws=ws)
-    numeric = fd_positions(ws, state, prec, cfg.noise_power_w, m,
-                           1e-6 * scen.wavelength)
-    rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
-    assert rel < 1e-5
+    assert gradient_errors(seed, rng)[0] < 1e-5
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_pattern_gradient_matches_finite_differences(seed, rng):
-    cfg, scen, ws, state, prec = build_instance(seed, rng)
-    m = seed % cfg.num_bs_antennas
-    analytic = se_gradient_patterns(scen, state, prec, m, ws=ws)
-    numeric = fd_patterns(ws, state, prec, cfg.noise_power_w, m, 1e-6)
-    rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
-    assert rel < 1e-5
+    assert gradient_errors(seed, rng)[1] < 1e-5
 
 
 def test_single_path_single_user_position_gradient_vanishes(rng):
@@ -73,8 +41,7 @@ def test_single_path_single_user_position_gradient_vanishes(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = checks.zf_precoder(ws, state)
     grad = se_gradient_positions(scen, state, prec, 0, ws=ws)
     se = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     scale = se * 2 * np.pi / scen.wavelength  # natural gradient magnitude unit
@@ -115,8 +82,7 @@ def test_degenerate_sphere_tangential_component_zero(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "MARA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = checks.zf_precoder(ws, state)
     for m in range(cfg.num_bs_antennas):
         grad = se_gradient_patterns(scen, state, prec, m, ws=ws)
         alpha = state.coefficients[m]

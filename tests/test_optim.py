@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mara_sim.errors import ContractError, SizeLimitError
+import mara_sim.optim as optim
+from mara_sim.errors import ContractError, SingularChannelError, SizeLimitError
 from mara_sim.scenario import PathSet, Scenario, generate_scenario
 from mara_sim.shod import build_basis, build_omega
 from mara_sim.channel import (AntennaState, ChannelTensor, ChannelWorkspace,
@@ -221,6 +222,21 @@ def test_alternating_results_consistent_with_final_state():
     assert sum_se(channel, res.precoders, cfg.noise_power_w) == pytest.approx(
         res.se, rel=1e-12)
     assert res.precoders.total_power == pytest.approx(cfg.total_power_w, rel=1e-9)
+
+
+def test_singular_mid_solve_precoder_keeps_current(monkeypatch):
+    # A precoder re-derivation that hits a singular channel rejects that
+    # candidate; the solve goes on with the warm-start precoder.
+    scen = generate_scenario(make_config(seed=66))
+    tfa = alternating_optimize(scen, "TFA", FAST)
+
+    def singular(*args, **kwargs):
+        raise SingularChannelError("injected singular channel")
+
+    monkeypatch.setattr(optim, "digital_precoder", singular)
+    res = alternating_optimize(scen, "SMA", FAST, {"TFA": tfa})
+    assert res.se >= tfa.se
+    assert np.array_equal(res.precoders.w, tfa.precoders.w)
 
 
 def test_optim_result_rejects_decreasing_trace():
