@@ -5,9 +5,9 @@ radiation patterns (schemes TFA, SMA, ERA, MARA)."""
 from .scenario import (SCHEME_ORDER, PathSet, Scenario, SystemConfig,
                        generate_scenario, load_config, subcarrier_frequencies)
 from .shod import BasisSet, build_basis, build_omega, pattern_gain, pattern_power
-from .channel import (AntennaState, ChannelTensor, channel_tensor, ecsi,
-                      initial_state, path_gains, rx_steering, tx_steering)
-from .se import PrecoderSet, per_subcarrier_se, sinr, sum_se
+from .channel import (AntennaState, channel_tensor, ecsi, initial_state,
+                      path_gains, rx_steering, tx_steering)
+from .se import PrecoderSet, sinr, sum_se_arrays
 from .optim import (OptimOptions, OptimResult, alternating_optimize,
                     brute_force_positions, digital_precoder, optimize_patterns,
                     optimize_positions, se_gradient_patterns,
@@ -19,11 +19,11 @@ __all__ = [
     "SCHEME_ORDER", "PathSet", "Scenario", "SystemConfig", "generate_scenario",
     "load_config", "subcarrier_frequencies", "BasisSet", "build_basis",
     "build_omega", "pattern_gain", "pattern_power", "AntennaState",
-    "ChannelTensor", "channel_tensor", "ecsi", "initial_state", "path_gains",
-    "rx_steering", "tx_steering", "PrecoderSet", "per_subcarrier_se", "sinr",
-    "sum_se", "OptimOptions", "OptimResult", "alternating_optimize",
-    "brute_force_positions", "digital_precoder", "optimize_patterns",
-    "optimize_positions", "se_gradient_patterns", "se_gradient_positions",
-    "water_fill", "ExperimentSpec", "ResultRow", "emit_csv", "reference_config",
+    "channel_tensor", "ecsi", "initial_state", "path_gains", "rx_steering",
+    "tx_steering", "PrecoderSet", "sinr", "sum_se_arrays", "OptimOptions",
+    "OptimResult", "alternating_optimize", "brute_force_positions",
+    "digital_precoder", "optimize_patterns", "optimize_positions",
+    "se_gradient_patterns", "se_gradient_positions", "water_fill",
+    "ExperimentSpec", "ResultRow", "emit_csv", "reference_config",
     "reference_experiment", "run_experiment", "summarize",
 ]

@@ -33,14 +33,6 @@ class AntennaState:
         return AntennaState(self.positions.copy(), self.coefficients.copy(), scheme)
 
 
-@dataclass(frozen=True)
-class ChannelTensor:
-    """Channel coefficients h[u, m, g], tagged with the scheme they were built for."""
-
-    h: np.ndarray  # (U, M, G) complex
-    scheme: str
-
-
 def initial_state(scenario: Scenario, scheme: str) -> AntennaState:
     """Nominal array positions with the isotropic pattern on every antenna."""
     if scheme not in SCHEME_ORDER:
@@ -206,8 +198,7 @@ class ChannelWorkspace:
 
 
 def channel_tensor(scenario: Scenario, state: AntennaState, scheme: str,
-                   basis: BasisSet | None = None) -> ChannelTensor:
-    """Build the (U, M, G) channel tensor after validating state against scheme."""
+                   basis: BasisSet | None = None) -> np.ndarray:
+    """The (U, M, G) channel coefficients h after validating state against scheme."""
     validate_state(scenario, state, scheme)
-    ws = ChannelWorkspace(scenario, basis)
-    return ChannelTensor(h=ws.state_tensor(state), scheme=scheme)
+    return ChannelWorkspace(scenario, basis).state_tensor(state)

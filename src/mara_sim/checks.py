@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import (AntennaState, ChannelTensor, ChannelWorkspace, ecsi,
-                      initial_state, sample_movement_region, sample_unit_spheres)
+from .channel import (AntennaState, ChannelWorkspace, ecsi, initial_state,
+                      sample_movement_region, sample_unit_spheres)
 from .optim import (brute_force_positions, digital_precoder, optimize_patterns,
                     optimize_positions, se_gradient_patterns, se_gradient_positions)
 from .se import sum_se_arrays
@@ -38,11 +38,9 @@ def random_feasible_state(scenario, rng: np.random.Generator) -> AntennaState:
     return AntennaState(positions, coefficients, "MARA")
 
 
-def zf_precoder(ws: ChannelWorkspace, state: AntennaState):
-    """The ZF + water-filling precoder of `state` at the scenario's power and noise."""
-    cfg = ws.scenario.config
-    return digital_precoder(ChannelTensor(ws.state_tensor(state), state.scheme),
-                            cfg.total_power_w, cfg.noise_power_w)
+def zf_precoder(h: np.ndarray, config):
+    """The ZF + water-filling precoder of the channel h at the config's power and noise."""
+    return digital_precoder(h, config.total_power_w, config.noise_power_w)
 
 
 def factorization_error(ws: ChannelWorkspace, state: AntennaState) -> float:
@@ -102,7 +100,7 @@ def position_oracle_gap(scenario, opts, grid_step: float) -> float:
     both from the SMA start under its precoder."""
     ws = ChannelWorkspace(scenario)
     state = initial_state(scenario, "SMA")
-    prec = zf_precoder(ws, state)
+    prec = zf_precoder(ws.state_tensor(state), scenario.config)
     noise = scenario.config.noise_power_w
     opt = optimize_positions(scenario, state, prec, opts, ws)
     bf = brute_force_positions(scenario, state, prec, grid_step)
@@ -116,7 +114,8 @@ def pattern_oracle_gap(scenario, opts) -> float:
     when M = U = G = 1."""
     ws = ChannelWorkspace(scenario)
     state = initial_state(scenario, "ERA")
-    out = optimize_patterns(scenario, state, zf_precoder(ws, state), opts, ws)
+    prec = zf_precoder(ws.state_tensor(state), scenario.config)
+    out = optimize_patterns(scenario, state, prec, opts, ws)
     ps = scenario.path_sets[0]
     q = ecsi(ps, build_omega(ws.basis, ps), scenario.initial_positions[0],
              scenario.ue_positions[0], scenario.subcarrier_frequencies[0],

@@ -164,7 +164,7 @@ def cmd_check(args) -> int:
     for trial in range(5):
         ws = ChannelWorkspace(generate_scenario(replace(base, seed=base.seed + trial)), basis)
         state = checks.random_feasible_state(ws.scenario, rng)
-        prec = checks.zf_precoder(ws, state)
+        prec = checks.zf_precoder(ws.state_tensor(state), ws.scenario.config)
         errors += [checks.gradient_errors(ws, state, prec, m, fd_step)
                    for m in range(base.num_bs_antennas)]
     worst = float(np.max(errors))
@@ -191,7 +191,7 @@ def cmd_oracle(args) -> int:
         for trial in range(3)])
     print(f"max relative SE gap, positions vs grid: {max(gap_pos, 0.0):.3e}")
     print(f"max relative gap, patterns vs eigenvector: {max(gap_pat, 0.0):.3e}")
-    return 0
+    return 0 if np.isfinite(gap_pos) and np.isfinite(gap_pat) else 1
 
 
 def _oracle_default_config() -> SystemConfig:

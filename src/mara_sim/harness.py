@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError
 from .scenario import SCHEME_ORDER, SystemConfig, generate_scenario
-from .optim import OptimOptions, alternating_optimize
+from .optim import WARM_STARTS, OptimOptions, alternating_optimize
 
 SWEEPABLE_PARAMS = ("total_power_w", "num_bs_antennas", "num_paths_per_ue",
                     "shod_max_degree")
@@ -29,10 +29,6 @@ CSV_HEADER = ("seed,scheme,sweep_param,sweep_value,se_sum_bps_hz,"
               "se_per_sc_bps_hz,iterations,wall_time_s")
 
 NESTING_TOL = 1e-9
-
-# Test hook: when set, maps (scheme, se_sum) -> se_sum before the nesting
-# assertions run. Used to exercise the failure-detection path; leave None.
-se_fault_hook = None
 
 
 @dataclass(frozen=True)
@@ -100,10 +96,9 @@ def _run_cell(spec: ExperimentSpec, seed: int,
     scenario = generate_scenario(config)
     # Solve in nesting order so later schemes reuse converged warm starts.
     needed = set(spec.schemes)
-    if "MARA" in needed:
-        needed.update(("TFA", "SMA", "ERA"))
-    elif needed & {"SMA", "ERA"}:
-        needed.add("TFA")
+    for scheme in reversed(SCHEME_ORDER):
+        if scheme in needed:
+            needed.update(WARM_STARTS[scheme])
     warm = {}
     rows = {}
     traces = []
@@ -114,18 +109,15 @@ def _run_cell(spec: ExperimentSpec, seed: int,
         start = time.perf_counter()
         try:
             result = alternating_optimize(scenario, scheme, spec.options, warm)
-            se_sum = result.se
-            if se_fault_hook is not None:
-                se_sum = se_fault_hook(scheme, se_sum)
         except Exception as exc:  # diagnostic row ends the cell, not the run
             error.append(make_row(scheme, ok=False, note=f"error: {exc}"))
             break
         warm[scheme] = result
         traces.append((seed, value, scheme, tuple(result.se_trace)))
-        rows[scheme] = make_row(scheme, se_sum, result.iterations,
+        rows[scheme] = make_row(scheme, result.se, result.iterations,
                                 time.perf_counter() - start)
     out = [rows[s] for s in spec.schemes if s in rows] + error
-    for lo, hi in (("TFA", "SMA"), ("TFA", "ERA"), ("SMA", "MARA"), ("ERA", "MARA")):
+    for lo, hi in ((lo, hi) for hi in SCHEME_ORDER for lo in WARM_STARTS[hi]):
         if lo in rows and hi in rows:
             if rows[hi].se_sum < rows[lo].se_sum - NESTING_TOL:
                 out.append(make_row(

@@ -22,7 +22,6 @@ from .channel import (
     MOVABLE_SCHEMES,
     RECONFIGURABLE_SCHEMES,
     AntennaState,
-    ChannelTensor,
     ChannelWorkspace,
     initial_state,
     project_to_movement_region,
@@ -35,6 +34,9 @@ _LN2 = math.log(2.0)
 _BRUTE_FORCE_GUARD = 10_000_000
 # Line-search steps evaluated in the first batch; each further batch doubles.
 LADDER_CHUNK = 8
+# The schemes whose solutions warm-start each scheme: the best of them is the
+# start point, so every scheme's SE dominates its sources' (scheme nesting).
+WARM_STARTS = {"TFA": (), "SMA": ("TFA",), "ERA": ("TFA",), "MARA": ("SMA", "ERA")}
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,9 @@ class OptimOptions:
                      "tol_rel"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
-        for name in ("max_outer_iters", "inner_grad_iters", "restarts"):
+        if self.max_outer_iters < 1:
+            raise ContractError("max_outer_iters must be at least 1")
+        for name in ("inner_grad_iters", "restarts"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be nonnegative")
 
@@ -108,15 +112,14 @@ def water_fill(slopes: np.ndarray, total_power: float) -> np.ndarray:
     return powers * (total_power / powers.sum())
 
 
-def digital_precoder(channel: ChannelTensor, total_power: float, noise_power: float,
+def digital_precoder(h: np.ndarray, total_power: float, noise_power: float,
                      method: str = "ZF") -> PrecoderSet:
-    """Per-subcarrier precoders under the total power budget.
+    """Per-subcarrier precoders for the channel h (U, M, G) under the total power budget.
 
     ZF: pseudo-inverse directions with water-filling over the G*U effective
     parallel channels. MRT: matched-filter columns with an equal power split.
     Both spend the budget exactly.
     """
-    h = channel.h
     if method == "MRT":
         cols = np.conj(np.transpose(h, (2, 1, 0)))  # (G, M, U)
         norms = np.linalg.norm(cols, axis=1)        # (G, U)
@@ -159,11 +162,10 @@ def _chain_factors(ws: ChannelWorkspace, positions: np.ndarray, coefficients: np
                    precoders: PrecoderSet, noise_power: float):
     """Transmit phases and pattern responses (U, M, L), and the chain-rule
     sensitivities of sum_se per (UE, antenna, path): z folded through env."""
-    h = ws.tensor(positions, coefficients)
-    gains = np.einsum("umg,gmv->guv", h, precoders.w)
+    phases, pattern = ws.path_factors(positions, coefficients)
+    gains = np.einsum("umg,gmv->guv", (phases * pattern) @ ws.env, precoders.w)
     weights = _sinr_chain_weights(gains, noise_power)
     z = np.einsum("guv,gmv->umg", weights, precoders.w)
-    phases, pattern = ws.path_factors(positions, coefficients)
     return phases, pattern, z @ np.swapaxes(ws.env, 1, 2)
 
 
@@ -373,7 +375,7 @@ def alternating_optimize(scenario: Scenario, scheme: str,
     """Alternate precoder, position, and pattern steps for one scheme.
 
     `warm` may carry already-computed results for the schemes a run depends on
-    (TFA for SMA/ERA; additionally SMA and ERA for MARA); missing entries are
+    (its WARM_STARTS sources and theirs in turn); missing entries are
     computed internally. Each sub-step keeps its candidate only if the
     objective does not drop, so the trace is nondecreasing and the final SE
     dominates the warm-start SE.
@@ -385,55 +387,31 @@ def alternating_optimize(scenario: Scenario, scheme: str,
 
 
 def _optimize_scheme(scenario, scheme, opts, warm):
-    cfg = scenario.config
     ws = ChannelWorkspace(scenario)
-    noise = cfg.noise_power_w
-
-    def se_of(state, precoders):
-        return sum_se_arrays(ws.state_tensor(state), precoders.w, noise)
-
-    def precoder_for(state):
-        return digital_precoder(ChannelTensor(ws.state_tensor(state), scheme),
-                                cfg.total_power_w, noise)
-
     if scheme == "TFA":
+        cfg = scenario.config
         state = initial_state(scenario, "TFA")
-        precoders = precoder_for(state)
-        return OptimResult("TFA", state, precoders, [se_of(state, precoders)], 1, True)
+        h = ws.state_tensor(state)
+        precoders = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
+        se = sum_se_arrays(h, precoders.w, cfg.noise_power_w)
+        return OptimResult("TFA", state, precoders, [se], 1, True)
 
-    if scheme in ("SMA", "ERA"):
-        base = warm.get("TFA")
-        if base is None:
-            base = _optimize_scheme(scenario, "TFA", opts, warm)
-            warm["TFA"] = base
-    else:
-        sma = warm.get("SMA")
-        if sma is None:
-            sma = _optimize_scheme(scenario, "SMA", opts, warm)
-        era = warm.get("ERA")
-        if era is None:
-            era = _optimize_scheme(scenario, "ERA", opts, warm)
-        base = sma if sma.se >= era.se else era
-
+    for source in WARM_STARTS[scheme]:
+        if source not in warm:
+            warm[source] = _optimize_scheme(scenario, source, opts, warm)
+    base = max((warm[source] for source in WARM_STARTS[scheme]), key=lambda r: r.se)
     state = base.state.retagged(scheme)
-    precoders = base.precoders.copy()
-    current = se_of(state, precoders)
+    precoders, current = _accept_precoder(ws, state, base.precoders.copy())
     trace: list[float] = []
     converged = False
     for _ in range(opts.max_outer_iters):
         before = current
-        state, precoders, current = _accept_precoder(
-            state, precoders, current, precoder_for, se_of)
         if scheme in MOVABLE_SCHEMES:
             state = optimize_positions(scenario, state, precoders, opts, ws)
-            current = se_of(state, precoders)
-            state, precoders, current = _accept_precoder(
-                state, precoders, current, precoder_for, se_of)
+            precoders, current = _accept_precoder(ws, state, precoders)
         if scheme in RECONFIGURABLE_SCHEMES:
             state = optimize_patterns(scenario, state, precoders, opts, ws)
-            current = se_of(state, precoders)
-            state, precoders, current = _accept_precoder(
-                state, precoders, current, precoder_for, se_of)
+            precoders, current = _accept_precoder(ws, state, precoders)
         trace.append(current)
         if current - before < opts.tol_rel * max(abs(before), 1e-12):
             converged = True
@@ -441,19 +419,23 @@ def _optimize_scheme(scenario, scheme, opts, warm):
     return OptimResult(scheme, state, precoders, trace, len(trace), converged)
 
 
-def _accept_precoder(state, precoders, current, precoder_for, se_of):
-    """Re-derive the precoder and keep it only if the objective does not drop.
+def _accept_precoder(ws, state, precoders):
+    """Re-derive the ZF precoder at `state` and keep it only if the objective rises.
 
-    A channel that is singular at `state` keeps the current precoder.
+    Builds the channel once and returns (precoders, se) at `state`. A channel
+    that is singular at `state` keeps `precoders`.
     """
+    cfg = ws.scenario.config
+    h = ws.state_tensor(state)
+    current = sum_se_arrays(h, precoders.w, cfg.noise_power_w)
     try:
-        candidate = precoder_for(state)
+        candidate = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
     except SingularChannelError:
-        return state, precoders, current
-    se_candidate = se_of(state, candidate)
+        return precoders, current
+    se_candidate = sum_se_arrays(h, candidate.w, cfg.noise_power_w)
     if se_candidate > current:
-        return state, candidate, se_candidate
-    return state, precoders, current
+        return candidate, se_candidate
+    return precoders, current
 
 
 def brute_force_positions(scenario: Scenario, state: AntennaState,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .channel import ChannelTensor
 
 _LN2 = float(np.log(2.0))
 
@@ -31,26 +30,20 @@ class PrecoderSet:
         return PrecoderSet(self.w.copy())
 
 
-def sinr(channel: ChannelTensor, precoders: PrecoderSet, u: int, g: int,
-         noise_power: float) -> float:
-    """SINR of user u on subcarrier g."""
-    U, _, G = channel.h.shape
+def sinr(h: np.ndarray, w: np.ndarray, u: int, g: int, noise_power: float) -> float:
+    """SINR of user u on subcarrier g, for h (U, M, G) and w (G, M, U)."""
+    U, _, G = h.shape
     if not (0 <= u < U) or not (0 <= g < G):
         raise ContractError(f"index (u={u}, g={g}) out of range for (U={U}, G={G})")
-    row = channel.h[u, :, g]
-    gains = row @ precoders.w[g]
+    gains = h[u, :, g] @ w[g]
     power = np.abs(gains) ** 2
     interference = power.sum() - power[u]
     return float(power[u] / (interference + noise_power))
 
 
-def sum_se(channel: ChannelTensor, precoders: PrecoderSet, noise_power: float) -> float:
-    """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz."""
-    return sum_se_arrays(channel.h, precoders.w, noise_power)
-
-
 def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
-    """sum_se on raw arrays h (..., U, M, G) and w (G, M, U); the optimizer hot path.
+    """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz,
+    for channel coefficients h (..., U, M, G) and precoders w (G, M, U).
 
     Returns a float for one channel tensor h (U, M, G), and an array of
     shape (B,) for a batch of candidate tensors h (B, U, M, G).
@@ -63,8 +56,3 @@ def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
         return float(np.sum(se) / _LN2)
     return se.reshape(se.shape[0], -1).sum(axis=1) / _LN2
 
-
-def per_subcarrier_se(channel: ChannelTensor, precoders: PrecoderSet,
-                      noise_power: float) -> float:
-    """Average of the summed SE over the subcarrier grid, bits/s/Hz."""
-    return sum_se(channel, precoders, noise_power) / channel.h.shape[2]

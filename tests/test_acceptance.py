@@ -14,8 +14,8 @@ import pytest
 from mara_sim import checks
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles, pattern_gain
-from mara_sim.channel import ChannelTensor, ChannelWorkspace, channel_tensor, ecsi
-from mara_sim.se import PrecoderSet, sum_se
+from mara_sim.channel import ChannelWorkspace, channel_tensor, ecsi
+from mara_sim.se import sum_se_arrays
 from mara_sim.optim import OptimOptions, digital_precoder
 from mara_sim.harness import emit_csv, reference_experiment, run_experiment
 
@@ -97,7 +97,7 @@ def test_criterion_04_factorization_exactness():
         scen = generate_scenario(cfg, annulus_m=(2.0, 8.0))
         basis = build_basis(cfg.shod_max_degree)
         state = random_feasible_state(scen, rng, scheme="MARA")
-        h = channel_tensor(scen, state, "MARA", basis).h
+        h = channel_tensor(scen, state, "MARA", basis)
         angles = [departure_angles(ps) for ps in scen.path_sets]
         for _ in range(1000):
             u = int(rng.integers(cfg.num_ues))
@@ -133,12 +133,12 @@ def test_criterion_05_se_form_equivalence():
         scen = generate_scenario(cfg)
         basis = build_basis(cfg.shod_max_degree)
         state = random_feasible_state(scen, rng, scheme="MARA")
-        channel = channel_tensor(scen, state, "MARA", basis)
+        h = channel_tensor(scen, state, "MARA", basis)
         M, U, G, K = 3, cfg.num_ues, 2, basis.size
         w = rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U))
         w *= math.sqrt(cfg.total_power_w) / np.linalg.norm(w)
         noise = cfg.noise_power_w
-        se_h = sum_se(channel, PrecoderSet(w), noise)
+        se_h = sum_se_arrays(h, w, noise)
         lam_block = np.zeros((M * K, M), dtype=complex)
         for m in range(M):
             lam_block[m * K:(m + 1) * K, m] = state.coefficients[m]
@@ -169,8 +169,9 @@ def test_criterion_06_gradient_checks():
         cfg = make_config(num_subcarriers=2, seed=400 + trial)
         ws = ChannelWorkspace(generate_scenario(cfg))
         state = random_feasible_state(ws.scenario, rng, scheme="MARA")
-        errors.append(checks.gradient_errors(ws, state, checks.zf_precoder(ws, state),
-                                             trial % cfg.num_bs_antennas, 1e-6))
+        prec = checks.zf_precoder(ws.state_tensor(state), cfg)
+        errors.append(checks.gradient_errors(ws, state, prec, trial % cfg.num_bs_antennas,
+                                             1e-6))
     worst_pos, worst_pat = np.max(errors, axis=0)
     elapsed = time.perf_counter() - t0
     ok = worst_pos < 1e-5 and worst_pat < 1e-5 and elapsed < 30
@@ -213,9 +214,8 @@ def test_criterion_09_zero_forcing_nulling():
     for _ in range(100):
         U, M, G = 3, 5, 2
         h = rng.standard_normal((U, M, G)) + 1j * rng.standard_normal((U, M, G))
-        channel = ChannelTensor(h, "TFA")
         total_power = float(rng.uniform(0.5, 4.0))
-        prec = digital_precoder(channel, total_power, 0.01)
+        prec = digital_precoder(h, total_power, 0.01)
         power_errors.append(abs(prec.total_power - total_power) / total_power)
         for g in range(G):
             for u in range(U):

@@ -29,7 +29,7 @@ def instance(seed, rng, **overrides):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = checks.zf_precoder(ws, state)
+    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
     return cfg, scen, ws, state, prec
 
 
@@ -107,7 +107,7 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
     cfg = scen.config
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = checks.zf_precoder(ws, state)
+    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
     noise = cfg.noise_power_w
 
     def se(pos, coeff):
@@ -238,7 +238,7 @@ def test_position_ascent_stops_where_no_step_advances():
     cfg = scen.config
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
-    prec = checks.zf_precoder(ws, state)
+    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
     start = np.array([[-cfg.movement_radius, 0.0, 0.0]])
     ref = reference_positions(ws, start, state.coefficients, prec,
                               cfg.noise_power_w, ASCENT)

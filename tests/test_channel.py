@@ -176,7 +176,7 @@ def test_channel_tensor_single_path_closed_form():
                       num_paths_per_ue=1, shod_max_degree=0, seed=4)
     scen = generate_scenario(cfg)
     state = initial_state(scen, "TFA")
-    h = channel_tensor(scen, state, "TFA").h[0, 0, 0]
+    h = channel_tensor(scen, state, "TFA")[0, 0, 0]
     ps = scen.path_sets[0]
     f = scen.subcarrier_frequencies[0]
     expected = direct_channel_sum(ps, build_basis(0), np.array([1.0]),
@@ -190,8 +190,8 @@ def test_sma_equals_mara_with_pinned_pattern(rng):
     scen = generate_scenario(cfg)
     sma = random_feasible_state(scen, rng, scheme="SMA")
     mara = AntennaState(sma.positions.copy(), sma.coefficients.copy(), "MARA")
-    h_sma = channel_tensor(scen, sma, "SMA").h
-    h_mara = channel_tensor(scen, mara, "MARA").h
+    h_sma = channel_tensor(scen, sma, "SMA")
+    h_mara = channel_tensor(scen, mara, "MARA")
     assert np.array_equal(h_sma, h_mara)
 
 
@@ -200,8 +200,8 @@ def test_era_equals_mara_with_pinned_positions(rng):
     scen = generate_scenario(cfg)
     era = random_feasible_state(scen, rng, scheme="ERA")
     mara = AntennaState(era.positions.copy(), era.coefficients.copy(), "MARA")
-    assert np.array_equal(channel_tensor(scen, era, "ERA").h,
-                          channel_tensor(scen, mara, "MARA").h)
+    assert np.array_equal(channel_tensor(scen, era, "ERA"),
+                          channel_tensor(scen, mara, "MARA"))
 
 
 def test_channel_tensor_scheme_state_mismatch(rng):
@@ -230,7 +230,7 @@ def test_factorization_exactness_random_entries(rng):
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="MARA")
     basis = build_basis(cfg.shod_max_degree)
-    h = channel_tensor(scen, state, "MARA", basis).h
+    h = channel_tensor(scen, state, "MARA", basis)
     for _ in range(50):
         u = int(rng.integers(cfg.num_ues))
         m = int(rng.integers(cfg.num_bs_antennas))
@@ -246,10 +246,10 @@ def test_single_path_magnitude_position_invariant(rng):
     cfg = make_config(num_paths_per_ue=1, seed=10)
     scen = generate_scenario(cfg)
     base = initial_state(scen, "SMA")
-    magnitudes = np.abs(channel_tensor(scen, base, "SMA").h)
+    magnitudes = np.abs(channel_tensor(scen, base, "SMA"))
     for _ in range(5):
         state = random_feasible_state(scen, rng, scheme="SMA")
-        moved = np.abs(channel_tensor(scen, state, "SMA").h)
+        moved = np.abs(channel_tensor(scen, state, "SMA"))
         assert np.allclose(moved, magnitudes, atol=1e-13)
 
 
@@ -270,7 +270,7 @@ def test_zero_delay_tensor_frequency_flat(rng):
     cfg = make_config(max_delay_s=0.0, seed=12)
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    h = channel_tensor(scen, state, "MARA").h
+    h = channel_tensor(scen, state, "MARA")
     assert np.allclose(h, h[:, :, :1], atol=1e-15)
 
 

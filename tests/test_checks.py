@@ -17,7 +17,7 @@ FAST = OptimOptions(inner_grad_iters=5, restarts=1, seed=0)
 def mara_instance(rng, **overrides):
     ws = ChannelWorkspace(generate_scenario(make_config(**overrides)))
     state = checks.random_feasible_state(ws.scenario, rng)
-    return ws, state, checks.zf_precoder(ws, state)
+    return ws, state, checks.zf_precoder(ws.state_tensor(state), ws.scenario.config)
 
 
 def with_nan(a):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 import mara_sim.harness as harness
 import mara_sim.optim as optim
+from mara_sim import checks
+from mara_sim.channel import AntennaState
 from mara_sim.cli import main
 
 from conftest import write_config
@@ -71,8 +74,14 @@ def test_run_invalid_json_reports_line(tmp_path, capsys):
 
 
 def test_run_injected_nesting_violation_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(harness, "se_fault_hook",
-                        lambda scheme, se: se * 0.1 if scheme == "MARA" else se)
+    solve = harness.alternating_optimize
+
+    def lowered_mara(scenario, scheme, *args):
+        result = solve(scenario, scheme, *args)
+        if scheme == "MARA":
+            return dataclasses.replace(result, se_trace=[result.se * 0.1])
+        return result
+    monkeypatch.setattr(harness, "alternating_optimize", lowered_mara)
     cfg = small_run_config(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "y"), "-q"])
     assert code == 2
@@ -80,11 +89,13 @@ def test_run_injected_nesting_violation_exits_two(tmp_path, capsys, monkeypatch)
 
 
 def test_run_error_in_mara_exits_one_and_keeps_rows(tmp_path, capsys, monkeypatch):
-    def boom_at_mara(scheme, se):
+    solve = harness.alternating_optimize
+
+    def boom_at_mara(scenario, scheme, *args):
         if scheme == "MARA":
             raise RuntimeError("injected failure")
-        return se
-    monkeypatch.setattr(harness, "se_fault_hook", boom_at_mara)
+        return solve(scenario, scheme, *args)
+    monkeypatch.setattr(harness, "alternating_optimize", boom_at_mara)
     cfg = small_run_config(tmp_path)
     out = tmp_path / "e"
     code = main(["run", "--config", str(cfg), "--out", str(out), "-q"])
@@ -146,6 +157,16 @@ def test_oracle_grid_guard(capsys):
     code = main(["oracle", "--set", "grid_step=1e-9"])
     assert code == 1
     assert "guard" in capsys.readouterr().err
+
+
+def test_oracle_nan_gap_exits_one(capsys, monkeypatch):
+    def nan_patterns(scenario, state, *args):
+        return AntennaState(state.positions, np.full(state.coefficients.shape, np.nan),
+                            state.scheme)
+    monkeypatch.setattr(checks, "optimize_patterns", nan_patterns)
+    assert main(["oracle"]) == 1
+    out = capsys.readouterr().out
+    assert "positions vs grid" in out and "patterns vs eigenvector: nan" in out
 
 
 def test_oracle_deterministic_across_repeats(capsys):

@@ -15,7 +15,7 @@ def build_instance(seed, rng, **config_overrides):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    return cfg, scen, ws, state, checks.zf_precoder(ws, state)
+    return cfg, scen, ws, state, checks.zf_precoder(ws.state_tensor(state), cfg)
 
 
 def gradient_errors(seed, rng):
@@ -41,7 +41,7 @@ def test_single_path_single_user_position_gradient_vanishes(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
-    prec = checks.zf_precoder(ws, state)
+    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
     grad = se_gradient_positions(scen, state, prec, 0, ws=ws)
     se = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     scale = se * 2 * np.pi / scen.wavelength  # natural gradient magnitude unit
@@ -82,7 +82,7 @@ def test_degenerate_sphere_tangential_component_zero(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = checks.zf_precoder(ws, state)
+    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
     for m in range(cfg.num_bs_antennas):
         grad = se_gradient_patterns(scen, state, prec, m, ws=ws)
         alpha = state.coefficients[m]

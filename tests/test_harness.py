@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -153,8 +154,12 @@ def test_summary_csv_format(tmp_path):
 
 
 def test_fault_hook_records_nesting_violation(monkeypatch):
-    monkeypatch.setattr(harness, "se_fault_hook",
-                        lambda scheme, se: 0.0 if scheme == "MARA" else se)
+    solve = harness.alternating_optimize
+
+    def lowered_mara(scenario, scheme, *args):
+        result = solve(scenario, scheme, *args)
+        return dataclasses.replace(result, se_trace=[0.0]) if scheme == "MARA" else result
+    monkeypatch.setattr(harness, "alternating_optimize", lowered_mara)
     rows = run_experiment(tiny_spec(seeds=(5,)))
     bad = [r for r in rows if r.scheme == "nesting_violation"]
     assert bad and not bad[0].ok
@@ -162,9 +167,9 @@ def test_fault_hook_records_nesting_violation(monkeypatch):
 
 
 def test_error_in_scheme_yields_diagnostic_row(monkeypatch):
-    def boom(scheme, se):
+    def boom(*args):
         raise RuntimeError("injected failure")
-    monkeypatch.setattr(harness, "se_fault_hook", boom)
+    monkeypatch.setattr(harness, "alternating_optimize", boom)
     rows = run_experiment(tiny_spec(seeds=(6,)))
     assert len(rows) == 1
     assert not rows[0].ok and "injected failure" in rows[0].note

@@ -32,3 +32,8 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    import mara_sim
+    assert [name for name in mara_sim.__all__ if not hasattr(mara_sim, name)] == []

@@ -5,12 +5,12 @@ import pytest
 
 import mara_sim.optim as optim
 from mara_sim.errors import ContractError, SingularChannelError, SizeLimitError
-from mara_sim.scenario import PathSet, Scenario, generate_scenario
+from mara_sim.scenario import SCHEME_ORDER, PathSet, Scenario, generate_scenario
 from mara_sim.shod import build_basis, build_omega
-from mara_sim.channel import (AntennaState, ChannelTensor, ChannelWorkspace,
-                              channel_tensor, ecsi, initial_state)
-from mara_sim.se import sum_se, sum_se_arrays
-from mara_sim.optim import (OptimOptions, OptimResult, alternating_optimize,
+from mara_sim.channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState,
+                              ChannelWorkspace, channel_tensor, ecsi, initial_state)
+from mara_sim.se import sum_se_arrays
+from mara_sim.optim import (WARM_STARTS, OptimOptions, OptimResult, alternating_optimize,
                             brute_force_positions, digital_precoder,
                             optimize_patterns, optimize_positions)
 
@@ -52,8 +52,7 @@ def test_optimize_positions_monotone_and_feasible(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="SMA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     out = optimize_positions(scen, state, prec, FAST, ws)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
@@ -70,8 +69,7 @@ def test_single_path_position_cannot_help():
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     out = optimize_positions(scen, state, prec, OptimOptions(restarts=3), ws)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
@@ -83,8 +81,7 @@ def test_optimize_positions_matches_1d_grid_oracle():
     cfg = scen.config
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     w_amp2 = float(np.abs(prec.w[0, 0, 0]) ** 2)
     noise = cfg.noise_power_w
     # independent 1-D brute force on the closed-form channel value
@@ -172,8 +169,7 @@ def test_optimize_patterns_monotone(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="ERA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "ERA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     out = optimize_patterns(scen, state, prec, FAST, ws)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
@@ -218,8 +214,8 @@ def test_alternating_results_consistent_with_final_state():
     cfg = make_config(seed=65)
     scen = generate_scenario(cfg)
     res = alternating_optimize(scen, "MARA", FAST)
-    channel = channel_tensor(scen, res.state, "MARA")
-    assert sum_se(channel, res.precoders, cfg.noise_power_w) == pytest.approx(
+    h = channel_tensor(scen, res.state, "MARA")
+    assert sum_se_arrays(h, res.precoders.w, cfg.noise_power_w) == pytest.approx(
         res.se, rel=1e-12)
     assert res.precoders.total_power == pytest.approx(cfg.total_power_w, rel=1e-9)
 
@@ -239,6 +235,38 @@ def test_singular_mid_solve_precoder_keeps_current(monkeypatch):
     assert np.array_equal(res.precoders.w, tfa.precoders.w)
 
 
+def test_sma_solve_derives_one_precoder_per_sub_step(monkeypatch):
+    # One accept at the warm start, then one after each position ascent.
+    scen = generate_scenario(make_config(seed=66))
+    tfa = alternating_optimize(scen, "TFA", FAST)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return digital_precoder(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "digital_precoder", counted)
+    res = alternating_optimize(scen, "SMA", FAST, {"TFA": tfa})
+    assert res.iterations >= 2
+    assert len(calls) == 1 + res.iterations
+
+
+def test_warm_starts_nest_in_scheme_order():
+    assert list(WARM_STARTS) == list(SCHEME_ORDER)
+    for scheme, sources in WARM_STARTS.items():
+        for source in sources:
+            assert SCHEME_ORDER.index(source) < SCHEME_ORDER.index(scheme)
+            for dofs in (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES):
+                assert source not in dofs or scheme in dofs
+
+
+@pytest.mark.parametrize("field", ["max_outer_iters", "inner_grad_iters", "restarts"])
+def test_options_reject_too_few_iterations(field):
+    low = 0 if field == "max_outer_iters" else -1
+    with pytest.raises(ContractError, match=field):
+        OptimOptions(**{field: low})
+
+
 def test_optim_result_rejects_decreasing_trace():
     state = AntennaState(np.zeros((1, 3)), np.ones((1, 1)), "TFA")
     with pytest.raises(ContractError):
@@ -251,8 +279,7 @@ def test_brute_force_keeps_incoming_candidate(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="SMA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     out = brute_force_positions(scen, state, prec, cfg.movement_radius / 3)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
@@ -296,8 +323,7 @@ def test_optimizers_deterministic(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = digital_precoder(ChannelTensor(ws.state_tensor(state), "MARA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     a = optimize_positions(scen, state, prec, FAST, ws)
     b = optimize_positions(scen, state, prec, FAST, ws)
     assert np.array_equal(a.positions, b.positions)

@@ -3,16 +3,15 @@ import pytest
 
 from mara_sim.errors import ContractError, SingularChannelError
 from mara_sim.scenario import generate_scenario
-from mara_sim.channel import ChannelTensor, channel_tensor, initial_state
-from mara_sim.se import PrecoderSet, sum_se
+from mara_sim.channel import channel_tensor, initial_state
+from mara_sim.se import sum_se_arrays
 from mara_sim.optim import digital_precoder, water_fill
 
 from conftest import make_config
 
 
 def random_tensor(rng, U, M, G):
-    h = rng.standard_normal((U, M, G)) + 1j * rng.standard_normal((U, M, G))
-    return ChannelTensor(h, "MARA")
+    return rng.standard_normal((U, M, G)) + 1j * rng.standard_normal((U, M, G))
 
 
 def test_water_fill_equal_channels():
@@ -64,7 +63,7 @@ def test_water_fill_rejects_nonpositive_slope():
 def test_zf_identity_channel_diagonal_equal_powers():
     h = np.zeros((2, 2, 1), dtype=complex)
     h[:, :, 0] = np.eye(2)
-    prec = digital_precoder(ChannelTensor(h, "TFA"), 4.0, 0.5)
+    prec = digital_precoder(h, 4.0, 0.5)
     w = prec.w[0]
     off = w - np.diag(np.diag(w))
     assert np.max(np.abs(off)) < 1e-12
@@ -89,17 +88,17 @@ def reference_zf(h, total_power, noise_power):
 
 @pytest.mark.parametrize("U, M, G", [(1, 1, 1), (2, 2, 3), (3, 5, 4), (4, 8, 16)])
 def test_stacked_zf_matches_per_subcarrier_inverse(rng, U, M, G):
-    channel = random_tensor(rng, U, M, G)
-    w = digital_precoder(channel, 1.3, 0.02).w
-    ref = reference_zf(channel.h, 1.3, 0.02)
+    h = random_tensor(rng, U, M, G)
+    w = digital_precoder(h, 1.3, 0.02).w
+    ref = reference_zf(h, 1.3, 0.02)
     assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_zf_nulls_cross_user_terms(rng):
-    channel = random_tensor(rng, U=3, M=5, G=4)
-    prec = digital_precoder(channel, 2.0, 0.01)
+    h = random_tensor(rng, U=3, M=5, G=4)
+    prec = digital_precoder(h, 2.0, 0.01)
     for g in range(4):
-        H = channel.h[:, :, g]
+        H = h[:, :, g]
         for u in range(3):
             for up in range(3):
                 if u == up:
@@ -111,17 +110,17 @@ def test_zf_nulls_cross_user_terms(rng):
 
 
 def test_total_power_spent_exactly(rng):
-    channel = random_tensor(rng, U=2, M=4, G=3)
+    h = random_tensor(rng, U=2, M=4, G=3)
     for method in ("ZF", "MRT"):
-        prec = digital_precoder(channel, 1.7, 0.02, method=method)
+        prec = digital_precoder(h, 1.7, 0.02, method=method)
         assert prec.total_power == pytest.approx(1.7, rel=1e-9)
 
 
 def test_single_user_zf_equals_mrt_single_subcarrier(rng):
-    channel = random_tensor(rng, U=1, M=4, G=1)
+    h = random_tensor(rng, U=1, M=4, G=1)
     noise = 0.05
-    se_zf = sum_se(channel, digital_precoder(channel, 1.0, noise, "ZF"), noise)
-    se_mrt = sum_se(channel, digital_precoder(channel, 1.0, noise, "MRT"), noise)
+    se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise, "ZF").w, noise)
+    se_mrt = sum_se_arrays(h, digital_precoder(h, 1.0, noise, "MRT").w, noise)
     assert se_zf == pytest.approx(se_mrt, rel=1e-9)
 
 
@@ -131,20 +130,20 @@ def test_single_user_zf_equals_mrt_flat_channel(rng):
     cfg = make_config(num_ues=1, num_bs_antennas=3, num_subcarriers=4,
                       max_delay_s=0.0, seed=31)
     scen = generate_scenario(cfg)
-    channel = channel_tensor(scen, initial_state(scen, "TFA"), "TFA")
+    h = channel_tensor(scen, initial_state(scen, "TFA"), "TFA")
     noise = cfg.noise_power_w
-    se_zf = sum_se(channel, digital_precoder(channel, 1.0, noise, "ZF"), noise)
-    se_mrt = sum_se(channel, digital_precoder(channel, 1.0, noise, "MRT"), noise)
+    se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise, "ZF").w, noise)
+    se_mrt = sum_se_arrays(h, digital_precoder(h, 1.0, noise, "MRT").w, noise)
     assert se_zf == pytest.approx(se_mrt, rel=1e-9)
 
 
 def test_mrt_columns_proportional_to_conjugate_channel(rng):
-    channel = random_tensor(rng, U=2, M=3, G=2)
-    prec = digital_precoder(channel, 1.0, 0.1, method="MRT")
+    h = random_tensor(rng, U=2, M=3, G=2)
+    prec = digital_precoder(h, 1.0, 0.1, method="MRT")
     for g in range(2):
         for u in range(2):
             col = prec.w[g][:, u]
-            ref = np.conj(channel.h[u, :, g])
+            ref = np.conj(h[u, :, g])
             cross = np.abs(col @ np.conj(ref)) / (
                 np.linalg.norm(col) * np.linalg.norm(ref))
             assert cross == pytest.approx(1.0, abs=1e-12)
@@ -154,13 +153,13 @@ def test_zf_rank_deficient_names_subcarrier(rng):
     h = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
     h[1, :, 1] = h[0, :, 1]  # duplicate user rows on subcarrier 1
     with pytest.raises(SingularChannelError, match="subcarrier 1"):
-        digital_precoder(ChannelTensor(h, "TFA"), 1.0, 0.1)
+        digital_precoder(h, 1.0, 0.1)
 
 
 def test_unknown_method_rejected(rng):
-    channel = random_tensor(rng, 1, 2, 1)
+    h = random_tensor(rng, 1, 2, 1)
     with pytest.raises(ContractError):
-        digital_precoder(channel, 1.0, 0.1, method="WMMSE")
+        digital_precoder(h, 1.0, 0.1, method="WMMSE")
 
 
 def test_waterfilling_beats_equal_split(rng):
@@ -169,11 +168,11 @@ def test_waterfilling_beats_equal_split(rng):
     cfg = make_config(num_ues=1, num_bs_antennas=2, num_subcarriers=8,
                       max_delay_s=1e-6, seed=32)
     scen = generate_scenario(cfg)
-    channel = channel_tensor(scen, initial_state(scen, "TFA"), "TFA")
+    h = channel_tensor(scen, initial_state(scen, "TFA"), "TFA")
     noise = cfg.noise_power_w
-    prec = digital_precoder(channel, 1.0, noise, "ZF")
-    se_wf = sum_se(channel, prec, noise)
+    prec = digital_precoder(h, 1.0, noise, "ZF")
+    se_wf = sum_se_arrays(h, prec.w, noise)
     directions = prec.w / np.maximum(np.linalg.norm(prec.w, axis=1, keepdims=True), 1e-300)
     equal = directions * np.sqrt(1.0 / prec.w.shape[0])
-    se_eq = sum_se(channel, PrecoderSet(equal), noise)
+    se_eq = sum_se_arrays(h, equal, noise)
     assert se_wf >= se_eq - 1e-12

@@ -6,8 +6,8 @@ import pytest
 from mara_sim.errors import ContractError
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega
-from mara_sim.channel import ChannelTensor, channel_tensor, ecsi, initial_state
-from mara_sim.se import PrecoderSet, per_subcarrier_se, sinr, sum_se
+from mara_sim.channel import channel_tensor, ecsi, initial_state
+from mara_sim.se import sinr, sum_se_arrays
 
 from conftest import make_config, random_feasible_state
 
@@ -15,15 +15,15 @@ from conftest import make_config, random_feasible_state
 def random_instance(rng, U=2, M=3, G=2):
     h = (rng.standard_normal((U, M, G)) + 1j * rng.standard_normal((U, M, G)))
     w = (rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U)))
-    return ChannelTensor(h, "MARA"), PrecoderSet(w)
+    return h, w
 
 
 def test_sinr_single_user_no_interference(rng):
-    channel, prec = random_instance(rng, U=1, M=4, G=3)
+    h, w = random_instance(rng, U=1, M=4, G=3)
     noise = 0.05
     for g in range(3):
-        expected = abs(channel.h[0, :, g] @ prec.w[g][:, 0]) ** 2 / noise
-        assert sinr(channel, prec, 0, g, noise) == pytest.approx(expected, rel=1e-12)
+        expected = abs(h[0, :, g] @ w[g][:, 0]) ** 2 / noise
+        assert sinr(h, w, 0, g, noise) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sinr_orthogonal_precoder_is_zero(rng):
@@ -32,46 +32,43 @@ def test_sinr_orthogonal_precoder_is_zero(rng):
     w = np.zeros((1, 2, 1), dtype=complex)
     w[0][:, 0] = (1j, 1.0)  # h @ w = 1j + 1j ... pick orthogonal instead
     w[0][:, 0] = (1.0, 1j)  # h @ w = 1 + (1j*1j) = 0
-    channel = ChannelTensor(h, "TFA")
-    assert sinr(channel, PrecoderSet(w), 0, 0, 0.1) == 0.0
+    assert sinr(h, w, 0, 0, 0.1) == 0.0
 
 
 def test_sinr_matches_hand_expansion(rng):
-    channel, prec = random_instance(rng, U=2, M=3, G=2)
+    h, w = random_instance(rng, U=2, M=3, G=2)
     noise = 0.02
     for u in range(2):
         for g in range(2):
-            sig = abs(sum(channel.h[u, m, g] * prec.w[g, m, u] for m in range(3))) ** 2
+            sig = abs(sum(h[u, m, g] * w[g, m, u] for m in range(3))) ** 2
             interf = 0.0
             for up in range(2):
                 if up == u:
                     continue
-                interf += abs(sum(channel.h[u, m, g] * prec.w[g, m, up]
-                                  for m in range(3))) ** 2
+                interf += abs(sum(h[u, m, g] * w[g, m, up] for m in range(3))) ** 2
             expected = sig / (interf + noise)
-            assert sinr(channel, prec, u, g, noise) == pytest.approx(expected, rel=1e-12)
+            assert sinr(h, w, u, g, noise) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sinr_index_contract(rng):
-    channel, prec = random_instance(rng)
+    h, w = random_instance(rng)
     with pytest.raises(ContractError):
-        sinr(channel, prec, 5, 0, 0.1)
+        sinr(h, w, 5, 0, 0.1)
     with pytest.raises(ContractError):
-        sinr(channel, prec, 0, -1, 0.1)
+        sinr(h, w, 0, -1, 0.1)
 
 
 def test_sum_se_zero_precoders(rng):
-    channel, _ = random_instance(rng)
-    zeros = PrecoderSet(np.zeros((2, 3, 2), dtype=complex))
-    assert sum_se(channel, zeros, 0.1) == 0.0
+    h, _ = random_instance(rng)
+    zeros = np.zeros((2, 3, 2), dtype=complex)
+    assert sum_se_arrays(h, zeros, 0.1) == 0.0
 
 
 def test_sum_se_closed_form_snr_three():
     h = np.full((1, 1, 1), 0.5 + 0.0j)
     # |h w|^2 / noise = 3  ->  log2(4) = 2
     w = np.full((1, 1, 1), math.sqrt(3 * 0.04) / 0.5, dtype=complex)
-    channel = ChannelTensor(h, "TFA")
-    assert sum_se(channel, PrecoderSet(w), 0.04) == pytest.approx(2.0, rel=1e-12)
+    assert sum_se_arrays(h, w, 0.04) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_sum_se_replicates_over_identical_subcarriers(rng):
@@ -86,14 +83,8 @@ def test_sum_se_replicates_over_identical_subcarriers(rng):
     w_single = (rng.standard_normal((1, M, U)) + 1j * rng.standard_normal((1, M, U)))
     w_multi = np.tile(w_single, (6, 1, 1))
     noise = cfg_single.noise_power_w
-    single = sum_se(h_s, PrecoderSet(w_single), noise)
-    assert sum_se(h_m, PrecoderSet(w_multi), noise) == pytest.approx(6 * single, rel=1e-12)
-
-
-def test_per_subcarrier_average(rng):
-    channel, prec = random_instance(rng, G=2)
-    assert per_subcarrier_se(channel, prec, 0.1) == pytest.approx(
-        sum_se(channel, prec, 0.1) / 2, rel=1e-15)
+    single = sum_se_arrays(h_s, w_single, noise)
+    assert sum_se_arrays(h_m, w_multi, noise) == pytest.approx(6 * single, rel=1e-12)
 
 
 def test_se_equivalence_h_form_vs_stacked_ecsi_form(rng):
@@ -103,12 +94,11 @@ def test_se_equivalence_h_form_vs_stacked_ecsi_form(rng):
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="MARA")
     basis = build_basis(cfg.shod_max_degree)
-    channel = channel_tensor(scen, state, "MARA", basis)
+    h = channel_tensor(scen, state, "MARA", basis)
     M, U, G = cfg.num_bs_antennas, cfg.num_ues, cfg.num_subcarriers
     K = basis.size
     w = (rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U)))
     w *= math.sqrt(cfg.total_power_w) / np.linalg.norm(w)
-    prec = PrecoderSet(w)
     noise = cfg.noise_power_w
 
     lam = np.zeros((M * K, M), dtype=complex)
@@ -127,22 +117,22 @@ def test_se_equivalence_h_form_vs_stacked_ecsi_form(rng):
             sig = abs(row @ w[g][:, u]) ** 2
             interf = sum(abs(row @ w[g][:, up]) ** 2 for up in range(U) if up != u)
             se_stacked += math.log2(1 + sig / (interf + noise))
-    assert sum_se(channel, prec, noise) == pytest.approx(se_stacked, abs=1e-10)
+    assert sum_se_arrays(h, w, noise) == pytest.approx(se_stacked, abs=1e-10)
 
 
 def test_single_user_se_monotone_in_power(rng):
-    channel, prec = random_instance(rng, U=1, M=3, G=2)
-    base = sum_se(channel, prec, 0.1)
+    h, w = random_instance(rng, U=1, M=3, G=2)
+    base = sum_se_arrays(h, w, 0.1)
     for c in (1.5, 2.0, 10.0):
-        assert sum_se(channel, PrecoderSet(c * prec.w), 0.1) >= base
+        assert sum_se_arrays(h, c * w, 0.1) >= base
 
 
 def test_sinr_decreases_with_noise(rng):
-    channel, prec = random_instance(rng)
+    h, w = random_instance(rng)
     for u in range(2):
         for g in range(2):
-            low = sinr(channel, prec, u, g, 0.01)
-            high = sinr(channel, prec, u, g, 0.05)
+            low = sinr(h, w, u, g, 0.01)
+            high = sinr(h, w, u, g, 0.05)
             assert high <= low
             if low > 0:
                 assert high < low
