@@ -1,17 +1,15 @@
 """Simulator and optimizer for downlink multi-user MIMO-OFDM where the
 base-station antennas can be spatially moved and/or have reconfigurable
-radiation patterns (schemes TFA, SMA, ERA, MARA)."""
+radiation patterns (schemes TFA, SMA, ERA, MARA). The reference forms the
+solver is checked against live in `mara_sim.checks`, not imported here."""
 
 from .scenario import (SCHEME_ORDER, PathSet, Scenario, SystemConfig,
                        generate_scenario, load_config, subcarrier_frequencies)
 from .shod import BasisSet, build_basis, build_omega, pattern_gain, pattern_power
-from .channel import (AntennaState, channel_tensor, ecsi, initial_state,
-                      path_gains, rx_steering, tx_steering)
-from .se import PrecoderSet, sinr, sum_se_arrays
-from .optim import (OptimOptions, OptimResult, alternating_optimize,
-                    brute_force_positions, digital_precoder, optimize_patterns,
-                    optimize_positions, se_gradient_patterns,
-                    se_gradient_positions, water_fill)
+from .channel import AntennaState, channel_tensor, initial_state
+from .se import PrecoderSet, sum_se_arrays
+from .optim import (OptimOptions, OptimResult, alternating_optimize, digital_precoder,
+                    optimize_patterns, optimize_positions, water_fill)
 from .harness import (ExperimentSpec, ResultRow, emit_csv, reference_config,
                       reference_experiment, run_experiment, summarize)
 
@@ -19,11 +17,9 @@ __all__ = [
     "SCHEME_ORDER", "PathSet", "Scenario", "SystemConfig", "generate_scenario",
     "load_config", "subcarrier_frequencies", "BasisSet", "build_basis",
     "build_omega", "pattern_gain", "pattern_power", "AntennaState",
-    "channel_tensor", "ecsi", "initial_state", "path_gains", "rx_steering",
-    "tx_steering", "PrecoderSet", "sinr", "sum_se_arrays", "OptimOptions",
-    "OptimResult", "alternating_optimize", "brute_force_positions",
-    "digital_precoder", "optimize_patterns", "optimize_positions",
-    "se_gradient_patterns", "se_gradient_positions", "water_fill",
+    "channel_tensor", "initial_state", "PrecoderSet", "sum_se_arrays",
+    "OptimOptions", "OptimResult", "alternating_optimize", "digital_precoder",
+    "optimize_patterns", "optimize_positions", "water_fill",
     "ExperimentSpec", "ResultRow", "emit_csv", "reference_config",
     "reference_experiment", "run_experiment", "summarize",
 ]

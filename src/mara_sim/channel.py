@@ -1,10 +1,11 @@
 """Channel coefficients for all four antenna schemes via one factorized path.
 
 Every scheme is evaluated through the same expression
-``h[u, m, g] = ecsi(u, m, g)^H alpha_m``: fixed-pattern schemes (TFA, SMA) pin
-alpha to the canonical isotropic coefficient, fixed-position schemes
-(TFA, ERA) pin every antenna at its nominal array location. This keeps the
-feasible sets nested across schemes and the comparison on one code path.
+``h[u, m, g] = q(u, m, g)^H alpha_m``, with q the reference form `checks.ecsi`:
+fixed-pattern schemes (TFA, SMA) pin alpha to the canonical isotropic
+coefficient, fixed-position schemes (TFA, ERA) pin every antenna at its nominal
+array location. This keeps the feasible sets nested across schemes and the
+comparison on one code path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .scenario import SCHEME_ORDER, PathSet, Scenario
+from .scenario import SCHEME_ORDER, Scenario
 from .shod import BasisSet, build_basis, build_omega, isotropic_coefficients
 
 MOVABLE_SCHEMES = ("SMA", "MARA")
@@ -101,51 +102,15 @@ def validate_state(scenario: Scenario, state: AntennaState, scheme: str | None =
             raise ContractError(f"patterns must be the isotropic coefficient for {scheme}")
 
 
-def tx_steering(path_set: PathSet, position: np.ndarray, wavelength: float) -> np.ndarray:
-    """Per-path transmit phase factors exp(-j 2 pi / lambda * k_tx . p)."""
-    phase = (2.0 * np.pi / wavelength) * (path_set.tx_wave_vectors @ np.asarray(position))
-    return np.exp(-1j * phase)
-
-
-def rx_steering(path_set: PathSet, ue_position: np.ndarray, wavelength: float) -> np.ndarray:
-    """Per-path receive phase factors exp(-j 2 pi / lambda * k_rx . q)."""
-    phase = (2.0 * np.pi / wavelength) * (path_set.rx_wave_vectors @ np.asarray(ue_position))
-    return np.exp(-1j * phase)
-
-
-def path_gains(path_set: PathSet, frequency_hz: float) -> np.ndarray:
-    """Complex per-path gains with the delay phase folded in at one subcarrier."""
-    return path_set.gains * np.exp(-2j * np.pi * path_set.delays * frequency_hz)
-
-
-def ecsi(path_set: PathSet, omega: np.ndarray, position: np.ndarray,
-         ue_position: np.ndarray, frequency_hz: float, wavelength: float) -> np.ndarray:
-    """Environment part of one channel coefficient: h = ecsi^H alpha.
-
-    Returns the complex K-vector q with
-    q^H = (a ⊙ x ⊙ b)^T Omega, where a/b are the receive/transmit steering
-    factors and x the delay-adjusted path gains. The receive antenna is a
-    fixed isotropic element, so no receive-pattern factor appears.
-    """
-    L = path_set.num_paths
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim != 2 or omega.shape[0] != L:
-        raise ContractError(f"omega must have shape ({L}, K), got {omega.shape}")
-    a = rx_steering(path_set, ue_position, wavelength)
-    b = tx_steering(path_set, position, wavelength)
-    x = path_gains(path_set, frequency_hz)
-    return omega.T @ np.conj(a * x * b)
-
-
 class ChannelWorkspace:
     """Precomputed per-scenario factors for fast channel/gradient evaluation.
 
     Holds, stacked over UEs: the pattern-response matrices omega (U, L, K),
     the transmit wave vectors (U, L, 3), and the position/pattern-independent
     path factors env[u, i, g] = a_i * gains_i * exp(-j 2 pi tau_i f_g) of
-    shape (U, L, G). L is the largest path count of any UE; a UE with fewer
-    paths is zero-padded in omega and env, so its padding paths contribute
-    exactly 0.
+    shape (U, L, G), a_i being the receive phase exp(-j k k_rx . q_u). L is the
+    largest path count of any UE; a UE with fewer paths is zero-padded in
+    omega and env, so its padding paths contribute exactly 0.
     """
 
     def __init__(self, scenario: Scenario, basis: BasisSet | None = None):
@@ -165,7 +130,7 @@ class ChannelWorkspace:
             n = ps.num_paths
             self.omega[u, :n] = build_omega(self.basis, ps)
             self.tx_wave_vectors[u, :n] = ps.tx_wave_vectors
-            a = rx_steering(ps, scenario.ue_positions[u], scenario.wavelength)
+            a = np.exp(-1j * self.wavenumber * (ps.rx_wave_vectors @ scenario.ue_positions[u]))
             x = ps.gains[:, None] * np.exp(-2j * np.pi * ps.delays[:, None] * freqs[None, :])
             self.env[u, :n] = a[:, None] * x
         # (U, 3, L) and (U, K, L) views, so each product is a plain stacked matmul.

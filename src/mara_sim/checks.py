@@ -1,20 +1,144 @@
-"""Invariant checks shared by `mara-sim check`/`oracle` and the test suites.
+"""Reference forms and invariant checks for `mara-sim check`/`oracle` and the tests.
 
-Each check returns the worst error it saw, and a NaN anywhere makes that
-worst error NaN, so it fails any `error < bound` test. Callers choose the
-instances, seeds, steps and bounds.
+The reference forms (`ecsi`, `sinr`, `mrt_precoder`, `brute_force_positions`
+and the per-antenna gradients) evaluate the model one entry at a time; the
+solver never calls them. Each check returns the worst error it saw, and a NaN
+anywhere makes that worst error NaN, so it fails any `error < bound` test.
+Callers choose the instances, seeds, steps and bounds.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .channel import (AntennaState, ChannelWorkspace, ecsi, initial_state,
-                      sample_movement_region, sample_unit_spheres)
-from .optim import (brute_force_positions, digital_precoder, optimize_patterns,
-                    optimize_positions, se_gradient_patterns, se_gradient_positions)
-from .se import sum_se_arrays
+from . import optim
+from .channel import (MOVABLE_SCHEMES, AntennaState, ChannelWorkspace, initial_state,
+                      project_to_movement_region, sample_movement_region,
+                      sample_unit_spheres)
+from .errors import ContractError, SizeLimitError
+from .optim import digital_precoder, optimize_patterns, optimize_positions
+from .scenario import PathSet
+from .se import PrecoderSet, sum_se_arrays
 from .shod import build_basis, build_omega, pattern_power
+
+_BRUTE_FORCE_GUARD = 10_000_000
+
+
+def tx_steering(path_set: PathSet, position: np.ndarray, wavelength: float) -> np.ndarray:
+    """Per-path transmit phase factors exp(-j 2 pi / lambda * k_tx . p)."""
+    phase = (2.0 * np.pi / wavelength) * (path_set.tx_wave_vectors @ np.asarray(position))
+    return np.exp(-1j * phase)
+
+
+def rx_steering(path_set: PathSet, ue_position: np.ndarray, wavelength: float) -> np.ndarray:
+    """Per-path receive phase factors exp(-j 2 pi / lambda * k_rx . q)."""
+    phase = (2.0 * np.pi / wavelength) * (path_set.rx_wave_vectors @ np.asarray(ue_position))
+    return np.exp(-1j * phase)
+
+
+def path_gains(path_set: PathSet, frequency_hz: float) -> np.ndarray:
+    """Complex per-path gains with the delay phase folded in at one subcarrier."""
+    return path_set.gains * np.exp(-2j * np.pi * path_set.delays * frequency_hz)
+
+
+def ecsi(path_set: PathSet, omega: np.ndarray, position: np.ndarray,
+         ue_position: np.ndarray, frequency_hz: float, wavelength: float) -> np.ndarray:
+    """Environment part of one channel coefficient: h = ecsi^H alpha.
+
+    Returns the complex K-vector q with
+    q^H = (a ⊙ x ⊙ b)^T Omega, where a/b are the receive/transmit steering
+    factors and x the delay-adjusted path gains. The receive antenna is a
+    fixed isotropic element, so no receive-pattern factor appears.
+    """
+    L = path_set.num_paths
+    omega = np.asarray(omega, dtype=np.float64)
+    if omega.ndim != 2 or omega.shape[0] != L:
+        raise ContractError(f"omega must have shape ({L}, K), got {omega.shape}")
+    a = rx_steering(path_set, ue_position, wavelength)
+    b = tx_steering(path_set, position, wavelength)
+    x = path_gains(path_set, frequency_hz)
+    return omega.T @ np.conj(a * x * b)
+
+
+def sinr(h: np.ndarray, w: np.ndarray, u: int, g: int, noise_power: float) -> float:
+    """SINR of user u on subcarrier g, for h (U, M, G) and w (G, M, U)."""
+    U, _, G = h.shape
+    if not (0 <= u < U) or not (0 <= g < G):
+        raise ContractError(f"index (u={u}, g={g}) out of range for (U={U}, G={G})")
+    gains = h[u, :, g] @ w[g]
+    power = np.abs(gains) ** 2
+    interference = power.sum() - power[u]
+    return float(power[u] / (interference + noise_power))
+
+
+def mrt_precoder(h: np.ndarray, total_power: float) -> PrecoderSet:
+    """Matched-filter precoders for the channel h (U, M, G): columns conj(h[u, :, g])
+    with the budget split equally over the nonzero ones."""
+    cols = np.conj(np.transpose(h, (2, 1, 0)))  # (G, M, U)
+    norms = np.linalg.norm(cols, axis=1)        # (G, U)
+    usable = norms > 0
+    per_column = total_power / max(int(usable.sum()), 1)
+    scale = np.where(usable, math.sqrt(per_column) / np.where(usable, norms, 1.0), 0.0)
+    return PrecoderSet(cols * scale[:, None, :])
+
+
+def se_gradient_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
+                          m: int) -> np.ndarray:
+    """Analytic gradient of sum_se with respect to antenna m's position."""
+    return optim._grad_positions_all(ws, state.positions, state.coefficients, precoders,
+                                     ws.scenario.config.noise_power_w)[m]
+
+
+def se_gradient_patterns(ws: ChannelWorkspace, state: AntennaState, precoders,
+                         m: int) -> np.ndarray:
+    """Euclidean gradient of sum_se with respect to antenna m's pattern coefficients."""
+    return optim._grad_patterns_all(ws, state.positions, state.coefficients, precoders,
+                                    ws.scenario.config.noise_power_w)[m]
+
+
+def brute_force_positions(scenario, state: AntennaState, precoders,
+                          grid_step: float) -> AntennaState:
+    """Coordinate-wise exhaustive position search (test oracle).
+
+    Antennas are processed in index order; each one is moved to the best point
+    of a Cartesian grid (spacing grid_step, centered on its nominal position)
+    intersected with its movement ball. The incoming position is always a
+    candidate, so the result never has lower SE. Ties keep the earliest
+    candidate: the incoming position first, then ascending grid index.
+    """
+    if state.scheme not in MOVABLE_SCHEMES:
+        raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
+    if grid_step <= 0:
+        raise ContractError("grid_step must be positive")
+    cfg = scenario.config
+    radius = cfg.movement_radius
+    n = int(math.floor(radius / grid_step))
+    lattice = (2 * n + 1) ** 3
+    if cfg.num_bs_antennas * lattice > _BRUTE_FORCE_GUARD:
+        raise SizeLimitError(
+            f"{cfg.num_bs_antennas} x {lattice} grid candidates exceed "
+            f"the {_BRUTE_FORCE_GUARD} guard")
+    axis = np.arange(-n, n + 1, dtype=np.float64) * grid_step
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    offsets = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    offsets = offsets[np.linalg.norm(offsets, axis=1) <= radius]
+    ws = ChannelWorkspace(scenario)
+    noise = cfg.noise_power_w
+    positions = project_to_movement_region(scenario, state.positions).copy()
+    for m in range(cfg.num_bs_antennas):
+        candidates = np.vstack([positions[m][None, :],
+                                scenario.initial_positions[m] + offsets])
+        best_idx, best_f = 0, -np.inf
+        trial = positions.copy()
+        for idx in range(candidates.shape[0]):
+            trial[m] = candidates[idx]
+            f = sum_se_arrays(ws.tensor(trial, state.coefficients), precoders.w, noise)
+            if f > best_f:
+                best_idx, best_f = idx, f
+        positions[m] = candidates[best_idx]
+    return AntennaState(positions, state.coefficients.copy(), state.scheme)
 
 
 def orthonormality_error(max_degree: int) -> float:
@@ -79,10 +203,10 @@ def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders, m: int
     def se(pos, coeff):
         return sum_se_arrays(ws.tensor(pos, coeff), precoders.w, noise)
 
-    pos = _rel_err(se_gradient_positions(scen, state, precoders, m, ws=ws),
+    pos = _rel_err(se_gradient_positions(ws, state, precoders, m),
                    fd_gradient(lambda p: se(p, coefficients), positions, m,
                                fd_step * scen.wavelength))
-    pat = _rel_err(se_gradient_patterns(scen, state, precoders, m, ws=ws),
+    pat = _rel_err(se_gradient_patterns(ws, state, precoders, m),
                    fd_gradient(lambda a: se(positions, a), coefficients, m, fd_step))
     return pos, pat
 

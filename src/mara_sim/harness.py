@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .scenario import SCHEME_ORDER, SystemConfig, generate_scenario
+from .scenario import _INT_KEYS, SCHEME_ORDER, SystemConfig, generate_scenario
+from .channel import ChannelWorkspace
 from .optim import WARM_STARTS, OptimOptions, alternating_optimize
 
 SWEEPABLE_PARAMS = ("total_power_w", "num_bs_antennas", "num_paths_per_ue",
@@ -51,6 +52,10 @@ class ExperimentSpec:
                 raise ContractError(f"sweep parameter {name!r} not in {SWEEPABLE_PARAMS}")
             if not values or any(b <= a for a, b in zip(values, values[1:])):
                 raise ContractError("sweep values must be strictly increasing")
+            for value in values:
+                if not math.isfinite(value) or (name in _INT_KEYS and value != int(value)):
+                    raise ContractError(f"sweep value {value!r} is not a valid {name}")
+                _cell_config(self, self.seeds[0], value)  # raises on an infeasible cell
 
 
 @dataclass
@@ -71,10 +76,7 @@ def _cell_config(spec: ExperimentSpec, seed: int, sweep_value) -> SystemConfig:
     updates = {"seed": seed, "schemes": tuple(SCHEME_ORDER)}
     if spec.sweep is not None:
         name = spec.sweep[0]
-        value = sweep_value
-        if name != "total_power_w":
-            value = int(value)
-        updates[name] = value
+        updates[name] = int(sweep_value) if name in _INT_KEYS else sweep_value
     config = dataclasses.replace(spec.base, **updates)
     config.validate()
     return config
@@ -94,6 +96,7 @@ def _run_cell(spec: ExperimentSpec, seed: int,
 
     config = _cell_config(spec, seed, sweep_value)
     scenario = generate_scenario(config)
+    ws = ChannelWorkspace(scenario)
     # Solve in nesting order so later schemes reuse converged warm starts.
     needed = set(spec.schemes)
     for scheme in reversed(SCHEME_ORDER):
@@ -108,7 +111,7 @@ def _run_cell(spec: ExperimentSpec, seed: int,
             continue
         start = time.perf_counter()
         try:
-            result = alternating_optimize(scenario, scheme, spec.options, warm)
+            result = alternating_optimize(scenario, scheme, spec.options, warm, ws)
         except Exception as exc:  # diagnostic row ends the cell, not the run
             error.append(make_row(scheme, ok=False, note=f"error: {exc}"))
             break

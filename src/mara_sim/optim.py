@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, SingularChannelError, SizeLimitError
+from .errors import ContractError, SingularChannelError
 from .scenario import Scenario
 from .channel import (
     MOVABLE_SCHEMES,
@@ -31,7 +31,6 @@ from .channel import (
 from .se import PrecoderSet, sum_se_arrays
 
 _LN2 = math.log(2.0)
-_BRUTE_FORCE_GUARD = 10_000_000
 # Line-search steps evaluated in the first batch; each further batch doubles.
 LADDER_CHUNK = 8
 # The schemes whose solutions warm-start each scheme: the best of them is the
@@ -112,24 +111,12 @@ def water_fill(slopes: np.ndarray, total_power: float) -> np.ndarray:
     return powers * (total_power / powers.sum())
 
 
-def digital_precoder(h: np.ndarray, total_power: float, noise_power: float,
-                     method: str = "ZF") -> PrecoderSet:
-    """Per-subcarrier precoders for the channel h (U, M, G) under the total power budget.
+def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> PrecoderSet:
+    """Zero-forcing precoders for the channel h (U, M, G) under the total power budget.
 
-    ZF: pseudo-inverse directions with water-filling over the G*U effective
-    parallel channels. MRT: matched-filter columns with an equal power split.
-    Both spend the budget exactly.
+    Pseudo-inverse directions with water-filling over the G*U effective
+    parallel channels; the budget is spent exactly.
     """
-    if method == "MRT":
-        cols = np.conj(np.transpose(h, (2, 1, 0)))  # (G, M, U)
-        norms = np.linalg.norm(cols, axis=1)        # (G, U)
-        usable = norms > 0
-        per_column = total_power / max(int(usable.sum()), 1)
-        scale = np.where(usable, math.sqrt(per_column) / np.where(usable, norms, 1.0), 0.0)
-        w = cols * scale[:, None, :]
-        return PrecoderSet(w)
-    if method != "ZF":
-        raise ContractError(f"unknown precoding method {method!r}")
     # One stacked SVD H_g = U S V^H over every subcarrier; the pseudo-inverse
     # V S^-1 U^H is the ZF precoder (H_g @ pinv = I).
     left, sv, right_h = np.linalg.svd(np.transpose(h, (2, 0, 1)), full_matrices=False)
@@ -185,33 +172,6 @@ def _grad_patterns_all(ws: ChannelWorkspace, positions: np.ndarray,
     """Euclidean gradient of sum_se with respect to every alpha_m, shape (M, K)."""
     phases, _, sens = _chain_factors(ws, positions, coefficients, precoders, noise_power)
     return 2.0 * (np.real(phases * sens) @ ws.omega).sum(axis=0)
-
-
-def se_gradient_positions(scenario: Scenario, state: AntennaState,
-                          precoders: PrecoderSet, m: int,
-                          ws: ChannelWorkspace | None = None) -> np.ndarray:
-    """Analytic gradient of sum_se with respect to antenna m's position."""
-    ws = ws if ws is not None else ChannelWorkspace(scenario)
-    _check_antenna_index(scenario, m)
-    grad = _grad_positions_all(ws, state.positions, state.coefficients,
-                               precoders, scenario.config.noise_power_w)
-    return grad[m]
-
-
-def se_gradient_patterns(scenario: Scenario, state: AntennaState,
-                         precoders: PrecoderSet, m: int,
-                         ws: ChannelWorkspace | None = None) -> np.ndarray:
-    """Euclidean gradient of sum_se with respect to antenna m's pattern coefficients."""
-    ws = ws if ws is not None else ChannelWorkspace(scenario)
-    _check_antenna_index(scenario, m)
-    grad = _grad_patterns_all(ws, state.positions, state.coefficients,
-                              precoders, scenario.config.noise_power_w)
-    return grad[m]
-
-
-def _check_antenna_index(scenario: Scenario, m: int) -> None:
-    if not 0 <= m < scenario.config.num_bs_antennas:
-        raise ContractError(f"antenna index {m} out of range")
 
 
 def _armijo_ladder(t0: float, ratio: float) -> np.ndarray:
@@ -325,6 +285,13 @@ def _best_of_restarts(start, draw, ascend, opts):
     return best_x
 
 
+def _workspace(scenario: Scenario, ws: ChannelWorkspace | None) -> ChannelWorkspace:
+    """ws, checked to be built for scenario, or a new workspace for scenario."""
+    if ws is not None and ws.scenario is not scenario:
+        raise ContractError("the workspace was built for another scenario")
+    return ws if ws is not None else ChannelWorkspace(scenario)
+
+
 def optimize_positions(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
                        opts: OptimOptions | None = None,
                        ws: ChannelWorkspace | None = None) -> AntennaState:
@@ -338,7 +305,7 @@ def optimize_positions(scenario: Scenario, state: AntennaState, precoders: Preco
     opts = opts if opts is not None else OptimOptions()
     if state.scheme not in MOVABLE_SCHEMES:
         raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
-    ws = ws if ws is not None else ChannelWorkspace(scenario)
+    ws = _workspace(scenario, ws)
     start = project_to_movement_region(scenario, state.positions)
     if opts.inner_grad_iters == 0:
         return AntennaState(start, state.coefficients.copy(), state.scheme)
@@ -357,7 +324,7 @@ def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: Precod
     opts = opts if opts is not None else OptimOptions()
     if state.scheme not in RECONFIGURABLE_SCHEMES:
         raise ContractError(f"patterns are pinned for scheme {state.scheme!r}")
-    ws = ws if ws is not None else ChannelWorkspace(scenario)
+    ws = _workspace(scenario, ws)
     start = state.coefficients / np.linalg.norm(state.coefficients, axis=1, keepdims=True)
     if opts.inner_grad_iters == 0:
         return AntennaState(state.positions.copy(), start, state.scheme)
@@ -371,23 +338,25 @@ def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: Precod
 
 def alternating_optimize(scenario: Scenario, scheme: str,
                          opts: OptimOptions | None = None,
-                         warm: dict[str, OptimResult] | None = None) -> OptimResult:
+                         warm: dict[str, OptimResult] | None = None,
+                         ws: ChannelWorkspace | None = None) -> OptimResult:
     """Alternate precoder, position, and pattern steps for one scheme.
 
     `warm` may carry already-computed results for the schemes a run depends on
     (its WARM_STARTS sources and theirs in turn); missing entries are
     computed internally. Each sub-step keeps its candidate only if the
     objective does not drop, so the trace is nondecreasing and the final SE
-    dominates the warm-start SE.
+    dominates the warm-start SE. `ws` is the scenario's workspace, built
+    here when not given; every solve of the call shares it.
     """
     opts = opts if opts is not None else OptimOptions()
     if scheme not in scenario.config.schemes:
         raise ContractError(f"scheme {scheme!r} is not in the configured set")
-    return _optimize_scheme(scenario, scheme, opts, dict(warm or {}))
+    return _optimize_scheme(_workspace(scenario, ws), scheme, opts, dict(warm or {}))
 
 
-def _optimize_scheme(scenario, scheme, opts, warm):
-    ws = ChannelWorkspace(scenario)
+def _optimize_scheme(ws, scheme, opts, warm):
+    scenario = ws.scenario
     if scheme == "TFA":
         cfg = scenario.config
         state = initial_state(scenario, "TFA")
@@ -398,7 +367,7 @@ def _optimize_scheme(scenario, scheme, opts, warm):
 
     for source in WARM_STARTS[scheme]:
         if source not in warm:
-            warm[source] = _optimize_scheme(scenario, source, opts, warm)
+            warm[source] = _optimize_scheme(ws, source, opts, warm)
     base = max((warm[source] for source in WARM_STARTS[scheme]), key=lambda r: r.se)
     state = base.state.retagged(scheme)
     precoders, current = _accept_precoder(ws, state, base.precoders.copy())
@@ -436,50 +405,3 @@ def _accept_precoder(ws, state, precoders):
     if se_candidate > current:
         return candidate, se_candidate
     return precoders, current
-
-
-def brute_force_positions(scenario: Scenario, state: AntennaState,
-                          precoders: PrecoderSet, grid_step: float) -> AntennaState:
-    """Coordinate-wise exhaustive position search (test oracle).
-
-    Antennas are processed in index order; each one is moved to the best point
-    of a Cartesian grid (spacing grid_step, centered on its nominal position)
-    intersected with its movement ball. The incoming position is always a
-    candidate, so the result never has lower SE. Ties keep the earliest
-    candidate: the incoming position first, then ascending grid index.
-    """
-    if state.scheme not in MOVABLE_SCHEMES:
-        raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
-    if grid_step <= 0:
-        raise ContractError("grid_step must be positive")
-    cfg = scenario.config
-    radius = cfg.movement_radius
-    n = int(math.floor(radius / grid_step))
-    lattice = (2 * n + 1) ** 3
-    if cfg.num_bs_antennas * lattice > _BRUTE_FORCE_GUARD:
-        raise SizeLimitError(
-            f"{cfg.num_bs_antennas} x {lattice} grid candidates exceed "
-            f"the {_BRUTE_FORCE_GUARD} guard")
-    axis = np.arange(-n, n + 1, dtype=np.float64) * grid_step
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    offsets = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    offsets = offsets[np.linalg.norm(offsets, axis=1) <= radius]
-    ws = ChannelWorkspace(scenario)
-    noise = cfg.noise_power_w
-    positions = project_to_movement_region(scenario, state.positions).copy()
-
-    def evaluate(pos):
-        return sum_se_arrays(ws.tensor(pos, state.coefficients), precoders.w, noise)
-
-    for m in range(cfg.num_bs_antennas):
-        candidates = np.vstack([positions[m][None, :],
-                                scenario.initial_positions[m] + offsets])
-        best_idx, best_f = 0, -np.inf
-        trial = positions.copy()
-        for idx in range(candidates.shape[0]):
-            trial[m] = candidates[idx]
-            f = evaluate(trial)
-            if f > best_f:
-                best_idx, best_f = idx, f
-        positions[m] = candidates[best_idx]
-    return AntennaState(positions, state.coefficients.copy(), state.scheme)

@@ -59,12 +59,12 @@ class SystemConfig:
         return d / 2.0 - POSITION_MARGIN_FRAC * d
 
     def validate(self) -> None:
-        if self.carrier_frequency_hz <= 0:
-            raise ValidationError("carrier_frequency_hz must be > 0")
+        if not 0 < self.carrier_frequency_hz < np.inf:
+            raise ValidationError("carrier_frequency_hz must be finite and > 0")
         if self.num_subcarriers < 1:
             raise ValidationError("num_subcarriers must be >= 1")
-        if self.subcarrier_spacing_hz <= 0:
-            raise ValidationError("subcarrier_spacing_hz must be > 0")
+        if not 0 < self.subcarrier_spacing_hz < np.inf:
+            raise ValidationError("subcarrier_spacing_hz must be finite and > 0")
         if self.num_ues < 1:
             raise ValidationError("num_ues must be >= 1")
         if self.num_bs_antennas < self.num_ues:
@@ -73,14 +73,14 @@ class SystemConfig:
             )
         if self.num_paths_per_ue < 1:
             raise ValidationError("num_paths_per_ue must be >= 1")
-        if self.antenna_spacing_wavelengths <= 0:
-            raise ValidationError("antenna_spacing_wavelengths must be > 0")
-        if self.max_delay_s < 0:
-            raise ValidationError("max_delay_s must be >= 0")
-        if self.total_power_w <= 0:
-            raise ValidationError("total_power_w must be > 0")
-        if self.noise_power_w <= 0:
-            raise ValidationError("noise_power_w must be > 0")
+        if not 0 < self.antenna_spacing_wavelengths < np.inf:
+            raise ValidationError("antenna_spacing_wavelengths must be finite and > 0")
+        if not 0 <= self.max_delay_s < np.inf:
+            raise ValidationError("max_delay_s must be finite and >= 0")
+        if not 0 < self.total_power_w < np.inf:
+            raise ValidationError("total_power_w must be finite and > 0")
+        if not 0 < self.noise_power_w < np.inf:
+            raise ValidationError("noise_power_w must be finite and > 0")
         if self.shod_max_degree < 0:
             raise ValidationError("shod_max_degree must be >= 0")
         unknown = set(self.schemes) - set(SCHEME_ORDER)

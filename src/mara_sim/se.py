@@ -1,4 +1,5 @@
-"""Per-user SINR and sum spectral efficiency.
+"""Sum spectral efficiency over the per-user SINRs (`checks.sinr` is the
+per-entry reference form).
 
 The SINR convention uses the intended user's channel against the other users'
 precoders (standard downlink broadcast form): the interference at user u on
@@ -10,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ContractError
 
 _LN2 = float(np.log(2.0))
 
@@ -30,17 +29,6 @@ class PrecoderSet:
         return PrecoderSet(self.w.copy())
 
 
-def sinr(h: np.ndarray, w: np.ndarray, u: int, g: int, noise_power: float) -> float:
-    """SINR of user u on subcarrier g, for h (U, M, G) and w (G, M, U)."""
-    U, _, G = h.shape
-    if not (0 <= u < U) or not (0 <= g < G):
-        raise ContractError(f"index (u={u}, g={g}) out of range for (U={U}, G={G})")
-    gains = h[u, :, g] @ w[g]
-    power = np.abs(gains) ** 2
-    interference = power.sum() - power[u]
-    return float(power[u] / (interference + noise_power))
-
-
 def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
     """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz,
     for channel coefficients h (..., U, M, G) and precoders w (G, M, U).
@@ -52,7 +40,7 @@ def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
     power = gains.real ** 2 + gains.imag ** 2
     signal = np.diagonal(power, axis1=-2, axis2=-1)
     se = np.log1p(signal / (power.sum(axis=-1) - signal + noise_power))
-    if se.ndim == 2:
-        return float(np.sum(se) / _LN2)
-    return se.reshape(se.shape[0], -1).sum(axis=1) / _LN2
+    # One reduction for both forms, so a stacked call equals its per-slice calls bitwise.
+    total = se.sum(axis=(-2, -1)) / _LN2
+    return float(total) if se.ndim == 2 else total
 

@@ -14,7 +14,7 @@ import pytest
 from mara_sim import checks
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles, pattern_gain
-from mara_sim.channel import ChannelWorkspace, channel_tensor, ecsi
+from mara_sim.channel import ChannelWorkspace, channel_tensor
 from mara_sim.se import sum_se_arrays
 from mara_sim.optim import OptimOptions, digital_precoder
 from mara_sim.harness import emit_csv, reference_experiment, run_experiment
@@ -149,8 +149,8 @@ def test_criterion_05_se_form_equivalence():
                 ps = scen.path_sets[u]
                 omega = build_omega(basis, ps)
                 q_stack = np.concatenate([
-                    ecsi(ps, omega, state.positions[m], scen.ue_positions[u],
-                         f, scen.wavelength) for m in range(M)])
+                    checks.ecsi(ps, omega, state.positions[m], scen.ue_positions[u],
+                                f, scen.wavelength) for m in range(M)])
                 row = np.conj(q_stack) @ lam_block
                 sig = abs(row @ w[g][:, u]) ** 2
                 interf = sum(abs(row @ w[g][:, up]) ** 2

@@ -8,9 +8,8 @@ from mara_sim.errors import ContractError
 from mara_sim.scenario import PathSet, generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles, pattern_gain
 from mara_sim.channel import (AntennaState, ChannelWorkspace, channel_tensor,
-                              ecsi, initial_state, path_gains,
-                              project_to_movement_region, rx_steering,
-                              tx_steering, validate_state)
+                              initial_state, project_to_movement_region, validate_state)
+from mara_sim.checks import ecsi, path_gains, rx_steering, tx_steering
 
 from conftest import make_config, random_feasible_state
 

@@ -53,6 +53,14 @@ def test_run_bad_override_key_names_key(tmp_path, capsys):
     assert "carrier" in capsys.readouterr().err
 
 
+def test_run_non_finite_override_is_an_error(tmp_path, capsys):
+    cfg = small_run_config(tmp_path)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                 "--set", "max_delay_s=nan"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: max_delay_s must be finite")
+
+
 def test_run_missing_config(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path)])
     assert code == 1

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import mara_sim.harness as harness
-from mara_sim.errors import ContractError
+from mara_sim.channel import ChannelWorkspace
+from mara_sim.errors import ContractError, ValidationError
 from mara_sim.harness import (ExperimentSpec, ResultRow, emit_csv,
-                              emit_summary_csv, format_summary, run_experiment,
-                              summarize)
+                              emit_summary_csv, format_summary, reference_experiment,
+                              run_experiment, summarize)
 from mara_sim.optim import OptimOptions
 
 from conftest import make_config
@@ -84,6 +85,39 @@ def test_spec_validation():
         tiny_spec(sweep=("noise_power_w", (1.0, 2.0)))
     with pytest.raises(ContractError):
         tiny_spec(schemes=("TFA", "XXX"))
+
+
+@pytest.mark.parametrize("sweep, error", [
+    (("num_bs_antennas", (2, 4, 4.5)), ContractError),
+    (("num_paths_per_ue", (2.5,)), ContractError),
+    (("total_power_w", (0.5, math.inf)), ContractError),
+    (("total_power_w", (math.nan,)), ContractError),
+    (("num_bs_antennas", (1, 2)), ValidationError),
+])
+def test_spec_rejects_sweep_values_that_cannot_run(sweep, error):
+    with pytest.raises(error):
+        tiny_spec(sweep=sweep)
+
+
+def test_integral_float_sweep_values_run():
+    rows = run_experiment(tiny_spec(schemes=("TFA",),
+                                    sweep=("num_bs_antennas", (2.0, 3.0))))
+    assert [(r.sweep_value, r.ok) for r in rows] == [(2.0, True), (3.0, True)]
+
+
+def test_cell_builds_one_workspace(monkeypatch):
+    built = []
+    init = ChannelWorkspace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ChannelWorkspace, "__init__", counting_init)
+    spec = dataclasses.replace(reference_experiment(num_seeds=1),
+                               sweep=("total_power_w", (1.0,)))
+    rows = run_experiment(spec)
+    assert [r.scheme for r in rows] == ["TFA", "SMA", "ERA", "MARA"]
+    assert len(built) == 1
 
 
 def test_emit_csv_header_only(tmp_path):

@@ -1,9 +1,15 @@
-"""Every name a `mara_sim` module imports is used in that module.
+"""Every name a `mara_sim` module imports is used in that module, and the
+solver runs without `mara_sim.checks`, the home of the reference forms.
 
-`__init__.py` is exempt: it imports names to re-export them.
+`__init__.py` is exempt from the unused-import scan: it imports names to
+re-export them.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +43,47 @@ def test_every_import_is_used(module):
 def test_every_exported_name_resolves():
     import mara_sim
     assert [name for name in mara_sim.__all__ if not hasattr(mara_sim, name)] == []
+
+
+REFERENCE_FORMS = ("ecsi", "tx_steering", "rx_steering", "path_gains", "sinr",
+                   "mrt_precoder", "brute_force_positions", "se_gradient_positions",
+                   "se_gradient_patterns")
+
+
+def imported_modules(source: str) -> set[str]:
+    """Package-relative names that a module's import statements name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            found |= {module} | {f"{module}.{a.name}" for a in node.names}
+    return {name.removeprefix("mara_sim").strip(".") for name in found}
+
+
+def test_only_the_cli_imports_checks():
+    assert [m for m in MODULES + ["__init__.py"]
+            if "checks" in imported_modules((PACKAGE / m).read_text())] == ["cli.py"]
+
+
+def test_reference_forms_live_only_in_checks():
+    from mara_sim import checks
+    assert all(getattr(checks, name).__module__ == "mara_sim.checks"
+               for name in REFERENCE_FORMS)
+    engine = [importlib.import_module(f"mara_sim.{m[:-3]}") for m in MODULES
+              if m != "checks.py"]
+    assert [(mod.__name__, name) for mod in engine for name in REFERENCE_FORMS
+            if hasattr(mod, name)] == []
+
+
+def test_a_cell_runs_without_loading_checks():
+    code = ("import dataclasses, sys, mara_sim\n"
+            "spec = mara_sim.reference_experiment(num_seeds=1)\n"
+            "rows = mara_sim.run_experiment(dataclasses.replace(\n"
+            "    spec, sweep=('total_power_w', (1.0,))))\n"
+            "print(all(r.ok for r in rows), 'mara_sim.checks' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["True", "False"]

@@ -8,11 +8,11 @@ from mara_sim.errors import ContractError, SingularChannelError, SizeLimitError
 from mara_sim.scenario import SCHEME_ORDER, PathSet, Scenario, generate_scenario
 from mara_sim.shod import build_basis, build_omega
 from mara_sim.channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState,
-                              ChannelWorkspace, channel_tensor, ecsi, initial_state)
+                              ChannelWorkspace, channel_tensor, initial_state)
+from mara_sim.checks import brute_force_positions, ecsi
 from mara_sim.se import sum_se_arrays
 from mara_sim.optim import (WARM_STARTS, OptimOptions, OptimResult, alternating_optimize,
-                            brute_force_positions, digital_precoder,
-                            optimize_patterns, optimize_positions)
+                            digital_precoder, optimize_patterns, optimize_positions)
 
 from conftest import make_config, random_feasible_state
 
@@ -191,6 +191,18 @@ def test_alternating_rejects_unconfigured_scheme():
     scen = generate_scenario(cfg)
     with pytest.raises(ContractError):
         alternating_optimize(scen, "SMA", FAST)
+
+
+def test_workspace_of_another_scenario_rejected():
+    scen = generate_scenario(make_config(seed=62))
+    other = ChannelWorkspace(generate_scenario(make_config(seed=62)))
+    state = initial_state(scen, "MARA")
+    prec = digital_precoder(other.state_tensor(state), 1.0, 1e-2)
+    for solve in (lambda: alternating_optimize(scen, "TFA", FAST, ws=other),
+                  lambda: optimize_positions(scen, state, prec, FAST, other),
+                  lambda: optimize_patterns(scen, state, prec, FAST, other)):
+        with pytest.raises(ContractError, match="another scenario"):
+            solve()
 
 
 @pytest.mark.parametrize("seed", [63, 64])

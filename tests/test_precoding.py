@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mara_sim.checks import mrt_precoder
 from mara_sim.errors import ContractError, SingularChannelError
 from mara_sim.scenario import generate_scenario
 from mara_sim.channel import channel_tensor, initial_state
@@ -111,16 +112,15 @@ def test_zf_nulls_cross_user_terms(rng):
 
 def test_total_power_spent_exactly(rng):
     h = random_tensor(rng, U=2, M=4, G=3)
-    for method in ("ZF", "MRT"):
-        prec = digital_precoder(h, 1.7, 0.02, method=method)
+    for prec in (digital_precoder(h, 1.7, 0.02), mrt_precoder(h, 1.7)):
         assert prec.total_power == pytest.approx(1.7, rel=1e-9)
 
 
 def test_single_user_zf_equals_mrt_single_subcarrier(rng):
     h = random_tensor(rng, U=1, M=4, G=1)
     noise = 0.05
-    se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise, "ZF").w, noise)
-    se_mrt = sum_se_arrays(h, digital_precoder(h, 1.0, noise, "MRT").w, noise)
+    se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise).w, noise)
+    se_mrt = sum_se_arrays(h, mrt_precoder(h, 1.0).w, noise)
     assert se_zf == pytest.approx(se_mrt, rel=1e-9)
 
 
@@ -132,14 +132,14 @@ def test_single_user_zf_equals_mrt_flat_channel(rng):
     scen = generate_scenario(cfg)
     h = channel_tensor(scen, initial_state(scen, "TFA"), "TFA")
     noise = cfg.noise_power_w
-    se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise, "ZF").w, noise)
-    se_mrt = sum_se_arrays(h, digital_precoder(h, 1.0, noise, "MRT").w, noise)
+    se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise).w, noise)
+    se_mrt = sum_se_arrays(h, mrt_precoder(h, 1.0).w, noise)
     assert se_zf == pytest.approx(se_mrt, rel=1e-9)
 
 
 def test_mrt_columns_proportional_to_conjugate_channel(rng):
     h = random_tensor(rng, U=2, M=3, G=2)
-    prec = digital_precoder(h, 1.0, 0.1, method="MRT")
+    prec = mrt_precoder(h, 1.0)
     for g in range(2):
         for u in range(2):
             col = prec.w[g][:, u]
@@ -156,12 +156,6 @@ def test_zf_rank_deficient_names_subcarrier(rng):
         digital_precoder(h, 1.0, 0.1)
 
 
-def test_unknown_method_rejected(rng):
-    h = random_tensor(rng, 1, 2, 1)
-    with pytest.raises(ContractError):
-        digital_precoder(h, 1.0, 0.1, method="WMMSE")
-
-
 def test_waterfilling_beats_equal_split(rng):
     # Frequency-selective single-user instance: the ZF water-filler should
     # never do worse than the same directions with an equal power split.
@@ -170,7 +164,7 @@ def test_waterfilling_beats_equal_split(rng):
     scen = generate_scenario(cfg)
     h = channel_tensor(scen, initial_state(scen, "TFA"), "TFA")
     noise = cfg.noise_power_w
-    prec = digital_precoder(h, 1.0, noise, "ZF")
+    prec = digital_precoder(h, 1.0, noise)
     se_wf = sum_se_arrays(h, prec.w, noise)
     directions = prec.w / np.maximum(np.linalg.norm(prec.w, axis=1, keepdims=True), 1e-300)
     equal = directions * np.sqrt(1.0 / prec.w.shape[0])

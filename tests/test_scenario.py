@@ -144,3 +144,12 @@ def test_config_validation_errors_name_fields():
     for key, value in bad.items():
         with pytest.raises(ValidationError, match=key):
             make_config(**{key: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["carrier_frequency_hz", "subcarrier_spacing_hz",
+                                 "max_delay_s", "total_power_w", "noise_power_w",
+                                 "antenna_spacing_wavelengths"])
+def test_config_validation_rejects_non_finite_floats(key, value):
+    with pytest.raises(ValidationError, match=key):
+        make_config(**{key: value})

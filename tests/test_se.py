@@ -6,8 +6,9 @@ import pytest
 from mara_sim.errors import ContractError
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega
-from mara_sim.channel import channel_tensor, ecsi, initial_state
-from mara_sim.se import sinr, sum_se_arrays
+from mara_sim.channel import channel_tensor, initial_state
+from mara_sim.checks import ecsi, sinr
+from mara_sim.se import sum_se_arrays
 
 from conftest import make_config, random_feasible_state
 
@@ -136,3 +137,14 @@ def test_sinr_decreases_with_noise(rng):
             assert high <= low
             if low > 0:
                 assert high < low
+
+
+@pytest.mark.parametrize("size", [(2, 4, 8), (4, 8, 32), (3, 6, 16)])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_sum_se_equals_per_slice_calls_bitwise(seed, size):
+    U, M, G = size
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((8, U, M, G)) + 1j * rng.standard_normal((8, U, M, G))
+    w = rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U))
+    stacked = sum_se_arrays(h, w, 0.05)
+    assert stacked.tolist() == [sum_se_arrays(one, w, 0.05) for one in h]
