@@ -226,7 +226,7 @@ def position_oracle_gap(scenario, opts, grid_step: float) -> float:
     state = initial_state(scenario, "SMA")
     prec = zf_precoder(ws.state_tensor(state), scenario.config)
     noise = scenario.config.noise_power_w
-    opt = optimize_positions(scenario, state, prec, opts, ws)
+    opt, _ = optimize_positions(scenario, state, prec, opts, ws)
     bf = brute_force_positions(scenario, state, prec, grid_step)
     return _gap(sum_se_arrays(ws.state_tensor(bf), prec.w, noise),
                 sum_se_arrays(ws.state_tensor(opt), prec.w, noise))
@@ -239,7 +239,7 @@ def pattern_oracle_gap(scenario, opts) -> float:
     ws = ChannelWorkspace(scenario)
     state = initial_state(scenario, "ERA")
     prec = zf_precoder(ws.state_tensor(state), scenario.config)
-    out = optimize_patterns(scenario, state, prec, opts, ws)
+    out, _ = optimize_patterns(scenario, state, prec, opts, ws)
     ps = scenario.path_sets[0]
     q = ecsi(ps, build_omega(ws.basis, ps), scenario.initial_positions[0],
              scenario.ue_positions[0], scenario.subcarrier_frequencies[0],

@@ -46,6 +46,7 @@ class ExperimentSpec:
         unknown = set(self.schemes) - set(SCHEME_ORDER)
         if unknown:
             raise ContractError(f"unknown scheme(s) {sorted(unknown)}")
+        values = (None,)
         if self.sweep is not None:
             name, values = self.sweep
             if name not in SWEEPABLE_PARAMS:
@@ -55,7 +56,9 @@ class ExperimentSpec:
             for value in values:
                 if not math.isfinite(value) or (name in _INT_KEYS and value != int(value)):
                     raise ContractError(f"sweep value {value!r} is not a valid {name}")
-                _cell_config(self, self.seeds[0], value)  # raises on an infeasible cell
+        for seed in self.seeds:
+            for value in values:
+                _cell_config(self, seed, value)  # raises on an infeasible cell
 
 
 @dataclass

@@ -5,13 +5,14 @@ forcing plus water-filling), antenna positions (projected gradient ascent
 inside per-antenna balls), and pattern coefficients (retracted gradient ascent
 on per-antenna unit spheres). Every sub-step keeps its candidate only if the
 objective does not decrease, so the reported trace is monotone by
-construction. Warm starts enforce the scheme nesting: SMA/ERA start from the
-TFA solution and MARA from the better of the converged SMA and ERA states.
+construction; each block ascent returns the SE it reached, so an accept
+scores only the re-derived precoder. Warm starts enforce the scheme nesting:
+SMA/ERA take the TFA solution and MARA the better of the SMA and ERA ones,
+state, precoders and SE as they are.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,8 @@ from .channel import (
     sample_movement_region,
     sample_unit_spheres,
 )
-from .se import PrecoderSet, sum_se_arrays
+from .se import _LN2, PrecoderSet, sum_se_arrays
 
-_LN2 = math.log(2.0)
 # Line-search steps evaluated in the first batch; each further batch doubles.
 LADDER_CHUNK = 8
 # The schemes whose solutions warm-start each scheme: the best of them is the
@@ -61,7 +61,7 @@ class OptimOptions:
                 raise ContractError(f"{name} must be positive")
         if self.max_outer_iters < 1:
             raise ContractError("max_outer_iters must be at least 1")
-        for name in ("inner_grad_iters", "restarts"):
+        for name in ("inner_grad_iters", "restarts", "seed"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be nonnegative")
 
@@ -72,7 +72,6 @@ class OptimResult:
     state: AntennaState
     precoders: PrecoderSet
     se_trace: list[float]
-    iterations: int
     converged: bool
 
     def __post_init__(self):
@@ -83,6 +82,10 @@ class OptimResult:
     @property
     def se(self) -> float:
         return self.se_trace[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.se_trace)
 
 
 def water_fill(slopes: np.ndarray, total_power: float) -> np.ndarray:
@@ -271,18 +274,18 @@ def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
 
 
 def _best_of_restarts(start, draw, ascend, opts):
-    """The point reached by the best of the restarts of ascend(init) -> (x, f).
+    """The best (x, f) over the restarts of ascend(init) -> (x, f).
 
-    Restart 0 starts from `start`; restart r > 0 from draw(rng), with rng
-    seeded opts.seed + r. Ties keep the earliest restart.
+    Restart 0 starts from `start`, restart r > 0 from draw(rng) with rng seeded
+    opts.seed + r; without inner iterations only restart 0 runs. Ties keep the earliest.
     """
     best_x, best_f = None, -np.inf
-    for r in range(max(1, opts.restarts)):
+    for r in range(max(1, opts.restarts) if opts.inner_grad_iters else 1):
         init = start if r == 0 else draw(np.random.default_rng(opts.seed + r))
         x, f = ascend(init)
         if f > best_f:
             best_x, best_f = x, f
-    return best_x
+    return best_x, best_f
 
 
 def _workspace(scenario: Scenario, ws: ChannelWorkspace | None) -> ChannelWorkspace:
@@ -294,46 +297,43 @@ def _workspace(scenario: Scenario, ws: ChannelWorkspace | None) -> ChannelWorksp
 
 def optimize_positions(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
                        opts: OptimOptions | None = None,
-                       ws: ChannelWorkspace | None = None) -> AntennaState:
+                       ws: ChannelWorkspace | None = None) -> tuple[AntennaState, float]:
     """Projected gradient ascent over antenna positions; best of seeded restarts.
 
     Restart 0 warm-starts from the incoming state (projected into the movement
     balls first); further restarts begin at random feasible positions seeded
-    seed + restart index. The returned state never has lower SE than the
-    incoming one under the given precoders.
+    seed + restart index. Returns (state, se): the SE of the returned state
+    under the given precoders, never lower than the incoming state's.
     """
     opts = opts if opts is not None else OptimOptions()
     if state.scheme not in MOVABLE_SCHEMES:
         raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
     ws = _workspace(scenario, ws)
     start = project_to_movement_region(scenario, state.positions)
-    if opts.inner_grad_iters == 0:
-        return AntennaState(start, state.coefficients.copy(), state.scheme)
     noise = scenario.config.noise_power_w
-    best = _best_of_restarts(
+    best, se = _best_of_restarts(
         start, lambda rng: sample_movement_region(scenario, rng),
         lambda init: _ascend_positions(ws, init, state.coefficients, precoders,
                                        noise, opts), opts)
-    return AntennaState(best, state.coefficients.copy(), state.scheme)
+    return AntennaState(best, state.coefficients.copy(), state.scheme), se
 
 
 def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
                       opts: OptimOptions | None = None,
-                      ws: ChannelWorkspace | None = None) -> AntennaState:
-    """Retracted gradient ascent over per-antenna unit-sphere pattern coefficients."""
+                      ws: ChannelWorkspace | None = None) -> tuple[AntennaState, float]:
+    """Retracted gradient ascent over per-antenna unit-sphere pattern coefficients;
+    returns (state, se) like `optimize_positions`."""
     opts = opts if opts is not None else OptimOptions()
     if state.scheme not in RECONFIGURABLE_SCHEMES:
         raise ContractError(f"patterns are pinned for scheme {state.scheme!r}")
     ws = _workspace(scenario, ws)
     start = state.coefficients / np.linalg.norm(state.coefficients, axis=1, keepdims=True)
-    if opts.inner_grad_iters == 0:
-        return AntennaState(state.positions.copy(), start, state.scheme)
     noise = scenario.config.noise_power_w
-    best = _best_of_restarts(
+    best, se = _best_of_restarts(
         start, lambda rng: sample_unit_spheres(rng, start.shape),
         lambda init: _ascend_patterns(ws, state.positions, init, precoders,
                                       noise, opts), opts)
-    return AntennaState(state.positions.copy(), best, state.scheme)
+    return AntennaState(state.positions.copy(), best, state.scheme), se
 
 
 def alternating_optimize(scenario: Scenario, scheme: str,
@@ -363,40 +363,37 @@ def _optimize_scheme(ws, scheme, opts, warm):
         h = ws.state_tensor(state)
         precoders = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
         se = sum_se_arrays(h, precoders.w, cfg.noise_power_w)
-        return OptimResult("TFA", state, precoders, [se], 1, True)
+        return OptimResult("TFA", state, precoders, [se], True)
 
     for source in WARM_STARTS[scheme]:
         if source not in warm:
             warm[source] = _optimize_scheme(ws, source, opts, warm)
     base = max((warm[source] for source in WARM_STARTS[scheme]), key=lambda r: r.se)
-    state = base.state.retagged(scheme)
-    precoders, current = _accept_precoder(ws, state, base.precoders.copy())
+    state, precoders, current = base.state.retagged(scheme), base.precoders, base.se
     trace: list[float] = []
-    converged = False
     for _ in range(opts.max_outer_iters):
         before = current
         if scheme in MOVABLE_SCHEMES:
-            state = optimize_positions(scenario, state, precoders, opts, ws)
-            precoders, current = _accept_precoder(ws, state, precoders)
+            state, current = optimize_positions(scenario, state, precoders, opts, ws)
+            precoders, current = _accept_precoder(ws, state, precoders, current)
         if scheme in RECONFIGURABLE_SCHEMES:
-            state = optimize_patterns(scenario, state, precoders, opts, ws)
-            precoders, current = _accept_precoder(ws, state, precoders)
+            state, current = optimize_patterns(scenario, state, precoders, opts, ws)
+            precoders, current = _accept_precoder(ws, state, precoders, current)
         trace.append(current)
         if current - before < opts.tol_rel * max(abs(before), 1e-12):
-            converged = True
-            break
-    return OptimResult(scheme, state, precoders, trace, len(trace), converged)
+            return OptimResult(scheme, state, precoders, trace, True)
+    return OptimResult(scheme, state, precoders, trace, False)
 
 
-def _accept_precoder(ws, state, precoders):
+def _accept_precoder(ws, state, precoders, current):
     """Re-derive the ZF precoder at `state` and keep it only if the objective rises.
 
-    Builds the channel once and returns (precoders, se) at `state`. A channel
-    that is singular at `state` keeps `precoders`.
+    `current` is the SE of `precoders` at `state`, which the block ascent that
+    reached `state` already computed; only the ZF candidate is scored. Returns
+    (precoders, se) at `state`; a channel singular at `state` keeps `precoders`.
     """
     cfg = ws.scenario.config
     h = ws.state_tensor(state)
-    current = sum_se_arrays(h, precoders.w, cfg.noise_power_w)
     try:
         candidate = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
     except SingularChannelError:

@@ -83,6 +83,8 @@ class SystemConfig:
             raise ValidationError("noise_power_w must be finite and > 0")
         if self.shod_max_degree < 0:
             raise ValidationError("shod_max_degree must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         unknown = set(self.schemes) - set(SCHEME_ORDER)
         if unknown:
             raise ValidationError(f"schemes contains unknown entries {sorted(unknown)}")

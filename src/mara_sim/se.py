@@ -25,9 +25,6 @@ class PrecoderSet:
     def total_power(self) -> float:
         return float(np.sum(np.abs(self.w) ** 2))
 
-    def copy(self) -> "PrecoderSet":
-        return PrecoderSet(self.w.copy())
-
 
 def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
     """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz,

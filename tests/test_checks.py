@@ -84,6 +84,7 @@ def test_position_oracle_gap_nan(monkeypatch):
 
 def test_pattern_oracle_gap_nan(monkeypatch):
     monkeypatch.setattr(checks, "optimize_patterns",
-                        lambda scen, state, *args: AntennaState(
-                            state.positions, with_nan(state.coefficients), state.scheme))
+                        lambda scen, state, *args: (AntennaState(
+                            state.positions, with_nan(state.coefficients), state.scheme),
+                            np.nan))
     assert np.isnan(checks.pattern_oracle_gap(one_by_one(1), FAST))

@@ -53,6 +53,14 @@ def test_run_bad_override_key_names_key(tmp_path, capsys):
     assert "carrier" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--seeds", "0,-1"], ["--set", "seed=-1"]])
+def test_run_negative_seed_is_an_error(tmp_path, capsys, flags):
+    cfg = small_run_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")] + flags) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_non_finite_override_is_an_error(tmp_path, capsys):
     cfg = small_run_config(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -170,9 +178,9 @@ def test_oracle_grid_guard(capsys):
 def test_oracle_nan_gap_exits_one(capsys, monkeypatch):
     def nan_patterns(scenario, state, *args):
         return AntennaState(state.positions, np.full(state.coefficients.shape, np.nan),
-                            state.scheme)
+                            state.scheme), np.nan
     monkeypatch.setattr(checks, "optimize_patterns", nan_patterns)
-    assert main(["oracle"]) == 1
+    assert main(["oracle", "--set", "grid_step=0.005"]) == 1
     out = capsys.readouterr().out
     assert "positions vs grid" in out and "patterns vs eigenvector: nan" in out
 

@@ -99,6 +99,12 @@ def test_spec_rejects_sweep_values_that_cannot_run(sweep, error):
         tiny_spec(sweep=sweep)
 
 
+@pytest.mark.parametrize("sweep", [None, ("total_power_w", (0.5, 1.0))])
+def test_spec_rejects_every_negative_seed(sweep):
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        tiny_spec(seeds=(0, -1), sweep=sweep)
+
+
 def test_integral_float_sweep_values_run():
     rows = run_experiment(tiny_spec(schemes=("TFA",),
                                     sweep=("num_bs_antennas", (2.0, 3.0))))

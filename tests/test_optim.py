@@ -54,7 +54,7 @@ def test_optimize_positions_monotone_and_feasible(rng):
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
-    out = optimize_positions(scen, state, prec, FAST, ws)
+    out, _ = optimize_positions(scen, state, prec, FAST, ws)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert after >= before - 1e-9
     offsets = np.linalg.norm(out.positions - scen.initial_positions, axis=1)
@@ -71,7 +71,7 @@ def test_single_path_position_cannot_help():
     state = initial_state(scen, "SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
-    out = optimize_positions(scen, state, prec, OptimOptions(restarts=3), ws)
+    out, _ = optimize_positions(scen, state, prec, OptimOptions(restarts=3), ws)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert abs(after - before) <= 1e-9
 
@@ -89,7 +89,7 @@ def test_optimize_positions_matches_1d_grid_oracle():
     xs = np.arange(-cfg.movement_radius, cfg.movement_radius + step / 2, step)
     se_grid = max(math.log2(1 + abs(axis_channel_value(gains, kappa, x)) ** 2
                             * w_amp2 / noise) for x in xs)
-    out = optimize_positions(scen, state, prec, OptimOptions(seed=3), ws)
+    out, _ = optimize_positions(scen, state, prec, OptimOptions(seed=3), ws)
     se_opt = sum_se_arrays(ws.state_tensor(out), prec.w, noise)
     assert se_opt == pytest.approx(se_grid, rel=1e-6)
 
@@ -100,7 +100,7 @@ def test_optimize_positions_zero_iterations_is_identity(rng):
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(channel_tensor(scen, state, "SMA"),
                             cfg.total_power_w, cfg.noise_power_w)
-    out = optimize_positions(scen, state, prec, OptimOptions(inner_grad_iters=0))
+    out, _ = optimize_positions(scen, state, prec, OptimOptions(inner_grad_iters=0))
     assert np.array_equal(out.positions, state.positions)
     assert np.array_equal(out.coefficients, state.coefficients)
 
@@ -145,7 +145,7 @@ def test_optimize_patterns_stationary_start_unchanged():
     state = AntennaState(scen.initial_positions.copy(), alpha_star[None, :].copy(), "ERA")
     prec = digital_precoder(channel_tensor(scen, state, "ERA"),
                             cfg.total_power_w, cfg.noise_power_w)
-    out = optimize_patterns(scen, state, prec, OptimOptions(seed=4))
+    out, _ = optimize_patterns(scen, state, prec, OptimOptions(seed=4))
     assert np.allclose(out.coefficients[0], alpha_star, atol=1e-9)
 
 
@@ -159,7 +159,7 @@ def test_optimize_patterns_recovers_rank_one_maximizer():
         prec = digital_precoder(channel_tensor(scen, state, "ERA"),
                                 cfg.total_power_w, cfg.noise_power_w)
         opts = OptimOptions(seed=5, tol_rel=1e-9, inner_grad_iters=200)
-        out = optimize_patterns(scen, state, prec, opts)
+        out, _ = optimize_patterns(scen, state, prec, opts)
         achieved = abs(np.conj(q) @ out.coefficients[0]) ** 2
         assert achieved == pytest.approx(best, rel=1e-6)
 
@@ -171,7 +171,7 @@ def test_optimize_patterns_monotone(rng):
     state = random_feasible_state(scen, rng, scheme="ERA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
-    out = optimize_patterns(scen, state, prec, FAST, ws)
+    out, _ = optimize_patterns(scen, state, prec, FAST, ws)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert after >= before - 1e-9
     assert np.allclose(np.linalg.norm(out.coefficients, axis=1), 1.0, atol=1e-10)
@@ -247,20 +247,72 @@ def test_singular_mid_solve_precoder_keeps_current(monkeypatch):
     assert np.array_equal(res.precoders.w, tfa.precoders.w)
 
 
-def test_sma_solve_derives_one_precoder_per_sub_step(monkeypatch):
-    # One accept at the warm start, then one after each position ascent.
+@pytest.mark.parametrize("scheme, accepts_per_iteration", [("SMA", 1), ("MARA", 2)],
+                         ids=["SMA", "MARA"])
+def test_solve_derives_one_precoder_per_sub_step(monkeypatch, scheme,
+                                                 accepts_per_iteration):
+    # The warm start takes its source's precoders and SE as they are; each
+    # block ascent is followed by one accept, which derives one precoder and
+    # scores only that candidate.
     scen = generate_scenario(make_config(seed=66))
-    tfa = alternating_optimize(scen, "TFA", FAST)
-    calls = []
+    warm = {}
+    for source in SCHEME_ORDER[:SCHEME_ORDER.index(scheme)]:
+        warm[source] = alternating_optimize(scen, source, FAST, dict(warm))
+    derived, scored, ascending = [], [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_precoder(*args, **kwargs):
+        derived.append(1)
         return digital_precoder(*args, **kwargs)
 
-    monkeypatch.setattr(optim, "digital_precoder", counted)
-    res = alternating_optimize(scen, "SMA", FAST, {"TFA": tfa})
+    def counted_se(*args, **kwargs):
+        if not ascending:
+            scored.append(1)
+        return sum_se_arrays(*args, **kwargs)
+
+    def inside(ascend):
+        def wrapped(*args, **kwargs):
+            ascending.append(1)
+            try:
+                return ascend(*args, **kwargs)
+            finally:
+                ascending.pop()
+        return wrapped
+
+    monkeypatch.setattr(optim, "digital_precoder", counted_precoder)
+    monkeypatch.setattr(optim, "sum_se_arrays", counted_se)
+    monkeypatch.setattr(optim, "_ascend_positions", inside(optim._ascend_positions))
+    monkeypatch.setattr(optim, "_ascend_patterns", inside(optim._ascend_patterns))
+    res = alternating_optimize(scen, scheme, FAST, warm)
     assert res.iterations >= 2
-    assert len(calls) == 1 + res.iterations
+    assert len(derived) == accepts_per_iteration * res.iterations
+    assert len(scored) == len(derived)
+
+
+# Each case is make_config overrides: a few default instances, then edge sizes
+# and the sizes of the large-array benchmark workload.
+SE_CASES = [dict(seed=80), dict(seed=81), dict(seed=82),
+            dict(num_subcarriers=1, seed=83), dict(num_paths_per_ue=1, seed=84),
+            dict(num_ues=1, num_bs_antennas=1, seed=85), dict(shod_max_degree=0, seed=86),
+            dict(num_ues=3, num_bs_antennas=3, seed=87), dict(max_delay_s=0.0, seed=88),
+            dict(num_subcarriers=32, num_bs_antennas=8, num_ues=4, num_paths_per_ue=12,
+                 shod_max_degree=3, seed=89)]
+
+
+@pytest.mark.parametrize("optimize", [optimize_positions, optimize_patterns],
+                         ids=["positions", "patterns"])
+@pytest.mark.parametrize("overrides", SE_CASES, ids=lambda o: "-".join(
+    f"{k}={v}" for k, v in o.items()))
+def test_block_optimizers_return_the_se_of_their_state(optimize, overrides, rng):
+    # The SE an ascent reports is the one the next accept builds on, so it must
+    # equal a fresh evaluation at the returned state bit for bit.
+    cfg = make_config(**overrides)
+    scen = generate_scenario(cfg)
+    ws = ChannelWorkspace(scen)
+    state = random_feasible_state(scen, rng, scheme="MARA")
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    for opts in (FAST, OptimOptions(inner_grad_iters=0)):
+        out, se = optimize(scen, state, prec, opts, ws)
+        assert se == sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
 
 
 def test_warm_starts_nest_in_scheme_order():
@@ -272,7 +324,7 @@ def test_warm_starts_nest_in_scheme_order():
                 assert source not in dofs or scheme in dofs
 
 
-@pytest.mark.parametrize("field", ["max_outer_iters", "inner_grad_iters", "restarts"])
+@pytest.mark.parametrize("field", ["max_outer_iters", "inner_grad_iters", "restarts", "seed"])
 def test_options_reject_too_few_iterations(field):
     low = 0 if field == "max_outer_iters" else -1
     with pytest.raises(ContractError, match=field):
@@ -282,7 +334,7 @@ def test_options_reject_too_few_iterations(field):
 def test_optim_result_rejects_decreasing_trace():
     state = AntennaState(np.zeros((1, 3)), np.ones((1, 1)), "TFA")
     with pytest.raises(ContractError):
-        OptimResult("TFA", state, None, [2.0, 1.0], 2, True)
+        OptimResult("TFA", state, None, [2.0, 1.0], True)
 
 
 def test_brute_force_keeps_incoming_candidate(rng):
@@ -336,8 +388,8 @@ def test_optimizers_deterministic(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    a = optimize_positions(scen, state, prec, FAST, ws)
-    b = optimize_positions(scen, state, prec, FAST, ws)
+    a, _ = optimize_positions(scen, state, prec, FAST, ws)
+    b, _ = optimize_positions(scen, state, prec, FAST, ws)
     assert np.array_equal(a.positions, b.positions)
     r1 = alternating_optimize(scen, "MARA", FAST)
     r2 = alternating_optimize(scen, "MARA", FAST)
