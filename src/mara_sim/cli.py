@@ -102,6 +102,10 @@ def cmd_run(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else (base.seed,)
     spec = harness.ExperimentSpec(base=base, seeds=seeds, schemes=base.schemes)
     rows = harness.run_experiment(spec)
+    nesting_failures = [r for r in rows if not r.ok and r.scheme == "nesting_violation"]
+    errors = [r for r in rows if not r.ok and r.scheme != "nesting_violation"]
+    for r in errors:  # before summarize, which raises when no row succeeded
+        print(f"cell failed: {r.note}", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
     summary_path = os.path.join(args.out, "summary.csv")
@@ -115,17 +119,9 @@ def cmd_run(args) -> int:
     elif not args.quiet:
         print(harness.format_summary(summary))
         print(f"wrote {results_path} and {summary_path}")
-    nesting_failures = [r for r in rows if not r.ok and r.scheme == "nesting_violation"]
-    errors = [r for r in rows if not r.ok and r.scheme != "nesting_violation"]
-    if nesting_failures:
-        for r in nesting_failures:
-            print(f"nesting assertion failed: {r.note}", file=sys.stderr)
-        return 2
-    if errors:
-        for r in errors:
-            print(f"cell failed: {r.note}", file=sys.stderr)
-        return 1
-    return 0
+    for r in nesting_failures:
+        print(f"nesting assertion failed: {r.note}", file=sys.stderr)
+    return 2 if nesting_failures else 1 if errors else 0
 
 
 def _check_default_config() -> SystemConfig:

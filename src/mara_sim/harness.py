@@ -46,6 +46,9 @@ class ExperimentSpec:
         unknown = set(self.schemes) - set(SCHEME_ORDER)
         if unknown:
             raise ContractError(f"unknown scheme(s) {sorted(unknown)}")
+        for name in ("seeds", "schemes"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ContractError(f"{name} must not repeat")
         values = (None,)
         if self.sweep is not None:
             name, values = self.sweep

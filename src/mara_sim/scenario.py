@@ -90,6 +90,8 @@ class SystemConfig:
             raise ValidationError(f"schemes contains unknown entries {sorted(unknown)}")
         if not self.schemes:
             raise ValidationError("schemes must be nonempty")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ValidationError("schemes must not repeat")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ A pattern f(theta, phi) is represented by a real coefficient vector alpha of
 length K = (N+1)^2 against the basis {omega_k}; the basis is orthonormal under
 integration over the sphere, so the radiated-power normalization
 ``integral |f|^2 sin(theta) dtheta dphi = 1`` is exactly ``||alpha||^2 = 1``.
+`evaluate_basis` computes the harmonics by the Legendre recurrence in degree.
 
 The quadrature rule is Gauss-Legendre in cos(theta) crossed with a uniform
 (trapezoid) azimuth grid. Both factors are exact for products of two basis
@@ -17,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv
 
 from .errors import ContractError
-from .scenario import PathSet
+from .scenario import PathSet, _frozen
 
 
 @dataclass(frozen=True)
@@ -68,38 +68,41 @@ def build_basis(max_degree: int) -> BasisSet:
     weights = np.repeat(w, n_azimuth) * (2.0 * np.pi / n_azimuth)
     return BasisSet(
         max_degree=max_degree,
-        weights=_lock(weights),
-        node_values=_lock(evaluate_basis(max_degree, theta_grid, phi_grid)),
+        weights=_frozen(weights, np.float64),
+        node_values=_frozen(evaluate_basis(max_degree, theta_grid, phi_grid), np.float64),
     )
 
 
 def evaluate_basis(max_degree: int, theta, phi) -> np.ndarray:
     """Real spherical harmonics Y_lm(theta, phi), orthonormalized on the sphere.
 
-    Y_l0 = N_l0 P_l(cos theta);  for m > 0,
-    Y_lm  = sqrt(2) N_lm P_l^m(cos theta) cos(m phi) and
-    Y_l,-m = sqrt(2) N_lm P_l^m(cos theta) sin(m phi),
-    with N_lm = sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!).
+    Y_l0 = P_l^0(cos theta);  for m > 0, Y_lm = sqrt(2) P_l^m(cos theta) cos(m phi)
+    and Y_l,-m = sqrt(2) P_l^m(cos theta) sin(m phi). P_l^m is the fully normalized
+    associated Legendre function with the Condon-Shortley phase, from the three-term
+    recurrence in degree (DLMF 14.10): P_0^0 = 1/sqrt(4 pi), P_m^m = -sqrt((2m+1)/(2m))
+    sin(theta) P_{m-1}^{m-1}, and P_l^m = a_lm (cos(theta) P_{l-1}^m - b_lm P_{l-2}^m)
+    for l > m, with a_lm = sqrt((4l^2-1)/(l^2-m^2)), b_lm = sqrt(((l-1)^2-m^2)/(4(l-1)^2-1)).
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    theta, phi = np.broadcast_arrays(theta, phi)
+    theta, phi = np.broadcast_arrays(np.asarray(theta, np.float64), np.asarray(phi, np.float64))
     ct = np.cos(theta)
-    K = (max_degree + 1) ** 2
-    out = np.empty(theta.shape + (K,))
-    for ell in range(max_degree + 1):
-        base = ell * ell + ell
-        out[..., base] = _norm_const(ell, 0) * lpmv(0, ell, ct)
-        for m in range(1, ell + 1):
-            radial = math.sqrt(2.0) * _norm_const(ell, m) * lpmv(m, ell, ct)
-            out[..., base + m] = radial * np.cos(m * phi)
-            out[..., base - m] = radial * np.sin(m * phi)
+    st = np.sqrt(1.0 - ct * ct)  # from cos(theta): 0 wherever cos(theta) rounds to +-1
+    out = np.empty(theta.shape + ((max_degree + 1) ** 2,))
+    p_mm = np.full(theta.shape, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(max_degree + 1):
+        columns = ((0, 1.0),)
+        if m > 0:
+            p_mm = -math.sqrt((2 * m + 1) / (2 * m)) * st * p_mm
+            columns = ((m, math.sqrt(2.0) * np.cos(m * phi)),
+                       (-m, math.sqrt(2.0) * np.sin(m * phi)))
+        p_prev, p = 0.0, p_mm
+        for ell in range(m, max_degree + 1):
+            if ell > m:
+                a = math.sqrt((4 * ell * ell - 1) / (ell * ell - m * m))
+                b = math.sqrt(((ell - 1) ** 2 - m * m) / (4 * (ell - 1) ** 2 - 1))
+                p_prev, p = p, a * (ct * p - b * p_prev)
+            for offset, factor in columns:  # column k = l^2 + l + (+-m)
+                out[..., ell * ell + ell + offset] = p * factor
     return out
-
-
-def _norm_const(ell: int, m: int) -> float:
-    return math.sqrt((2 * ell + 1) / (4.0 * math.pi)
-                     * math.factorial(ell - m) / math.factorial(ell + m))
 
 
 def pattern_gain(basis: BasisSet, alpha: np.ndarray, theta, phi):
@@ -144,8 +147,3 @@ def build_omega(basis: BasisSet, path_set: PathSet) -> np.ndarray:
     """Per-UE pattern-response matrix: row i is omega(theta_i, phi_i), shape (L, K)."""
     theta, phi = departure_angles(path_set)
     return basis.evaluate(theta, phi)
-
-
-def _lock(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr

@@ -9,6 +9,7 @@ import mara_sim.optim as optim
 from mara_sim import checks
 from mara_sim.channel import AntennaState
 from mara_sim.cli import main
+from mara_sim.errors import SingularChannelError
 
 from conftest import write_config
 
@@ -58,6 +59,15 @@ def test_run_negative_seed_is_an_error(tmp_path, capsys, flags):
     cfg = small_run_config(tmp_path)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")] + flags) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, field", [(["--seeds", "0,0"], "seeds"),
+                                          (["--set", "schemes=TFA,TFA"], "schemes")])
+def test_run_repeated_seed_or_scheme_is_an_error(tmp_path, capsys, flags, field):
+    cfg = small_run_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")] + flags) == 1
+    assert f"error: {field} must not repeat" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -121,6 +131,20 @@ def test_run_error_in_mara_exits_one_and_keeps_rows(tmp_path, capsys, monkeypatc
     # The three schemes solved before the failure keep their rows.
     assert [(row[1], row[4] != "nan") for row in rows] == [
         ("TFA", True), ("SMA", True), ("ERA", True), ("MARA", False)]
+
+
+def test_run_error_in_every_cell_reports_its_cause(tmp_path, capsys, monkeypatch):
+    def singular(scenario, scheme, *args):
+        raise SingularChannelError("channel matrix is singular at subcarrier 0")
+    monkeypatch.setattr(harness, "alternating_optimize", singular)
+    cfg = small_run_config(tmp_path)
+    out = tmp_path / "s"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "0,1", "-q"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["cell failed: error: channel matrix is singular at subcarrier 0"] * 2 + [
+        "error: summarize requires at least one successful row"]
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0", "TFA"], ["1", "TFA"]]
 
 
 def test_run_json_summary(tmp_path, capsys):

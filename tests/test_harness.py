@@ -85,6 +85,10 @@ def test_spec_validation():
         tiny_spec(sweep=("noise_power_w", (1.0, 2.0)))
     with pytest.raises(ContractError):
         tiny_spec(schemes=("TFA", "XXX"))
+    with pytest.raises(ContractError, match="seeds must not repeat"):
+        tiny_spec(seeds=(0, 0))
+    with pytest.raises(ContractError, match="schemes must not repeat"):
+        tiny_spec(schemes=("TFA", "TFA"))
 
 
 @pytest.mark.parametrize("sweep, error", [

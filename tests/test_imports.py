@@ -1,5 +1,7 @@
-"""Every name a `mara_sim` module imports is used in that module, and the
-solver runs without `mara_sim.checks`, the home of the reference forms.
+"""Every name a `mara_sim` module imports is used in that module, the
+third-party modules it imports are the declared runtime dependencies, and the
+solver runs without `mara_sim.checks`, the home of the reference forms, and
+without scipy, which only the tests use as a reference.
 
 `__init__.py` is exempt from the unused-import scan: it imports names to
 re-export them.
@@ -8,6 +10,7 @@ re-export them.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +65,16 @@ def imported_modules(source: str) -> set[str]:
     return {name.removeprefix("mara_sim").strip(".") for name in found}
 
 
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    declared = {re.split(r"[<>=!~ \[;]", dep)[0] for dep in pyproject["project"]["dependencies"]}
+    top_level = {name.split(".")[0] for m in MODULES + ["__init__.py"]
+                 for name in imported_modules((PACKAGE / m).read_text())}
+    package = {""} | {m[:-3] for m in MODULES}
+    assert top_level - package - set(sys.stdlib_module_names) == declared
+
+
 def test_only_the_cli_imports_checks():
     assert [m for m in MODULES + ["__init__.py"]
             if "checks" in imported_modules((PACKAGE / m).read_text())] == ["cli.py"]
@@ -82,8 +95,9 @@ def test_a_cell_runs_without_loading_checks():
             "spec = mara_sim.reference_experiment(num_seeds=1)\n"
             "rows = mara_sim.run_experiment(dataclasses.replace(\n"
             "    spec, sweep=('total_power_w', (1.0,))))\n"
-            "print(all(r.ok for r in rows), 'mara_sim.checks' in sys.modules)\n")
+            "print(all(r.ok for r in rows), 'mara_sim.checks' in sys.modules,\n"
+            "      any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["True", "False"]
+    assert out.stdout.split() == ["True", "False", "False"]

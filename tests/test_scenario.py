@@ -139,7 +139,7 @@ def test_config_validation_errors_name_fields():
     bad = {
         "num_subcarriers": 0, "num_ues": 0, "num_paths_per_ue": 0,
         "total_power_w": 0.0, "noise_power_w": 0.0, "shod_max_degree": -1,
-        "antenna_spacing_wavelengths": 0.0, "seed": -1,
+        "antenna_spacing_wavelengths": 0.0, "seed": -1, "schemes": ("TFA", "TFA"),
     }
     for key, value in bad.items():
         with pytest.raises(ValidationError, match=key):

@@ -57,11 +57,11 @@ def test_gram_matrix_identity_up_to_degree_six(degree):
 
 
 def test_values_match_scipy_reference(rng):
-    theta = rng.uniform(0, np.pi, 40)
-    phi = rng.uniform(0, 2 * np.pi, 40)
-    values = evaluate_basis(3, theta, phi)
+    theta = np.concatenate([rng.uniform(0, np.pi, 40), [0.0, np.pi]])
+    phi = np.concatenate([rng.uniform(0, 2 * np.pi, 40), [0.3, 1.1]])
+    values = evaluate_basis(6, theta, phi)
     k = 0
-    for ell in range(4):
+    for ell in range(7):
         for m in range(-ell, ell + 1):
             ref = reference_harmonic(ell, m, theta, phi)
             assert np.max(np.abs(values[:, k] - ref)) < 1e-12, (ell, m)
