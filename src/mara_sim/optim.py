@@ -29,7 +29,7 @@ from .channel import (
     sample_movement_region,
     sample_unit_spheres,
 )
-from .se import _LN2, PrecoderSet, sum_se_arrays
+from .se import _LN2, PrecoderSet, _gains, sum_se_arrays
 
 # Line-search steps evaluated in the first batch; each further batch doubles.
 LADDER_CHUNK = 8
@@ -57,8 +57,11 @@ class OptimOptions:
             raise ContractError("backtrack_ratio must lie in (0, 1)")
         for name in ("step_init_pos", "step_init_alpha", "armijo_c",
                      "tol_rel"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractError(f"{name} must be finite and > 0")
+        for name in ("max_outer_iters", "inner_grad_iters", "restarts", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ContractError(f"{name} must be an integer")
         if self.max_outer_iters < 1:
             raise ContractError("max_outer_iters must be at least 1")
         for name in ("inner_grad_iters", "restarts", "seed"):
@@ -153,7 +156,7 @@ def _chain_factors(ws: ChannelWorkspace, positions: np.ndarray, coefficients: np
     """Transmit phases and pattern responses (U, M, L), and the chain-rule
     sensitivities of sum_se per (UE, antenna, path): z folded through env."""
     phases, pattern = ws.path_factors(positions, coefficients)
-    gains = np.einsum("umg,gmv->guv", (phases * pattern) @ ws.env, precoders.w)
+    gains = _gains((phases * pattern) @ ws.env, precoders.w)
     weights = _sinr_chain_weights(gains, noise_power)
     z = np.einsum("guv,gmv->umg", weights, precoders.w)
     return phases, pattern, z @ np.swapaxes(ws.env, 1, 2)

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _LN2 = float(np.log(2.0))
+# Per-slice size U*M*G from which _gains folds into one stacked matmul: below
+# it einsum's loop is faster on a single slice (measured; see README
+# "Performance"), and the reference size 2*4*8 keeps einsum's exact rounding.
+FOLD_MIN_SIZE = 256
 
 
 @dataclass
@@ -26,6 +30,22 @@ class PrecoderSet:
         return float(np.sum(np.abs(self.w) ** 2))
 
 
+def _gains(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """gains[..., g, u, v] = sum_m h[..., u, m, g] w[g, m, v], shape (..., G, U, U).
+
+    From FOLD_MIN_SIZE on, the candidates and UEs fold into the rows of one
+    (G, B*U, M) @ (G, M, U) matmul over subcarriers, returned C-ordered so a
+    stack reduces in the same order as its slices. One UE stays on einsum:
+    its single-slice product is a vector dot, which numpy hands to BLAS with
+    other rounding than the stacked call's loop.
+    """
+    *lead, U, M, G = h.shape
+    if U == 1 or U * M * G < FOLD_MIN_SIZE:
+        return np.einsum("...umg,gmv->...guv", h, w)
+    gains = (h.reshape(-1, M, G).transpose(2, 0, 1) @ w).reshape(G, -1, U, U)
+    return np.ascontiguousarray(gains.transpose(1, 0, 2, 3)).reshape(*lead, G, U, U)
+
+
 def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
     """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz,
     for channel coefficients h (..., U, M, G) and precoders w (G, M, U).
@@ -33,11 +53,10 @@ def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
     Returns a float for one channel tensor h (U, M, G), and an array of
     shape (B,) for a batch of candidate tensors h (B, U, M, G).
     """
-    gains = np.einsum("...umg,gmv->...guv", h, w)
+    gains = _gains(h, w)
     power = gains.real ** 2 + gains.imag ** 2
     signal = np.diagonal(power, axis1=-2, axis2=-1)
     se = np.log1p(signal / (power.sum(axis=-1) - signal + noise_power))
     # One reduction for both forms, so a stacked call equals its per-slice calls bitwise.
     total = se.sum(axis=(-2, -1)) / _LN2
     return float(total) if se.ndim == 2 else total
-

@@ -17,19 +17,26 @@ def build_instance(seed, rng, **config_overrides):
     return cfg, scen, ws, state, checks.zf_precoder(ws.state_tensor(state), cfg)
 
 
-def gradient_errors(seed, rng):
-    cfg, _, ws, state, prec = build_instance(seed, rng)
+def gradient_errors(seed, rng, **config_overrides):
+    cfg, _, ws, state, prec = build_instance(seed, rng, **config_overrides)
     return checks.gradient_errors(ws, state, prec, seed % cfg.num_bs_antennas, 1e-6)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_position_gradient_matches_finite_differences(seed, rng):
-    assert gradient_errors(seed, rng)[0] < 1e-5
+# The benchmark's large_array shape, whose gains take the folded matmul kernel.
+LARGE_ARRAY = dict(num_ues=4, num_bs_antennas=8, num_subcarriers=32,
+                   num_paths_per_ue=12, shod_max_degree=3)
+GRADIENT_CASES = [pytest.param(seed, {}, id=str(seed)) for seed in range(20)] + [
+    pytest.param(seed, LARGE_ARRAY, id=f"large_array-{seed}") for seed in range(3)]
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_pattern_gradient_matches_finite_differences(seed, rng):
-    assert gradient_errors(seed, rng)[1] < 1e-5
+@pytest.mark.parametrize("seed, overrides", GRADIENT_CASES)
+def test_position_gradient_matches_finite_differences(seed, overrides, rng):
+    assert gradient_errors(seed, rng, **overrides)[0] < 1e-5
+
+
+@pytest.mark.parametrize("seed, overrides", GRADIENT_CASES)
+def test_pattern_gradient_matches_finite_differences(seed, overrides, rng):
+    assert gradient_errors(seed, rng, **overrides)[1] < 1e-5
 
 
 def test_single_path_single_user_position_gradient_vanishes(rng):

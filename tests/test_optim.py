@@ -331,6 +331,18 @@ def test_options_reject_too_few_iterations(field):
         OptimOptions(**{field: low})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step_init_pos", float("nan")), ("step_init_pos", float("inf")),
+    ("step_init_alpha", float("nan")), ("step_init_alpha", float("inf")),
+    ("armijo_c", float("nan")), ("armijo_c", float("inf")),
+    ("tol_rel", float("nan")), ("tol_rel", float("inf")),
+    ("max_outer_iters", 2.0), ("inner_grad_iters", 1.5), ("restarts", 1.5),
+    ("seed", 0.5)])
+def test_options_reject_non_finite_and_non_integral_values(field, value):
+    with pytest.raises(ContractError, match=field):
+        OptimOptions(**{field: value})
+
+
 def test_optim_result_rejects_decreasing_trace():
     state = AntennaState(np.zeros((1, 3)), np.ones((1, 1)), "TFA")
     with pytest.raises(ContractError):
