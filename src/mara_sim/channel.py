@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError
 from .scenario import SCHEME_ORDER, Scenario
-from .shod import BasisSet, build_basis, build_omega, isotropic_coefficients
+from .shod import build_basis, build_omega, isotropic_coefficients
 
 MOVABLE_SCHEMES = ("SMA", "MARA")
 RECONFIGURABLE_SCHEMES = ("ERA", "MARA")
@@ -113,12 +113,9 @@ class ChannelWorkspace:
     omega and env, so its padding paths contribute exactly 0.
     """
 
-    def __init__(self, scenario: Scenario, basis: BasisSet | None = None):
-        cfg = scenario.config
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.basis = basis if basis is not None else build_basis(cfg.shod_max_degree)
-        if self.basis.max_degree != cfg.shod_max_degree:
-            raise ContractError("basis degree does not match the scenario config")
+        self.basis = build_basis(scenario.config.shod_max_degree)
         self.wavenumber = 2.0 * np.pi / scenario.wavelength
         U, K = len(scenario.path_sets), self.basis.size
         L = max(ps.num_paths for ps in scenario.path_sets)
@@ -162,8 +159,7 @@ class ChannelWorkspace:
         return self.tensor(state.positions, state.coefficients)
 
 
-def channel_tensor(scenario: Scenario, state: AntennaState, scheme: str,
-                   basis: BasisSet | None = None) -> np.ndarray:
+def channel_tensor(scenario: Scenario, state: AntennaState, scheme: str) -> np.ndarray:
     """The (U, M, G) channel coefficients h after validating state against scheme."""
     validate_state(scenario, state, scheme)
-    return ChannelWorkspace(scenario, basis).state_tensor(state)
+    return ChannelWorkspace(scenario).state_tensor(state)

@@ -147,18 +147,17 @@ def cmd_check(args) -> int:
     worst = checks.orthonormality_error(degree)
     record("orthonormality", worst < 1e-8, f"max |Gram - I| = {worst:.3e}, N <= {degree}")
 
-    basis = build_basis(degree)
     rng = np.random.default_rng(base.seed)
-    worst = checks.parseval_error(basis, rng)
+    worst = checks.parseval_error(build_basis(degree), rng)
     record("parseval", worst < 1e-8, f"max |power - ||a||^2| = {worst:.3e}")
 
-    ws = ChannelWorkspace(generate_scenario(base), basis)
+    ws = ChannelWorkspace(generate_scenario(base))
     worst = checks.factorization_error(ws, checks.random_feasible_state(ws.scenario, rng))
     record("factorization", worst < 1e-12, f"max |h - q^H a| = {worst:.3e}")
 
     errors = []
     for trial in range(5):
-        ws = ChannelWorkspace(generate_scenario(replace(base, seed=base.seed + trial)), basis)
+        ws = ChannelWorkspace(generate_scenario(replace(base, seed=base.seed + trial)))
         state = checks.random_feasible_state(ws.scenario, rng)
         prec = checks.zf_precoder(ws.state_tensor(state), ws.scenario.config)
         errors += [checks.gradient_errors(ws, state, prec, m, fd_step)

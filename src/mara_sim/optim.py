@@ -31,8 +31,17 @@ from .channel import (
 )
 from .se import _LN2, PrecoderSet, _gains, sum_se_arrays
 
-# Line-search steps evaluated in the first batch; each further batch doubles.
-LADDER_CHUNK = 8
+# Armijo sufficient-increase constant and the initial steps: a position step
+# as a fraction of the antenna spacing d, and a pattern step on the spheres.
+ARMIJO_C = 1e-4
+POSITION_STEP = 1e-2
+PATTERN_STEP = 1e-1
+# Backtracking multipliers 2^-k, every one above 1e-14; halving is exact, so
+# t0 * LADDER equals t0 halved k times. The line search scores one chunk per
+# call: a short first chunk, since the first accepted step ends the search,
+# then longer ones.
+LADDER = 0.5 ** np.arange(47)
+LADDER_CHUNKS = ((0, 8), (8, 24), (24, 47))
 # The schemes whose solutions warm-start each scheme: the best of them is the
 # start point, so every scheme's SE dominates its sources' (scheme nesting).
 WARM_STARTS = {"TFA": (), "SMA": ("TFA",), "ERA": ("TFA",), "MARA": ("SMA", "ERA")}
@@ -44,23 +53,16 @@ class OptimOptions:
 
     max_outer_iters: int = 50
     inner_grad_iters: int = 100
-    step_init_pos: float = 1e-2    # initial position step, as a fraction of d
-    step_init_alpha: float = 1e-1  # initial pattern step
-    armijo_c: float = 1e-4
-    backtrack_ratio: float = 0.5
     tol_rel: float = 1e-6
     restarts: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.backtrack_ratio < 1.0:
-            raise ContractError("backtrack_ratio must lie in (0, 1)")
-        for name in ("step_init_pos", "step_init_alpha", "armijo_c",
-                     "tol_rel"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ContractError(f"{name} must be finite and > 0")
+        if not 0 < self.tol_rel < np.inf:
+            raise ContractError("tol_rel must be finite and > 0")
         for name in ("max_outer_iters", "inner_grad_iters", "restarts", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ContractError(f"{name} must be an integer")
         if self.max_outer_iters < 1:
             raise ContractError("max_outer_iters must be at least 1")
@@ -180,43 +182,33 @@ def _grad_patterns_all(ws: ChannelWorkspace, positions: np.ndarray,
     return 2.0 * (np.real(phases * sens) @ ws.omega).sum(axis=0)
 
 
-def _armijo_ladder(t0: float, ratio: float) -> np.ndarray:
-    """Backtracking steps t0, t0*ratio, ... above 1e-14 * t0, multiplied out in order."""
-    steps = [t0]
-    while steps[-1] * ratio > 1e-14 * t0:
-        steps.append(steps[-1] * ratio)
-    return np.array(steps)
-
-
-def _line_search(steps, propose, objective, f, armijo_c):
-    """First step of the ladder, in order, whose candidate passes the Armijo test.
+def _line_search(steps, propose, objective, f):
+    """First step of the ladder `steps` (t0 * LADDER), in order, whose
+    candidate passes the Armijo test.
 
     propose(t) returns the candidates for the steps t, stacked on a leading
     axis, and the ascent each one promises; the first step promising none
-    ends the search. objective evaluates a stack of candidates in one call.
-    The ladder is evaluated in chunks of LADDER_CHUNK steps that double after
-    each chunk without an accepted step. Returns (candidate, objective), or
+    ends the search. objective evaluates a stack of candidates in one call,
+    one call per chunk of LADDER_CHUNKS. Returns (candidate, objective), or
     None when no step is accepted.
     """
-    start, size = 0, LADDER_CHUNK
-    while start < steps.size:
-        cands, advance = propose(steps[start:start + size])
+    for start, end in LADDER_CHUNKS:
+        cands, advance = propose(steps[start:end])
         stop = np.flatnonzero(advance <= 0.0)
         n = stop[0] if stop.size else advance.size
         if n:
             fc = objective(cands[:n])
-            accepted = np.flatnonzero(fc >= f + armijo_c * advance[:n])
+            accepted = np.flatnonzero(fc >= f + ARMIJO_C * advance[:n])
             if accepted.size:
                 k = accepted[0]
                 return cands[k].copy(), float(fc[k])
         if stop.size:
             return None
-        start, size = start + size, 2 * size
     return None
 
 
 def _ascend(x, steps, direction, propose, objective, opts):
-    """Armijo ascent from x, shared by positions and patterns.
+    """Armijo ascent from x over the ladder `steps`, shared by positions and patterns.
 
     direction(x) is the ascent direction at x; propose(x, d, t) returns the
     retracted candidates for the steps t and the ascent each one promises;
@@ -230,8 +222,7 @@ def _ascend(x, steps, direction, propose, objective, opts):
         d = direction(x)
         if float(np.sum(d * d)) < 1e-24 * max(1.0, f * f):
             break
-        found = _line_search(steps, lambda t: propose(x, d, t), objective, f,
-                             opts.armijo_c)
+        found = _line_search(steps, lambda t: propose(x, d, t), objective, f)
         if found is None:
             break
         gain = found[1] - f
@@ -253,8 +244,7 @@ def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
         cands = project_to_movement_region(ws.scenario, positions + t[:, None, None] * grad)
         return cands, np.sum(grad * (cands - positions), axis=(1, 2))
 
-    steps = _armijo_ladder(opts.step_init_pos * ws.scenario.config.antenna_spacing,
-                           opts.backtrack_ratio)
+    steps = POSITION_STEP * ws.scenario.config.antenna_spacing * LADDER
     return _ascend(start, steps, direction, propose, objective, opts)
 
 
@@ -272,8 +262,7 @@ def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
         cands /= np.linalg.norm(cands, axis=2, keepdims=True)
         return cands, t * float(np.sum(tangent * tangent))
 
-    steps = _armijo_ladder(opts.step_init_alpha, opts.backtrack_ratio)
-    return _ascend(start, steps, direction, propose, objective, opts)
+    return _ascend(start, PATTERN_STEP * LADDER, direction, propose, objective, opts)
 
 
 def _best_of_restarts(start, draw, ascend, opts):
@@ -299,7 +288,7 @@ def _workspace(scenario: Scenario, ws: ChannelWorkspace | None) -> ChannelWorksp
 
 
 def optimize_positions(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
-                       opts: OptimOptions | None = None,
+                       opts: OptimOptions = OptimOptions(),
                        ws: ChannelWorkspace | None = None) -> tuple[AntennaState, float]:
     """Projected gradient ascent over antenna positions; best of seeded restarts.
 
@@ -308,7 +297,6 @@ def optimize_positions(scenario: Scenario, state: AntennaState, precoders: Preco
     seed + restart index. Returns (state, se): the SE of the returned state
     under the given precoders, never lower than the incoming state's.
     """
-    opts = opts if opts is not None else OptimOptions()
     if state.scheme not in MOVABLE_SCHEMES:
         raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
     ws = _workspace(scenario, ws)
@@ -322,11 +310,10 @@ def optimize_positions(scenario: Scenario, state: AntennaState, precoders: Preco
 
 
 def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
-                      opts: OptimOptions | None = None,
+                      opts: OptimOptions = OptimOptions(),
                       ws: ChannelWorkspace | None = None) -> tuple[AntennaState, float]:
     """Retracted gradient ascent over per-antenna unit-sphere pattern coefficients;
     returns (state, se) like `optimize_positions`."""
-    opts = opts if opts is not None else OptimOptions()
     if state.scheme not in RECONFIGURABLE_SCHEMES:
         raise ContractError(f"patterns are pinned for scheme {state.scheme!r}")
     ws = _workspace(scenario, ws)
@@ -340,7 +327,7 @@ def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: Precod
 
 
 def alternating_optimize(scenario: Scenario, scheme: str,
-                         opts: OptimOptions | None = None,
+                         opts: OptimOptions = OptimOptions(),
                          warm: dict[str, OptimResult] | None = None,
                          ws: ChannelWorkspace | None = None) -> OptimResult:
     """Alternate precoder, position, and pattern steps for one scheme.
@@ -352,7 +339,6 @@ def alternating_optimize(scenario: Scenario, scheme: str,
     dominates the warm-start SE. `ws` is the scenario's workspace, built
     here when not given; every solve of the call shares it.
     """
-    opts = opts if opts is not None else OptimOptions()
     if scheme not in scenario.config.schemes:
         raise ContractError(f"scheme {scheme!r} is not in the configured set")
     return _optimize_scheme(_workspace(scenario, ws), scheme, opts, dict(warm or {}))

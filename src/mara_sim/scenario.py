@@ -59,6 +59,10 @@ class SystemConfig:
         return d / 2.0 - POSITION_MARGIN_FRAC * d
 
     def validate(self) -> None:
+        for key in _INT_KEYS:
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValidationError(f"{key} must be an integer")
         if not 0 < self.carrier_frequency_hz < np.inf:
             raise ValidationError("carrier_frequency_hz must be finite and > 0")
         if self.num_subcarriers < 1:
@@ -158,8 +162,8 @@ _REQUIRED_KEYS = (
     "total_power_w", "noise_power_w", "shod_max_degree", "seed", "schemes",
 )
 _OPTIONAL_KEYS = ("antenna_spacing_wavelengths",)
-_INT_KEYS = {"num_subcarriers", "num_ues", "num_bs_antennas",
-             "num_paths_per_ue", "shod_max_degree", "seed"}
+_INT_KEYS = ("num_subcarriers", "num_ues", "num_bs_antennas",
+             "num_paths_per_ue", "shod_max_degree", "seed")
 
 
 def config_from_mapping(raw: dict) -> SystemConfig:
@@ -175,15 +179,12 @@ def config_from_mapping(raw: dict) -> SystemConfig:
         if key == "schemes":
             if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
                 raise ValidationError("schemes must be an array of strings")
-            kwargs[key] = tuple(value)
-        elif key in _INT_KEYS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{key} must be an integer")
-            kwargs[key] = value
-        else:
+            value = tuple(value)
+        elif key not in _INT_KEYS:  # integers are checked by validate
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValidationError(f"{key} must be a number")
-            kwargs[key] = float(value)
+            value = float(value)
+        kwargs[key] = value
     config = SystemConfig(**kwargs)
     config.validate()
     return config

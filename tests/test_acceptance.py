@@ -97,7 +97,7 @@ def test_criterion_04_factorization_exactness():
         scen = generate_scenario(cfg, annulus_m=(2.0, 8.0))
         basis = build_basis(cfg.shod_max_degree)
         state = random_feasible_state(scen, rng, scheme="MARA")
-        h = channel_tensor(scen, state, "MARA", basis)
+        h = channel_tensor(scen, state, "MARA")
         angles = [departure_angles(ps) for ps in scen.path_sets]
         for _ in range(1000):
             u = int(rng.integers(cfg.num_ues))
@@ -133,7 +133,7 @@ def test_criterion_05_se_form_equivalence():
         scen = generate_scenario(cfg)
         basis = build_basis(cfg.shod_max_degree)
         state = random_feasible_state(scen, rng, scheme="MARA")
-        h = channel_tensor(scen, state, "MARA", basis)
+        h = channel_tensor(scen, state, "MARA")
         M, U, G, K = 3, cfg.num_ues, 2, basis.size
         w = rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U))
         w *= math.sqrt(cfg.total_power_w) / np.linalg.norm(w)

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mara_sim import checks
+from mara_sim import checks, optim
 from mara_sim.scenario import Scenario, generate_scenario
 from mara_sim.channel import (ChannelWorkspace, initial_state,
                               project_to_movement_region)
@@ -125,12 +125,12 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
 
 
 # Reference line searches: the sequential Armijo loops the chunked ladder
-# replaced, one candidate per sum_se call. They also return why the ascent
-# stopped.
+# replaced, one candidate per sum_se call, halving the step each time. They
+# read optim's constants when called, and also return why the ascent stopped.
 
 def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
     scenario = ws.scenario
-    step0 = opts.step_init_pos * scenario.config.antenna_spacing
+    step0 = optim.POSITION_STEP * scenario.config.antenna_spacing
     positions = start.copy()
     f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
     reason = "iterations"
@@ -149,10 +149,10 @@ def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
                 reason = "advance"
                 break
             fc = sum_se_arrays(ws.tensor(cand, coefficients), precoders.w, noise_power)
-            if fc >= f + opts.armijo_c * advance:
+            if fc >= f + optim.ARMIJO_C * advance:
                 accepted = True
                 break
-            t *= opts.backtrack_ratio
+            t *= 0.5
         if not accepted:
             break
         gain = fc - f
@@ -175,17 +175,17 @@ def reference_patterns(ws, positions, start, precoders, noise_power, opts):
         if tnorm2 < 1e-24 * max(1.0, f * f):
             reason = "gradient"
             break
-        t = opts.step_init_alpha
+        t = optim.PATTERN_STEP
         accepted = False
         reason = "ladder"
-        while t > 1e-14 * opts.step_init_alpha:
+        while t > 1e-14 * optim.PATTERN_STEP:
             cand = coefficients + t * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             fc = sum_se_arrays(ws.tensor(positions, cand), precoders.w, noise_power)
-            if fc >= f + opts.armijo_c * t * tnorm2:
+            if fc >= f + optim.ARMIJO_C * t * tnorm2:
                 accepted = True
                 break
-            t *= opts.backtrack_ratio
+            t *= 0.5
         if not accepted:
             break
         gain = fc - f
@@ -210,24 +210,19 @@ def assert_same_ascent(got, ref, scale):
 def test_position_ascent_matches_sequential_reference(seed, rng):
     cfg, scen, ws, state, prec = instance(seed, rng)
     noise = cfg.noise_power_w
-    for opts in (ASCENT, OptimOptions(inner_grad_iters=40, backtrack_ratio=0.7,
-                                      step_init_pos=0.5)):
-        got = _ascend_positions(ws, state.positions, state.coefficients, prec, noise, opts)
-        ref = reference_positions(ws, state.positions, state.coefficients, prec, noise,
-                                  opts)
-        assert_same_ascent(got, ref, cfg.antenna_spacing)
+    got = _ascend_positions(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    ref = reference_positions(ws, state.positions, state.coefficients, prec, noise,
+                              ASCENT)
+    assert_same_ascent(got, ref, cfg.antenna_spacing)
 
 
 @pytest.mark.parametrize("seed", [70, 71, 72, 73])
 def test_pattern_ascent_matches_sequential_reference(seed, rng):
     cfg, scen, ws, state, prec = instance(seed, rng)
     noise = cfg.noise_power_w
-    for opts in (ASCENT, OptimOptions(inner_grad_iters=40, backtrack_ratio=0.7,
-                                      step_init_alpha=5.0)):
-        got = _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, opts)
-        ref = reference_patterns(ws, state.positions, state.coefficients, prec, noise,
-                                 opts)
-        assert_same_ascent(got, ref, 1.0)
+    got = _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    ref = reference_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    assert_same_ascent(got, ref, 1.0)
 
 
 def test_position_ascent_stops_where_no_step_advances():
@@ -249,11 +244,12 @@ def test_position_ascent_stops_where_no_step_advances():
     assert np.array_equal(got[0], start)
 
 
-def test_ascent_that_exhausts_the_ladder_matches_reference(rng):
-    # With a huge armijo_c no step passes, so every chunk of the ladder is
-    # evaluated and the ascent stops where it started.
+def test_ascent_that_exhausts_the_ladder_matches_reference(rng, monkeypatch):
+    # With a huge Armijo constant no step passes, so every chunk of the ladder
+    # is evaluated and the ascent stops where it started.
     cfg, scen, ws, state, prec = instance(74, rng)
-    opts = OptimOptions(inner_grad_iters=5, armijo_c=1e6)
+    monkeypatch.setattr(optim, "ARMIJO_C", 1e6)
+    opts = OptimOptions(inner_grad_iters=5)
     got = _ascend_patterns(ws, state.positions, state.coefficients, prec,
                            cfg.noise_power_w, opts)
     ref = reference_patterns(ws, state.positions, state.coefficients, prec,
@@ -262,3 +258,16 @@ def test_ascent_that_exhausts_the_ladder_matches_reference(rng):
     assert_same_ascent(got, ref, 1.0)
     assert np.array_equal(got[0], state.coefficients)
 
+
+def test_ladder_equals_sequential_halving_bitwise():
+    # The steps the sequential references take, t0 halved while above
+    # 1e-14 * t0, for the position steps of three spacings and the pattern step.
+    spacings = [make_config(antenna_spacing_wavelengths=w).antenna_spacing
+                for w in (0.5, 0.37, 2.0)]
+    for t0 in [optim.POSITION_STEP * d for d in spacings] + [optim.PATTERN_STEP]:
+        steps = [t0]
+        while steps[-1] * 0.5 > 1e-14 * t0:
+            steps.append(steps[-1] * 0.5)
+        assert (t0 * optim.LADDER).tolist() == steps
+    bounds = [i for start, end in optim.LADDER_CHUNKS for i in range(start, end)]
+    assert bounds == list(range(optim.LADDER.size))

@@ -229,7 +229,7 @@ def test_factorization_exactness_random_entries(rng):
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="MARA")
     basis = build_basis(cfg.shod_max_degree)
-    h = channel_tensor(scen, state, "MARA", basis)
+    h = channel_tensor(scen, state, "MARA")
     for _ in range(50):
         u = int(rng.integers(cfg.num_ues))
         m = int(rng.integers(cfg.num_bs_antennas))

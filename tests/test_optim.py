@@ -332,12 +332,10 @@ def test_options_reject_too_few_iterations(field):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("step_init_pos", float("nan")), ("step_init_pos", float("inf")),
-    ("step_init_alpha", float("nan")), ("step_init_alpha", float("inf")),
-    ("armijo_c", float("nan")), ("armijo_c", float("inf")),
     ("tol_rel", float("nan")), ("tol_rel", float("inf")),
     ("max_outer_iters", 2.0), ("inner_grad_iters", 1.5), ("restarts", 1.5),
-    ("seed", 0.5)])
+    ("seed", 0.5), ("max_outer_iters", True), ("inner_grad_iters", True),
+    ("restarts", True), ("seed", True)])
 def test_options_reject_non_finite_and_non_integral_values(field, value):
     with pytest.raises(ContractError, match=field):
         OptimOptions(**{field: value})

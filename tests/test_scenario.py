@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mara_sim.errors import ConfigError, ValidationError
-from mara_sim.scenario import (generate_scenario, load_config,
-                               subcarrier_frequencies)
+from mara_sim.scenario import (_INT_KEYS, config_from_mapping, generate_scenario,
+                               load_config, subcarrier_frequencies)
 
 from conftest import config_file_dict, make_config, write_config
 
@@ -153,3 +153,13 @@ def test_config_validation_errors_name_fields():
 def test_config_validation_rejects_non_finite_floats(key, value):
     with pytest.raises(ValidationError, match=key):
         make_config(**{key: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("key", _INT_KEYS)
+def test_config_validation_rejects_non_integer_counts(key, value):
+    message = f"{key} must be an integer"
+    with pytest.raises(ValidationError, match=message):
+        make_config(**{key: value})
+    with pytest.raises(ValidationError, match=message):
+        config_from_mapping(config_file_dict(**{key: value}))

@@ -95,7 +95,7 @@ def test_se_equivalence_h_form_vs_stacked_ecsi_form(rng):
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="MARA")
     basis = build_basis(cfg.shod_max_degree)
-    h = channel_tensor(scen, state, "MARA", basis)
+    h = channel_tensor(scen, state, "MARA")
     M, U, G = cfg.num_bs_antennas, cfg.num_ues, cfg.num_subcarriers
     K = basis.size
     w = (rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U)))
