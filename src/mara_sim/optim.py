@@ -123,21 +123,34 @@ def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> P
     """Zero-forcing precoders for the channel h (U, M, G) under the total power budget.
 
     Pseudo-inverse directions with water-filling over the G*U effective
-    parallel channels; the budget is spent exactly.
+    parallel channels; the budget is spent exactly. One stacked reduced QR
+    H_g^H = Q R gives pinv(H_g) = Q R^-H. Subcarrier g is rank-deficient when R
+    has a zero diagonal or kappa_F = ||R||_F ||R^-1||_F >= 0.99e12. As kappa_2 <=
+    kappa_F <= U kappa_2, this flags every channel the SVD test s_min <= 1e-12
+    s_max flags (the 1% margin covers their rounding, up to 4e-4 near 1e12),
+    and adds only ones with kappa_2 >= 0.99e12 / U.
     """
-    # One stacked SVD H_g = U S V^H over every subcarrier; the pseudo-inverse
-    # V S^-1 U^H is the ZF precoder (H_g @ pinv = I).
-    left, sv, right_h = np.linalg.svd(np.transpose(h, (2, 0, 1)), full_matrices=False)
-    singular = (sv[:, 0] == 0.0) | (sv[:, -1] <= 1e-12 * sv[:, 0])
-    if np.any(singular):
+    U, M, G = h.shape
+    if U > M:
+        raise ContractError(f"zero forcing needs U <= M, got U={U} UEs on M={M} antennas")
+    finite = np.isfinite(h).all(axis=(0, 1))
+    if not finite.all():
+        raise ContractError(f"channel is not finite at subcarrier {int(np.argmin(finite))}")
+    q, r = np.linalg.qr(np.conj(np.transpose(h, (2, 1, 0))))   # (G, M, U), (G, U, U)
+    zero = (np.diagonal(r, axis1=1, axis2=2) == 0).any(axis=1)
+    n = int(np.argmax(zero)) if zero.any() else G  # invert only before the first zero
+    with np.errstate(over="ignore", invalid="ignore"):  # a near-singular R overflows
+        pinv = q[:n] @ np.conj(np.swapaxes(np.linalg.inv(r[:n]), 1, 2))  # (n, M, U)
+        norms = np.linalg.norm(pinv, axis=1)  # (n, U); ||R^-1||_F = ||pinv||_F
+        kappa = np.linalg.norm(r[:n], axis=(1, 2)) * np.linalg.norm(norms, axis=1)
+    singular = np.append(~(kappa < 0.99e12), n < G)  # inf and nan flag too
+    if singular.any():
         raise SingularChannelError(
             f"channel matrix is rank-deficient at subcarrier {int(np.argmax(singular))}")
-    pinv = np.conj(np.swapaxes(right_h, 1, 2)) @ (
-        np.conj(np.swapaxes(left, 1, 2)) / sv[:, :, None])  # (G, M, U)
-    norms = np.linalg.norm(pinv, axis=1)                     # (G, U)
     slopes = 1.0 / (norms ** 2 * noise_power)
     powers = water_fill(slopes.ravel(), total_power).reshape(slopes.shape)
-    return PrecoderSet(pinv * (np.sqrt(powers) / norms)[:, None, :])
+    pinv *= (np.sqrt(powers) / norms)[:, None, :]
+    return PrecoderSet(pinv)
 
 
 def _sinr_chain_weights(gains: np.ndarray, noise_power: float) -> np.ndarray:

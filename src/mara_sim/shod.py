@@ -14,6 +14,7 @@ sharp to rounding error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +50,13 @@ class BasisSet:
         return self.node_values.T @ (self.weights[:, None] * self.node_values)
 
 
+@functools.lru_cache(maxsize=8)
 def build_basis(max_degree: int) -> BasisSet:
     """Construct the orthonormal basis and its quadrature rule.
 
     Node counts are 2(N+1) Gauss-Legendre polar nodes and 2(2N+1) uniform
     azimuth nodes, enough to integrate products of two degree-N harmonics
-    exactly.
+    exactly. Memoized per degree, as a BasisSet and its arrays are read-only.
     """
     if max_degree < 0:
         raise ContractError("max_degree must be >= 0")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,134 @@ def test_zf_rank_deficient_names_subcarrier(rng):
     h = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
     h[1, :, 1] = h[0, :, 1]  # duplicate user rows on subcarrier 1
     with pytest.raises(SingularChannelError, match="subcarrier 1"):
+        digital_precoder(h, 1.0, 0.1)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def pinv_zf(h, total_power, noise_power):
+    """Oracle: ZF from np.linalg.pinv, one SVD per subcarrier, then water-filling."""
+    U, M, G = h.shape
+    pinv = np.stack([np.linalg.pinv(h[:, :, g]) for g in range(G)])  # (G, M, U)
+    norms = np.linalg.norm(pinv, axis=1)
+    powers = water_fill((1.0 / (norms ** 2 * noise_power)).ravel(), total_power)
+    return pinv * (np.sqrt(powers.reshape(G, U)) / norms)[:, None, :]
+
+
+def svd_flags(h):
+    """The SVD rank test s_min <= 1e-12 s_max per subcarrier."""
+    sv = np.linalg.svd(np.transpose(h, (2, 0, 1)), compute_uv=False)
+    return (sv[:, 0] == 0.0) | (sv[:, -1] <= 1e-12 * sv[:, 0])
+
+
+def haar_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def conditioned_matrix(rng, U, M, kappa):
+    """A (U, M) matrix whose singular values run geometrically from 1 to 1/kappa."""
+    s = np.geomspace(1.0, 1.0 / kappa, U)
+    return haar_unitary(rng, U) @ (s[:, None] * haar_unitary(rng, M)[:U])
+
+
+def conditioned_channel(rng, U, M, G, kappa):
+    return np.stack([conditioned_matrix(rng, U, M, kappa) for _ in range(G)], axis=2)
+
+
+def cross_user_leak(h, w):
+    """Largest |H_g[u] w_g[:, v]| over u != v, relative to ||H_g[u]|| ||w_g[:, v]||."""
+    gains = np.abs(np.einsum("umg,gmv->guv", h, w))
+    scale = np.linalg.norm(h, axis=1).T[:, :, None] * np.linalg.norm(w, axis=1)[:, None, :]
+    off = ~np.eye(h.shape[0], dtype=bool)
+    return np.max(gains[:, off] / np.maximum(scale[:, off], 1e-300))
+
+
+@pytest.mark.parametrize("U, M, G", [(3, 3, 5), (1, 4, 6), (3, 5, 1), (4, 8, 32)])
+def test_zf_matches_pinv_oracle(rng, U, M, G):
+    h = random_tensor(rng, U, M, G)
+    w = digital_precoder(h, 1.3, 0.02).w
+    ref = pinv_zf(h, 1.3, 0.02)
+    assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.sum(np.abs(w) ** 2) == pytest.approx(1.3, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e11])
+@pytest.mark.parametrize("U, M", [(2, 4), (3, 3), (4, 8)])
+def test_ill_conditioned_zf_matches_oracle(rng, kappa, U, M):
+    # A backward-stable pseudo-inverse is accurate to about kappa * eps.
+    for _ in range(5):
+        h = conditioned_channel(rng, U, M, 4, kappa)
+        w = digital_precoder(h, 1.0, 1e-2).w
+        ref = pinv_zf(h, 1.0, 1e-2)
+        assert np.max(np.abs(w - ref)) <= 10 * kappa * EPS * np.max(np.abs(ref))
+        assert cross_user_leak(h, w) <= 10 * U * M * EPS
+
+
+@pytest.mark.parametrize("ratio", [1e-13, 0.999e-12, 0.99e-12, 0.9e-12])
+def test_zf_flags_channels_past_the_svd_threshold(rng, ratio):
+    h = conditioned_channel(rng, 3, 5, 5, 1e3)
+    h[:, :, 2] = conditioned_matrix(rng, 3, 5, 1.0 / ratio)
+    h[:, :, 4] = conditioned_matrix(rng, 3, 5, 1.0 / ratio)
+    assert np.flatnonzero(svd_flags(h)).tolist() == [2, 4]
+    with pytest.raises(SingularChannelError, match="subcarrier 2$"):
+        digital_precoder(h, 1.0, 0.1)
+
+
+def test_zf_flags_every_channel_the_svd_test_flags():
+    # Within 5e-4 of the threshold, where the QR and SVD estimates of the
+    # condition number differ by rounding.
+    rng = np.random.default_rng(11)
+    flagged = 0
+    for trial in range(600):
+        U = 2 + trial % 2
+        kappa = 1e12 * (1.0 + rng.uniform(-5e-4, 5e-4))
+        h = conditioned_matrix(rng, U, U + trial % 3, kappa)[:, :, None]
+        h *= 10 ** rng.uniform(-50, 50)
+        if svd_flags(h)[0]:
+            flagged += 1
+            with pytest.raises(SingularChannelError, match="subcarrier 0$"):
+                digital_precoder(h, 1.0, 0.1)
+    assert flagged > 200
+
+
+@pytest.mark.parametrize("gap", [1e-310, 1e-200])
+def test_zf_flags_rows_apart_by_a_tiny_gap(gap):
+    # R gets tiny diagonals whose inverse overflows: kappa_F reads inf or nan.
+    h = np.zeros((3, 4, 2), dtype=complex)
+    h[:, :, 0] = np.eye(3, 4)
+    h[:, 0, 1] = 1.0
+    h[1, 1, 1] = h[2, 2, 1] = gap
+    assert svd_flags(h).tolist() == [False, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularChannelError, match="subcarrier 1$"):
+            digital_precoder(h, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("zero_at, kappa_at, named", [(3, 1, 1), (1, 3, 1), (0, 0, 0)])
+def test_zf_names_first_of_zero_and_ill_conditioned_subcarriers(rng, zero_at, kappa_at, named):
+    h = random_tensor(rng, 2, 3, 4)
+    h[:, :, kappa_at] = conditioned_matrix(rng, 2, 3, 1e13)
+    h[:, :, zero_at] = 0.0
+    with pytest.raises(SingularChannelError, match=f"subcarrier {named}$"):
+        digital_precoder(h, 1.0, 0.1)
+
+
+def test_zf_rejects_more_users_than_antennas():
+    h = random_tensor(np.random.default_rng(3), U=3, M=2, G=4)
+    with pytest.raises(ContractError, match="U <= M"):
+        digital_precoder(h, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_zf_rejects_non_finite_channel_naming_subcarrier(rng, bad):
+    h = random_tensor(rng, 2, 4, 5)
+    h[1, 2, 3] = bad
+    h[0, 0, 4] = bad
+    with pytest.raises(ContractError, match="not finite at subcarrier 3$"):
         digital_precoder(h, 1.0, 0.1)
 
 

@@ -38,6 +38,15 @@ def test_degree_zero_is_normalized_constant(rng):
     assert values[0] == pytest.approx(0.28209, abs=1e-5)
 
 
+def test_basis_is_built_once_per_degree_and_read_only():
+    basis = build_basis(3)
+    assert build_basis(3) is basis
+    assert build_basis(2) is not basis
+    for array in (basis.weights, basis.node_values):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_basis_size_is_squared_degree_plus_one():
     assert build_basis(2).size == 9
     assert build_basis(3).size == 16
