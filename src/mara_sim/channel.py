@@ -34,8 +34,9 @@ class AntennaState:
         return AntennaState(self.positions.copy(), self.coefficients.copy(), scheme)
 
 
-def initial_state(scenario: Scenario, scheme: str) -> AntennaState:
-    """Nominal array positions with the isotropic pattern on every antenna."""
+def initial_state(scenario: Scenario | ChannelWorkspace, scheme: str) -> AntennaState:
+    """Nominal array positions with the isotropic pattern on every antenna.
+    Reads only `config` and `initial_positions`: a scenario or its workspace."""
     if scheme not in SCHEME_ORDER:
         raise ContractError(f"unknown scheme {scheme!r}")
     K = (scenario.config.shod_max_degree + 1) ** 2
@@ -43,10 +44,12 @@ def initial_state(scenario: Scenario, scheme: str) -> AntennaState:
     return AntennaState(scenario.initial_positions.copy(), coeffs, scheme)
 
 
-def project_to_movement_region(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
+def project_to_movement_region(scenario: Scenario | ChannelWorkspace,
+                               positions: np.ndarray) -> np.ndarray:
     """Radially clamp each position into its closed per-antenna ball.
 
-    positions has shape (..., M, 3); leading candidate axes are kept.
+    positions has shape (..., M, 3); leading candidate axes are kept. Takes
+    a scenario or its workspace, as `initial_state` does.
     """
     offsets = positions - scenario.initial_positions
     radius = scenario.config.movement_radius
@@ -55,9 +58,10 @@ def project_to_movement_region(scenario: Scenario, positions: np.ndarray) -> np.
     return scenario.initial_positions + offsets * scale[..., None]
 
 
-def sample_movement_region(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+def sample_movement_region(scenario: Scenario | ChannelWorkspace,
+                           rng: np.random.Generator) -> np.ndarray:
     """Uniform random positions (M, 3), one in each antenna's movement ball:
-    a normal direction, then a cube-root radius."""
+    a normal direction, then a cube-root radius. Takes a scenario or its workspace."""
     M = scenario.config.num_bs_antennas
     direction = rng.standard_normal((M, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
@@ -71,8 +75,10 @@ def sample_unit_spheres(rng: np.random.Generator, shape) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def validate_state(scenario: Scenario, state: AntennaState, scheme: str | None = None) -> None:
-    """Check state invariants for its scheme; raises ContractError on violation."""
+def validate_state(scenario: Scenario | ChannelWorkspace, state: AntennaState,
+                   scheme: str | None = None) -> None:
+    """Check state invariants for its scheme; raises ContractError on violation.
+    Takes a scenario or its workspace, as `initial_state` does."""
     if scheme is not None and scheme != state.scheme:
         raise ContractError(f"state is tagged {state.scheme!r}, expected {scheme!r}")
     scheme = state.scheme
@@ -111,10 +117,14 @@ class ChannelWorkspace:
     shape (U, L, G), a_i being the receive phase exp(-j k k_rx . q_u). L is the
     largest path count of any UE; a UE with fewer paths is zero-padded in
     omega and env, so its padding paths contribute exactly 0.
+
+    The solver's one handle on a problem, it also keeps the scenario's `config`
+    and `initial_positions`: all that the solver reads of a scenario.
     """
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
+        self.config = scenario.config
+        self.initial_positions = scenario.initial_positions
         self.basis = build_basis(scenario.config.shod_max_degree)
         self.wavenumber = 2.0 * np.pi / scenario.wavelength
         U, K = len(scenario.path_sets), self.basis.size

@@ -1,7 +1,8 @@
 """Reference forms and invariant checks for `mara-sim check`/`oracle` and the tests.
 
-The reference forms (`ecsi`, `sinr`, `mrt_precoder`, `brute_force_positions`
-and the per-antenna gradients) evaluate the model one entry at a time; the
+The reference forms (`ecsi`, `sinr`, `mrt_precoder`, `brute_force_positions`,
+the per-antenna gradients and the basis quadratures `pattern_gain`,
+`pattern_power` and `gram_matrix`) evaluate the model one entry at a time; the
 solver never calls them. Each check returns the worst error it saw, and a NaN
 anywhere makes that worst error NaN, so it fails any `error < bound` test.
 Callers choose the instances, seeds, steps and bounds.
@@ -21,7 +22,7 @@ from .errors import ContractError, SizeLimitError
 from .optim import digital_precoder, optimize_patterns, optimize_positions
 from .scenario import PathSet
 from .se import PrecoderSet, sum_se_arrays
-from .shod import build_basis, build_omega, pattern_power
+from .shod import build_basis, build_omega
 
 _BRUTE_FORCE_GUARD = 10_000_000
 
@@ -84,21 +85,46 @@ def mrt_precoder(h: np.ndarray, total_power: float) -> PrecoderSet:
     return PrecoderSet(cols * scale[:, None, :])
 
 
+def pattern_gain(basis, alpha: np.ndarray, theta, phi):
+    """Pattern response sum_k alpha_k omega_k(theta, phi)."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (basis.size,):
+        raise ContractError(f"alpha must have shape ({basis.size},), got {alpha.shape}")
+    return basis.evaluate(theta, phi) @ alpha
+
+
+def pattern_power(basis, alpha: np.ndarray) -> float:
+    """Radiated power of the pattern: quadrature of |f|^2 over the sphere.
+
+    Equals ||alpha||^2 up to quadrature rounding (Parseval).
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (basis.size,):
+        raise ContractError(f"alpha must have shape ({basis.size},), got {alpha.shape}")
+    f = basis.node_values @ alpha
+    return float(np.dot(basis.weights, f * f))
+
+
+def gram_matrix(basis) -> np.ndarray:
+    """Quadrature of omega_k * omega_k' over the sphere; identity when exact."""
+    return basis.node_values.T @ (basis.weights[:, None] * basis.node_values)
+
+
 def se_gradient_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
                           m: int) -> np.ndarray:
     """Analytic gradient of sum_se with respect to antenna m's position."""
     return optim._grad_positions_all(ws, state.positions, state.coefficients, precoders,
-                                     ws.scenario.config.noise_power_w)[m]
+                                     ws.config.noise_power_w)[m]
 
 
 def se_gradient_patterns(ws: ChannelWorkspace, state: AntennaState, precoders,
                          m: int) -> np.ndarray:
     """Euclidean gradient of sum_se with respect to antenna m's pattern coefficients."""
     return optim._grad_patterns_all(ws, state.positions, state.coefficients, precoders,
-                                    ws.scenario.config.noise_power_w)[m]
+                                    ws.config.noise_power_w)[m]
 
 
-def brute_force_positions(scenario, state: AntennaState, precoders,
+def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
                           grid_step: float) -> AntennaState:
     """Coordinate-wise exhaustive position search (test oracle).
 
@@ -112,7 +138,7 @@ def brute_force_positions(scenario, state: AntennaState, precoders,
         raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
     if grid_step <= 0:
         raise ContractError("grid_step must be positive")
-    cfg = scenario.config
+    cfg = ws.config
     radius = cfg.movement_radius
     n = int(math.floor(radius / grid_step))
     lattice = (2 * n + 1) ** 3
@@ -124,12 +150,11 @@ def brute_force_positions(scenario, state: AntennaState, precoders,
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     offsets = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     offsets = offsets[np.linalg.norm(offsets, axis=1) <= radius]
-    ws = ChannelWorkspace(scenario)
     noise = cfg.noise_power_w
-    positions = project_to_movement_region(scenario, state.positions).copy()
+    positions = project_to_movement_region(ws, state.positions).copy()
     for m in range(cfg.num_bs_antennas):
         candidates = np.vstack([positions[m][None, :],
-                                scenario.initial_positions[m] + offsets])
+                                ws.initial_positions[m] + offsets])
         best_idx, best_f = 0, -np.inf
         trial = positions.copy()
         for idx in range(candidates.shape[0]):
@@ -143,7 +168,7 @@ def brute_force_positions(scenario, state: AntennaState, precoders,
 
 def orthonormality_error(max_degree: int) -> float:
     """max |Gram - I| over the bases of degree 0..max_degree."""
-    return float(np.max([np.max(np.abs(b.gram_matrix() - np.eye(b.size)))
+    return float(np.max([np.max(np.abs(gram_matrix(b) - np.eye(b.size)))
                          for b in map(build_basis, range(max_degree + 1))]))
 
 
@@ -154,7 +179,8 @@ def parseval_error(basis, rng: np.random.Generator, trials: int = 1000) -> float
 
 
 def random_feasible_state(scenario, rng: np.random.Generator) -> AntennaState:
-    """A MARA state drawn uniformly: positions in the balls, unit pattern rows."""
+    """A MARA state drawn uniformly: positions in the balls, unit pattern rows.
+    Takes a scenario or its workspace."""
     cfg = scenario.config
     positions = sample_movement_region(scenario, rng)
     coefficients = sample_unit_spheres(
@@ -167,16 +193,18 @@ def zf_precoder(h: np.ndarray, config):
     return digital_precoder(h, config.total_power_w, config.noise_power_w)
 
 
-def factorization_error(ws: ChannelWorkspace, state: AntennaState) -> float:
-    """max |h - q^H alpha| over every (u, m, g), with q from `ecsi`."""
-    scen = ws.scenario
+def factorization_error(scenario, state: AntennaState) -> float:
+    """max |h - q^H alpha| over every (u, m, g): h from the scenario's
+    workspace, q from `ecsi` on its raw paths."""
+    ws = ChannelWorkspace(scenario)
     h = ws.state_tensor(state)
     errors = []
-    for u, ps in enumerate(scen.path_sets):
+    for u, ps in enumerate(scenario.path_sets):
         omega = build_omega(ws.basis, ps)
         for m, (position, alpha) in enumerate(zip(state.positions, state.coefficients)):
-            for g, f in enumerate(scen.subcarrier_frequencies):
-                q = ecsi(ps, omega, position, scen.ue_positions[u], f, scen.wavelength)
+            for g, f in enumerate(scenario.subcarrier_frequencies):
+                q = ecsi(ps, omega, position, scenario.ue_positions[u], f,
+                         scenario.wavelength)
                 errors.append(abs(h[u, m, g] - np.conj(q) @ alpha))
     return float(np.max(errors))
 
@@ -196,8 +224,7 @@ def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders, m: int
                     fd_step: float) -> tuple[float, float]:
     """Relative errors of antenna m's analytic position and pattern gradients
     against central differences; the position step is fd_step wavelengths."""
-    scen = ws.scenario
-    noise = scen.config.noise_power_w
+    noise = ws.config.noise_power_w
     positions, coefficients = state.positions, state.coefficients
 
     def se(pos, coeff):
@@ -205,7 +232,7 @@ def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders, m: int
 
     pos = _rel_err(se_gradient_positions(ws, state, precoders, m),
                    fd_gradient(lambda p: se(p, coefficients), positions, m,
-                               fd_step * scen.wavelength))
+                               fd_step * ws.config.wavelength))
     pat = _rel_err(se_gradient_patterns(ws, state, precoders, m),
                    fd_gradient(lambda a: se(positions, a), coefficients, m, fd_step))
     return pos, pat
@@ -223,11 +250,11 @@ def position_oracle_gap(scenario, opts, grid_step: float) -> float:
     """Signed relative SE gap of `optimize_positions` below `brute_force_positions`,
     both from the SMA start under its precoder."""
     ws = ChannelWorkspace(scenario)
-    state = initial_state(scenario, "SMA")
-    prec = zf_precoder(ws.state_tensor(state), scenario.config)
-    noise = scenario.config.noise_power_w
-    opt, _ = optimize_positions(scenario, state, prec, opts, ws)
-    bf = brute_force_positions(scenario, state, prec, grid_step)
+    state = initial_state(ws, "SMA")
+    prec = zf_precoder(ws.state_tensor(state), ws.config)
+    noise = ws.config.noise_power_w
+    opt, _ = optimize_positions(ws, state, prec, opts)
+    bf = brute_force_positions(ws, state, prec, grid_step)
     return _gap(sum_se_arrays(ws.state_tensor(bf), prec.w, noise),
                 sum_se_arrays(ws.state_tensor(opt), prec.w, noise))
 
@@ -237,9 +264,9 @@ def pattern_oracle_gap(scenario, opts) -> float:
     subcarrier 0 below the leading eigenvalue of Re(conj(q) q^T); the optimum
     when M = U = G = 1."""
     ws = ChannelWorkspace(scenario)
-    state = initial_state(scenario, "ERA")
-    prec = zf_precoder(ws.state_tensor(state), scenario.config)
-    out, _ = optimize_patterns(scenario, state, prec, opts, ws)
+    state = initial_state(ws, "ERA")
+    prec = zf_precoder(ws.state_tensor(state), ws.config)
+    out, _ = optimize_patterns(ws, state, prec, opts)
     ps = scenario.path_sets[0]
     q = ecsi(ps, build_omega(ws.basis, ps), scenario.initial_positions[0],
              scenario.ue_positions[0], scenario.subcarrier_frequencies[0],

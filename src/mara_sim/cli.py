@@ -151,15 +151,15 @@ def cmd_check(args) -> int:
     worst = checks.parseval_error(build_basis(degree), rng)
     record("parseval", worst < 1e-8, f"max |power - ||a||^2| = {worst:.3e}")
 
-    ws = ChannelWorkspace(generate_scenario(base))
-    worst = checks.factorization_error(ws, checks.random_feasible_state(ws.scenario, rng))
+    scenario = generate_scenario(base)
+    worst = checks.factorization_error(scenario, checks.random_feasible_state(scenario, rng))
     record("factorization", worst < 1e-12, f"max |h - q^H a| = {worst:.3e}")
 
     errors = []
     for trial in range(5):
         ws = ChannelWorkspace(generate_scenario(replace(base, seed=base.seed + trial)))
-        state = checks.random_feasible_state(ws.scenario, rng)
-        prec = checks.zf_precoder(ws.state_tensor(state), ws.scenario.config)
+        state = checks.random_feasible_state(ws, rng)
+        prec = checks.zf_precoder(ws.state_tensor(state), ws.config)
         errors += [checks.gradient_errors(ws, state, prec, m, fd_step)
                    for m in range(base.num_bs_antennas)]
     worst = float(np.max(errors))

@@ -41,14 +41,15 @@ class ExperimentSpec:
     options: OptimOptions = field(default_factory=OptimOptions)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ContractError("seeds must be nonempty")
+        for name in ("seeds", "schemes"):
+            items = getattr(self, name)
+            if not items:
+                raise ContractError(f"{name} must be nonempty")
+            if len(set(items)) != len(items):
+                raise ContractError(f"{name} must not repeat")
         unknown = set(self.schemes) - set(SCHEME_ORDER)
         if unknown:
             raise ContractError(f"unknown scheme(s) {sorted(unknown)}")
-        for name in ("seeds", "schemes"):
-            if len(set(getattr(self, name))) != len(getattr(self, name)):
-                raise ContractError(f"{name} must not repeat")
         values = (None,)
         if self.sweep is not None:
             name, values = self.sweep
@@ -101,8 +102,7 @@ def _run_cell(spec: ExperimentSpec, seed: int,
                          iterations, wall, ok, note)
 
     config = _cell_config(spec, seed, sweep_value)
-    scenario = generate_scenario(config)
-    ws = ChannelWorkspace(scenario)
+    ws = ChannelWorkspace(generate_scenario(config))
     # Solve in nesting order so later schemes reuse converged warm starts.
     needed = set(spec.schemes)
     for scheme in reversed(SCHEME_ORDER):
@@ -117,7 +117,7 @@ def _run_cell(spec: ExperimentSpec, seed: int,
             continue
         start = time.perf_counter()
         try:
-            result = alternating_optimize(scenario, scheme, spec.options, warm, ws)
+            result = alternating_optimize(ws, scheme, spec.options, warm)
         except Exception as exc:  # diagnostic row ends the cell, not the run
             error.append(make_row(scheme, ok=False, note=f"error: {exc}"))
             break
@@ -140,7 +140,6 @@ def run_experiment(spec: ExperimentSpec, trace_sink: list | None = None) -> list
 
     When a list is passed as trace_sink, every per-scheme objective trace is
     appended to it as (seed, sweep_value, scheme, trace), in cell order.
-    Cells run in order in the calling thread.
     """
     values = list(spec.sweep[1]) if spec.sweep is not None else [None]
     rows = []

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SingularChannelError
-from .scenario import Scenario
 from .channel import (
     MOVABLE_SCHEMES,
     RECONFIGURABLE_SCHEMES,
@@ -73,7 +72,6 @@ class OptimOptions:
 
 @dataclass
 class OptimResult:
-    scheme: str
     state: AntennaState
     precoders: PrecoderSet
     se_trace: list[float]
@@ -104,10 +102,10 @@ def water_fill(slopes: np.ndarray, total_power: float) -> np.ndarray:
     powers sum to total_power exactly.
     """
     slopes = np.asarray(slopes, dtype=np.float64)
-    if np.any(slopes <= 0):
-        raise ContractError("water_fill requires strictly positive channel slopes")
-    if total_power < 0:
-        raise ContractError("water_fill requires a nonnegative total_power")
+    if not np.all((0 < slopes) & (slopes < np.inf)):
+        raise ContractError("water_fill requires finite, strictly positive channel slopes")
+    if not 0 <= total_power < np.inf:
+        raise ContractError("water_fill requires a finite, nonnegative total_power")
     if total_power == 0:
         return np.zeros_like(slopes)
     floors = 1.0 / slopes
@@ -254,10 +252,10 @@ def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
         return _grad_positions_all(ws, positions, coefficients, precoders, noise_power)
 
     def propose(positions, grad, t):
-        cands = project_to_movement_region(ws.scenario, positions + t[:, None, None] * grad)
+        cands = project_to_movement_region(ws, positions + t[:, None, None] * grad)
         return cands, np.sum(grad * (cands - positions), axis=(1, 2))
 
-    steps = POSITION_STEP * ws.scenario.config.antenna_spacing * LADDER
+    steps = POSITION_STEP * ws.config.antenna_spacing * LADDER
     return _ascend(start, steps, direction, propose, objective, opts)
 
 
@@ -293,16 +291,8 @@ def _best_of_restarts(start, draw, ascend, opts):
     return best_x, best_f
 
 
-def _workspace(scenario: Scenario, ws: ChannelWorkspace | None) -> ChannelWorkspace:
-    """ws, checked to be built for scenario, or a new workspace for scenario."""
-    if ws is not None and ws.scenario is not scenario:
-        raise ContractError("the workspace was built for another scenario")
-    return ws if ws is not None else ChannelWorkspace(scenario)
-
-
-def optimize_positions(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
-                       opts: OptimOptions = OptimOptions(),
-                       ws: ChannelWorkspace | None = None) -> tuple[AntennaState, float]:
+def optimize_positions(ws: ChannelWorkspace, state: AntennaState, precoders: PrecoderSet,
+                       opts: OptimOptions = OptimOptions()) -> tuple[AntennaState, float]:
     """Projected gradient ascent over antenna positions; best of seeded restarts.
 
     Restart 0 warm-starts from the incoming state (projected into the movement
@@ -312,26 +302,23 @@ def optimize_positions(scenario: Scenario, state: AntennaState, precoders: Preco
     """
     if state.scheme not in MOVABLE_SCHEMES:
         raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
-    ws = _workspace(scenario, ws)
-    start = project_to_movement_region(scenario, state.positions)
-    noise = scenario.config.noise_power_w
+    start = project_to_movement_region(ws, state.positions)
+    noise = ws.config.noise_power_w
     best, se = _best_of_restarts(
-        start, lambda rng: sample_movement_region(scenario, rng),
+        start, lambda rng: sample_movement_region(ws, rng),
         lambda init: _ascend_positions(ws, init, state.coefficients, precoders,
                                        noise, opts), opts)
     return AntennaState(best, state.coefficients.copy(), state.scheme), se
 
 
-def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: PrecoderSet,
-                      opts: OptimOptions = OptimOptions(),
-                      ws: ChannelWorkspace | None = None) -> tuple[AntennaState, float]:
+def optimize_patterns(ws: ChannelWorkspace, state: AntennaState, precoders: PrecoderSet,
+                      opts: OptimOptions = OptimOptions()) -> tuple[AntennaState, float]:
     """Retracted gradient ascent over per-antenna unit-sphere pattern coefficients;
     returns (state, se) like `optimize_positions`."""
     if state.scheme not in RECONFIGURABLE_SCHEMES:
         raise ContractError(f"patterns are pinned for scheme {state.scheme!r}")
-    ws = _workspace(scenario, ws)
     start = state.coefficients / np.linalg.norm(state.coefficients, axis=1, keepdims=True)
-    noise = scenario.config.noise_power_w
+    noise = ws.config.noise_power_w
     best, se = _best_of_restarts(
         start, lambda rng: sample_unit_spheres(rng, start.shape),
         lambda init: _ascend_patterns(ws, state.positions, init, precoders,
@@ -339,33 +326,30 @@ def optimize_patterns(scenario: Scenario, state: AntennaState, precoders: Precod
     return AntennaState(state.positions.copy(), best, state.scheme), se
 
 
-def alternating_optimize(scenario: Scenario, scheme: str,
+def alternating_optimize(ws: ChannelWorkspace, scheme: str,
                          opts: OptimOptions = OptimOptions(),
-                         warm: dict[str, OptimResult] | None = None,
-                         ws: ChannelWorkspace | None = None) -> OptimResult:
+                         warm: dict[str, OptimResult] | None = None) -> OptimResult:
     """Alternate precoder, position, and pattern steps for one scheme.
 
     `warm` may carry already-computed results for the schemes a run depends on
     (its WARM_STARTS sources and theirs in turn); missing entries are
     computed internally. Each sub-step keeps its candidate only if the
     objective does not drop, so the trace is nondecreasing and the final SE
-    dominates the warm-start SE. `ws` is the scenario's workspace, built
-    here when not given; every solve of the call shares it.
+    dominates the warm-start SE. Every solve of the call shares the workspace `ws`.
     """
-    if scheme not in scenario.config.schemes:
+    if scheme not in ws.config.schemes:
         raise ContractError(f"scheme {scheme!r} is not in the configured set")
-    return _optimize_scheme(_workspace(scenario, ws), scheme, opts, dict(warm or {}))
+    return _optimize_scheme(ws, scheme, opts, dict(warm or {}))
 
 
 def _optimize_scheme(ws, scheme, opts, warm):
-    scenario = ws.scenario
     if scheme == "TFA":
-        cfg = scenario.config
-        state = initial_state(scenario, "TFA")
+        cfg = ws.config
+        state = initial_state(ws, "TFA")
         h = ws.state_tensor(state)
         precoders = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
         se = sum_se_arrays(h, precoders.w, cfg.noise_power_w)
-        return OptimResult("TFA", state, precoders, [se], True)
+        return OptimResult(state, precoders, [se], True)
 
     for source in WARM_STARTS[scheme]:
         if source not in warm:
@@ -376,15 +360,15 @@ def _optimize_scheme(ws, scheme, opts, warm):
     for _ in range(opts.max_outer_iters):
         before = current
         if scheme in MOVABLE_SCHEMES:
-            state, current = optimize_positions(scenario, state, precoders, opts, ws)
+            state, current = optimize_positions(ws, state, precoders, opts)
             precoders, current = _accept_precoder(ws, state, precoders, current)
         if scheme in RECONFIGURABLE_SCHEMES:
-            state, current = optimize_patterns(scenario, state, precoders, opts, ws)
+            state, current = optimize_patterns(ws, state, precoders, opts)
             precoders, current = _accept_precoder(ws, state, precoders, current)
         trace.append(current)
         if current - before < opts.tol_rel * max(abs(before), 1e-12):
-            return OptimResult(scheme, state, precoders, trace, True)
-    return OptimResult(scheme, state, precoders, trace, False)
+            return OptimResult(state, precoders, trace, True)
+    return OptimResult(state, precoders, trace, False)
 
 
 def _accept_precoder(ws, state, precoders, current):
@@ -394,7 +378,7 @@ def _accept_precoder(ws, state, precoders, current):
     reached `state` already computed; only the ZF candidate is scored. Returns
     (precoders, se) at `state`; a channel singular at `state` keeps `precoders`.
     """
-    cfg = ws.scenario.config
+    cfg = ws.config
     h = ws.state_tensor(state)
     try:
         candidate = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)

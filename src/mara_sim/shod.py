@@ -45,10 +45,6 @@ class BasisSet:
         """Evaluate all K basis functions; returns shape broadcast(theta, phi) + (K,)."""
         return evaluate_basis(self.max_degree, theta, phi)
 
-    def gram_matrix(self) -> np.ndarray:
-        """Quadrature of omega_k * omega_k' over the sphere; identity when exact."""
-        return self.node_values.T @ (self.weights[:, None] * self.node_values)
-
 
 @functools.lru_cache(maxsize=8)
 def build_basis(max_degree: int) -> BasisSet:
@@ -105,26 +101,6 @@ def evaluate_basis(max_degree: int, theta, phi) -> np.ndarray:
             for offset, factor in columns:  # column k = l^2 + l + (+-m)
                 out[..., ell * ell + ell + offset] = p * factor
     return out
-
-
-def pattern_gain(basis: BasisSet, alpha: np.ndarray, theta, phi):
-    """Pattern response sum_k alpha_k omega_k(theta, phi)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (basis.size,):
-        raise ContractError(f"alpha must have shape ({basis.size},), got {alpha.shape}")
-    return basis.evaluate(theta, phi) @ alpha
-
-
-def pattern_power(basis: BasisSet, alpha: np.ndarray) -> float:
-    """Radiated power of the pattern: quadrature of |f|^2 over the sphere.
-
-    Equals ||alpha||^2 up to quadrature rounding (Parseval).
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (basis.size,):
-        raise ContractError(f"alpha must have shape ({basis.size},), got {alpha.shape}")
-    f = basis.node_values @ alpha
-    return float(np.dot(basis.weights, f * f))
 
 
 def isotropic_coefficients(basis_size: int) -> np.ndarray:

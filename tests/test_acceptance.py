@@ -13,7 +13,7 @@ import pytest
 
 from mara_sim import checks
 from mara_sim.scenario import generate_scenario
-from mara_sim.shod import build_basis, build_omega, departure_angles, pattern_gain
+from mara_sim.shod import build_basis, build_omega, departure_angles
 from mara_sim.channel import ChannelWorkspace, channel_tensor
 from mara_sim.se import sum_se_arrays
 from mara_sim.optim import OptimOptions, digital_precoder
@@ -109,7 +109,7 @@ def test_criterion_04_factorization_exactness():
             total = 0.0 + 0.0j
             for i in range(ps.num_paths):
                 x = ps.gains[i] * cmath.exp(-2j * math.pi * ps.delays[i] * f)
-                f_tx = pattern_gain(basis, state.coefficients[m], theta[i], phi[i])
+                f_tx = checks.pattern_gain(basis, state.coefficients[m], theta[i], phi[i])
                 kappa = 2 * math.pi / scen.wavelength
                 phase = cmath.exp(-1j * kappa * float(
                     ps.tx_wave_vectors[i] @ state.positions[m]))
@@ -168,7 +168,7 @@ def test_criterion_06_gradient_checks():
     for trial in range(100):
         cfg = make_config(num_subcarriers=2, seed=400 + trial)
         ws = ChannelWorkspace(generate_scenario(cfg))
-        state = random_feasible_state(ws.scenario, rng, scheme="MARA")
+        state = random_feasible_state(ws, rng, scheme="MARA")
         prec = checks.zf_precoder(ws.state_tensor(state), cfg)
         errors.append(checks.gradient_errors(ws, state, prec, trial % cfg.num_bs_antennas,
                                              1e-6))

@@ -99,7 +99,7 @@ def test_unequal_path_counts_are_zero_padded(rng):
     for u in range(len(scen.path_sets)):
         alone = ChannelWorkspace(one_ue(scen, u)).state_tensor(state)[0]
         assert max_rel(h[u], alone) < 1e-12
-    assert checks.factorization_error(ws, state) < 1e-12
+    assert checks.factorization_error(scen, state) < 1e-12
 
 
 def test_unequal_path_counts_gradients_match_finite_differences(rng):
@@ -129,8 +129,7 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
 # read optim's constants when called, and also return why the ascent stopped.
 
 def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
-    scenario = ws.scenario
-    step0 = optim.POSITION_STEP * scenario.config.antenna_spacing
+    step0 = optim.POSITION_STEP * ws.config.antenna_spacing
     positions = start.copy()
     f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
     reason = "iterations"
@@ -143,7 +142,7 @@ def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
         accepted = False
         reason = "ladder"
         while t > 1e-14 * step0:
-            cand = project_to_movement_region(scenario, positions + t * grad)
+            cand = project_to_movement_region(ws, positions + t * grad)
             advance = float(np.sum(grad * (cand - positions)))
             if advance <= 0.0:
                 reason = "advance"

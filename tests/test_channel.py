@@ -6,10 +6,10 @@ import pytest
 
 from mara_sim.errors import ContractError
 from mara_sim.scenario import PathSet, generate_scenario
-from mara_sim.shod import build_basis, build_omega, departure_angles, pattern_gain
+from mara_sim.shod import build_basis, build_omega, departure_angles
 from mara_sim.channel import (AntennaState, ChannelWorkspace, channel_tensor,
                               initial_state, project_to_movement_region, validate_state)
-from mara_sim.checks import ecsi, path_gains, rx_steering, tx_steering
+from mara_sim.checks import ecsi, path_gains, pattern_gain, rx_steering, tx_steering
 
 from conftest import make_config, random_feasible_state
 
@@ -215,13 +215,20 @@ def test_channel_tensor_scheme_state_mismatch(rng):
         channel_tensor(scen, sma_moved, "TFA")
 
 
-def test_validate_state_rejects_out_of_ball(rng):
+@pytest.mark.parametrize("scheme, error", [("SMA", "ball"), ("ERA", "nominal array")],
+                         ids=["SMA", "ERA"])
+@pytest.mark.parametrize("handle", [lambda scen: scen, ChannelWorkspace],
+                         ids=["scenario", "workspace"])
+def test_validate_state_rejects_out_of_ball(handle, scheme, error):
+    # The solver and the traced benchmark check states against the workspace,
+    # so it must carry everything validate_state reads of a scenario.
     cfg = make_config(seed=8)
     scen = generate_scenario(cfg)
-    state = initial_state(scen, "SMA")
+    state = initial_state(scen, scheme)
+    validate_state(handle(scen), state)
     state.positions[0, 0] += cfg.antenna_spacing  # leaves the d/2 ball
-    with pytest.raises(ContractError, match="ball"):
-        validate_state(scen, state)
+    with pytest.raises(ContractError, match=error):
+        validate_state(handle(scen), state)
 
 
 def test_factorization_exactness_random_entries(rng):

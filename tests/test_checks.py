@@ -16,8 +16,8 @@ FAST = OptimOptions(inner_grad_iters=5, restarts=1, seed=0)
 
 def mara_instance(rng, **overrides):
     ws = ChannelWorkspace(generate_scenario(make_config(**overrides)))
-    state = checks.random_feasible_state(ws.scenario, rng)
-    return ws, state, checks.zf_precoder(ws.state_tensor(state), ws.scenario.config)
+    state = checks.random_feasible_state(ws, rng)
+    return ws, state, checks.zf_precoder(ws.state_tensor(state), ws.config)
 
 
 def with_nan(a):
@@ -64,9 +64,10 @@ def test_parseval_nan(rng):
 
 
 def test_factorization_nan(rng):
-    ws, state, _ = mara_instance(rng)
+    scen = generate_scenario(make_config())
+    state = checks.random_feasible_state(scen, rng)
     nan_state = AntennaState(state.positions, with_nan(state.coefficients), "MARA")
-    assert np.isnan(checks.factorization_error(ws, nan_state))
+    assert np.isnan(checks.factorization_error(scen, nan_state))
 
 
 def test_gradient_errors_nan(rng):
@@ -77,14 +78,14 @@ def test_gradient_errors_nan(rng):
 
 def test_position_oracle_gap_nan(monkeypatch):
     monkeypatch.setattr(checks, "brute_force_positions",
-                        lambda scen, state, *args: AntennaState(
+                        lambda ws, state, *args: AntennaState(
                             with_nan(state.positions), state.coefficients, state.scheme))
     assert np.isnan(checks.position_oracle_gap(one_by_one(0), FAST, 1e-3))
 
 
 def test_pattern_oracle_gap_nan(monkeypatch):
     monkeypatch.setattr(checks, "optimize_patterns",
-                        lambda scen, state, *args: (AntennaState(
+                        lambda ws, state, *args: (AntennaState(
                             state.positions, with_nan(state.coefficients), state.scheme),
                             np.nan))
     assert np.isnan(checks.pattern_oracle_gap(one_by_one(1), FAST))

@@ -102,8 +102,8 @@ def test_run_invalid_json_reports_line(tmp_path, capsys):
 def test_run_injected_nesting_violation_exits_two(tmp_path, capsys, monkeypatch):
     solve = harness.alternating_optimize
 
-    def lowered_mara(scenario, scheme, *args):
-        result = solve(scenario, scheme, *args)
+    def lowered_mara(ws, scheme, *args):
+        result = solve(ws, scheme, *args)
         if scheme == "MARA":
             return dataclasses.replace(result, se_trace=[result.se * 0.1])
         return result
@@ -117,10 +117,10 @@ def test_run_injected_nesting_violation_exits_two(tmp_path, capsys, monkeypatch)
 def test_run_error_in_mara_exits_one_and_keeps_rows(tmp_path, capsys, monkeypatch):
     solve = harness.alternating_optimize
 
-    def boom_at_mara(scenario, scheme, *args):
+    def boom_at_mara(ws, scheme, *args):
         if scheme == "MARA":
             raise RuntimeError("injected failure")
-        return solve(scenario, scheme, *args)
+        return solve(ws, scheme, *args)
     monkeypatch.setattr(harness, "alternating_optimize", boom_at_mara)
     cfg = small_run_config(tmp_path)
     out = tmp_path / "e"
@@ -134,7 +134,7 @@ def test_run_error_in_mara_exits_one_and_keeps_rows(tmp_path, capsys, monkeypatc
 
 
 def test_run_error_in_every_cell_reports_its_cause(tmp_path, capsys, monkeypatch):
-    def singular(scenario, scheme, *args):
+    def singular(ws, scheme, *args):
         raise SingularChannelError("channel matrix is singular at subcarrier 0")
     monkeypatch.setattr(harness, "alternating_optimize", singular)
     cfg = small_run_config(tmp_path)
@@ -200,7 +200,7 @@ def test_oracle_grid_guard(capsys):
 
 
 def test_oracle_nan_gap_exits_one(capsys, monkeypatch):
-    def nan_patterns(scenario, state, *args):
+    def nan_patterns(ws, state, *args):
         return AntennaState(state.positions, np.full(state.coefficients.shape, np.nan),
                             state.scheme), np.nan
     monkeypatch.setattr(checks, "optimize_patterns", nan_patterns)

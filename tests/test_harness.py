@@ -89,6 +89,8 @@ def test_spec_validation():
         tiny_spec(seeds=(0, 0))
     with pytest.raises(ContractError, match="schemes must not repeat"):
         tiny_spec(schemes=("TFA", "TFA"))
+    with pytest.raises(ContractError, match="schemes must be nonempty"):
+        tiny_spec(schemes=())
 
 
 @pytest.mark.parametrize("sweep, error", [
@@ -200,8 +202,8 @@ def test_summary_csv_format(tmp_path):
 def test_fault_hook_records_nesting_violation(monkeypatch):
     solve = harness.alternating_optimize
 
-    def lowered_mara(scenario, scheme, *args):
-        result = solve(scenario, scheme, *args)
+    def lowered_mara(ws, scheme, *args):
+        result = solve(ws, scheme, *args)
         return dataclasses.replace(result, se_trace=[0.0]) if scheme == "MARA" else result
     monkeypatch.setattr(harness, "alternating_optimize", lowered_mara)
     rows = run_experiment(tiny_spec(seeds=(5,)))
@@ -235,7 +237,7 @@ def test_trace_sink_collects_monotone_traces():
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
 
-def test_trace_sink_order_independent_of_threads():
+def test_trace_sink_keeps_cell_and_scheme_order():
     spec = tiny_spec(seeds=(0, 1, 2), sweep=("total_power_w", (0.5, 1.0)))
     sink = []
     run_experiment(spec, trace_sink=sink)

@@ -50,7 +50,7 @@ def test_every_exported_name_resolves():
 
 REFERENCE_FORMS = ("ecsi", "tx_steering", "rx_steering", "path_gains", "sinr",
                    "mrt_precoder", "brute_force_positions", "se_gradient_positions",
-                   "se_gradient_patterns")
+                   "se_gradient_patterns", "pattern_gain", "pattern_power", "gram_matrix")
 
 
 def imported_modules(source: str) -> set[str]:

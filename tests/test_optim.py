@@ -54,7 +54,7 @@ def test_optimize_positions_monotone_and_feasible(rng):
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
-    out, _ = optimize_positions(scen, state, prec, FAST, ws)
+    out, _ = optimize_positions(ws, state, prec, FAST)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert after >= before - 1e-9
     offsets = np.linalg.norm(out.positions - scen.initial_positions, axis=1)
@@ -71,7 +71,7 @@ def test_single_path_position_cannot_help():
     state = initial_state(scen, "SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
-    out, _ = optimize_positions(scen, state, prec, OptimOptions(restarts=3), ws)
+    out, _ = optimize_positions(ws, state, prec, OptimOptions(restarts=3))
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert abs(after - before) <= 1e-9
 
@@ -89,7 +89,7 @@ def test_optimize_positions_matches_1d_grid_oracle():
     xs = np.arange(-cfg.movement_radius, cfg.movement_radius + step / 2, step)
     se_grid = max(math.log2(1 + abs(axis_channel_value(gains, kappa, x)) ** 2
                             * w_amp2 / noise) for x in xs)
-    out, _ = optimize_positions(scen, state, prec, OptimOptions(seed=3), ws)
+    out, _ = optimize_positions(ws, state, prec, OptimOptions(seed=3))
     se_opt = sum_se_arrays(ws.state_tensor(out), prec.w, noise)
     assert se_opt == pytest.approx(se_grid, rel=1e-6)
 
@@ -100,7 +100,8 @@ def test_optimize_positions_zero_iterations_is_identity(rng):
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(channel_tensor(scen, state, "SMA"),
                             cfg.total_power_w, cfg.noise_power_w)
-    out, _ = optimize_positions(scen, state, prec, OptimOptions(inner_grad_iters=0))
+    out, _ = optimize_positions(ChannelWorkspace(scen), state, prec,
+                                OptimOptions(inner_grad_iters=0))
     assert np.array_equal(out.positions, state.positions)
     assert np.array_equal(out.coefficients, state.coefficients)
 
@@ -112,7 +113,7 @@ def test_optimize_positions_rejects_pinned_schemes(rng):
                             cfg.total_power_w, cfg.noise_power_w)
     for scheme in ("TFA", "ERA"):
         with pytest.raises(ContractError):
-            optimize_positions(scen, initial_state(scen, scheme), prec)
+            optimize_positions(ChannelWorkspace(scen), initial_state(scen, scheme), prec)
 
 
 def test_optimize_patterns_rejects_pinned_schemes(rng):
@@ -122,7 +123,7 @@ def test_optimize_patterns_rejects_pinned_schemes(rng):
                             cfg.total_power_w, cfg.noise_power_w)
     for scheme in ("TFA", "SMA"):
         with pytest.raises(ContractError):
-            optimize_patterns(scen, initial_state(scen, scheme), prec)
+            optimize_patterns(ChannelWorkspace(scen), initial_state(scen, scheme), prec)
 
 
 def rank_one_instance(seed):
@@ -145,7 +146,7 @@ def test_optimize_patterns_stationary_start_unchanged():
     state = AntennaState(scen.initial_positions.copy(), alpha_star[None, :].copy(), "ERA")
     prec = digital_precoder(channel_tensor(scen, state, "ERA"),
                             cfg.total_power_w, cfg.noise_power_w)
-    out, _ = optimize_patterns(scen, state, prec, OptimOptions(seed=4))
+    out, _ = optimize_patterns(ChannelWorkspace(scen), state, prec, OptimOptions(seed=4))
     assert np.allclose(out.coefficients[0], alpha_star, atol=1e-9)
 
 
@@ -159,7 +160,7 @@ def test_optimize_patterns_recovers_rank_one_maximizer():
         prec = digital_precoder(channel_tensor(scen, state, "ERA"),
                                 cfg.total_power_w, cfg.noise_power_w)
         opts = OptimOptions(seed=5, tol_rel=1e-9, inner_grad_iters=200)
-        out, _ = optimize_patterns(scen, state, prec, opts)
+        out, _ = optimize_patterns(ChannelWorkspace(scen), state, prec, opts)
         achieved = abs(np.conj(q) @ out.coefficients[0]) ** 2
         assert achieved == pytest.approx(best, rel=1e-6)
 
@@ -171,7 +172,7 @@ def test_optimize_patterns_monotone(rng):
     state = random_feasible_state(scen, rng, scheme="ERA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
-    out, _ = optimize_patterns(scen, state, prec, FAST, ws)
+    out, _ = optimize_patterns(ws, state, prec, FAST)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert after >= before - 1e-9
     assert np.allclose(np.linalg.norm(out.coefficients, axis=1), 1.0, atol=1e-10)
@@ -179,8 +180,7 @@ def test_optimize_patterns_monotone(rng):
 
 def test_alternating_tfa_single_step():
     cfg = make_config(seed=61)
-    scen = generate_scenario(cfg)
-    res = alternating_optimize(scen, "TFA", FAST)
+    res = alternating_optimize(ChannelWorkspace(generate_scenario(cfg)), "TFA", FAST)
     assert len(res.se_trace) == 1
     assert res.converged
     assert res.iterations == 1
@@ -188,31 +188,17 @@ def test_alternating_tfa_single_step():
 
 def test_alternating_rejects_unconfigured_scheme():
     cfg = make_config(schemes=("TFA",), seed=62)
-    scen = generate_scenario(cfg)
     with pytest.raises(ContractError):
-        alternating_optimize(scen, "SMA", FAST)
-
-
-def test_workspace_of_another_scenario_rejected():
-    scen = generate_scenario(make_config(seed=62))
-    other = ChannelWorkspace(generate_scenario(make_config(seed=62)))
-    state = initial_state(scen, "MARA")
-    prec = digital_precoder(other.state_tensor(state), 1.0, 1e-2)
-    for solve in (lambda: alternating_optimize(scen, "TFA", FAST, ws=other),
-                  lambda: optimize_positions(scen, state, prec, FAST, other),
-                  lambda: optimize_patterns(scen, state, prec, FAST, other)):
-        with pytest.raises(ContractError, match="another scenario"):
-            solve()
+        alternating_optimize(ChannelWorkspace(generate_scenario(cfg)), "SMA", FAST)
 
 
 @pytest.mark.parametrize("seed", [63, 64])
 def test_alternating_traces_monotone_and_nested(seed):
-    cfg = make_config(seed=seed)
-    scen = generate_scenario(cfg)
+    ws = ChannelWorkspace(generate_scenario(make_config(seed=seed)))
     warm = {}
     results = {}
     for scheme in ("TFA", "SMA", "ERA", "MARA"):
-        res = alternating_optimize(scen, scheme, FAST, warm)
+        res = alternating_optimize(ws, scheme, FAST, warm)
         warm[scheme] = res
         results[scheme] = res
         trace = np.asarray(res.se_trace)
@@ -225,7 +211,7 @@ def test_alternating_traces_monotone_and_nested(seed):
 def test_alternating_results_consistent_with_final_state():
     cfg = make_config(seed=65)
     scen = generate_scenario(cfg)
-    res = alternating_optimize(scen, "MARA", FAST)
+    res = alternating_optimize(ChannelWorkspace(scen), "MARA", FAST)
     h = channel_tensor(scen, res.state, "MARA")
     assert sum_se_arrays(h, res.precoders.w, cfg.noise_power_w) == pytest.approx(
         res.se, rel=1e-12)
@@ -235,14 +221,14 @@ def test_alternating_results_consistent_with_final_state():
 def test_singular_mid_solve_precoder_keeps_current(monkeypatch):
     # A precoder re-derivation that hits a singular channel rejects that
     # candidate; the solve goes on with the warm-start precoder.
-    scen = generate_scenario(make_config(seed=66))
-    tfa = alternating_optimize(scen, "TFA", FAST)
+    ws = ChannelWorkspace(generate_scenario(make_config(seed=66)))
+    tfa = alternating_optimize(ws, "TFA", FAST)
 
     def singular(*args, **kwargs):
         raise SingularChannelError("injected singular channel")
 
     monkeypatch.setattr(optim, "digital_precoder", singular)
-    res = alternating_optimize(scen, "SMA", FAST, {"TFA": tfa})
+    res = alternating_optimize(ws, "SMA", FAST, {"TFA": tfa})
     assert res.se >= tfa.se
     assert np.array_equal(res.precoders.w, tfa.precoders.w)
 
@@ -254,10 +240,10 @@ def test_solve_derives_one_precoder_per_sub_step(monkeypatch, scheme,
     # The warm start takes its source's precoders and SE as they are; each
     # block ascent is followed by one accept, which derives one precoder and
     # scores only that candidate.
-    scen = generate_scenario(make_config(seed=66))
+    ws = ChannelWorkspace(generate_scenario(make_config(seed=66)))
     warm = {}
     for source in SCHEME_ORDER[:SCHEME_ORDER.index(scheme)]:
-        warm[source] = alternating_optimize(scen, source, FAST, dict(warm))
+        warm[source] = alternating_optimize(ws, source, FAST, dict(warm))
     derived, scored, ascending = [], [], []
 
     def counted_precoder(*args, **kwargs):
@@ -282,7 +268,7 @@ def test_solve_derives_one_precoder_per_sub_step(monkeypatch, scheme,
     monkeypatch.setattr(optim, "sum_se_arrays", counted_se)
     monkeypatch.setattr(optim, "_ascend_positions", inside(optim._ascend_positions))
     monkeypatch.setattr(optim, "_ascend_patterns", inside(optim._ascend_patterns))
-    res = alternating_optimize(scen, scheme, FAST, warm)
+    res = alternating_optimize(ws, scheme, FAST, warm)
     assert res.iterations >= 2
     assert len(derived) == accepts_per_iteration * res.iterations
     assert len(scored) == len(derived)
@@ -311,7 +297,7 @@ def test_block_optimizers_return_the_se_of_their_state(optimize, overrides, rng)
     state = random_feasible_state(scen, rng, scheme="MARA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     for opts in (FAST, OptimOptions(inner_grad_iters=0)):
-        out, se = optimize(scen, state, prec, opts, ws)
+        out, se = optimize(ws, state, prec, opts)
         assert se == sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
 
 
@@ -344,7 +330,7 @@ def test_options_reject_non_finite_and_non_integral_values(field, value):
 def test_optim_result_rejects_decreasing_trace():
     state = AntennaState(np.zeros((1, 3)), np.ones((1, 1)), "TFA")
     with pytest.raises(ContractError):
-        OptimResult("TFA", state, None, [2.0, 1.0], True)
+        OptimResult(state, None, [2.0, 1.0], True)
 
 
 def test_brute_force_keeps_incoming_candidate(rng):
@@ -355,7 +341,7 @@ def test_brute_force_keeps_incoming_candidate(rng):
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
-    out = brute_force_positions(scen, state, prec, cfg.movement_radius / 3)
+    out = brute_force_positions(ws, state, prec, cfg.movement_radius / 3)
     after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert after >= before
 
@@ -367,7 +353,7 @@ def test_brute_force_finds_phase_alignment_optimum():
     prec = digital_precoder(channel_tensor(scen, state, "SMA"),
                             cfg.total_power_w, cfg.noise_power_w)
     grid_step = cfg.movement_radius / 20
-    out = brute_force_positions(scen, state, prec, grid_step)
+    out = brute_force_positions(ChannelWorkspace(scen), state, prec, grid_step)
     # analytic optimum: phases align at x = delta
     assert abs(out.positions[0, 0] - delta) <= grid_step
 
@@ -378,7 +364,7 @@ def test_brute_force_degenerate_grid_is_identity():
     state = initial_state(scen, "SMA")
     prec = digital_precoder(channel_tensor(scen, state, "SMA"),
                             cfg.total_power_w, cfg.noise_power_w)
-    out = brute_force_positions(scen, state, prec, cfg.antenna_spacing)
+    out = brute_force_positions(ChannelWorkspace(scen), state, prec, cfg.antenna_spacing)
     assert np.array_equal(out.positions, scen.initial_positions)
 
 
@@ -389,7 +375,7 @@ def test_brute_force_size_guard():
     prec = digital_precoder(channel_tensor(scen, state, "SMA"),
                             cfg.total_power_w, cfg.noise_power_w)
     with pytest.raises(SizeLimitError):
-        brute_force_positions(scen, state, prec, cfg.antenna_spacing / 2000)
+        brute_force_positions(ChannelWorkspace(scen), state, prec, cfg.antenna_spacing / 2000)
 
 
 def test_optimizers_deterministic(rng):
@@ -398,9 +384,9 @@ def test_optimizers_deterministic(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    a, _ = optimize_positions(scen, state, prec, FAST, ws)
-    b, _ = optimize_positions(scen, state, prec, FAST, ws)
+    a, _ = optimize_positions(ws, state, prec, FAST)
+    b, _ = optimize_positions(ws, state, prec, FAST)
     assert np.array_equal(a.positions, b.positions)
-    r1 = alternating_optimize(scen, "MARA", FAST)
-    r2 = alternating_optimize(scen, "MARA", FAST)
+    r1 = alternating_optimize(ws, "MARA", FAST)
+    r2 = alternating_optimize(ChannelWorkspace(scen), "MARA", FAST)
     assert r1.se_trace == r2.se_trace

@@ -54,13 +54,18 @@ def test_water_fill_budget_far_below_the_floors():
 
 def test_water_fill_zero_budget_gives_zero_powers():
     assert np.array_equal(water_fill(np.array([2.0, 1.0]), 0.0), [0.0, 0.0])
-    with pytest.raises(ContractError):
-        water_fill(np.array([2.0, 1.0]), -1.0)
 
 
-def test_water_fill_rejects_nonpositive_slope():
+@pytest.mark.parametrize("total_power", [-1.0, np.nan, np.inf])
+def test_water_fill_rejects_negative_or_nonfinite_budget(total_power):
     with pytest.raises(ContractError):
-        water_fill(np.array([1.0, 0.0]), 1.0)
+        water_fill(np.array([2.0, 1.0]), total_power)
+
+
+@pytest.mark.parametrize("slope", [0.0, np.nan, np.inf])
+def test_water_fill_rejects_nonpositive_slope(slope):
+    with pytest.raises(ContractError):
+        water_fill(np.array([1.0, slope]), 1.0)
 
 
 def test_zf_identity_channel_diagonal_equal_powers():
