@@ -4,15 +4,26 @@ Cells (seed, sweep value) are independent pure computations; within a cell the
 schemes are solved in nesting order so warm starts can be shared. After each
 cell the scheme-ordering assertions are evaluated and any violation is
 recorded as a failure row rather than aborting the run. An error in one scheme
-ends its cell with a diagnostic row after the rows already solved. Cells run
-in order in the calling thread: each cell is a few large numpy calls, and
-threads contending for the interpreter lock made a sweep slower, not faster.
+ends its cell with a diagnostic row after the rows already solved; an error
+while building the cell's scenario or workspace gives the cell one error row.
+
+`MARA_SIM_THREADS` (default 1; the name is the benchmark's) counts processes:
+threads contending for the interpreter lock made a sweep slower. With N > 1
+the caller forks N - 1 children (POSIX only) and deals the cells round-robin,
+solving cells 0, N, 2N, ... itself. Rows and traces come back in cell order
+whatever N is, and `wall_time` is a row's solve time in the process that
+solved it. Children run on their own copy of the modules, so a tracer that
+patches module attributes needs `MARA_SIM_THREADS=1`, and the caller's
+`ru_maxrss` does not include them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -102,12 +113,16 @@ def _run_cell(spec: ExperimentSpec, seed: int,
                          iterations, wall, ok, note)
 
     config = _cell_config(spec, seed, sweep_value)
-    ws = ChannelWorkspace(generate_scenario(config))
     # Solve in nesting order so later schemes reuse converged warm starts.
     needed = set(spec.schemes)
     for scheme in reversed(SCHEME_ORDER):
         if scheme in needed:
             needed.update(WARM_STARTS[scheme])
+    try:
+        ws = ChannelWorkspace(generate_scenario(config))
+    except Exception as exc:  # an error row for this cell, not the run
+        first = next(s for s in SCHEME_ORDER if s in needed)
+        return [make_row(first, ok=False, note=f"error: set-up: {exc}")], []
     warm = {}
     rows = {}
     traces = []
@@ -135,20 +150,83 @@ def _run_cell(spec: ExperimentSpec, seed: int,
     return out, traces
 
 
+def _worker_count(cells: int) -> int:
+    raw = os.environ.get("MARA_SIM_THREADS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ContractError(f"MARA_SIM_THREADS must be an integer >= 1, got {raw!r}")
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(int(raw), cells, cpus or 1)
+
+
+def _solve_share(spec, cells, start, step) -> list[tuple]:
+    """(index, rows, traces) of every step-th cell from cells[start]."""
+    return [(i, *_run_cell(spec, *cells[i])) for i in range(start, len(cells), step)]
+
+
+def _child(spec, cells, start, step, fd):
+    """Solve a child's share, send it (or its exception) as one pickle, exit."""
+    status = 1
+    try:
+        try:
+            payload = (True, _solve_share(spec, cells, start, step))
+        except BaseException as exc:
+            payload = (False, exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_experiment(spec: ExperimentSpec, trace_sink: list | None = None) -> list[ResultRow]:
     """Run every (seed, sweep value, scheme) cell; rows in deterministic order.
 
     When a list is passed as trace_sink, every per-scheme objective trace is
     appended to it as (seed, sweep_value, scheme, trace), in cell order.
+    `MARA_SIM_THREADS` processes share the cells, capped at the cell count and
+    the usable CPUs (see the module docstring). A child's exception is raised
+    again here, and no child outlives the call.
     """
     values = list(spec.sweep[1]) if spec.sweep is not None else [None]
+    cells = [(seed, value) for seed in spec.seeds for value in values]
+    workers = _worker_count(len(cells))
+    children, sent, statuses = [], [], []  # (pid, read end); pickles; wait statuses
+    try:
+        for start in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child(spec, cells, start, workers, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        solved = _solve_share(spec, cells, 0, workers)
+        for _, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for data, status in zip(sent, statuses):
+        if not data:
+            raise RuntimeError(f"a worker exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} without sending results")
+        ok, payload = pickle.loads(data)
+        if not ok:
+            raise payload
+        solved.extend(payload)
     rows = []
-    for seed in spec.seeds:
-        for value in values:
-            cell_rows, cell_traces = _run_cell(spec, seed, value)
-            rows.extend(cell_rows)
-            if trace_sink is not None:
-                trace_sink.extend(cell_traces)
+    for _, cell_rows, cell_traces in sorted(solved, key=lambda cell: cell[0]):
+        rows.extend(cell_rows)
+        if trace_sink is not None:
+            trace_sink.extend(cell_traces)
     return rows
 
 

@@ -69,6 +69,13 @@ def random_feasible_state(scenario, rng, scheme="MARA") -> AntennaState:
     return AntennaState(positions, coeffs, scheme)
 
 
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    """Solve cells in the test process whatever the caller exports, so a
+    wrapper patched in by a test sees every call."""
+    monkeypatch.delenv("MARA_SIM_THREADS", raising=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

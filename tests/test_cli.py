@@ -147,6 +147,23 @@ def test_run_error_in_every_cell_reports_its_cause(tmp_path, capsys, monkeypatch
     assert [row.split(",")[:2] for row in rows] == [["0", "TFA"], ["1", "TFA"]]
 
 
+def test_run_setup_error_exits_one_and_keeps_other_cells(tmp_path, capsys, monkeypatch):
+    generate = harness.generate_scenario
+
+    def failing_seed_1(config):
+        if config.seed == 1:
+            raise RuntimeError("no scenario")
+        return generate(config)
+    monkeypatch.setattr(harness, "generate_scenario", failing_seed_1)
+    cfg = small_run_config(tmp_path)
+    out = tmp_path / "u"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "0,1", "-q"]) == 1
+    assert capsys.readouterr().err == "cell failed: error: set-up: no scenario\n"
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["0", s] for s in ("TFA", "SMA", "ERA", "MARA")] + [["1", "TFA"]]
+
+
 def test_run_json_summary(tmp_path, capsys):
     cfg = small_run_config(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "z"),

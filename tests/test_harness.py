@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -245,3 +247,131 @@ def test_trace_sink_keeps_cell_and_scheme_order():
     assert [entry[:3] for entry in sink] == [
         (seed, value, scheme) for seed, value in cells
         for scheme in ("TFA", "SMA", "ERA", "MARA")]
+
+
+def _without_wall(rows):
+    return [dataclasses.replace(r, wall_time=0.0) for r in rows]
+
+
+def _two_workers(monkeypatch) -> list:
+    """Ask for 2 workers on any host; returns a list that counts the forks."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("MARA_SIM_THREADS", "2")
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_setup_error_gives_the_cell_one_error_row(monkeypatch, workers):
+    generate = harness.generate_scenario
+
+    def failing_seed_1(config):
+        if config.seed == 1:
+            raise RuntimeError("no scenario")
+        return generate(config)
+    spec = tiny_spec(schemes=("SMA", "MARA"), seeds=(0, 1, 2))
+    expected = _without_wall(r for r in run_experiment(spec) if r.seed != 1)
+    monkeypatch.setattr(harness, "generate_scenario", failing_seed_1)
+    forks = _two_workers(monkeypatch)
+    monkeypatch.setenv("MARA_SIM_THREADS", workers)
+    rows = run_experiment(spec)
+    assert len(forks) == int(workers) - 1
+    _assert_no_child_left()
+    assert _without_wall(r for r in rows if r.seed != 1) == expected
+    bad = [r for r in rows if r.seed == 1]
+    # TFA, SMA's warm start, is the first scheme the cell would solve.
+    assert [(r.scheme, r.ok, r.note) for r in bad] == [
+        ("TFA", False, "error: set-up: no scenario")]
+    assert math.isnan(bad[0].se_sum)
+
+
+def _csv_and_traces(spec, tmp_path, name):
+    sink = []
+    rows = run_experiment(spec, trace_sink=sink)
+    path = tmp_path / f"{name}.csv"
+    emit_csv(rows, path, include_wall_time=False)
+    return _without_wall(rows), path.read_bytes(), sink
+
+
+def test_two_workers_give_the_rows_csv_and_traces_of_one(monkeypatch, tmp_path):
+    spec = tiny_spec(seeds=(0, 1, 2), sweep=("total_power_w", (0.5, 1.0)))
+    one = _csv_and_traces(spec, tmp_path, "one")
+    forks = _two_workers(monkeypatch)
+    two = _csv_and_traces(spec, tmp_path, "two")
+    assert len(forks) == 1 and len(one[0]) == 24
+    assert one == two
+    _assert_no_child_left()
+
+
+def test_one_cell_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for one cell")
+    _two_workers(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    rows = run_experiment(tiny_spec(schemes=("TFA",)))
+    assert [r.ok for r in rows] == [True]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "two", "1.5", ""])
+def test_bad_worker_count_raises_before_any_cell(monkeypatch, raw):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+    monkeypatch.setattr(harness, "_run_cell", no_cell)
+    monkeypatch.setenv("MARA_SIM_THREADS", raw)
+    with pytest.raises(ContractError, match="MARA_SIM_THREADS"):
+        run_experiment(tiny_spec(seeds=(0, 1)))
+
+
+def _in_child_only(monkeypatch, action):
+    parent, solve = os.getpid(), harness._run_cell
+
+    def cell(*args):
+        if os.getpid() != parent:
+            action()
+        return solve(*args)
+    monkeypatch.setattr(harness, "_run_cell", cell)
+    _two_workers(monkeypatch)
+
+
+def test_child_exception_is_raised_in_the_parent(monkeypatch):
+    def boom():
+        raise RuntimeError("cell failed in a worker")
+    _in_child_only(monkeypatch, boom)
+    with pytest.raises(RuntimeError, match="cell failed in a worker"):
+        run_experiment(tiny_spec(schemes=("TFA",), seeds=(0, 1)))
+    _assert_no_child_left()
+
+
+def test_child_that_exits_without_results_names_its_status(monkeypatch):
+    _in_child_only(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="status 3"):
+        run_experiment(tiny_spec(schemes=("TFA",), seeds=(0, 1)))
+    _assert_no_child_left()
+
+
+def test_parent_error_kills_and_reaps_its_children(monkeypatch):
+    parent, solve = os.getpid(), harness._run_cell
+
+    def cell(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return solve(*args)
+    monkeypatch.setattr(harness, "_run_cell", cell)
+    _two_workers(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(tiny_spec(schemes=("TFA",), seeds=(0, 1)))
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
