@@ -6,7 +6,7 @@ solver is checked against live in `mara_sim.checks`, not imported here."""
 from .scenario import (SCHEME_ORDER, PathSet, Scenario, SystemConfig,
                        generate_scenario, load_config, subcarrier_frequencies)
 from .shod import BasisSet, build_basis, build_omega
-from .channel import AntennaState, ChannelWorkspace, channel_tensor, initial_state
+from .channel import AntennaState, ChannelWorkspace, initial_state
 from .se import PrecoderSet, sum_se_arrays
 from .optim import (OptimOptions, OptimResult, alternating_optimize, digital_precoder,
                     optimize_patterns, optimize_positions, water_fill)
@@ -16,8 +16,8 @@ from .harness import (ExperimentSpec, ResultRow, emit_csv, reference_config,
 __all__ = [
     "SCHEME_ORDER", "PathSet", "Scenario", "SystemConfig", "generate_scenario",
     "load_config", "subcarrier_frequencies", "BasisSet", "build_basis",
-    "build_omega", "AntennaState", "ChannelWorkspace", "channel_tensor",
-    "initial_state", "PrecoderSet", "sum_se_arrays",
+    "build_omega", "AntennaState", "ChannelWorkspace", "initial_state",
+    "PrecoderSet", "sum_se_arrays",
     "OptimOptions", "OptimResult", "alternating_optimize", "digital_precoder",
     "optimize_patterns", "optimize_positions", "water_fill",
     "ExperimentSpec", "ResultRow", "emit_csv", "reference_config",

@@ -168,8 +168,3 @@ class ChannelWorkspace:
     def state_tensor(self, state: AntennaState) -> np.ndarray:
         return self.tensor(state.positions, state.coefficients)
 
-
-def channel_tensor(scenario: Scenario, state: AntennaState, scheme: str) -> np.ndarray:
-    """The (U, M, G) channel coefficients h after validating state against scheme."""
-    validate_state(scenario, state, scheme)
-    return ChannelWorkspace(scenario).state_tensor(state)

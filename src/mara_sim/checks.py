@@ -1,11 +1,13 @@
 """Reference forms and invariant checks for `mara-sim check`/`oracle` and the tests.
 
-The reference forms (`ecsi`, `sinr`, `mrt_precoder`, `brute_force_positions`,
-the per-antenna gradients and the basis quadratures `pattern_gain`,
-`pattern_power` and `gram_matrix`) evaluate the model one entry at a time; the
-solver never calls them. Each check returns the worst error it saw, and a NaN
-anywhere makes that worst error NaN, so it fails any `error < bound` test.
-Callers choose the instances, seeds, steps and bounds.
+The reference forms (`ecsi`, `sinr`, `mrt_precoder`, `brute_force_positions`
+and the basis quadratures `pattern_gain`, `pattern_power` and `gram_matrix`)
+evaluate the model one entry at a time; the solver never calls them.
+`se_gradient_positions` and `se_gradient_patterns` are not reference forms:
+they pick antenna m's row of the solver's own gradient kernels, which
+`gradient_errors` checks against `fd_gradient`. Each check returns the worst
+error it saw, and a NaN anywhere makes that worst error NaN, so it fails any
+`error < bound` test. Callers choose the instances, seeds, steps and bounds.
 """
 
 from __future__ import annotations

@@ -215,10 +215,11 @@ def run_experiment(spec: ExperimentSpec, trace_sink: list | None = None) -> list
             os.close(read_fd)
             statuses.append(os.waitpid(pid, 0)[1])
     for data, status in zip(sent, statuses):
-        if not data:
-            raise RuntimeError(f"a worker exited with status "
-                               f"{os.waitstatus_to_exitcode(status)} without sending results")
-        ok, payload = pickle.loads(data)
+        try:
+            ok, payload = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError) as exc:  # empty or cut short
+            raise RuntimeError(f"a worker exited with status {os.waitstatus_to_exitcode(status)}"
+                               f" without sending results") from exc
         if not ok:
             raise payload
         solved.extend(payload)

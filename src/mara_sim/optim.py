@@ -28,7 +28,7 @@ from .channel import (
     sample_movement_region,
     sample_unit_spheres,
 )
-from .se import _LN2, PrecoderSet, _gains, sum_se_arrays
+from .se import PrecoderSet, _gains, chain_weights, sum_se_arrays
 
 # Armijo sufficient-increase constant and the initial steps: a position step
 # as a fraction of the antenna spacing d, and a pattern step on the spheres.
@@ -151,26 +151,13 @@ def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> P
     return PrecoderSet(pinv)
 
 
-def _sinr_chain_weights(gains: np.ndarray, noise_power: float) -> np.ndarray:
-    """Weights c[g,u,u'] * conj(gains) such that d(SE) = sum 2 Re(weights * d gains)."""
-    power = np.abs(gains) ** 2
-    signal = np.einsum("guu->gu", power)
-    total = power.sum(axis=2) + noise_power
-    denom = total - signal
-    coef = np.empty_like(power)
-    coef[:] = (1.0 / total - 1.0 / denom)[:, :, None]
-    diag = np.arange(gains.shape[1])
-    coef[:, diag, diag] = 1.0 / total
-    return coef * np.conj(gains) / _LN2
-
-
 def _chain_factors(ws: ChannelWorkspace, positions: np.ndarray, coefficients: np.ndarray,
                    precoders: PrecoderSet, noise_power: float):
     """Transmit phases and pattern responses (U, M, L), and the chain-rule
     sensitivities of sum_se per (UE, antenna, path): z folded through env."""
     phases, pattern = ws.path_factors(positions, coefficients)
     gains = _gains((phases * pattern) @ ws.env, precoders.w)
-    weights = _sinr_chain_weights(gains, noise_power)
+    weights = chain_weights(gains, noise_power)
     z = np.einsum("guv,gmv->umg", weights, precoders.w)
     return phases, pattern, z @ np.swapaxes(ws.env, 1, 2)
 

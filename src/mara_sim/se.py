@@ -1,5 +1,5 @@
-"""Sum spectral efficiency over the per-user SINRs (`checks.sinr` is the
-per-entry reference form).
+"""Sum spectral efficiency over the per-user SINRs, and its gradient's chain-rule
+weights from the same SINR terms (`checks.sinr` is the per-entry reference form).
 
 The SINR convention uses the intended user's channel against the other users'
 precoders (standard downlink broadcast form): the interference at user u on
@@ -46,17 +46,31 @@ def _gains(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gains.transpose(1, 0, 2, 3)).reshape(*lead, G, U, U)
 
 
-def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
-    """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz,
-    for channel coefficients h (..., U, M, G) and precoders w (G, M, U).
-
-    Returns a float for one channel tensor h (U, M, G), and an array of
-    shape (B,) for a batch of candidate tensors h (B, U, M, G).
-    """
-    gains = _gains(h, w)
+def _sinr_terms(gains: np.ndarray, noise_power: float):
+    """Signal and interference plus noise (..., G, U) from gains (..., G, U, U)."""
     power = gains.real ** 2 + gains.imag ** 2
     signal = np.diagonal(power, axis1=-2, axis2=-1)
-    se = np.log1p(signal / (power.sum(axis=-1) - signal + noise_power))
+    return signal, power.sum(axis=-1) - signal + noise_power
+
+
+def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
+    """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz,
+    for channel coefficients h with any leading axes (..., U, M, G) and
+    precoders w (G, M, U). Returns a float for one channel tensor h (U, M, G),
+    and an array of the leading shape for a stack of tensors.
+    """
+    signal, rest = _sinr_terms(_gains(h, w), noise_power)
+    se = np.log1p(signal / rest)
     # One reduction for both forms, so a stacked call equals its per-slice calls bitwise.
     total = se.sum(axis=(-2, -1)) / _LN2
     return float(total) if se.ndim == 2 else total
+
+
+def chain_weights(gains: np.ndarray, noise_power: float) -> np.ndarray:
+    """Weights c * conj(gains) (..., G, U, U), d(sum SE) = sum 2 Re(weights * d gains), with
+    c[..., g, u, v] = (1/total at v = u, else 1/total - 1/rest) / ln 2, total = signal + rest."""
+    signal, rest = _sinr_terms(gains, noise_power)
+    on_diag = (1.0 / _LN2) / (signal + rest)
+    coef = np.repeat((on_diag - (1.0 / _LN2) / rest)[..., None], gains.shape[-1], axis=-1)
+    np.einsum("...uu->...u", coef)[...] = on_diag  # einsum's diagonal is a writeable view
+    return coef * np.conj(gains)

@@ -14,7 +14,7 @@ import pytest
 from mara_sim import checks
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles
-from mara_sim.channel import ChannelWorkspace, channel_tensor
+from mara_sim.channel import ChannelWorkspace
 from mara_sim.se import sum_se_arrays
 from mara_sim.optim import OptimOptions, digital_precoder
 from mara_sim.harness import emit_csv, reference_experiment, run_experiment
@@ -97,7 +97,7 @@ def test_criterion_04_factorization_exactness():
         scen = generate_scenario(cfg, annulus_m=(2.0, 8.0))
         basis = build_basis(cfg.shod_max_degree)
         state = random_feasible_state(scen, rng, scheme="MARA")
-        h = channel_tensor(scen, state, "MARA")
+        h = ChannelWorkspace(scen).state_tensor(state)
         angles = [departure_angles(ps) for ps in scen.path_sets]
         for _ in range(1000):
             u = int(rng.integers(cfg.num_ues))
@@ -133,7 +133,7 @@ def test_criterion_05_se_form_equivalence():
         scen = generate_scenario(cfg)
         basis = build_basis(cfg.shod_max_degree)
         state = random_feasible_state(scen, rng, scheme="MARA")
-        h = channel_tensor(scen, state, "MARA")
+        h = ChannelWorkspace(scen).state_tensor(state)
         M, U, G, K = 3, cfg.num_ues, 2, basis.size
         w = rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U))
         w *= math.sqrt(cfg.total_power_w) / np.linalg.norm(w)

@@ -7,8 +7,8 @@ import pytest
 from mara_sim.errors import ContractError
 from mara_sim.scenario import PathSet, generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles
-from mara_sim.channel import (AntennaState, ChannelWorkspace, channel_tensor,
-                              initial_state, project_to_movement_region, validate_state)
+from mara_sim.channel import (AntennaState, ChannelWorkspace, initial_state,
+                              project_to_movement_region, validate_state)
 from mara_sim.checks import ecsi, path_gains, pattern_gain, rx_steering, tx_steering
 
 from conftest import make_config, random_feasible_state
@@ -170,12 +170,12 @@ def test_ecsi_dimension_mismatch(rng):
         ecsi(ps, omega[:2], np.zeros(3), np.zeros(3), 3.5e9, 0.0857)
 
 
-def test_channel_tensor_single_path_closed_form():
+def test_state_tensor_single_path_closed_form():
     cfg = make_config(num_ues=1, num_bs_antennas=1, num_subcarriers=1,
                       num_paths_per_ue=1, shod_max_degree=0, seed=4)
     scen = generate_scenario(cfg)
     state = initial_state(scen, "TFA")
-    h = channel_tensor(scen, state, "TFA")[0, 0, 0]
+    h = ChannelWorkspace(scen).state_tensor(state)[0, 0, 0]
     ps = scen.path_sets[0]
     f = scen.subcarrier_frequencies[0]
     expected = direct_channel_sum(ps, build_basis(0), np.array([1.0]),
@@ -189,9 +189,10 @@ def test_sma_equals_mara_with_pinned_pattern(rng):
     scen = generate_scenario(cfg)
     sma = random_feasible_state(scen, rng, scheme="SMA")
     mara = AntennaState(sma.positions.copy(), sma.coefficients.copy(), "MARA")
-    h_sma = channel_tensor(scen, sma, "SMA")
-    h_mara = channel_tensor(scen, mara, "MARA")
-    assert np.array_equal(h_sma, h_mara)
+    validate_state(scen, sma)
+    validate_state(scen, mara)
+    ws = ChannelWorkspace(scen)
+    assert np.array_equal(ws.state_tensor(sma), ws.state_tensor(mara))
 
 
 def test_era_equals_mara_with_pinned_positions(rng):
@@ -199,20 +200,22 @@ def test_era_equals_mara_with_pinned_positions(rng):
     scen = generate_scenario(cfg)
     era = random_feasible_state(scen, rng, scheme="ERA")
     mara = AntennaState(era.positions.copy(), era.coefficients.copy(), "MARA")
-    assert np.array_equal(channel_tensor(scen, era, "ERA"),
-                          channel_tensor(scen, mara, "MARA"))
+    validate_state(scen, era)
+    validate_state(scen, mara)
+    ws = ChannelWorkspace(scen)
+    assert np.array_equal(ws.state_tensor(era), ws.state_tensor(mara))
 
 
-def test_channel_tensor_scheme_state_mismatch(rng):
+def test_validate_state_scheme_state_mismatch(rng):
     cfg = make_config(seed=7)
     scen = generate_scenario(cfg)
     mara = random_feasible_state(scen, rng, scheme="MARA")
-    with pytest.raises(ContractError):
-        channel_tensor(scen, mara, "SMA")
+    with pytest.raises(ContractError, match="tagged 'MARA'"):
+        validate_state(scen, mara, "SMA")
     sma_moved = random_feasible_state(scen, rng, scheme="SMA")
     sma_moved.scheme = "TFA"
-    with pytest.raises(ContractError):
-        channel_tensor(scen, sma_moved, "TFA")
+    with pytest.raises(ContractError, match="nominal array"):
+        validate_state(scen, sma_moved, "TFA")
 
 
 @pytest.mark.parametrize("scheme, error", [("SMA", "ball"), ("ERA", "nominal array")],
@@ -236,7 +239,7 @@ def test_factorization_exactness_random_entries(rng):
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="MARA")
     basis = build_basis(cfg.shod_max_degree)
-    h = channel_tensor(scen, state, "MARA")
+    h = ChannelWorkspace(scen).state_tensor(state)
     for _ in range(50):
         u = int(rng.integers(cfg.num_ues))
         m = int(rng.integers(cfg.num_bs_antennas))
@@ -252,10 +255,11 @@ def test_single_path_magnitude_position_invariant(rng):
     cfg = make_config(num_paths_per_ue=1, seed=10)
     scen = generate_scenario(cfg)
     base = initial_state(scen, "SMA")
-    magnitudes = np.abs(channel_tensor(scen, base, "SMA"))
+    ws = ChannelWorkspace(scen)
+    magnitudes = np.abs(ws.state_tensor(base))
     for _ in range(5):
         state = random_feasible_state(scen, rng, scheme="SMA")
-        moved = np.abs(channel_tensor(scen, state, "SMA"))
+        moved = np.abs(ws.state_tensor(state))
         assert np.allclose(moved, magnitudes, atol=1e-13)
 
 
@@ -276,7 +280,7 @@ def test_zero_delay_tensor_frequency_flat(rng):
     cfg = make_config(max_delay_s=0.0, seed=12)
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    h = channel_tensor(scen, state, "MARA")
+    h = ChannelWorkspace(scen).state_tensor(state)
     assert np.allclose(h, h[:, :, :1], atol=1e-15)
 
 

@@ -360,6 +360,20 @@ def test_child_that_exits_without_results_names_its_status(monkeypatch):
     _assert_no_child_left()
 
 
+def test_child_that_sends_a_cut_payload_names_its_status(monkeypatch):
+    parent, dumps = os.getpid(), harness.pickle.dumps
+
+    def half(obj):
+        data = dumps(obj)
+        return data if os.getpid() == parent else data[:len(data) // 2]
+    monkeypatch.setattr(harness.pickle, "dumps", half)
+    _two_workers(monkeypatch)
+    with pytest.raises(RuntimeError, match="status 0 without sending results") as raised:
+        run_experiment(tiny_spec(schemes=("TFA",), seeds=(0, 1)))
+    assert isinstance(raised.value.__cause__, harness.pickle.UnpicklingError)
+    _assert_no_child_left()
+
+
 def test_parent_error_kills_and_reaps_its_children(monkeypatch):
     parent, solve = os.getpid(), harness._run_cell
 

@@ -8,7 +8,7 @@ from mara_sim.errors import ContractError, SingularChannelError, SizeLimitError
 from mara_sim.scenario import SCHEME_ORDER, PathSet, Scenario, generate_scenario
 from mara_sim.shod import build_basis, build_omega
 from mara_sim.channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState,
-                              ChannelWorkspace, channel_tensor, initial_state)
+                              ChannelWorkspace, initial_state)
 from mara_sim.checks import brute_force_positions, ecsi
 from mara_sim.se import sum_se_arrays
 from mara_sim.optim import (WARM_STARTS, OptimOptions, OptimResult, alternating_optimize,
@@ -98,10 +98,9 @@ def test_optimize_positions_zero_iterations_is_identity(rng):
     cfg = make_config(seed=53)
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="SMA")
-    prec = digital_precoder(channel_tensor(scen, state, "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
-    out, _ = optimize_positions(ChannelWorkspace(scen), state, prec,
-                                OptimOptions(inner_grad_iters=0))
+    ws = ChannelWorkspace(scen)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    out, _ = optimize_positions(ws, state, prec, OptimOptions(inner_grad_iters=0))
     assert np.array_equal(out.positions, state.positions)
     assert np.array_equal(out.coefficients, state.coefficients)
 
@@ -109,21 +108,23 @@ def test_optimize_positions_zero_iterations_is_identity(rng):
 def test_optimize_positions_rejects_pinned_schemes(rng):
     cfg = make_config(seed=54)
     scen = generate_scenario(cfg)
-    prec = digital_precoder(channel_tensor(scen, initial_state(scen, "TFA"), "TFA"),
+    ws = ChannelWorkspace(scen)
+    prec = digital_precoder(ws.state_tensor(initial_state(scen, "TFA")),
                             cfg.total_power_w, cfg.noise_power_w)
     for scheme in ("TFA", "ERA"):
         with pytest.raises(ContractError):
-            optimize_positions(ChannelWorkspace(scen), initial_state(scen, scheme), prec)
+            optimize_positions(ws, initial_state(scen, scheme), prec)
 
 
 def test_optimize_patterns_rejects_pinned_schemes(rng):
     cfg = make_config(seed=55)
     scen = generate_scenario(cfg)
-    prec = digital_precoder(channel_tensor(scen, initial_state(scen, "TFA"), "TFA"),
+    ws = ChannelWorkspace(scen)
+    prec = digital_precoder(ws.state_tensor(initial_state(scen, "TFA")),
                             cfg.total_power_w, cfg.noise_power_w)
     for scheme in ("TFA", "SMA"):
         with pytest.raises(ContractError):
-            optimize_patterns(ChannelWorkspace(scen), initial_state(scen, scheme), prec)
+            optimize_patterns(ws, initial_state(scen, scheme), prec)
 
 
 def rank_one_instance(seed):
@@ -144,9 +145,9 @@ def test_optimize_patterns_stationary_start_unchanged():
     eigvals, eigvecs = np.linalg.eigh(quad)
     alpha_star = eigvecs[:, -1]
     state = AntennaState(scen.initial_positions.copy(), alpha_star[None, :].copy(), "ERA")
-    prec = digital_precoder(channel_tensor(scen, state, "ERA"),
-                            cfg.total_power_w, cfg.noise_power_w)
-    out, _ = optimize_patterns(ChannelWorkspace(scen), state, prec, OptimOptions(seed=4))
+    ws = ChannelWorkspace(scen)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    out, _ = optimize_patterns(ws, state, prec, OptimOptions(seed=4))
     assert np.allclose(out.coefficients[0], alpha_star, atol=1e-9)
 
 
@@ -157,10 +158,10 @@ def test_optimize_patterns_recovers_rank_one_maximizer():
         cfg, scen, q, quad = rank_one_instance(seed)
         best = float(np.linalg.eigvalsh(quad)[-1])
         state = initial_state(scen, "ERA")
-        prec = digital_precoder(channel_tensor(scen, state, "ERA"),
-                                cfg.total_power_w, cfg.noise_power_w)
+        ws = ChannelWorkspace(scen)
+        prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
         opts = OptimOptions(seed=5, tol_rel=1e-9, inner_grad_iters=200)
-        out, _ = optimize_patterns(ChannelWorkspace(scen), state, prec, opts)
+        out, _ = optimize_patterns(ws, state, prec, opts)
         achieved = abs(np.conj(q) @ out.coefficients[0]) ** 2
         assert achieved == pytest.approx(best, rel=1e-6)
 
@@ -211,8 +212,9 @@ def test_alternating_traces_monotone_and_nested(seed):
 def test_alternating_results_consistent_with_final_state():
     cfg = make_config(seed=65)
     scen = generate_scenario(cfg)
-    res = alternating_optimize(ChannelWorkspace(scen), "MARA", FAST)
-    h = channel_tensor(scen, res.state, "MARA")
+    ws = ChannelWorkspace(scen)
+    res = alternating_optimize(ws, "MARA", FAST)
+    h = ws.state_tensor(res.state)
     assert sum_se_arrays(h, res.precoders.w, cfg.noise_power_w) == pytest.approx(
         res.se, rel=1e-12)
     assert res.precoders.total_power == pytest.approx(cfg.total_power_w, rel=1e-9)
@@ -350,10 +352,10 @@ def test_brute_force_finds_phase_alignment_optimum():
     scen, delta, kappa, gains = two_path_axis_scenario()
     cfg = scen.config
     state = initial_state(scen, "SMA")
-    prec = digital_precoder(channel_tensor(scen, state, "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    ws = ChannelWorkspace(scen)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     grid_step = cfg.movement_radius / 20
-    out = brute_force_positions(ChannelWorkspace(scen), state, prec, grid_step)
+    out = brute_force_positions(ws, state, prec, grid_step)
     # analytic optimum: phases align at x = delta
     assert abs(out.positions[0, 0] - delta) <= grid_step
 
@@ -362,9 +364,9 @@ def test_brute_force_degenerate_grid_is_identity():
     cfg = make_config(num_ues=1, num_bs_antennas=2, num_subcarriers=1, seed=67)
     scen = generate_scenario(cfg)
     state = initial_state(scen, "SMA")
-    prec = digital_precoder(channel_tensor(scen, state, "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
-    out = brute_force_positions(ChannelWorkspace(scen), state, prec, cfg.antenna_spacing)
+    ws = ChannelWorkspace(scen)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    out = brute_force_positions(ws, state, prec, cfg.antenna_spacing)
     assert np.array_equal(out.positions, scen.initial_positions)
 
 
@@ -372,10 +374,10 @@ def test_brute_force_size_guard():
     cfg = make_config(seed=68)
     scen = generate_scenario(cfg)
     state = initial_state(scen, "SMA")
-    prec = digital_precoder(channel_tensor(scen, state, "SMA"),
-                            cfg.total_power_w, cfg.noise_power_w)
+    ws = ChannelWorkspace(scen)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     with pytest.raises(SizeLimitError):
-        brute_force_positions(ChannelWorkspace(scen), state, prec, cfg.antenna_spacing / 2000)
+        brute_force_positions(ws, state, prec, cfg.antenna_spacing / 2000)
 
 
 def test_optimizers_deterministic(rng):

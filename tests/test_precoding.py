@@ -6,7 +6,7 @@ import pytest
 from mara_sim.checks import mrt_precoder
 from mara_sim.errors import ContractError, SingularChannelError
 from mara_sim.scenario import generate_scenario
-from mara_sim.channel import channel_tensor, initial_state
+from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.se import sum_se_arrays
 from mara_sim.optim import digital_precoder, water_fill
 
@@ -137,7 +137,7 @@ def test_single_user_zf_equals_mrt_flat_channel(rng):
     cfg = make_config(num_ues=1, num_bs_antennas=3, num_subcarriers=4,
                       max_delay_s=0.0, seed=31)
     scen = generate_scenario(cfg)
-    h = channel_tensor(scen, initial_state(scen, "TFA"), "TFA")
+    h = ChannelWorkspace(scen).state_tensor(initial_state(scen, "TFA"))
     noise = cfg.noise_power_w
     se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise).w, noise)
     se_mrt = sum_se_arrays(h, mrt_precoder(h, 1.0).w, noise)
@@ -297,7 +297,7 @@ def test_waterfilling_beats_equal_split(rng):
     cfg = make_config(num_ues=1, num_bs_antennas=2, num_subcarriers=8,
                       max_delay_s=1e-6, seed=32)
     scen = generate_scenario(cfg)
-    h = channel_tensor(scen, initial_state(scen, "TFA"), "TFA")
+    h = ChannelWorkspace(scen).state_tensor(initial_state(scen, "TFA"))
     noise = cfg.noise_power_w
     prec = digital_precoder(h, 1.0, noise)
     se_wf = sum_se_arrays(h, prec.w, noise)

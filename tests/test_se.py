@@ -6,9 +6,9 @@ import pytest
 from mara_sim.errors import ContractError
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega
-from mara_sim.channel import channel_tensor, initial_state
+from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.checks import ecsi, sinr
-from mara_sim.se import FOLD_MIN_SIZE, sum_se_arrays
+from mara_sim.se import FOLD_MIN_SIZE, _gains, chain_weights, sum_se_arrays
 
 from conftest import make_config, random_feasible_state
 
@@ -78,8 +78,8 @@ def test_sum_se_replicates_over_identical_subcarriers(rng):
     scen_s = generate_scenario(cfg_single)
     scen_m = generate_scenario(cfg_multi)
     state = initial_state(scen_s, "TFA")
-    h_s = channel_tensor(scen_s, state, "TFA")
-    h_m = channel_tensor(scen_m, initial_state(scen_m, "TFA"), "TFA")
+    h_s = ChannelWorkspace(scen_s).state_tensor(state)
+    h_m = ChannelWorkspace(scen_m).state_tensor(initial_state(scen_m, "TFA"))
     M, U = cfg_single.num_bs_antennas, cfg_single.num_ues
     w_single = (rng.standard_normal((1, M, U)) + 1j * rng.standard_normal((1, M, U)))
     w_multi = np.tile(w_single, (6, 1, 1))
@@ -95,7 +95,7 @@ def test_se_equivalence_h_form_vs_stacked_ecsi_form(rng):
     scen = generate_scenario(cfg)
     state = random_feasible_state(scen, rng, scheme="MARA")
     basis = build_basis(cfg.shod_max_degree)
-    h = channel_tensor(scen, state, "MARA")
+    h = ChannelWorkspace(scen).state_tensor(state)
     M, U, G = cfg.num_bs_antennas, cfg.num_ues, cfg.num_subcarriers
     K = basis.size
     w = (rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U)))
@@ -144,7 +144,8 @@ def test_sinr_decreases_with_noise(rng):
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_sum_se_equals_per_slice_calls_bitwise(seed, size):
     # Sizes on both sides of FOLD_MIN_SIZE, and one UE above it; batch width
-    # 10 is not a multiple of the ladder's first chunk.
+    # 10 is not a multiple of the ladder's first chunk. The gradient's chain
+    # weights take the same stacks.
     U, M, G = size
     for batch in (8, 10):
         rng = np.random.default_rng(seed)
@@ -153,6 +154,8 @@ def test_stacked_sum_se_equals_per_slice_calls_bitwise(seed, size):
         w = rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U))
         stacked = sum_se_arrays(h, w, 0.05)
         assert stacked.tolist() == [sum_se_arrays(one, w, 0.05) for one in h]
+        weights = chain_weights(_gains(h, w), 0.05)
+        assert np.array_equal(weights, [chain_weights(_gains(one, w), 0.05) for one in h])
 
 
 @pytest.mark.parametrize("size", [(2, 4, 8), (4, 8, 32), (4, 8, 256)])
