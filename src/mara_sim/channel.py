@@ -91,6 +91,9 @@ def validate_state(scenario: Scenario | ChannelWorkspace, state: AntennaState,
         raise ContractError(f"positions must have shape ({M}, 3)")
     if state.coefficients.shape != (M, K):
         raise ContractError(f"coefficients must have shape ({M}, {K})")
+    for name in ("positions", "coefficients"):
+        if not np.all(np.isfinite(getattr(state, name))):
+            raise ContractError(f"{name} must be finite")
     d = cfg.antenna_spacing
     offsets = np.linalg.norm(state.positions - scenario.initial_positions, axis=1)
     if scheme in MOVABLE_SCHEMES:

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import checks, harness
 from .errors import ConfigError, ContractError, SizeLimitError
-from .scenario import (_INT_KEYS, _OPTIONAL_KEYS, _REQUIRED_KEYS, SCHEME_ORDER,
-                       SystemConfig, config_from_mapping, generate_scenario,
-                       load_config)
+from .scenario import (_INT_KEYS, _OPTIONAL_KEYS, _REQUIRED_KEYS, SystemConfig,
+                       generate_scenario, load_config)
 from .shod import build_basis
 from .channel import ChannelWorkspace
 from .optim import OptimOptions
@@ -89,12 +88,7 @@ def _load_base_config(args, default: SystemConfig | None, allow_tool_keys):
         base = default
     else:
         raise ContractError("--config is required for this command")
-    if updates:
-        merged = {k: getattr(base, k) for k in _REQUIRED_KEYS + _OPTIONAL_KEYS}
-        merged["schemes"] = list(merged["schemes"])
-        merged.update(updates)
-        base = config_from_mapping(merged)
-    return base, tool
+    return replace(base, **updates), tool
 
 
 def cmd_run(args) -> int:
@@ -125,11 +119,9 @@ def cmd_run(args) -> int:
 
 
 def _check_default_config() -> SystemConfig:
-    return SystemConfig(
-        carrier_frequency_hz=3.5e9, num_subcarriers=2, subcarrier_spacing_hz=120e3,
-        num_ues=2, num_bs_antennas=2, num_paths_per_ue=3, max_delay_s=1e-7,
-        total_power_w=1.0, noise_power_w=1e-2, shod_max_degree=2, seed=7,
-        schemes=SCHEME_ORDER)
+    return replace(harness.reference_config(seed=7), num_subcarriers=2,
+                   num_bs_antennas=2, num_paths_per_ue=3, max_delay_s=1e-7,
+                   noise_power_w=1e-2)
 
 
 def cmd_check(args) -> int:
@@ -190,11 +182,9 @@ def cmd_oracle(args) -> int:
 
 
 def _oracle_default_config() -> SystemConfig:
-    return SystemConfig(
-        carrier_frequency_hz=3.5e9, num_subcarriers=1, subcarrier_spacing_hz=120e3,
-        num_ues=1, num_bs_antennas=1, num_paths_per_ue=2, max_delay_s=0.0,
-        total_power_w=1.0, noise_power_w=1e-2, shod_max_degree=2, seed=11,
-        schemes=SCHEME_ORDER)
+    return replace(harness.reference_config(seed=11), num_subcarriers=1, num_ues=1,
+                   num_bs_antennas=1, num_paths_per_ue=2, max_delay_s=0.0,
+                   noise_power_w=1e-2)
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:

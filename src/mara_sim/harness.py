@@ -91,13 +91,13 @@ class ResultRow:
 
 
 def _cell_config(spec: ExperimentSpec, seed: int, sweep_value) -> SystemConfig:
+    """The base config at this seed and sweep value, with every scheme for the
+    warm starts; raises ValidationError, from `replace`, on an infeasible cell."""
     updates = {"seed": seed, "schemes": tuple(SCHEME_ORDER)}
     if spec.sweep is not None:
         name = spec.sweep[0]
         updates[name] = int(sweep_value) if name in _INT_KEYS else sweep_value
-    config = dataclasses.replace(spec.base, **updates)
-    config.validate()
-    return config
+    return dataclasses.replace(spec.base, **updates)
 
 
 def _run_cell(spec: ExperimentSpec, seed: int,

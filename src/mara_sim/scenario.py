@@ -9,7 +9,8 @@ instances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,10 +25,19 @@ SCHEME_ORDER = ("TFA", "SMA", "ERA", "MARA")
 # to a closed one, so that projections onto it are well-defined.
 POSITION_MARGIN_FRAC = 1e-6
 
+# Inner and outer radius in meters of the annulus that UEs are placed on.
+UE_ANNULUS_M = (100.0, 300.0)
+
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """System-level parameters. Field names match the JSON config keys."""
+    """System-level parameters. Field names match the JSON config keys.
+
+    A config is valid once built, by `dataclasses.replace` too: `__post_init__`
+    checks the fields in field order, raises ValidationError naming the first
+    bad one, and stores the float fields as `float` (numpy scalars pass) and
+    `schemes` as a tuple.
+    """
 
     carrier_frequency_hz: float
     num_subcarriers: int
@@ -58,44 +68,46 @@ class SystemConfig:
         d = self.antenna_spacing
         return d / 2.0 - POSITION_MARGIN_FRAC * d
 
-    def validate(self) -> None:
-        for key in _INT_KEYS:
-            value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValidationError(f"{key} must be an integer")
-        if not 0 < self.carrier_frequency_hz < np.inf:
-            raise ValidationError("carrier_frequency_hz must be finite and > 0")
-        if self.num_subcarriers < 1:
-            raise ValidationError("num_subcarriers must be >= 1")
-        if not 0 < self.subcarrier_spacing_hz < np.inf:
-            raise ValidationError("subcarrier_spacing_hz must be finite and > 0")
-        if self.num_ues < 1:
-            raise ValidationError("num_ues must be >= 1")
-        if self.num_bs_antennas < self.num_ues:
-            raise ValidationError(
-                "num_bs_antennas >= num_ues required (zero-forcing feasibility)"
-            )
-        if self.num_paths_per_ue < 1:
-            raise ValidationError("num_paths_per_ue must be >= 1")
-        if not 0 < self.antenna_spacing_wavelengths < np.inf:
-            raise ValidationError("antenna_spacing_wavelengths must be finite and > 0")
-        if not 0 <= self.max_delay_s < np.inf:
-            raise ValidationError("max_delay_s must be finite and >= 0")
-        if not 0 < self.total_power_w < np.inf:
-            raise ValidationError("total_power_w must be finite and > 0")
-        if not 0 < self.noise_power_w < np.inf:
-            raise ValidationError("noise_power_w must be finite and > 0")
-        if self.shod_max_degree < 0:
-            raise ValidationError("shod_max_degree must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
-        unknown = set(self.schemes) - set(SCHEME_ORDER)
-        if unknown:
-            raise ValidationError(f"schemes contains unknown entries {sorted(unknown)}")
-        if not self.schemes:
-            raise ValidationError("schemes must be nonempty")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ValidationError("schemes must not repeat")
+    def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text (future import)
+            key, value = f.name, getattr(self, f.name)
+            if f.type == "int":
+                if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                    raise ValidationError(f"{key} must be an integer")
+                if key == "num_bs_antennas":
+                    if value < self.num_ues:
+                        raise ValidationError(
+                            "num_bs_antennas >= num_ues required (zero-forcing feasibility)")
+                elif value < _INT_MINIMUM[key]:
+                    raise ValidationError(f"{key} must be >= {_INT_MINIMUM[key]}")
+            elif f.type == "float":
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                    raise ValidationError(f"{key} must be a number")
+                value = float(value)
+                if key == "max_delay_s":
+                    if not 0 <= value < np.inf:
+                        raise ValidationError(f"{key} must be finite and >= 0")
+                elif not 0 < value < np.inf:
+                    raise ValidationError(f"{key} must be finite and > 0")
+            else:  # schemes
+                value = tuple(value)
+                unknown = set(value) - set(SCHEME_ORDER)
+                if unknown:
+                    raise ValidationError(f"schemes contains unknown entries {sorted(unknown)}")
+                if not value:
+                    raise ValidationError("schemes must be nonempty")
+                if len(set(value)) != len(value):
+                    raise ValidationError("schemes must not repeat")
+            object.__setattr__(self, key, value)
+
+
+# Least value of each count but num_bs_antennas, which num_ues bounds.
+_INT_MINIMUM = {"num_subcarriers": 1, "num_ues": 1, "num_paths_per_ue": 1,
+                "shod_max_degree": 0, "seed": 0}
+# The JSON keys are the field names; these may be left out.
+_OPTIONAL_KEYS = ("antenna_spacing_wavelengths",)
+_REQUIRED_KEYS = tuple(f.name for f in fields(SystemConfig) if f.name not in _OPTIONAL_KEYS)
+_INT_KEYS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 
 
 @dataclass(frozen=True)
@@ -140,10 +152,20 @@ class Scenario:
     subcarrier_frequencies: np.ndarray  # (G,) Hz
 
     def __post_init__(self):
+        """Freeze the arrays and check their shapes against the config; path
+        counts per UE are free, since the workspace pads them."""
         object.__setattr__(self, "initial_positions", _frozen(self.initial_positions, np.float64))
         object.__setattr__(self, "ue_positions", _frozen(self.ue_positions, np.float64))
         object.__setattr__(self, "subcarrier_frequencies",
                            _frozen(self.subcarrier_frequencies, np.float64))
+        cfg = self.config
+        for name, shape in (("initial_positions", (cfg.num_bs_antennas, 3)),
+                            ("ue_positions", (cfg.num_ues, 3)),
+                            ("subcarrier_frequencies", (cfg.num_subcarriers,))):
+            if getattr(self, name).shape != shape:
+                raise ValidationError(f"{name} must have shape {shape}")
+        if len(self.path_sets) != cfg.num_ues:
+            raise ValidationError(f"path_sets must hold one PathSet per UE ({cfg.num_ues})")
 
     @property
     def wavelength(self) -> float:
@@ -156,38 +178,20 @@ def _frozen(arr, dtype) -> np.ndarray:
     return out
 
 
-_REQUIRED_KEYS = (
-    "carrier_frequency_hz", "num_subcarriers", "subcarrier_spacing_hz",
-    "num_ues", "num_bs_antennas", "num_paths_per_ue", "max_delay_s",
-    "total_power_w", "noise_power_w", "shod_max_degree", "seed", "schemes",
-)
-_OPTIONAL_KEYS = ("antenna_spacing_wavelengths",)
-_INT_KEYS = ("num_subcarriers", "num_ues", "num_bs_antennas",
-             "num_paths_per_ue", "shod_max_degree", "seed")
-
-
 def config_from_mapping(raw: dict) -> SystemConfig:
-    """Build and validate a SystemConfig from a plain key/value mapping."""
+    """Build a SystemConfig from a plain key/value mapping, such as a parsed
+    JSON file. Checked here is only what a mapping adds: no unknown or missing
+    key, and `schemes` an array of strings; the config checks its fields."""
     unknown = set(raw) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise ValidationError(f"missing config key(s): {', '.join(missing)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "schemes":
-            if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
-                raise ValidationError("schemes must be an array of strings")
-            value = tuple(value)
-        elif key not in _INT_KEYS:  # integers are checked by validate
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{key} must be a number")
-            value = float(value)
-        kwargs[key] = value
-    config = SystemConfig(**kwargs)
-    config.validate()
-    return config
+    schemes = raw["schemes"]
+    if not isinstance(schemes, (list, tuple)) or not all(isinstance(s, str) for s in schemes):
+        raise ValidationError("schemes must be an array of strings")
+    return SystemConfig(**raw)
 
 
 def load_config(path) -> SystemConfig:
@@ -220,22 +224,20 @@ def initial_array_positions(config: SystemConfig) -> np.ndarray:
     return pos
 
 
-def generate_scenario(config: SystemConfig,
-                      annulus_m: tuple[float, float] = (100.0, 300.0)) -> Scenario:
+def generate_scenario(config: SystemConfig) -> Scenario:
     """Draw one seeded random instance.
 
     Path gains are i.i.d. circularly-symmetric complex Gaussian with per-path
     variance 1/L, wave vectors uniform on the unit sphere, delays uniform on
-    [0, max_delay_s]. UEs are placed uniformly on a far-field annulus in the
-    array plane (placement only enters the channel through fixed receive
-    phases).
+    [0, max_delay_s]. UEs are placed uniformly on the far-field annulus
+    `UE_ANNULUS_M` in the array plane (placement only enters the channel
+    through fixed receive phases). The config checked itself when built.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     L = config.num_paths_per_ue
     path_sets = []
     ue_positions = np.zeros((config.num_ues, 3))
-    r_lo, r_hi = annulus_m
+    r_lo, r_hi = UE_ANNULUS_M
     for u in range(config.num_ues):
         radius = rng.uniform(r_lo, r_hi)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)

@@ -25,9 +25,7 @@ def make_config(**overrides) -> SystemConfig:
         schemes=SCHEME_ORDER,
     )
     params.update(overrides)
-    cfg = SystemConfig(**params)
-    cfg.validate()
-    return cfg
+    return SystemConfig(**params)
 
 
 def config_file_dict(**overrides) -> dict:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from mara_sim import checks
+from mara_sim import checks, scenario
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles
 from mara_sim.channel import ChannelWorkspace
@@ -86,15 +86,16 @@ def test_criterion_03_basis_orthonormality_and_parseval():
                  f"max Parseval residual = {worst_parseval:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_04_factorization_exactness():
+def test_criterion_04_factorization_exactness(monkeypatch):
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     errors = []
+    # A close-in (still far-field) annulus keeps the receive phases small
+    # enough that dot-product rounding stays well below the 1e-12 bound.
+    monkeypatch.setattr(scenario, "UE_ANNULUS_M", (2.0, 8.0))
     for trial in range(10):
         cfg = make_config(seed=200 + trial)
-        # A close-in (still far-field) annulus keeps the receive phases small
-        # enough that dot-product rounding stays well below the 1e-12 bound.
-        scen = generate_scenario(cfg, annulus_m=(2.0, 8.0))
+        scen = generate_scenario(cfg)
         basis = build_basis(cfg.shod_max_degree)
         state = random_feasible_state(scen, rng, scheme="MARA")
         h = ChannelWorkspace(scen).state_tensor(state)

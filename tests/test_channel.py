@@ -234,6 +234,20 @@ def test_validate_state_rejects_out_of_ball(handle, scheme, error):
         validate_state(handle(scen), state)
 
 
+@pytest.mark.parametrize("scheme, name, index", [
+    ("MARA", "positions", (1, 2)), ("MARA", "coefficients", (0, slice(None))),
+    ("TFA", "positions", (0, 0))], ids=["MARA-position", "MARA-pattern", "TFA-position"])
+def test_validate_state_rejects_non_finite(rng, scheme, name, index):
+    # The ball, nominal-array and unit-norm tests compare with `>`, which is
+    # False for NaN, so a NaN must be caught on its own.
+    scen = generate_scenario(make_config(seed=9))
+    state = random_feasible_state(scen, rng, scheme=scheme)
+    validate_state(scen, state)
+    getattr(state, name)[index] = np.nan
+    with pytest.raises(ContractError, match=f"{name} must be finite"):
+        validate_state(scen, state)
+
+
 def test_factorization_exactness_random_entries(rng):
     cfg = make_config(seed=9)
     scen = generate_scenario(cfg)

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from mara_sim import cli
 from mara_sim.errors import ConfigError, ValidationError
-from mara_sim.scenario import (_INT_KEYS, config_from_mapping, generate_scenario,
+from mara_sim.scenario import (_INT_KEYS, _OPTIONAL_KEYS, _REQUIRED_KEYS, SCHEME_ORDER,
+                               SystemConfig, config_from_mapping, generate_scenario,
                                load_config, subcarrier_frequencies)
 
 from conftest import config_file_dict, make_config, write_config
@@ -141,9 +144,73 @@ def test_config_validation_errors_name_fields():
         "total_power_w": 0.0, "noise_power_w": 0.0, "shod_max_degree": -1,
         "antenna_spacing_wavelengths": 0.0, "seed": -1, "schemes": ("TFA", "TFA"),
     }
+    valid = make_config()
     for key, value in bad.items():
         with pytest.raises(ValidationError, match=key):
             make_config(**{key: value})
+        with pytest.raises(ValidationError, match=key):
+            dataclasses.replace(valid, **{key: value})
+
+
+def test_config_with_several_bad_fields_names_the_first_in_field_order():
+    with pytest.raises(ValidationError, match="carrier_frequency_hz"):
+        make_config(seed=2.5, num_ues=0, carrier_frequency_hz=-1.0)
+    with pytest.raises(ValidationError, match="num_subcarriers must be an integer"):
+        make_config(seed=-1, total_power_w="1", num_subcarriers=2.5)
+
+
+@pytest.mark.parametrize("value", ["1", None, True])
+@pytest.mark.parametrize("key", ["carrier_frequency_hz", "total_power_w",
+                                 "antenna_spacing_wavelengths"])
+def test_config_rejects_a_float_field_that_is_not_a_number(key, value):
+    with pytest.raises(ValidationError, match=f"^{key} must be a number$"):
+        make_config(**{key: value})
+
+
+def test_config_accepts_numpy_scalars_and_normalises_floats_and_schemes():
+    cfg = make_config(num_ues=np.int64(2), total_power_w=np.float32(0.5),
+                      noise_power_w=1, schemes=["TFA", "MARA"])
+    assert type(cfg.total_power_w) is float and cfg.total_power_w == 0.5
+    assert type(cfg.noise_power_w) is float and cfg.noise_power_w == 1.0
+    assert cfg.schemes == ("TFA", "MARA")
+    assert cfg == make_config(total_power_w=0.5, noise_power_w=1.0,
+                              schemes=("TFA", "MARA"))
+    hash(cfg)
+
+
+def test_key_tables_follow_the_fields():
+    assert _REQUIRED_KEYS == (
+        "carrier_frequency_hz", "num_subcarriers", "subcarrier_spacing_hz",
+        "num_ues", "num_bs_antennas", "num_paths_per_ue", "max_delay_s",
+        "total_power_w", "noise_power_w", "shod_max_degree", "seed", "schemes")
+    assert _OPTIONAL_KEYS == ("antenna_spacing_wavelengths",)
+    assert _INT_KEYS == ("num_subcarriers", "num_ues", "num_bs_antennas",
+                         "num_paths_per_ue", "shod_max_degree", "seed")
+
+
+def test_cli_default_configs_keep_their_values():
+    assert cli._check_default_config() == SystemConfig(
+        carrier_frequency_hz=3.5e9, num_subcarriers=2, subcarrier_spacing_hz=120e3,
+        num_ues=2, num_bs_antennas=2, num_paths_per_ue=3, max_delay_s=1e-7,
+        total_power_w=1.0, noise_power_w=1e-2, shod_max_degree=2, seed=7,
+        schemes=SCHEME_ORDER, antenna_spacing_wavelengths=0.5)
+    assert cli._oracle_default_config() == SystemConfig(
+        carrier_frequency_hz=3.5e9, num_subcarriers=1, subcarrier_spacing_hz=120e3,
+        num_ues=1, num_bs_antennas=1, num_paths_per_ue=2, max_delay_s=0.0,
+        total_power_w=1.0, noise_power_w=1e-2, shod_max_degree=2, seed=11,
+        schemes=SCHEME_ORDER, antenna_spacing_wavelengths=0.5)
+
+
+@pytest.mark.parametrize("name, cut", [
+    ("initial_positions", lambda s: s.initial_positions[:-1]),
+    ("ue_positions", lambda s: s.ue_positions[:, :2]),
+    ("path_sets", lambda s: s.path_sets[:-1]),
+    ("subcarrier_frequencies", lambda s: s.subcarrier_frequencies[:-1]),
+], ids=["M", "U", "paths", "G"])
+def test_scenario_rejects_arrays_that_disagree_with_its_config(name, cut):
+    scen = generate_scenario(make_config(num_ues=3, num_subcarriers=8))
+    with pytest.raises(ValidationError, match=name):
+        dataclasses.replace(scen, **{name: cut(scen)})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
