@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 error (bad usage, bad config, runtime failure),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import checks, harness
 from .errors import ConfigError, ContractError, SizeLimitError
-from .scenario import (_INT_KEYS, _OPTIONAL_KEYS, _REQUIRED_KEYS, SystemConfig,
-                       generate_scenario, load_config)
+from .scenario import (_OPTIONAL_KEYS, _REQUIRED_KEYS, SystemConfig, generate_scenario,
+                       load_config)
 from .shod import build_basis
 from .channel import ChannelWorkspace
 from .optim import OptimOptions
@@ -56,38 +57,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse_value(raw: str):
+    """An int, else a float, else the string itself, for `SystemConfig` to name."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(raw)
+    return raw
+
+
 def _parse_overrides(pairs, allow_tool_keys=False):
     config_updates, tool_updates = {}, {}
     for pair in pairs:
         if "=" not in pair:
             raise ContractError(f"override {pair!r} is not of the form key=value")
         key, raw = pair.split("=", 1)
-        key = key.strip()
+        key, value = key.strip(), _parse_value(raw)
         if key in _TOOL_KEYS and allow_tool_keys:
-            value = float(raw)
-            if not 0.0 < value < np.inf:
+            # float_info.max, not inf: an int above it would overflow float().
+            if isinstance(value, str) or not 0.0 < value <= sys.float_info.max:
                 raise ContractError(f"{key} must be finite and > 0, got {raw!r}")
-            tool_updates[key] = value
-            continue
-        if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
+            tool_updates[key] = float(value)
+        elif key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
             raise ContractError(f"unknown override key: {key}")
-        if key == "schemes":
+        elif key == "schemes":
             config_updates[key] = [s.strip() for s in raw.split(",") if s.strip()]
-        elif key in _INT_KEYS:
-            config_updates[key] = int(raw)
         else:
-            config_updates[key] = float(raw)
+            config_updates[key] = value
     return config_updates, tool_updates
 
 
 def _load_base_config(args, default: SystemConfig | None, allow_tool_keys):
     updates, tool = _parse_overrides(args.overrides, allow_tool_keys)
-    if args.config is not None:
-        base = load_config(args.config)
-    elif default is not None:
-        base = default
-    else:
+    if args.config is None and default is None:
         raise ContractError("--config is required for this command")
+    base = load_config(args.config) if args.config is not None else default
     return replace(base, **updates), tool
 
 

@@ -40,8 +40,6 @@ SWEEPABLE_PARAMS = ("total_power_w", "num_bs_antennas", "num_paths_per_ue",
 CSV_HEADER = ("seed,scheme,sweep_param,sweep_value,se_sum_bps_hz,"
               "se_per_sc_bps_hz,iterations,wall_time_s")
 
-NESTING_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -142,11 +140,10 @@ def _run_cell(spec: ExperimentSpec, seed: int,
                                 time.perf_counter() - start)
     out = [rows[s] for s in spec.schemes if s in rows] + error
     for lo, hi in ((lo, hi) for hi in SCHEME_ORDER for lo in WARM_STARTS[hi]):
-        if lo in rows and hi in rows:
-            if rows[hi].se_sum < rows[lo].se_sum - NESTING_TOL:
-                out.append(make_row(
-                    "nesting_violation", ok=False,
-                    note=f"{hi} se {rows[hi].se_sum!r} < {lo} se {rows[lo].se_sum!r}"))
+        if lo in rows and hi in rows and rows[hi].se_sum < rows[lo].se_sum:
+            out.append(make_row(
+                "nesting_violation", ok=False,
+                note=f"{hi} se {rows[hi].se_sum!r} < {lo} se {rows[lo].se_sum!r}"))
     return out, traces
 
 

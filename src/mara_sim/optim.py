@@ -27,6 +27,7 @@ from .channel import (
     project_to_movement_region,
     sample_movement_region,
     sample_unit_spheres,
+    validate_state,
 )
 from .se import PrecoderSet, _gains, chain_weights, sum_se_arrays
 
@@ -78,8 +79,7 @@ class OptimResult:
     converged: bool
 
     def __post_init__(self):
-        trace = np.asarray(self.se_trace)
-        if trace.size > 1 and np.any(np.diff(trace) < -1e-9):
+        if np.any(np.diff(self.se_trace) < 0):
             raise ContractError(f"se_trace is not nondecreasing: {self.se_trace}")
 
     @property
@@ -282,17 +282,17 @@ def optimize_positions(ws: ChannelWorkspace, state: AntennaState, precoders: Pre
                        opts: OptimOptions = OptimOptions()) -> tuple[AntennaState, float]:
     """Projected gradient ascent over antenna positions; best of seeded restarts.
 
-    Restart 0 warm-starts from the incoming state (projected into the movement
-    balls first); further restarts begin at random feasible positions seeded
-    seed + restart index. Returns (state, se): the SE of the returned state
-    under the given precoders, never lower than the incoming state's.
+    Checks the incoming state (`validate_state`) and starts restart 0 from its
+    positions as given, restart r > 0 from random feasible ones seeded seed + r.
+    Returns (state, se): the SE of the returned state under the given precoders,
+    never below the incoming one's, as a stacked SE call equals its slices bitwise.
     """
     if state.scheme not in MOVABLE_SCHEMES:
         raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
-    start = project_to_movement_region(ws, state.positions)
+    validate_state(ws, state)
     noise = ws.config.noise_power_w
     best, se = _best_of_restarts(
-        start, lambda rng: sample_movement_region(ws, rng),
+        state.positions, lambda rng: sample_movement_region(ws, rng),
         lambda init: _ascend_positions(ws, init, state.coefficients, precoders,
                                        noise, opts), opts)
     return AntennaState(best, state.coefficients.copy(), state.scheme), se
@@ -301,13 +301,13 @@ def optimize_positions(ws: ChannelWorkspace, state: AntennaState, precoders: Pre
 def optimize_patterns(ws: ChannelWorkspace, state: AntennaState, precoders: PrecoderSet,
                       opts: OptimOptions = OptimOptions()) -> tuple[AntennaState, float]:
     """Retracted gradient ascent over per-antenna unit-sphere pattern coefficients;
-    returns (state, se) like `optimize_positions`."""
+    checks, starts and returns like `optimize_positions`."""
     if state.scheme not in RECONFIGURABLE_SCHEMES:
         raise ContractError(f"patterns are pinned for scheme {state.scheme!r}")
-    start = state.coefficients / np.linalg.norm(state.coefficients, axis=1, keepdims=True)
+    validate_state(ws, state)
     noise = ws.config.noise_power_w
     best, se = _best_of_restarts(
-        start, lambda rng: sample_unit_spheres(rng, start.shape),
+        state.coefficients, lambda rng: sample_unit_spheres(rng, state.coefficients.shape),
         lambda init: _ascend_patterns(ws, state.positions, init, precoders,
                                       noise, opts), opts)
     return AntennaState(state.positions.copy(), best, state.scheme), se

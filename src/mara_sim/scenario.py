@@ -83,7 +83,10 @@ class SystemConfig:
             elif f.type == "float":
                 if not isinstance(value, numbers.Real) or isinstance(value, bool):
                     raise ValidationError(f"{key} must be a number")
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:  # an int too large for a double
+                    value = np.inf
                 if key == "max_delay_s":
                     if not 0 <= value < np.inf:
                         raise ValidationError(f"{key} must be finite and >= 0")

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _LN2 = float(np.log(2.0))
-# Per-slice size U*M*G from which _gains folds into one stacked matmul: below
-# it einsum's loop is faster on a single slice (measured; see README
-# "Performance"), and the reference size 2*4*8 keeps einsum's exact rounding.
-FOLD_MIN_SIZE = 256
 
 
 @dataclass
@@ -33,14 +29,14 @@ class PrecoderSet:
 def _gains(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """gains[..., g, u, v] = sum_m h[..., u, m, g] w[g, m, v], shape (..., G, U, U).
 
-    From FOLD_MIN_SIZE on, the candidates and UEs fold into the rows of one
+    With two or more UEs, the candidates and UEs fold into the rows of one
     (G, B*U, M) @ (G, M, U) matmul over subcarriers, returned C-ordered so a
     stack reduces in the same order as its slices. One UE stays on einsum:
     its single-slice product is a vector dot, which numpy hands to BLAS with
     other rounding than the stacked call's loop.
     """
     *lead, U, M, G = h.shape
-    if U == 1 or U * M * G < FOLD_MIN_SIZE:
+    if U == 1:
         return np.einsum("...umg,gmv->...guv", h, w)
     gains = (h.reshape(-1, M, G).transpose(2, 0, 1) @ w).reshape(G, -1, U, U)
     return np.ascontiguousarray(gains.transpose(1, 0, 2, 3)).reshape(*lead, G, U, U)

@@ -248,6 +248,25 @@ def test_validate_state_rejects_non_finite(rng, scheme, name, index):
         validate_state(scen, state)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(num_ues=2, num_bs_antennas=4, num_subcarriers=8, num_paths_per_ue=6),
+    dict(num_ues=4, num_bs_antennas=8, num_subcarriers=32, num_paths_per_ue=12,
+         shod_max_degree=3),
+    dict(num_ues=1, num_bs_antennas=4, num_subcarriers=8)], ids=["reference", "large", "one-UE"])
+def test_stacked_tensor_equals_per_slice_calls_bitwise(overrides, rng):
+    # The line search scores stacked candidates and a block's start scores one
+    # slice; monotone traces and exact nesting rest on the two agreeing bitwise.
+    ws = ChannelWorkspace(generate_scenario(make_config(seed=10, **overrides)))
+    states = [random_feasible_state(ws, rng) for _ in range(10)]
+    positions = np.stack([s.positions for s in states])
+    coefficients = np.stack([s.coefficients for s in states])
+    fixed = states[0]
+    assert np.array_equal(ws.tensor(positions, fixed.coefficients),
+                          [ws.tensor(p, fixed.coefficients) for p in positions])
+    assert np.array_equal(ws.tensor(fixed.positions, coefficients),
+                          [ws.tensor(fixed.positions, c) for c in coefficients])
+
+
 def test_factorization_exactness_random_entries(rng):
     cfg = make_config(seed=9)
     scen = generate_scenario(cfg)

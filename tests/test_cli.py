@@ -79,6 +79,31 @@ def test_run_non_finite_override_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: max_delay_s must be finite")
 
 
+def test_run_integer_too_large_for_a_double_names_its_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, total_power_w=10 ** 400)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: total_power_w must be finite and > 0\n"
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("run", "num_ues=abc", "num_ues must be an integer"),
+    ("run", "num_ues=2.5", "num_ues must be an integer"),
+    ("run", "total_power_w=x", "total_power_w must be a number"),
+    ("run", f"total_power_w={10 ** 400}", "total_power_w must be finite and > 0"),
+    ("check", "fd_step=x", "fd_step must be finite and > 0, got 'x'"),
+    ("oracle", "grid_step=x", "grid_step must be finite and > 0, got 'x'"),
+    ("check", f"fd_step={10 ** 400}", f"fd_step must be finite and > 0, got '{10 ** 400}'"),
+], ids=["int-word", "int-fraction", "float-word", "float-huge-int", "fd_step-word",
+        "grid_step-word", "fd_step-huge-int"])
+def test_override_that_does_not_parse_names_its_key(command, override, message,
+                                                    tmp_path, capsys):
+    args = [command, "--set", override]
+    if command == "run":
+        args += ["--config", str(small_run_config(tmp_path)), "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_missing_config(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path)])
     assert code == 1

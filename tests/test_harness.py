@@ -54,10 +54,10 @@ def test_rows_satisfy_nesting():
     for r in rows:
         by_cell.setdefault(r.seed, {})[r.scheme] = r.se_sum
     for cell in by_cell.values():
-        assert cell["MARA"] >= cell["ERA"] - 1e-9
-        assert cell["MARA"] >= cell["SMA"] - 1e-9
-        assert cell["SMA"] >= cell["TFA"] - 1e-9
-        assert cell["ERA"] >= cell["TFA"] - 1e-9
+        assert cell["MARA"] >= cell["ERA"]
+        assert cell["MARA"] >= cell["SMA"]
+        assert cell["SMA"] >= cell["TFA"]
+        assert cell["ERA"] >= cell["TFA"]
     assert not any(r.scheme == "nesting_violation" for r in rows)
 
 

@@ -303,6 +303,38 @@ def test_block_optimizers_return_the_se_of_their_state(optimize, overrides, rng)
         assert se == sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
 
 
+@pytest.mark.parametrize("optimize", [optimize_positions, optimize_patterns],
+                         ids=["positions", "patterns"])
+@pytest.mark.parametrize("seed", [90, 91, 92])
+def test_block_optimizers_without_iterations_return_their_start_as_given(optimize, seed, rng):
+    # No projection or renormalisation of the start: a block that takes no step
+    # returns the incoming state and its SE bit for bit, so nesting is exact.
+    cfg = make_config(seed=seed)
+    ws = ChannelWorkspace(generate_scenario(cfg))
+    state = random_feasible_state(ws, rng, scheme="MARA")
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    out, se = optimize(ws, state, prec, OptimOptions(inner_grad_iters=0))
+    assert np.array_equal(out.positions, state.positions)
+    assert np.array_equal(out.coefficients, state.coefficients)
+    assert se == sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
+
+
+@pytest.mark.parametrize("optimize, name", [(optimize_positions, "movement ball"),
+                                            (optimize_patterns, "unit-norm")],
+                         ids=["positions", "patterns"])
+def test_block_optimizers_reject_an_infeasible_start(optimize, name, rng):
+    cfg = make_config(seed=93)
+    ws = ChannelWorkspace(generate_scenario(cfg))
+    state = random_feasible_state(ws, rng, scheme="MARA")
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    if optimize is optimize_positions:
+        state.positions[0] = ws.initial_positions[0] + [1.01 * cfg.movement_radius, 0, 0]
+    else:
+        state.coefficients[1] *= 1.01
+    with pytest.raises(ContractError, match=name):
+        optimize(ws, state, prec, FAST)
+
+
 def test_warm_starts_nest_in_scheme_order():
     assert list(WARM_STARTS) == list(SCHEME_ORDER)
     for scheme, sources in WARM_STARTS.items():

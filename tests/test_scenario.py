@@ -167,6 +167,13 @@ def test_config_rejects_a_float_field_that_is_not_a_number(key, value):
         make_config(**{key: value})
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("key", ["max_delay_s", "total_power_w"])
+def test_config_rejects_an_integer_too_large_for_a_double(key, sign):
+    with pytest.raises(ValidationError, match=f"^{key} must be finite and >"):
+        make_config(**{key: sign * 10 ** 400})
+
+
 def test_config_accepts_numpy_scalars_and_normalises_floats_and_schemes():
     cfg = make_config(num_ues=np.int64(2), total_power_w=np.float32(0.5),
                       noise_power_w=1, schemes=["TFA", "MARA"])

@@ -8,7 +8,7 @@ from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega
 from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.checks import ecsi, sinr
-from mara_sim.se import FOLD_MIN_SIZE, _gains, chain_weights, sum_se_arrays
+from mara_sim.se import _gains, chain_weights, sum_se_arrays
 
 from conftest import make_config, random_feasible_state
 
@@ -143,9 +143,9 @@ def test_sinr_decreases_with_noise(rng):
                                   (1, 16, 16)])
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_sum_se_equals_per_slice_calls_bitwise(seed, size):
-    # Sizes on both sides of FOLD_MIN_SIZE, and one UE above it; batch width
-    # 10 is not a multiple of the ladder's first chunk. The gradient's chain
-    # weights take the same stacks.
+    # Sizes of two or more UEs take the fold, and one UE takes einsum; batch
+    # width 10 is not a multiple of the ladder's first chunk. The gradient's
+    # chain weights take the same stacks.
     U, M, G = size
     for batch in (8, 10):
         rng = np.random.default_rng(seed)
@@ -158,10 +158,9 @@ def test_stacked_sum_se_equals_per_slice_calls_bitwise(seed, size):
         assert np.array_equal(weights, [chain_weights(_gains(one, w), 0.05) for one in h])
 
 
-@pytest.mark.parametrize("size", [(2, 4, 8), (4, 8, 32), (4, 8, 256)])
+@pytest.mark.parametrize("size", [(2, 4, 8), (4, 8, 32), (4, 8, 256), (1, 4, 8)])
 def test_sum_se_matches_per_entry_sinr_on_both_kernels(size, rng):
     U, M, G = size
-    assert 2 * 4 * 8 < FOLD_MIN_SIZE <= 4 * 8 * 32
     h, w = random_instance(rng, U=U, M=M, G=G)
     noise = 0.05
     expected = sum(math.log2(1.0 + sinr(h, w, u, g, noise))
