@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .scenario import SCHEME_ORDER, Scenario
+from .scenario import SCHEME_ORDER, Scenario, _unit_rows
 from .shod import build_basis, build_omega, isotropic_coefficients
 
 MOVABLE_SCHEMES = ("SMA", "MARA")
@@ -53,7 +53,7 @@ def project_to_movement_region(scenario: Scenario | ChannelWorkspace,
     """
     offsets = positions - scenario.initial_positions
     radius = scenario.config.movement_radius
-    norms = np.linalg.norm(offsets, axis=-1)
+    norms = np.sqrt(np.add.reduce(offsets * offsets, -1))
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
     return scenario.initial_positions + offsets * scale[..., None]
 
@@ -63,16 +63,14 @@ def sample_movement_region(scenario: Scenario | ChannelWorkspace,
     """Uniform random positions (M, 3), one in each antenna's movement ball:
     a normal direction, then a cube-root radius. Takes a scenario or its workspace."""
     M = scenario.config.num_bs_antennas
-    direction = rng.standard_normal((M, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    direction = _unit_rows(rng.standard_normal((M, 3)))
     frac = np.cbrt(rng.uniform(0.0, 1.0, (M, 1)))
     return scenario.initial_positions + scenario.config.movement_radius * frac * direction
 
 
 def sample_unit_spheres(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform random rows on the unit sphere, shape (M, K)."""
-    rows = rng.standard_normal(shape)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return _unit_rows(rng.standard_normal(shape))
 
 
 def validate_state(scenario: Scenario | ChannelWorkspace, state: AntennaState,
@@ -147,27 +145,20 @@ class ChannelWorkspace:
         self._tx_t = self.tx_wave_vectors.transpose(0, 2, 1)
         self._omega_t = self.omega.transpose(0, 2, 1)
 
-    def path_factors(self, positions: np.ndarray,
-                     coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Transmit phases and pattern responses per (UE, antenna, path).
+    def phases(self, positions: np.ndarray) -> np.ndarray:
+        """Transmit phases (..., U, M, L) of positions (..., M, 3)."""
+        return np.exp(-1j * self.wavenumber * (positions[..., None, :, :] @ self._tx_t))
 
-        Both have shape (..., U, M, L): positions (..., M, 3) and
-        coefficients (..., M, K) may carry leading candidate axes, and the
-        phases follow the former, the responses the latter.
-        """
-        phase = positions[..., None, :, :] @ self._tx_t
-        pattern = coefficients[..., None, :, :] @ self._omega_t
-        return np.exp(-1j * self.wavenumber * phase), pattern
+    def patterns(self, coefficients: np.ndarray) -> np.ndarray:
+        """Pattern responses (..., U, M, L) of coefficients (..., M, K)."""
+        return coefficients[..., None, :, :] @ self._omega_t
 
-    def tensor(self, positions: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        """Channel coefficients h[..., u, m, g] without feasibility checks.
-
-        positions (..., M, 3) and coefficients (..., M, K) may carry leading
-        candidate axes, which broadcast against each other.
-        """
-        phases, pattern = self.path_factors(positions, coefficients)
+    def tensor(self, phases: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+        """Channel coefficients h[..., u, m, g] from the two path factors,
+        without feasibility checks; their leading candidate axes broadcast."""
         return (phases * pattern) @ self.env
 
     def state_tensor(self, state: AntennaState) -> np.ndarray:
-        return self.tensor(state.positions, state.coefficients)
-
+        # Pattern first: phases first made glibc trim the heap top on every call.
+        pattern = self.patterns(state.coefficients)
+        return self.tensor(self.phases(state.positions), pattern)

@@ -115,15 +115,17 @@ def gram_matrix(basis) -> np.ndarray:
 def se_gradient_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
                           m: int) -> np.ndarray:
     """Analytic gradient of sum_se with respect to antenna m's position."""
-    return optim._grad_positions_all(ws, state.positions, state.coefficients, precoders,
-                                     ws.config.noise_power_w)[m]
+    phases, pattern = ws.phases(state.positions), ws.patterns(state.coefficients)
+    return optim._grad_positions_all(ws, phases, pattern, ws.tensor(phases, pattern),
+                                     precoders, ws.config.noise_power_w)[m]
 
 
 def se_gradient_patterns(ws: ChannelWorkspace, state: AntennaState, precoders,
                          m: int) -> np.ndarray:
     """Euclidean gradient of sum_se with respect to antenna m's pattern coefficients."""
-    return optim._grad_patterns_all(ws, state.positions, state.coefficients, precoders,
-                                    ws.config.noise_power_w)[m]
+    phases = ws.phases(state.positions)
+    h = ws.tensor(phases, ws.patterns(state.coefficients))
+    return optim._grad_patterns_all(ws, phases, h, precoders, ws.config.noise_power_w)[m]
 
 
 def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
@@ -153,6 +155,7 @@ def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
     offsets = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     offsets = offsets[np.linalg.norm(offsets, axis=1) <= radius]
     noise = cfg.noise_power_w
+    pattern = ws.patterns(state.coefficients)
     positions = project_to_movement_region(ws, state.positions).copy()
     for m in range(cfg.num_bs_antennas):
         candidates = np.vstack([positions[m][None, :],
@@ -161,7 +164,7 @@ def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
         trial = positions.copy()
         for idx in range(candidates.shape[0]):
             trial[m] = candidates[idx]
-            f = sum_se_arrays(ws.tensor(trial, state.coefficients), precoders.w, noise)
+            f = sum_se_arrays(ws.tensor(ws.phases(trial), pattern), precoders.w, noise)
             if f > best_f:
                 best_idx, best_f = idx, f
         positions[m] = candidates[best_idx]
@@ -230,7 +233,7 @@ def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders, m: int
     positions, coefficients = state.positions, state.coefficients
 
     def se(pos, coeff):
-        return sum_se_arrays(ws.tensor(pos, coeff), precoders.w, noise)
+        return sum_se_arrays(ws.tensor(ws.phases(pos), ws.patterns(coeff)), precoders.w, noise)
 
     pos = _rel_err(se_gradient_positions(ws, state, precoders, m),
                    fd_gradient(lambda p: se(p, coefficients), positions, m,

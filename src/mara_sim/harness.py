@@ -121,10 +121,7 @@ def _run_cell(spec: ExperimentSpec, seed: int,
     except Exception as exc:  # an error row for this cell, not the run
         first = next(s for s in SCHEME_ORDER if s in needed)
         return [make_row(first, ok=False, note=f"error: set-up: {exc}")], []
-    warm = {}
-    rows = {}
-    traces = []
-    error = []
+    warm, rows, traces, error = {}, {}, [], []
     for scheme in SCHEME_ORDER:
         if scheme not in needed:
             continue
@@ -275,13 +272,11 @@ def summarize(rows, schemes=SCHEME_ORDER) -> Summary:
             continue
         per_scheme[scheme] = SchemeStats(float(values.mean()), float(values.std()),
                                          float(values.min()), int(values.size))
-    ratios = []
     by_cell = {}
     for r in good:
         by_cell.setdefault((r.seed, r.sweep_value), {})[r.scheme] = r.se_sum
-    for cell in by_cell.values():
-        if "MARA" in cell and "TFA" in cell and cell["TFA"] > 0:
-            ratios.append(cell["MARA"] / cell["TFA"])
+    ratios = [cell["MARA"] / cell["TFA"] for cell in by_cell.values()
+              if "MARA" in cell and "TFA" in cell and cell["TFA"] > 0]
     ratio = float(np.mean(ratios)) if ratios else None
     if ratio is None:
         notices.append("MARA/TFA ratio not applicable (need both schemes)")
@@ -310,20 +305,10 @@ def emit_summary_csv(summary: Summary, path) -> None:
 
 def reference_config(seed: int = 0) -> SystemConfig:
     """The artifact's reference configuration for the four-scheme comparison."""
-    return SystemConfig(
-        carrier_frequency_hz=3.5e9,
-        num_subcarriers=8,
-        subcarrier_spacing_hz=120e3,
-        num_ues=2,
-        num_bs_antennas=4,
-        num_paths_per_ue=6,
-        max_delay_s=1e-6,
-        total_power_w=1.0,
-        noise_power_w=2e-3,
-        shod_max_degree=2,
-        seed=seed,
-        schemes=SCHEME_ORDER,
-    )
+    return SystemConfig(carrier_frequency_hz=3.5e9, num_subcarriers=8,
+                        subcarrier_spacing_hz=120e3, num_ues=2, num_bs_antennas=4,
+                        num_paths_per_ue=6, max_delay_s=1e-6, total_power_w=1.0,
+                        noise_power_w=2e-3, shod_max_degree=2, seed=seed)
 
 
 def reference_experiment(num_seeds: int = 20) -> ExperimentSpec:

@@ -151,32 +151,26 @@ def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> P
     return PrecoderSet(pinv)
 
 
-def _chain_factors(ws: ChannelWorkspace, positions: np.ndarray, coefficients: np.ndarray,
-                   precoders: PrecoderSet, noise_power: float):
-    """Transmit phases and pattern responses (U, M, L), and the chain-rule
-    sensitivities of sum_se per (UE, antenna, path): z folded through env."""
-    phases, pattern = ws.path_factors(positions, coefficients)
-    gains = _gains((phases * pattern) @ ws.env, precoders.w)
-    weights = chain_weights(gains, noise_power)
+def _sensitivities(ws, h, precoders, noise_power):
+    """Chain-rule sensitivities of sum_se at the channel h per (UE, antenna,
+    path), shape (U, M, L): the SINR weights folded through env."""
+    weights = chain_weights(_gains(h, precoders.w), noise_power)
     z = np.einsum("guv,gmv->umg", weights, precoders.w)
-    return phases, pattern, z @ np.swapaxes(ws.env, 1, 2)
+    return z @ np.swapaxes(ws.env, 1, 2)
 
 
-def _grad_positions_all(ws: ChannelWorkspace, positions: np.ndarray,
-                        coefficients: np.ndarray, precoders: PrecoderSet,
-                        noise_power: float) -> np.ndarray:
-    """Gradient of sum_se with respect to every antenna position, shape (M, 3)."""
-    phases, pattern, sens = _chain_factors(ws, positions, coefficients, precoders,
-                                           noise_power)
+def _grad_positions_all(ws: ChannelWorkspace, phases: np.ndarray, pattern: np.ndarray,
+                        h: np.ndarray, precoders: PrecoderSet, noise_power: float):
+    """Gradient of sum_se in every antenna position (M, 3), at path factors and channel h."""
+    sens = _sensitivities(ws, h, precoders, noise_power)
     moment = np.imag(phases * pattern * sens) @ ws.tx_wave_vectors  # (U, M, 3)
     return 2.0 * ws.wavenumber * moment.sum(axis=0)
 
 
-def _grad_patterns_all(ws: ChannelWorkspace, positions: np.ndarray,
-                       coefficients: np.ndarray, precoders: PrecoderSet,
-                       noise_power: float) -> np.ndarray:
-    """Euclidean gradient of sum_se with respect to every alpha_m, shape (M, K)."""
-    phases, _, sens = _chain_factors(ws, positions, coefficients, precoders, noise_power)
+def _grad_patterns_all(ws: ChannelWorkspace, phases: np.ndarray, h: np.ndarray,
+                       precoders: PrecoderSet, noise_power: float) -> np.ndarray:
+    """Euclidean gradient of sum_se in every alpha_m (M, K), at phases and channel h."""
+    sens = _sensitivities(ws, h, precoders, noise_power)
     return 2.0 * (np.real(phases * sens) @ ws.omega).sum(axis=0)
 
 
@@ -186,8 +180,9 @@ def _line_search(steps, propose, objective, f):
 
     propose(t) returns the candidates for the steps t, stacked on a leading
     axis, and the ascent each one promises; the first step promising none
-    ends the search. objective evaluates a stack of candidates in one call,
-    one call per chunk of LADDER_CHUNKS. Returns (candidate, objective), or
+    ends the search. objective scores a stack of candidates, one call per chunk
+    of LADDER_CHUNKS, and also returns the stacked arrays the next direction
+    takes. Returns (candidate, SE, copies of its slices of those arrays), or
     None when no step is accepted.
     """
     for start, end in LADDER_CHUNKS:
@@ -195,11 +190,11 @@ def _line_search(steps, propose, objective, f):
         stop = np.flatnonzero(advance <= 0.0)
         n = stop[0] if stop.size else advance.size
         if n:
-            fc = objective(cands[:n])
+            fc, *stacks = objective(cands[:n])
             accepted = np.flatnonzero(fc >= f + ARMIJO_C * advance[:n])
             if accepted.size:
                 k = accepted[0]
-                return cands[k].copy(), float(fc[k])
+                return cands[k].copy(), float(fc[k]), [a[k].copy() for a in stacks]
         if stop.size:
             return None
     return None
@@ -208,23 +203,23 @@ def _line_search(steps, propose, objective, f):
 def _ascend(x, steps, direction, propose, objective, opts):
     """Armijo ascent from x over the ladder `steps`, shared by positions and patterns.
 
-    direction(x) is the ascent direction at x; propose(x, d, t) returns the
-    retracted candidates for the steps t and the ascent each one promises;
-    objective evaluates one point or a stack of candidates. Stops when the
-    direction vanishes, no step is accepted, or the gain drops below tol_rel.
-    Returns (x, objective(x)).
+    direction(x, *arrays) is the ascent direction at x; propose(x, d, t)
+    returns the retracted candidates for the steps t and the ascent each one
+    promises; objective scores one point or a stack of candidates, with the
+    arrays that direction takes there. Stops when the direction vanishes, no
+    step is accepted, or the gain drops below tol_rel. Returns (x, SE at x).
     """
     x = x.copy()
-    f = objective(x)
+    f, *at = objective(x)
     for _ in range(opts.inner_grad_iters):
-        d = direction(x)
-        if float(np.sum(d * d)) < 1e-24 * max(1.0, f * f):
+        d = direction(x, *at)
+        if float((d * d).sum()) < 1e-24 * max(1.0, f * f):
             break
         found = _line_search(steps, lambda t: propose(x, d, t), objective, f)
         if found is None:
             break
         gain = found[1] - f
-        x, f = found
+        x, f, at = found
         if gain < opts.tol_rel * max(abs(f), 1e-12):
             break
     return x, f
@@ -232,15 +227,19 @@ def _ascend(x, steps, direction, propose, objective, opts):
 
 def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
     """Projected ascent over positions: gradient steps clamped into the balls."""
-    def objective(cands):
-        return sum_se_arrays(ws.tensor(cands, coefficients), precoders.w, noise_power)
+    pattern = ws.patterns(coefficients)  # fixed in this block, so built once
 
-    def direction(positions):
-        return _grad_positions_all(ws, positions, coefficients, precoders, noise_power)
+    def objective(cands):
+        phases = ws.phases(cands)
+        h = ws.tensor(phases, pattern)
+        return sum_se_arrays(h, precoders.w, noise_power), phases, h
+
+    def direction(positions, phases, h):
+        return _grad_positions_all(ws, phases, pattern, h, precoders, noise_power)
 
     def propose(positions, grad, t):
         cands = project_to_movement_region(ws, positions + t[:, None, None] * grad)
-        return cands, np.sum(grad * (cands - positions), axis=(1, 2))
+        return cands, (grad * (cands - positions)).sum(axis=(1, 2))
 
     steps = POSITION_STEP * ws.config.antenna_spacing * LADDER
     return _ascend(start, steps, direction, propose, objective, opts)
@@ -248,17 +247,20 @@ def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
 
 def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
     """Retracted ascent over patterns: tangent steps renormalised onto the spheres."""
-    def objective(cands):
-        return sum_se_arrays(ws.tensor(positions, cands), precoders.w, noise_power)
+    phases = ws.phases(positions)  # fixed in this block, so built once
 
-    def direction(coefficients):
-        grad = _grad_patterns_all(ws, positions, coefficients, precoders, noise_power)
-        return grad - np.sum(grad * coefficients, axis=1, keepdims=True) * coefficients
+    def objective(cands):
+        h = ws.tensor(phases, ws.patterns(cands))
+        return sum_se_arrays(h, precoders.w, noise_power), h
+
+    def direction(coefficients, h):
+        grad = _grad_patterns_all(ws, phases, h, precoders, noise_power)
+        return grad - (grad * coefficients).sum(axis=1, keepdims=True) * coefficients
 
     def propose(coefficients, tangent, t):
         cands = coefficients + t[:, None, None] * tangent
-        cands /= np.linalg.norm(cands, axis=2, keepdims=True)
-        return cands, t * float(np.sum(tangent * tangent))
+        cands /= np.sqrt(np.add.reduce(cands * cands, 2, keepdims=True))
+        return cands, t * float((tangent * tangent).sum())
 
     return _ascend(start, PATTERN_STEP * LADDER, direction, propose, objective, opts)
 

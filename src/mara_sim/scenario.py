@@ -9,7 +9,9 @@ instances.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,7 +38,8 @@ class SystemConfig:
     A config is valid once built, by `dataclasses.replace` too: `__post_init__`
     checks the fields in field order, raises ValidationError naming the first
     bad one, and stores the float fields as `float` (numpy scalars pass) and
-    `schemes` as a tuple.
+    `schemes` as a tuple. Then it checks that the arrays the counts imply fit
+    in memory numpy can index (`_check_array_bytes`).
     """
 
     carrier_frequency_hz: float
@@ -102,6 +105,20 @@ class SystemConfig:
                 if len(set(value)) != len(value):
                     raise ValidationError("schemes must not repeat")
             object.__setattr__(self, key, value)
+        _check_array_bytes(self)
+
+
+def _check_array_bytes(cfg: SystemConfig) -> None:
+    """Name the key of the longest axis of an array the counts imply, env (U, L, G) or
+    h (U, M, G) complex, omega (U, L, K) or basis (nodes, K) real, past np.intp bytes."""
+    N = cfg.shod_max_degree
+    U, M, L, G = ((key, getattr(cfg, key)) for key in
+                  ("num_ues", "num_bs_antennas", "num_paths_per_ue", "num_subcarriers"))
+    K, nodes = ("shod_max_degree", (N + 1) ** 2), ("shod_max_degree", 4 * (N + 1) * (2 * N + 1))
+    for itemsize, shape in ((16, (U, L, G)), (16, (U, M, G)), (8, (U, L, K)), (8, (nodes, K))):
+        if itemsize * math.prod(n for _, n in shape) > sys.maxsize:  # np.intp's maximum
+            raise ValidationError(f"{max(shape, key=lambda a: a[1])[0]} is too large: an "
+                                  "array it implies would need more bytes than numpy can index")
 
 
 # Least value of each count but num_bs_antennas, which num_ues bounds.
@@ -220,10 +237,9 @@ def subcarrier_frequencies(config: SystemConfig) -> np.ndarray:
 
 def initial_array_positions(config: SystemConfig) -> np.ndarray:
     """Uniform linear array along the x-axis, spacing d, centered at the origin."""
-    m = np.arange(config.num_bs_antennas, dtype=np.float64)
-    x = (m - (config.num_bs_antennas - 1) / 2.0) * config.antenna_spacing
-    pos = np.zeros((config.num_bs_antennas, 3))
-    pos[:, 0] = x
+    M = config.num_bs_antennas
+    pos = np.zeros((M, 3))
+    pos[:, 0] = (np.arange(M, dtype=np.float64) - (M - 1) / 2.0) * config.antenna_spacing
     return pos
 
 

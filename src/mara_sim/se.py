@@ -45,7 +45,7 @@ def _gains(h: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _sinr_terms(gains: np.ndarray, noise_power: float):
     """Signal and interference plus noise (..., G, U) from gains (..., G, U, U)."""
     power = gains.real ** 2 + gains.imag ** 2
-    signal = np.diagonal(power, axis1=-2, axis2=-1)
+    signal = power.diagonal(0, -2, -1)
     return signal, power.sum(axis=-1) - signal + noise_power
 
 
@@ -67,6 +67,8 @@ def chain_weights(gains: np.ndarray, noise_power: float) -> np.ndarray:
     c[..., g, u, v] = (1/total at v = u, else 1/total - 1/rest) / ln 2, total = signal + rest."""
     signal, rest = _sinr_terms(gains, noise_power)
     on_diag = (1.0 / _LN2) / (signal + rest)
-    coef = np.repeat((on_diag - (1.0 / _LN2) / rest)[..., None], gains.shape[-1], axis=-1)
-    np.einsum("...uu->...u", coef)[...] = on_diag  # einsum's diagonal is a writeable view
-    return coef * np.conj(gains)
+    weights = np.conj(gains)
+    weights *= (on_diag - (1.0 / _LN2) / rest)[..., None]
+    # einsum's diagonal is a writeable view
+    np.einsum("...uu->...u", weights)[...] = on_diag * np.conj(gains.diagonal(0, -2, -1))
+    return weights

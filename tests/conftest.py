@@ -54,6 +54,12 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+def channel(ws, positions, coefficients):
+    """The workspace's channel tensor at positions and coefficients, both path
+    factors built fresh; either argument may carry leading candidate axes."""
+    return ws.tensor(ws.phases(positions), ws.patterns(coefficients))
+
+
 def random_feasible_state(scenario, rng, scheme="MARA") -> AntennaState:
     """Random positions inside the movement balls, random unit pattern rows,
     then the scheme's pinned parts reset to the nominal array and isotropy."""

@@ -17,7 +17,7 @@ from mara_sim.se import sum_se_arrays
 from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
                             _grad_patterns_all, _grad_positions_all)
 
-from conftest import make_config, random_feasible_state
+from conftest import channel, make_config, random_feasible_state
 from test_channel import random_path_set
 from test_optim import two_path_axis_scenario
 
@@ -50,11 +50,11 @@ def test_tensor_batch_matches_single_calls(seed, rng):
     cases = ((positions, state.coefficients), (state.positions, coefficients),
              (positions, coefficients))
     for pos, coeff in cases:
-        batch = ws.tensor(pos, coeff)
+        batch = channel(ws, pos, coeff)
         assert batch.shape == (BATCH, cfg.num_ues, cfg.num_bs_antennas,
                                cfg.num_subcarriers)
-        single = np.stack([ws.tensor(np.broadcast_to(pos, positions.shape)[b],
-                                     np.broadcast_to(coeff, coefficients.shape)[b])
+        single = np.stack([channel(ws, np.broadcast_to(pos, positions.shape)[b],
+                                   np.broadcast_to(coeff, coefficients.shape)[b])
                            for b in range(BATCH)])
         assert max_rel(batch, single) < 1e-12
 
@@ -62,7 +62,7 @@ def test_tensor_batch_matches_single_calls(seed, rng):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sum_se_batch_matches_single_calls(seed, rng):
     cfg, scen, ws, _, prec = instance(seed, rng)
-    h = ws.tensor(*random_batch(scen, rng, BATCH))
+    h = channel(ws, *random_batch(scen, rng, BATCH))
     batch = sum_se_arrays(h, prec.w, cfg.noise_power_w)
     assert isinstance(batch, np.ndarray) and batch.shape == (BATCH,)
     single = [sum_se_arrays(h[b], prec.w, cfg.noise_power_w) for b in range(BATCH)]
@@ -111,10 +111,9 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
     noise = cfg.noise_power_w
 
     def se(pos, coeff):
-        return sum_se_arrays(ws.tensor(pos, coeff), prec.w, noise)
+        return sum_se_arrays(channel(ws, pos, coeff), prec.w, noise)
 
-    grad_p = _grad_positions_all(ws, state.positions, state.coefficients, prec, noise)
-    grad_a = _grad_patterns_all(ws, state.positions, state.coefficients, prec, noise)
+    grad_p, grad_a = fresh_gradients(ws, state.positions, state.coefficients, prec, noise)
     for m in range(cfg.num_bs_antennas):
         fd_p = checks.fd_gradient(lambda p: se(p, state.coefficients), state.positions,
                                   m, 1e-6 * scen.wavelength)
@@ -124,17 +123,27 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
         assert fd_a == pytest.approx(grad_a[m], rel=1e-5, abs=1e-6)
 
 
+def fresh_gradients(ws, positions, coefficients, precoders, noise_power):
+    """The position and pattern gradients at a point, every factor built there."""
+    phases, pattern = ws.phases(positions), ws.patterns(coefficients)
+    h = ws.tensor(phases, pattern)
+    return (_grad_positions_all(ws, phases, pattern, h, precoders, noise_power),
+            _grad_patterns_all(ws, phases, h, precoders, noise_power))
+
+
 # Reference line searches: the sequential Armijo loops the chunked ladder
 # replaced, one candidate per sum_se call, halving the step each time. They
-# read optim's constants when called, and also return why the ascent stopped.
+# build every factor fresh at each point, so they are also the reference for
+# the ascent's reuse of the accepted candidate's factors. They read optim's
+# constants when called, and also return why the ascent stopped.
 
 def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
     step0 = optim.POSITION_STEP * ws.config.antenna_spacing
     positions = start.copy()
-    f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
+    f = sum_se_arrays(channel(ws, positions, coefficients), precoders.w, noise_power)
     reason = "iterations"
     for _ in range(opts.inner_grad_iters):
-        grad = _grad_positions_all(ws, positions, coefficients, precoders, noise_power)
+        grad, _ = fresh_gradients(ws, positions, coefficients, precoders, noise_power)
         if float(np.sum(grad * grad)) < 1e-24 * max(1.0, f * f):
             reason = "gradient"
             break
@@ -147,7 +156,7 @@ def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
             if advance <= 0.0:
                 reason = "advance"
                 break
-            fc = sum_se_arrays(ws.tensor(cand, coefficients), precoders.w, noise_power)
+            fc = sum_se_arrays(channel(ws, cand, coefficients), precoders.w, noise_power)
             if fc >= f + optim.ARMIJO_C * advance:
                 accepted = True
                 break
@@ -164,10 +173,10 @@ def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
 
 def reference_patterns(ws, positions, start, precoders, noise_power, opts):
     coefficients = start.copy()
-    f = sum_se_arrays(ws.tensor(positions, coefficients), precoders.w, noise_power)
+    f = sum_se_arrays(channel(ws, positions, coefficients), precoders.w, noise_power)
     reason = "iterations"
     for _ in range(opts.inner_grad_iters):
-        grad = _grad_patterns_all(ws, positions, coefficients, precoders, noise_power)
+        _, grad = fresh_gradients(ws, positions, coefficients, precoders, noise_power)
         radial = np.sum(grad * coefficients, axis=1, keepdims=True)
         tangent = grad - radial * coefficients
         tnorm2 = float(np.sum(tangent * tangent))
@@ -180,7 +189,7 @@ def reference_patterns(ws, positions, start, precoders, noise_power, opts):
         while t > 1e-14 * optim.PATTERN_STEP:
             cand = coefficients + t * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc = sum_se_arrays(ws.tensor(positions, cand), precoders.w, noise_power)
+            fc = sum_se_arrays(channel(ws, positions, cand), precoders.w, noise_power)
             if fc >= f + optim.ARMIJO_C * t * tnorm2:
                 accepted = True
                 break
@@ -198,11 +207,11 @@ def reference_patterns(ws, positions, start, precoders, noise_power, opts):
 ASCENT = OptimOptions(inner_grad_iters=40, tol_rel=1e-8)
 
 
-def assert_same_ascent(got, ref, scale):
+def assert_same_ascent(got, ref):
     point, f = got
     ref_point, ref_f, _ = ref
-    assert np.max(np.abs(point - ref_point)) <= 1e-12 * scale
-    assert f == pytest.approx(ref_f, rel=1e-12)
+    assert np.array_equal(point, ref_point)
+    assert f == ref_f
 
 
 @pytest.mark.parametrize("seed", [70, 71, 72, 73])
@@ -212,7 +221,7 @@ def test_position_ascent_matches_sequential_reference(seed, rng):
     got = _ascend_positions(ws, state.positions, state.coefficients, prec, noise, ASCENT)
     ref = reference_positions(ws, state.positions, state.coefficients, prec, noise,
                               ASCENT)
-    assert_same_ascent(got, ref, cfg.antenna_spacing)
+    assert_same_ascent(got, ref)
 
 
 @pytest.mark.parametrize("seed", [70, 71, 72, 73])
@@ -221,7 +230,56 @@ def test_pattern_ascent_matches_sequential_reference(seed, rng):
     noise = cfg.noise_power_w
     got = _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
     ref = reference_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
-    assert_same_ascent(got, ref, 1.0)
+    assert_same_ascent(got, ref)
+
+
+SIZES = {
+    "reference": dict(num_ues=2, num_bs_antennas=4, num_subcarriers=8, num_paths_per_ue=6),
+    "large": dict(num_ues=4, num_bs_antennas=8, num_subcarriers=32, num_paths_per_ue=12,
+                  shod_max_degree=3),
+    "one-UE": dict(num_ues=1, num_bs_antennas=4, num_subcarriers=8),
+}
+
+
+@pytest.mark.parametrize("block", ["positions", "patterns"])
+@pytest.mark.parametrize("size", list(SIZES))
+def test_gradient_from_accepted_slice_equals_fresh_gradient_bitwise(size, block, rng,
+                                                                    monkeypatch):
+    # The ascent takes the next gradient from the arrays of the accepted slice
+    # of a stacked line-search call; each must equal the same built fresh at
+    # the accepted point, bit for bit.
+    cfg, scen, ws, state, prec = instance(75, rng, **SIZES[size])
+    noise = cfg.noise_power_w
+    accepted = []
+
+    def recording(*args):
+        found = line_search(*args)
+        if found is not None:
+            accepted.append(found)
+        return found
+
+    line_search = optim._line_search
+    monkeypatch.setattr(optim, "_line_search", recording)
+    if block == "positions":
+        _ascend_positions(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    else:
+        _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    assert len(accepted) > 1
+    for point, f, arrays in accepted:
+        positions, coefficients = ((point, state.coefficients) if block == "positions"
+                                   else (state.positions, point))
+        phases, pattern = ws.phases(positions), ws.patterns(coefficients)
+        h = ws.tensor(phases, pattern)
+        assert f == sum_se_arrays(h, prec.w, noise)
+        if block == "positions":
+            assert np.array_equal(arrays[0], phases) and np.array_equal(arrays[1], h)
+            got = _grad_positions_all(ws, arrays[0], pattern, arrays[1], prec, noise)
+            want = fresh_gradients(ws, positions, coefficients, prec, noise)[0]
+        else:
+            assert np.array_equal(arrays[0], h)
+            got = _grad_patterns_all(ws, phases, arrays[0], prec, noise)
+            want = fresh_gradients(ws, positions, coefficients, prec, noise)[1]
+        assert np.array_equal(got, want)
 
 
 def test_position_ascent_stops_where_no_step_advances():
@@ -239,7 +297,7 @@ def test_position_ascent_stops_where_no_step_advances():
     assert ref[2] == "advance"
     got = _ascend_positions(ws, start, state.coefficients, prec, cfg.noise_power_w,
                             ASCENT)
-    assert_same_ascent(got, ref, cfg.antenna_spacing)
+    assert_same_ascent(got, ref)
     assert np.array_equal(got[0], start)
 
 
@@ -254,7 +312,7 @@ def test_ascent_that_exhausts_the_ladder_matches_reference(rng, monkeypatch):
     ref = reference_patterns(ws, state.positions, state.coefficients, prec,
                              cfg.noise_power_w, opts)
     assert ref[2] == "ladder"
-    assert_same_ascent(got, ref, 1.0)
+    assert_same_ascent(got, ref)
     assert np.array_equal(got[0], state.coefficients)
 
 

@@ -11,7 +11,7 @@ from mara_sim.channel import (AntennaState, ChannelWorkspace, initial_state,
                               project_to_movement_region, validate_state)
 from mara_sim.checks import ecsi, path_gains, pattern_gain, rx_steering, tx_steering
 
-from conftest import make_config, random_feasible_state
+from conftest import channel, make_config, random_feasible_state
 
 ISO = 1.0 / math.sqrt(4.0 * math.pi)
 
@@ -261,10 +261,15 @@ def test_stacked_tensor_equals_per_slice_calls_bitwise(overrides, rng):
     positions = np.stack([s.positions for s in states])
     coefficients = np.stack([s.coefficients for s in states])
     fixed = states[0]
-    assert np.array_equal(ws.tensor(positions, fixed.coefficients),
-                          [ws.tensor(p, fixed.coefficients) for p in positions])
-    assert np.array_equal(ws.tensor(fixed.positions, coefficients),
-                          [ws.tensor(fixed.positions, c) for c in coefficients])
+    # Each block builds its fixed factor once, unstacked, and stacks the other.
+    phases, pattern = ws.phases(fixed.positions), ws.patterns(fixed.coefficients)
+    stacked_phases, stacked_pattern = ws.phases(positions), ws.patterns(coefficients)
+    assert np.array_equal(stacked_phases, [ws.phases(p) for p in positions])
+    assert np.array_equal(stacked_pattern, [ws.patterns(c) for c in coefficients])
+    assert np.array_equal(ws.tensor(stacked_phases, pattern),
+                          [ws.tensor(ws.phases(p), pattern) for p in positions])
+    assert np.array_equal(ws.tensor(phases, stacked_pattern),
+                          [ws.tensor(phases, ws.patterns(c)) for c in coefficients])
 
 
 def test_factorization_exactness_random_entries(rng):
@@ -304,8 +309,8 @@ def test_tensor_linear_in_alpha(rng):
     a1 = rng.standard_normal((cfg.num_bs_antennas, 9))
     a2 = rng.standard_normal((cfg.num_bs_antennas, 9))
     c1, c2 = 0.3, -1.7
-    combo = ws.tensor(pos, c1 * a1 + c2 * a2)
-    split = c1 * ws.tensor(pos, a1) + c2 * ws.tensor(pos, a2)
+    combo = channel(ws, pos, c1 * a1 + c2 * a2)
+    split = c1 * channel(ws, pos, a1) + c2 * channel(ws, pos, a2)
     assert np.allclose(combo, split, atol=1e-12)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ def test_run_integer_too_large_for_a_double_names_its_key(tmp_path, capsys):
     cfg = write_config(tmp_path, total_power_w=10 ** 400)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == "error: total_power_w must be finite and > 0\n"
+
+
+@pytest.mark.parametrize("key", ["num_paths_per_ue", "shod_max_degree"])
+def test_check_rejects_a_count_too_large_to_index_by_key(key, capsys):
+    # Unchecked, the first fails inside numpy without naming its key, and the
+    # second never returns: the orthonormality check builds every degree to it.
+    start = time.perf_counter()
+    assert main(["check", "--set", f"{key}={10 ** 23}"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} is too large")
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("command, override, message", [
@@ -213,7 +224,7 @@ def test_check_coarse_fd_step_fails_gradients(capsys):
 
 def test_check_nan_gradient_fails(capsys, monkeypatch):
     monkeypatch.setattr(optim, "_grad_positions_all",
-                        lambda ws, positions, *args: np.full(positions.shape, np.nan))
+                        lambda ws, phases, *args: np.full((phases.shape[1], 3), np.nan))
     assert main(["check"]) == 1
     assert "FAIL gradients" in capsys.readouterr().out
 

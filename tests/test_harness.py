@@ -236,7 +236,7 @@ def test_trace_sink_collects_monotone_traces():
     run_experiment(tiny_spec(seeds=(7,)), trace_sink=sink)
     assert sink, "expected traces"
     for _, _, _, trace in sink:
-        assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
 
 
 def test_trace_sink_keeps_cell_and_scheme_order():

@@ -174,6 +174,19 @@ def test_config_rejects_an_integer_too_large_for_a_double(key, sign):
         make_config(**{key: sign * 10 ** 400})
 
 
+def test_config_rejects_counts_past_the_bytes_numpy_can_index():
+    # With one UE, antenna, path and harmonic, env and the channel take 16 bytes
+    # per subcarrier; the largest count that np.intp can index is accepted, and
+    # an oversized array names its longest axis.
+    limit = np.iinfo(np.intp).max // 16
+    tiny = dict(num_ues=1, num_bs_antennas=1, num_paths_per_ue=1, shod_max_degree=0)
+    assert make_config(num_subcarriers=limit, **tiny).num_subcarriers == limit
+    with pytest.raises(ValidationError, match="^num_subcarriers is too large"):
+        make_config(num_subcarriers=limit + 1, **tiny)
+    with pytest.raises(ValidationError, match="^num_bs_antennas is too large"):
+        make_config(**dict(tiny, num_subcarriers=2, num_bs_antennas=limit))
+
+
 def test_config_accepts_numpy_scalars_and_normalises_floats_and_schemes():
     cfg = make_config(num_ues=np.int64(2), total_power_w=np.float32(0.5),
                       noise_power_w=1, schemes=["TFA", "MARA"])
