@@ -10,7 +10,7 @@ from .channel import AntennaState, ChannelWorkspace, initial_state
 from .se import PrecoderSet, sum_se_arrays
 from .optim import (OptimOptions, OptimResult, alternating_optimize, digital_precoder,
                     optimize_patterns, optimize_positions, water_fill)
-from .harness import (ExperimentSpec, ResultRow, emit_csv, reference_config,
+from .harness import (ExperimentSpec, ResultRow, emit_csv, iter_cells, reference_config,
                       reference_experiment, run_experiment, summarize)
 
 __all__ = [
@@ -20,6 +20,6 @@ __all__ = [
     "PrecoderSet", "sum_se_arrays",
     "OptimOptions", "OptimResult", "alternating_optimize", "digital_precoder",
     "optimize_patterns", "optimize_positions", "water_fill",
-    "ExperimentSpec", "ResultRow", "emit_csv", "reference_config",
+    "ExperimentSpec", "ResultRow", "emit_csv", "iter_cells", "reference_config",
     "reference_experiment", "run_experiment", "summarize",
 ]

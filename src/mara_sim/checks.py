@@ -193,11 +193,6 @@ def random_feasible_state(scenario, rng: np.random.Generator) -> AntennaState:
     return AntennaState(positions, coefficients, "MARA")
 
 
-def zf_precoder(h: np.ndarray, config):
-    """The ZF + water-filling precoder of the channel h at the config's power and noise."""
-    return digital_precoder(h, config.total_power_w, config.noise_power_w)
-
-
 def factorization_error(scenario, state: AntennaState) -> float:
     """max |h - q^H alpha| over every (u, m, g): h from the scenario's
     workspace, q from `ecsi` on its raw paths."""
@@ -254,23 +249,22 @@ def _gap(best, achieved) -> float:
 def position_oracle_gap(scenario, opts, grid_step: float) -> float:
     """Signed relative SE gap of `optimize_positions` below `brute_force_positions`,
     both from the SMA start under its precoder."""
-    ws = ChannelWorkspace(scenario)
+    ws, cfg = ChannelWorkspace(scenario), scenario.config
     state = initial_state(ws, "SMA")
-    prec = zf_precoder(ws.state_tensor(state), ws.config)
-    noise = ws.config.noise_power_w
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     opt, _ = optimize_positions(ws, state, prec, opts)
     bf = brute_force_positions(ws, state, prec, grid_step)
-    return _gap(sum_se_arrays(ws.state_tensor(bf), prec.w, noise),
-                sum_se_arrays(ws.state_tensor(opt), prec.w, noise))
+    return _gap(sum_se_arrays(ws.state_tensor(bf), prec.w, cfg.noise_power_w),
+                sum_se_arrays(ws.state_tensor(opt), prec.w, cfg.noise_power_w))
 
 
 def pattern_oracle_gap(scenario, opts) -> float:
     """Signed relative gap of antenna 0's optimized pattern gain toward UE 0 on
     subcarrier 0 below the leading eigenvalue of Re(conj(q) q^T); the optimum
     when M = U = G = 1."""
-    ws = ChannelWorkspace(scenario)
+    ws, cfg = ChannelWorkspace(scenario), scenario.config
     state = initial_state(ws, "ERA")
-    prec = zf_precoder(ws.state_tensor(state), ws.config)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     out, _ = optimize_patterns(ws, state, prec, opts)
     ps = scenario.path_sets[0]
     q = ecsi(ps, build_omega(ws.basis, ps), scenario.initial_positions[0],

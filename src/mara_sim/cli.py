@@ -21,7 +21,7 @@ from .scenario import (_OPTIONAL_KEYS, _REQUIRED_KEYS, SystemConfig, generate_sc
                        load_config)
 from .shod import build_basis
 from .channel import ChannelWorkspace
-from .optim import OptimOptions
+from .optim import OptimOptions, digital_precoder
 
 # Extra override keys understood by `check` and `oracle`.
 _TOOL_KEYS = {"fd_step", "grid_step"}
@@ -48,12 +48,14 @@ def _build_parser() -> _Parser:
                        ("oracle", "compare optimizers against brute-force oracles")):
         p = sub.add_parser(name, description=desc)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory (run)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
-        p.add_argument("--seeds", default=None, help="comma-separated seed list")
-        p.add_argument("-q", "--quiet", action="store_true")
-        p.add_argument("--json-summary", action="store_true")
+        if name != "oracle":
+            p.add_argument("-q", "--quiet", action="store_true")
+        if name == "run":
+            p.add_argument("--out", default=".", help="output directory")
+            p.add_argument("--seeds", default=None, help="comma-separated seed list")
+            p.add_argument("--json-summary", action="store_true")
     return parser
 
 
@@ -98,15 +100,15 @@ def cmd_run(args) -> int:
     base, _ = _load_base_config(args, default=None, allow_tool_keys=False)
     seeds = _parse_seeds(args.seeds) if args.seeds else (base.seed,)
     spec = harness.ExperimentSpec(base=base, seeds=seeds, schemes=base.schemes)
-    rows = harness.run_experiment(spec)
+    os.makedirs(args.out, exist_ok=True)
+    results_path = os.path.join(args.out, "results.csv")
+    summary_path = os.path.join(args.out, "summary.csv")
+    with contextlib.closing(harness.iter_cells(spec)) as cells:  # rows on disk as cells end
+        rows = harness.emit_csv((row for rows in cells for row in rows), results_path)
     nesting_failures = [r for r in rows if not r.ok and r.scheme == "nesting_violation"]
     errors = [r for r in rows if not r.ok and r.scheme != "nesting_violation"]
     for r in errors:  # before summarize, which raises when no row succeeded
         print(f"cell failed: {r.note}", file=sys.stderr)
-    os.makedirs(args.out, exist_ok=True)
-    results_path = os.path.join(args.out, "results.csv")
-    summary_path = os.path.join(args.out, "summary.csv")
-    harness.emit_csv(rows, results_path)
     summary = harness.summarize(rows, schemes=base.schemes)
     harness.emit_summary_csv(summary, summary_path)
     if args.json_summary:
@@ -154,7 +156,7 @@ def cmd_check(args) -> int:
     for trial in range(5):
         ws = ChannelWorkspace(generate_scenario(replace(base, seed=base.seed + trial)))
         state = checks.random_feasible_state(ws, rng)
-        prec = checks.zf_precoder(ws.state_tensor(state), ws.config)
+        prec = digital_precoder(ws.state_tensor(state), base.total_power_w, base.noise_power_w)
         errors += [checks.gradient_errors(ws, state, prec, m, fd_step)
                    for m in range(base.num_bs_antennas)]
     worst = float(np.max(errors))

@@ -10,11 +10,15 @@ while building the cell's scenario or workspace gives the cell one error row.
 `MARA_SIM_THREADS` (default 1; the name is the benchmark's) counts processes:
 threads contending for the interpreter lock made a sweep slower. With N > 1
 the caller forks N - 1 children (POSIX only) and deals the cells round-robin,
-solving cells 0, N, 2N, ... itself. Rows and traces come back in cell order
-whatever N is, and `wall_time` is a row's solve time in the process that
-solved it. Children run on their own copy of the modules, so a tracer that
-patches module attributes needs `MARA_SIM_THREADS=1`, and the caller's
-`ru_maxrss` does not include them.
+solving cells 0, N, 2N, ... itself. A child pickles each cell's rows to its
+pipe as soon as it is solved, and `iter_cells` yields rows in cell order
+whatever N is; `wall_time` is a row's solve time in the process that solved
+it. The caller forks although OpenBLAS may have started threads: its fork
+handler stops its pool, and a child runs only numpy and pickle before
+`os._exit`. (Python 3.12 warns of any fork in a process with threads.)
+Children run on their own copy of the modules, so a tracer that patches
+module attributes needs `MARA_SIM_THREADS=1`, and the caller's `ru_maxrss`
+does not include them.
 """
 
 from __future__ import annotations
@@ -98,10 +102,8 @@ def _cell_config(spec: ExperimentSpec, seed: int, sweep_value) -> SystemConfig:
     return dataclasses.replace(spec.base, **updates)
 
 
-def _run_cell(spec: ExperimentSpec, seed: int,
-              sweep_value) -> tuple[list[ResultRow], list[tuple]]:
-    """Solve one cell; returns its rows and the objective trace of every
-    scheme solved, as (seed, sweep_value, scheme, trace)."""
+def _run_cell(spec: ExperimentSpec, seed: int, sweep_value) -> list[ResultRow]:
+    """Solve one cell; returns its rows."""
     sweep_param = spec.sweep[0] if spec.sweep is not None else "none"
     value = float(sweep_value) if sweep_value is not None else 0.0
 
@@ -120,8 +122,8 @@ def _run_cell(spec: ExperimentSpec, seed: int,
         ws = ChannelWorkspace(generate_scenario(config))
     except Exception as exc:  # an error row for this cell, not the run
         first = next(s for s in SCHEME_ORDER if s in needed)
-        return [make_row(first, ok=False, note=f"error: set-up: {exc}")], []
-    warm, rows, traces, error = {}, {}, [], []
+        return [make_row(first, ok=False, note=f"error: set-up: {exc}")]
+    warm, rows, error = {}, {}, []
     for scheme in SCHEME_ORDER:
         if scheme not in needed:
             continue
@@ -132,7 +134,6 @@ def _run_cell(spec: ExperimentSpec, seed: int,
             error.append(make_row(scheme, ok=False, note=f"error: {exc}"))
             break
         warm[scheme] = result
-        traces.append((seed, value, scheme, tuple(result.se_trace)))
         rows[scheme] = make_row(scheme, result.se, result.iterations,
                                 time.perf_counter() - start)
     out = [rows[s] for s in spec.schemes if s in rows] + error
@@ -141,7 +142,7 @@ def _run_cell(spec: ExperimentSpec, seed: int,
             out.append(make_row(
                 "nesting_violation", ok=False,
                 note=f"{hi} se {rows[hi].se_sum!r} < {lo} se {rows[lo].se_sum!r}"))
-    return out, traces
+    return out
 
 
 def _worker_count(cells: int) -> int:
@@ -154,93 +155,94 @@ def _worker_count(cells: int) -> int:
     return min(int(raw), cells, cpus or 1)
 
 
-def _solve_share(spec, cells, start, step) -> list[tuple]:
-    """(index, rows, traces) of every step-th cell from cells[start]."""
-    return [(i, *_run_cell(spec, *cells[i])) for i in range(start, len(cells), step)]
-
-
-def _child(spec, cells, start, step, fd):
-    """Solve a child's share, send it (or its exception) as one pickle, exit."""
+def _child(spec, cells, fd):
+    """Solve a child's cells, writing each one's rows, or the exception that
+    ended them, as one pickle as soon as it is solved; then exit."""
     status = 1
     try:
-        try:
-            payload = (True, _solve_share(spec, cells, start, step))
-        except BaseException as exc:
-            payload = (False, exc)
         with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
+            try:
+                for cell in cells:
+                    pipe.write(pickle.dumps((True, _run_cell(spec, *cell))))
+                    pipe.flush()
+            except BaseException as exc:
+                pipe.write(pickle.dumps((False, exc)))
         status = 0
     finally:
         os._exit(status)
 
 
-def run_experiment(spec: ExperimentSpec, trace_sink: list | None = None) -> list[ResultRow]:
-    """Run every (seed, sweep value, scheme) cell; rows in deterministic order.
+def iter_cells(spec: ExperimentSpec):
+    """Yield the rows of every (seed, sweep value) cell, in cell order.
 
-    When a list is passed as trace_sink, every per-scheme objective trace is
-    appended to it as (seed, sweep_value, scheme, trace), in cell order.
     `MARA_SIM_THREADS` processes share the cells, capped at the cell count and
-    the usable CPUs (see the module docstring). A child's exception is raised
-    again here, and no child outlives the call.
+    the usable CPUs (see the module docstring); a child's cell is read from its
+    pipe when that cell comes up. A child's exception is raised again here, and
+    no child outlives the generator: closing it early kills and reaps them.
     """
     values = list(spec.sweep[1]) if spec.sweep is not None else [None]
     cells = [(seed, value) for seed in spec.seeds for value in values]
     workers = _worker_count(len(cells))
-    children, sent, statuses = [], [], []  # (pid, read end); pickles; wait statuses
+    children = {}  # worker index -> (pid, buffered read end)
     try:
         for start in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _child(spec, cells, start, workers, write_fd)
+                _child(spec, cells[start::workers], write_fd)
             os.close(write_fd)
-            children.append((pid, read_fd))
-        solved = _solve_share(spec, cells, 0, workers)
-        for _, read_fd in children:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
+            children[start] = (pid, open(read_fd, "rb"))
+        for k, cell in enumerate(cells):
+            if k % workers == 0:
+                yield _run_cell(spec, *cell)
+                continue
+            pid, pipe = children[k % workers]
+            try:
+                ok, payload = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:  # empty or cut short
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.pop(k % workers)[1].close()  # reaped: kill and wait no more
+                raise RuntimeError(f"a worker exited with status {status}"
+                                   f" without sending results") from exc
+            if not ok:
+                raise payload
+            yield payload
     except BaseException:
-        for pid, _ in children:
+        for pid, _ in children.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, read_fd in children:
-            os.close(read_fd)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for data, status in zip(sent, statuses):
-        try:
-            ok, payload = pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError) as exc:  # empty or cut short
-            raise RuntimeError(f"a worker exited with status {os.waitstatus_to_exitcode(status)}"
-                               f" without sending results") from exc
-        if not ok:
-            raise payload
-        solved.extend(payload)
-    rows = []
-    for _, cell_rows, cell_traces in sorted(solved, key=lambda cell: cell[0]):
-        rows.extend(cell_rows)
-        if trace_sink is not None:
-            trace_sink.extend(cell_traces)
-    return rows
+        for pid, pipe in children.values():
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
-def emit_csv(rows, path, include_wall_time: bool = True) -> None:
-    """Write rows as CSV with LF endings and shortest round-trip floats.
+def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
+    """Every cell's rows, in cell order (see `iter_cells`)."""
+    return [row for rows in iter_cells(spec) for row in rows]
+
+
+def emit_csv(rows, path, include_wall_time: bool = True) -> list[ResultRow]:
+    """Write rows from any iterable as CSV with LF endings and shortest
+    round-trip floats, line-buffered so each row is flushed as it is written;
+    returns the rows.
 
     With include_wall_time=False the wall-time column is written as 0.0, which
     makes repeated runs byte-identical for determinism comparisons.
     """
-    lines = [CSV_HEADER]
-    for r in rows:
-        wall = r.wall_time if include_wall_time else 0.0
-        lines.append(",".join([
-            str(r.seed), r.scheme, r.sweep_param, repr(float(r.sweep_value)),
-            repr(float(r.se_sum)), repr(float(r.se_per_subcarrier)),
-            str(r.iterations), repr(float(wall)),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    written = []
+    with open(path, "w", encoding="utf-8", newline="", buffering=1) as fh:
+        fh.write(CSV_HEADER + "\n")
+        for r in rows:
+            wall = r.wall_time if include_wall_time else 0.0
+            fh.write(",".join([
+                str(r.seed), r.scheme, r.sweep_param, repr(float(r.sweep_value)),
+                repr(float(r.se_sum)), repr(float(r.se_per_subcarrier)),
+                str(r.iterations), repr(float(wall)),
+            ]) + "\n")
+            written.append(r)
+    return written
 
 
 @dataclass
@@ -290,8 +292,7 @@ def format_summary(summary: Summary) -> str:
                      f"{st.min:>12.6f} {st.count:>6d}")
     if summary.mara_tfa_ratio is not None:
         lines.append(f"mean MARA/TFA SE ratio: {summary.mara_tfa_ratio:.4f}")
-    for note in summary.notices:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in summary.notices]
     return "\n".join(lines)
 
 

@@ -15,7 +15,7 @@ from mara_sim.channel import (ChannelWorkspace, initial_state,
                               project_to_movement_region)
 from mara_sim.se import sum_se_arrays
 from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
-                            _grad_patterns_all, _grad_positions_all)
+                            _grad_patterns_all, _grad_positions_all, digital_precoder)
 
 from conftest import channel, make_config, random_feasible_state
 from test_channel import random_path_set
@@ -29,7 +29,7 @@ def instance(seed, rng, **overrides):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     return cfg, scen, ws, state, prec
 
 
@@ -107,7 +107,7 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
     cfg = scen.config
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     noise = cfg.noise_power_w
 
     def se(pos, coeff):
@@ -290,7 +290,7 @@ def test_position_ascent_stops_where_no_step_advances():
     cfg = scen.config
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
-    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     start = np.array([[-cfg.movement_radius, 0.0, 0.0]])
     ref = reference_positions(ws, start, state.coefficients, prec,
                               cfg.noise_power_w, ASCENT)

@@ -7,7 +7,7 @@ from mara_sim import checks
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis
 from mara_sim.channel import AntennaState, ChannelWorkspace, validate_state
-from mara_sim.optim import OptimOptions
+from mara_sim.optim import OptimOptions, digital_precoder
 
 from conftest import make_config
 
@@ -15,9 +15,11 @@ FAST = OptimOptions(inner_grad_iters=5, restarts=1, seed=0)
 
 
 def mara_instance(rng, **overrides):
-    ws = ChannelWorkspace(generate_scenario(make_config(**overrides)))
+    cfg = make_config(**overrides)
+    ws = ChannelWorkspace(generate_scenario(cfg))
     state = checks.random_feasible_state(ws, rng)
-    return ws, state, checks.zf_precoder(ws.state_tensor(state), ws.config)
+    return ws, state, digital_precoder(ws.state_tensor(state), cfg.total_power_w,
+                                       cfg.noise_power_w)
 
 
 def with_nan(a):

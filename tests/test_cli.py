@@ -13,6 +13,7 @@ from mara_sim.cli import main
 from mara_sim.errors import SingularChannelError
 
 from conftest import write_config
+from test_harness import _assert_no_child_left, _two_workers
 
 
 def small_run_config(tmp_path):
@@ -200,6 +201,33 @@ def test_run_setup_error_exits_one_and_keeps_other_cells(tmp_path, capsys, monke
         ["0", s] for s in ("TFA", "SMA", "ERA", "MARA")] + [["1", "TFA"]]
 
 
+@pytest.mark.parametrize("workers, interrupted", [("1", 2), ("2", 2), ("2", 3)],
+                         ids=["one-worker", "caller-cell", "child-cell"])
+def test_interrupted_run_keeps_the_cells_before_it(tmp_path, monkeypatch, workers,
+                                                   interrupted):
+    # With 2 workers the caller solves cells 0 and 2 and the child 1 and 3.
+    solve = harness._run_cell
+
+    def cell(spec, seed, sweep_value):
+        if seed == interrupted:
+            raise KeyboardInterrupt
+        return solve(spec, seed, sweep_value)
+    monkeypatch.setattr(harness, "_run_cell", cell)
+    _two_workers(monkeypatch)
+    monkeypatch.setenv("MARA_SIM_THREADS", workers)
+    cfg = small_run_config(tmp_path)
+    out = tmp_path / "k"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "0,1,2,3",
+              "--set", "schemes=TFA,SMA", "-q"])
+    _assert_no_child_left()
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0] == harness.CSV_HEADER
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [str(seed), scheme] for seed in range(interrupted) for scheme in ("TFA", "SMA")]
+    assert not (out / "summary.csv").exists()
+
+
 def test_run_json_summary(tmp_path, capsys):
     cfg = small_run_config(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "z"),
@@ -272,3 +300,14 @@ def test_oracle_deterministic_across_repeats(capsys):
 def test_usage_error_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check", ["--out", "o"]), ("check", ["--seeds", "5"]), ("check", ["--json-summary"]),
+    ("oracle", ["-q"]), ("oracle", ["--out", "o"]), ("oracle", ["--seeds", "9"]),
+    ("oracle", ["--json-summary"])], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flag_of_another_subcommand_is_a_usage_error(command, flag, capsys):
+    assert main([command] + flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: unrecognized arguments: {flag[0]}")

@@ -5,6 +5,7 @@ from mara_sim import checks
 from mara_sim.scenario import PathSet, Scenario, generate_scenario
 from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.se import sum_se_arrays
+from mara_sim.optim import digital_precoder
 
 from conftest import make_config, random_feasible_state
 
@@ -14,7 +15,8 @@ def build_instance(seed, rng, **config_overrides):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    return cfg, scen, ws, state, checks.zf_precoder(ws.state_tensor(state), cfg)
+    return cfg, scen, ws, state, digital_precoder(ws.state_tensor(state), cfg.total_power_w,
+                                                  cfg.noise_power_w)
 
 
 def gradient_errors(seed, rng, **config_overrides):
@@ -47,7 +49,7 @@ def test_single_path_single_user_position_gradient_vanishes(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
-    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     grad = checks.se_gradient_positions(ws, state, prec, 0)
     se = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     scale = se * 2 * np.pi / scen.wavelength  # natural gradient magnitude unit
@@ -88,7 +90,7 @@ def test_degenerate_sphere_tangential_component_zero(rng):
     scen = generate_scenario(cfg)
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
-    prec = checks.zf_precoder(ws.state_tensor(state), cfg)
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     for m in range(cfg.num_bs_antennas):
         grad = checks.se_gradient_patterns(ws, state, prec, m)
         alpha = state.coefficients[m]

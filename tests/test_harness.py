@@ -1,7 +1,12 @@
+import ast
 import dataclasses
+import itertools
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +15,8 @@ import mara_sim.harness as harness
 from mara_sim.channel import ChannelWorkspace
 from mara_sim.errors import ContractError, ValidationError
 from mara_sim.harness import (ExperimentSpec, ResultRow, emit_csv,
-                              emit_summary_csv, format_summary, reference_experiment,
-                              run_experiment, summarize)
+                              emit_summary_csv, format_summary, iter_cells,
+                              reference_experiment, run_experiment, summarize)
 from mara_sim.optim import OptimOptions
 
 from conftest import make_config
@@ -165,6 +170,17 @@ def test_emit_csv_wall_time_flag(tmp_path):
     assert p.read_text().splitlines()[1].endswith(",0.0")
 
 
+def test_emit_csv_flushes_each_row_before_taking_the_next(tmp_path):
+    path, lines_on_disk = tmp_path / "stream.csv", []
+
+    def rows():
+        for seed in range(3):
+            lines_on_disk.append(len(path.read_text().splitlines()))
+            yield hand_row(seed, "TFA", 2.5)
+    assert emit_csv(rows(), path) == [hand_row(seed, "TFA", 2.5) for seed in range(3)]
+    assert lines_on_disk == [1, 2, 3]
+
+
 def test_summarize_hand_rows_exact():
     rows = [hand_row(0, "TFA", 2.0), hand_row(1, "TFA", 4.0),
             hand_row(0, "MARA", 6.0, ), hand_row(1, "MARA", 10.0)]
@@ -223,30 +239,37 @@ def test_error_in_scheme_yields_diagnostic_row(monkeypatch):
     assert not rows[0].ok and "injected failure" in rows[0].note
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_decreasing_trace_ends_its_cell_with_that_error_row(monkeypatch, workers):
+    # The harness keeps no traces: `OptimResult` rejects a decrease when built.
+    solve = harness.alternating_optimize
+
+    def falling_sma(ws, scheme, *args):
+        result = solve(ws, scheme, *args)
+        if scheme != "SMA":
+            return result
+        return dataclasses.replace(result, se_trace=[result.se, result.se / 2])
+    spec = tiny_spec(seeds=(0, 1))
+    full = _without_wall(run_experiment(spec))
+    monkeypatch.setattr(harness, "alternating_optimize", falling_sma)
+    _two_workers(monkeypatch)
+    monkeypatch.setenv("MARA_SIM_THREADS", workers)
+    rows = _without_wall(run_experiment(spec))
+    assert [(r.seed, r.scheme, r.ok) for r in rows] == [
+        (seed, scheme, scheme == "TFA") for seed in (0, 1) for scheme in ("TFA", "SMA")]
+    assert [r for r in rows if r.ok] == [r for r in full if r.scheme == "TFA"]
+    assert [r.note for r in rows if not r.ok] == [
+        f"error: se_trace is not nondecreasing: {[r.se_sum, r.se_sum / 2]}"
+        for r in full if r.scheme == "SMA"]
+    _assert_no_child_left()
+
+
 def test_full_run_determinism_bytes(tmp_path):
     spec = tiny_spec(seeds=(0, 1), sweep=("total_power_w", (0.5, 1.0)))
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     emit_csv(run_experiment(spec), p1, include_wall_time=False)
     emit_csv(run_experiment(spec), p2, include_wall_time=False)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_trace_sink_collects_monotone_traces():
-    sink = []
-    run_experiment(tiny_spec(seeds=(7,)), trace_sink=sink)
-    assert sink, "expected traces"
-    for _, _, _, trace in sink:
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
-
-
-def test_trace_sink_keeps_cell_and_scheme_order():
-    spec = tiny_spec(seeds=(0, 1, 2), sweep=("total_power_w", (0.5, 1.0)))
-    sink = []
-    run_experiment(spec, trace_sink=sink)
-    cells = [(seed, value) for seed in (0, 1, 2) for value in (0.5, 1.0)]
-    assert [entry[:3] for entry in sink] == [
-        (seed, value, scheme) for seed, value in cells
-        for scheme in ("TFA", "SMA", "ERA", "MARA")]
 
 
 def _without_wall(rows):
@@ -295,19 +318,18 @@ def test_setup_error_gives_the_cell_one_error_row(monkeypatch, workers):
     assert math.isnan(bad[0].se_sum)
 
 
-def _csv_and_traces(spec, tmp_path, name):
-    sink = []
-    rows = run_experiment(spec, trace_sink=sink)
+def _rows_and_csv(spec, tmp_path, name):
+    rows = run_experiment(spec)
     path = tmp_path / f"{name}.csv"
     emit_csv(rows, path, include_wall_time=False)
-    return _without_wall(rows), path.read_bytes(), sink
+    return _without_wall(rows), path.read_bytes()
 
 
-def test_two_workers_give_the_rows_csv_and_traces_of_one(monkeypatch, tmp_path):
+def test_two_workers_give_the_rows_and_csv_of_one(monkeypatch, tmp_path):
     spec = tiny_spec(seeds=(0, 1, 2), sweep=("total_power_w", (0.5, 1.0)))
-    one = _csv_and_traces(spec, tmp_path, "one")
+    one = _rows_and_csv(spec, tmp_path, "one")
     forks = _two_workers(monkeypatch)
-    two = _csv_and_traces(spec, tmp_path, "two")
+    two = _rows_and_csv(spec, tmp_path, "two")
     assert len(forks) == 1 and len(one[0]) == 24
     assert one == two
     _assert_no_child_left()
@@ -389,3 +411,74 @@ def test_parent_error_kills_and_reaps_its_children(monkeypatch):
         run_experiment(tiny_spec(schemes=("TFA",), seeds=(0, 1)))
     assert time.perf_counter() - start < 30
     _assert_no_child_left()
+
+
+def test_child_whose_second_frame_is_cut_names_its_status(monkeypatch):
+    parent, dumps, frames = os.getpid(), harness.pickle.dumps, []
+
+    def cut_second(obj):
+        data = dumps(obj)
+        if os.getpid() == parent:
+            return data
+        frames.append(data)  # the child's own copy of the list
+        return data if len(frames) == 1 else data[:len(data) // 2]
+    monkeypatch.setattr(harness.pickle, "dumps", cut_second)
+    _two_workers(monkeypatch)
+    cells = iter_cells(tiny_spec(schemes=("TFA",), seeds=(0, 1, 2, 3)))
+    # Cells 0 and 2 are the caller's; 1 and 3 are the child's first and second frames.
+    assert [rows[0].seed for rows in itertools.islice(cells, 3)] == [0, 1, 2]
+    with pytest.raises(RuntimeError, match="status 0 without sending results") as raised:
+        next(cells)
+    assert isinstance(raised.value.__cause__, harness.pickle.UnpicklingError)
+    _assert_no_child_left()
+
+
+def test_closing_the_stream_after_one_cell_leaves_no_child(monkeypatch):
+    _in_child_only(monkeypatch, lambda: time.sleep(60))
+    start = time.perf_counter()
+    cells = iter_cells(tiny_spec(schemes=("TFA",), seeds=(0, 1, 2)))
+    assert [r.seed for r in next(cells)] == [0]
+    cells.close()
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+def test_cells_stream_in_cell_order(monkeypatch):
+    spec = tiny_spec(schemes=("TFA", "MARA"), seeds=(0, 1, 2),
+                     sweep=("total_power_w", (0.5, 1.0)))
+    _two_workers(monkeypatch)
+    cells = list(iter_cells(spec))
+    assert [[(r.seed, r.sweep_value, r.scheme) for r in rows] for rows in cells] == [
+        [(seed, value, "TFA"), (seed, value, "MARA")]
+        for seed in (0, 1, 2) for value in (0.5, 1.0)]
+    _assert_no_child_left()
+
+
+FORK_WITH_BLAS_THREADS = """
+import dataclasses, os, mara_sim
+spec = dataclasses.replace(mara_sim.reference_experiment(num_seeds=2),
+                           sweep=("total_power_w", (0.5, 1.0)))
+def rows(workers):
+    os.environ["MARA_SIM_THREADS"] = workers
+    return [dataclasses.replace(r, wall_time=0.0) for r in mara_sim.run_experiment(spec)]
+one, threads, fork = rows("1"), [], os.fork
+def counting_fork():
+    threads.append(len(os.listdir("/proc/self/task")))
+    return fork()
+os.fork = counting_fork
+print((threads, rows("2") == one))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and 2 usable CPUs")
+def test_fork_after_blas_started_its_threads_gives_the_rows_of_one_worker():
+    # OpenBLAS starts its pool at `import numpy` unless these pin it; its fork
+    # handler stops the pool, and a child runs only numpy and pickle.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(harness.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", FORK_WITH_BLAS_THREADS], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    threads, same_rows = ast.literal_eval(out.stdout)
+    assert same_rows and len(threads) == 1 and threads[0] >= 2
