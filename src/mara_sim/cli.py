@@ -100,10 +100,11 @@ def cmd_run(args) -> int:
     base, _ = _load_base_config(args, default=None, allow_tool_keys=False)
     seeds = _parse_seeds(args.seeds) if args.seeds else (base.seed,)
     spec = harness.ExperimentSpec(base=base, seeds=seeds, schemes=base.schemes)
-    os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
     summary_path = os.path.join(args.out, "summary.csv")
+    # Built before --out, so a bad MARA_SIM_THREADS leaves no file behind.
     with contextlib.closing(harness.iter_cells(spec)) as cells:  # rows on disk as cells end
+        os.makedirs(args.out, exist_ok=True)
         rows = harness.emit_csv((row for rows in cells for row in rows), results_path)
     nesting_failures = [r for r in rows if not r.ok and r.scheme == "nesting_violation"]
     errors = [r for r in rows if not r.ok and r.scheme != "nesting_violation"]

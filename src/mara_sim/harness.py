@@ -173,16 +173,20 @@ def _child(spec, cells, fd):
 
 
 def iter_cells(spec: ExperimentSpec):
-    """Yield the rows of every (seed, sweep value) cell, in cell order.
+    """An iterator over the rows of every (seed, sweep value) cell, in cell order.
 
     `MARA_SIM_THREADS` processes share the cells, capped at the cell count and
-    the usable CPUs (see the module docstring); a child's cell is read from its
-    pipe when that cell comes up. A child's exception is raised again here, and
-    no child outlives the generator: closing it early kills and reaps them.
+    the usable CPUs (see the module docstring); a bad count raises here, at the
+    call. A child's cell is read from its pipe when that cell comes up. A
+    child's exception is raised again by the iterator, and no child outlives
+    it: closing it early kills and reaps them.
     """
     values = list(spec.sweep[1]) if spec.sweep is not None else [None]
     cells = [(seed, value) for seed in spec.seeds for value in values]
-    workers = _worker_count(len(cells))
+    return _stream_cells(spec, cells, _worker_count(len(cells)))
+
+
+def _stream_cells(spec, cells, workers):
     children = {}  # worker index -> (pid, buffered read end)
     try:
         for start in range(1, workers):

@@ -37,11 +37,12 @@ ARMIJO_C = 1e-4
 POSITION_STEP = 1e-2
 PATTERN_STEP = 1e-1
 # Backtracking multipliers 2^-k, every one above 1e-14; halving is exact, so
-# t0 * LADDER equals t0 halved k times. The line search scores one chunk per
-# call: a short first chunk, since the first accepted step ends the search,
-# then longer ones.
+# t * LADDER equals t halved k times. Most searches accept the spectral step
+# (see `_ascend`) at k = 0, and the first accepted step ends a search, so the
+# line search scores chunks of 2, 8 and 37 steps, one chunk per call.
 LADDER = 0.5 ** np.arange(47)
-LADDER_CHUNKS = ((0, 8), (8, 24), (24, 47))
+LADDER_CHUNKS = ((0, 2), (2, 10), (10, 47))
+SPECTRAL_CLAMP = (2.0 ** -46, 2.0 ** 10)
 # The schemes whose solutions warm-start each scheme: the best of them is the
 # start point, so every scheme's SE dominates its sources' (scheme nesting).
 WARM_STARTS = {"TFA": (), "SMA": ("TFA",), "ERA": ("TFA",), "MARA": ("SMA", "ERA")}
@@ -175,7 +176,7 @@ def _grad_patterns_all(ws: ChannelWorkspace, phases: np.ndarray, h: np.ndarray,
 
 
 def _line_search(steps, propose, objective, f):
-    """First step of the ladder `steps` (t0 * LADDER), in order, whose
+    """First step of the ladder `steps` (t * LADDER), in order, whose
     candidate passes the Armijo test.
 
     propose(t) returns the candidates for the steps t, stacked on a leading
@@ -200,25 +201,36 @@ def _line_search(steps, propose, objective, f):
     return None
 
 
-def _ascend(x, steps, direction, propose, objective, opts):
-    """Armijo ascent from x over the ladder `steps`, shared by positions and patterns.
+def _ascend(x, t0, direction, propose, objective, opts):
+    """Armijo ascent from x, shared by positions and patterns.
 
     direction(x, *arrays) is the ascent direction at x; propose(x, d, t)
     returns the retracted candidates for the steps t and the ascent each one
     promises; objective scores one point or a stack of candidates, with the
-    arrays that direction takes there. Stops when the direction vanishes, no
-    step is accepted, or the gain drops below tol_rel. Returns (x, SE at x).
+    arrays that direction takes there. The first line search runs the ladder
+    t0 * LADDER, each later one t * LADDER from the spectral step t = s.s / |s.y|
+    of the last move s and direction change y (Barzilai & Borwein, IMA J. Numer.
+    Anal. 8(1), 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000),
+    clamped to t0 * SPECTRAL_CLAMP, or t0 when s.y = 0. Stops when the direction
+    vanishes, no step is accepted, or the gain drops below tol_rel. Returns
+    (x, SE at x).
     """
-    x = x.copy()
+    x, t = x.copy(), t0
+    lo, hi = t0 * SPECTRAL_CLAMP[0], t0 * SPECTRAL_CLAMP[1]
     f, *at = objective(x)
-    for _ in range(opts.inner_grad_iters):
+    for i in range(opts.inner_grad_iters):
         d = direction(x, *at)
         if float((d * d).sum()) < 1e-24 * max(1.0, f * f):
             break
-        found = _line_search(steps, lambda t: propose(x, d, t), objective, f)
+        if i:
+            s, y = x - x_prev, d - d_prev
+            sy = abs(float((s * y).sum()))
+            t = min(max(float((s * s).sum()) / sy, lo), hi) if sy else t0
+        found = _line_search(t * LADDER, lambda steps: propose(x, d, steps), objective, f)
         if found is None:
             break
         gain = found[1] - f
+        x_prev, d_prev = x, d
         x, f, at = found
         if gain < opts.tol_rel * max(abs(f), 1e-12):
             break
@@ -241,8 +253,8 @@ def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
         cands = project_to_movement_region(ws, positions + t[:, None, None] * grad)
         return cands, (grad * (cands - positions)).sum(axis=(1, 2))
 
-    steps = POSITION_STEP * ws.config.antenna_spacing * LADDER
-    return _ascend(start, steps, direction, propose, objective, opts)
+    return _ascend(start, POSITION_STEP * ws.config.antenna_spacing, direction, propose,
+                   objective, opts)
 
 
 def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
@@ -262,7 +274,7 @@ def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
         cands /= np.sqrt(np.add.reduce(cands * cands, 2, keepdims=True))
         return cands, t * float((tangent * tangent).sum())
 
-    return _ascend(start, PATTERN_STEP * LADDER, direction, propose, objective, opts)
+    return _ascend(start, PATTERN_STEP, direction, propose, objective, opts)
 
 
 def _best_of_restarts(start, draw, ascend, opts):

@@ -33,7 +33,7 @@ def check(criterion, passed, detail):
 # sha256 of the reference CSV as `emit_csv(include_wall_time=False)` writes it,
 # pinned with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; another BLAS or CPU may
 # round some last bits differently.
-REFERENCE_CSV_SHA256 = "1e8ee47eb82272ad1aba253bd231598c098d7cef0571795c6c3e9dfb4f8610ea"
+REFERENCE_CSV_SHA256 = "2de9099f38364ad19d79e827d9a69b9517c3f57e761ae75cbf266ed631add75f"
 
 
 @pytest.fixture(scope="module")

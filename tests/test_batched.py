@@ -132,25 +132,35 @@ def fresh_gradients(ws, positions, coefficients, precoders, noise_power):
 
 
 # Reference line searches: the sequential Armijo loops the chunked ladder
-# replaced, one candidate per sum_se call, halving the step each time. They
+# replaced, one candidate per sum_se call, halving the step each time from
+# step0 at the first search and from the clamped spectral step after it. They
 # build every factor fresh at each point, so they are also the reference for
 # the ascent's reuse of the accepted candidate's factors. They read optim's
 # constants when called, and also return why the ascent stopped.
+
+def spectral_step(s, y, step0):
+    ss, sy = float(np.sum(s * s)), abs(float(np.sum(s * y)))
+    if sy == 0.0:
+        return step0
+    lo, hi = optim.SPECTRAL_CLAMP
+    return min(max(ss / sy, step0 * lo), step0 * hi)
+
 
 def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
     step0 = optim.POSITION_STEP * ws.config.antenna_spacing
     positions = start.copy()
     f = sum_se_arrays(channel(ws, positions, coefficients), precoders.w, noise_power)
     reason = "iterations"
-    for _ in range(opts.inner_grad_iters):
+    for i in range(opts.inner_grad_iters):
         grad, _ = fresh_gradients(ws, positions, coefficients, precoders, noise_power)
         if float(np.sum(grad * grad)) < 1e-24 * max(1.0, f * f):
             reason = "gradient"
             break
-        t = step0
+        t = spectral_step(positions - prev, grad - prev_grad, step0) if i else step0
+        top = t
         accepted = False
         reason = "ladder"
-        while t > 1e-14 * step0:
+        while t > 1e-14 * top:
             cand = project_to_movement_region(ws, positions + t * grad)
             advance = float(np.sum(grad * (cand - positions)))
             if advance <= 0.0:
@@ -164,6 +174,7 @@ def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
         if not accepted:
             break
         gain = fc - f
+        prev, prev_grad = positions, grad
         positions, f = cand, fc
         if gain < opts.tol_rel * max(abs(f), 1e-12):
             reason = "tolerance"
@@ -175,7 +186,8 @@ def reference_patterns(ws, positions, start, precoders, noise_power, opts):
     coefficients = start.copy()
     f = sum_se_arrays(channel(ws, positions, coefficients), precoders.w, noise_power)
     reason = "iterations"
-    for _ in range(opts.inner_grad_iters):
+    step0 = optim.PATTERN_STEP
+    for i in range(opts.inner_grad_iters):
         _, grad = fresh_gradients(ws, positions, coefficients, precoders, noise_power)
         radial = np.sum(grad * coefficients, axis=1, keepdims=True)
         tangent = grad - radial * coefficients
@@ -183,10 +195,11 @@ def reference_patterns(ws, positions, start, precoders, noise_power, opts):
         if tnorm2 < 1e-24 * max(1.0, f * f):
             reason = "gradient"
             break
-        t = optim.PATTERN_STEP
+        t = spectral_step(coefficients - prev, tangent - prev_tangent, step0) if i else step0
+        top = t
         accepted = False
         reason = "ladder"
-        while t > 1e-14 * optim.PATTERN_STEP:
+        while t > 1e-14 * top:
             cand = coefficients + t * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             fc = sum_se_arrays(channel(ws, positions, cand), precoders.w, noise_power)
@@ -197,6 +210,7 @@ def reference_patterns(ws, positions, start, precoders, noise_power, opts):
         if not accepted:
             break
         gain = fc - f
+        prev, prev_tangent = coefficients, tangent
         coefficients, f = cand, fc
         if gain < opts.tol_rel * max(abs(f), 1e-12):
             reason = "tolerance"

@@ -228,6 +228,16 @@ def test_interrupted_run_keeps_the_cells_before_it(tmp_path, monkeypatch, worker
     assert not (out / "summary.csv").exists()
 
 
+def test_run_bad_worker_count_exits_one_before_creating_out(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setenv("MARA_SIM_THREADS", "0")
+    out = tmp_path / "d"
+    code = main(["run", "--config", str(small_run_config(tmp_path)), "--out", str(out)])
+    assert code == 1
+    assert "MARA_SIM_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_json_summary(tmp_path, capsys):
     cfg = small_run_config(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "z"),

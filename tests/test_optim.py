@@ -424,3 +424,71 @@ def test_optimizers_deterministic(rng):
     r1 = alternating_optimize(ws, "MARA", FAST)
     r2 = alternating_optimize(ChannelWorkspace(scen), "MARA", FAST)
     assert r1.se_trace == r2.se_trace
+
+
+def quadratic_searches(curvature, linear, start, t0, iters=6):
+    """Run `optim._ascend` on the concave f(x) = b.x - sum(a x^2) / 2, a the
+    curvature and b the linear term, with plain gradient steps; returns each
+    line search's point, direction and first step, read from the chunks that
+    `propose` is asked for."""
+    a, b = np.asarray(curvature, float), np.asarray(linear, float)
+    searches = []
+
+    def objective(x):
+        return (x @ b - 0.5 * (a * x * x).sum(axis=-1),)
+
+    def propose(x, d, t):
+        if not searches or not np.array_equal(searches[-1][0], x):
+            searches.append((x.copy(), d.copy(), float(t[0])))
+        return x + t[:, None] * d, t * float((d * d).sum())
+
+    optim._ascend(np.asarray(start, float), t0, lambda x: b - a * x, propose, objective,
+                  OptimOptions(inner_grad_iters=iters, tol_rel=1e-12))
+    return searches
+
+
+def spectral(previous, current):
+    s, y = current[0] - previous[0], current[1] - previous[1]
+    return float((s * s).sum()) / abs(float((s * y).sum()))
+
+
+def test_ascent_starts_later_searches_at_the_spectral_step():
+    t0 = 0.05
+    searches = quadratic_searches([1.0, 4.0, 9.0], [1.0, -8.0, 4.5], np.zeros(3), t0)
+    assert len(searches) >= 3
+    assert searches[0][2] == t0
+    lo, hi = (t0 * c for c in optim.SPECTRAL_CLAMP)
+    for previous, current in zip(searches, searches[1:]):
+        step = spectral(previous, current)
+        assert lo < step < hi and step != t0
+        assert current[2] == pytest.approx(step, rel=1e-12)
+
+
+def test_spectral_step_is_clamped_above():
+    # Curvature 1e-6 gives the spectral step 1e6 t0, past t0 * 2^10.
+    searches = quadratic_searches([1e-6, 1e-6], [1e-3, -1e-3], np.zeros(2), 1.0)
+    assert len(searches) >= 3 and searches[0][2] == 1.0
+    for previous, current in zip(searches, searches[1:]):
+        assert spectral(previous, current) > 2.0 ** 10
+        assert current[2] == 2.0 ** 10
+
+
+def test_spectral_step_is_clamped_below():
+    # Curvature 1.5 * 2^46 accepts only the ladder's last step t0 * 2^-46
+    # first, then gives the spectral step 2^-46 / 1.5, below the clamp.
+    curvature = 1.5 * 2.0 ** 46
+    searches = quadratic_searches([curvature] * 2, [0.0, 0.0], [1e-7, -1e-7], 1.0)
+    assert len(searches) >= 3 and searches[0][2] == 1.0
+    assert np.array_equal(searches[1][0], -0.5 * searches[0][0])  # accepted k = 46
+    for previous, current in zip(searches, searches[1:]):
+        assert spectral(previous, current) < 2.0 ** -46
+        assert current[2] == 2.0 ** -46
+
+
+def test_spectral_step_falls_back_to_t0_when_the_direction_does_not_change():
+    # The direction stays b = (1, 0) in the flat coordinate, so s.y = 0.
+    t0 = 0.25
+    searches = quadratic_searches([0.0, 1.0], [1.0, 0.0], np.zeros(2), t0)
+    assert len(searches) == 6
+    assert all(np.array_equal(d, [1.0, 0.0]) for _, d, _ in searches)
+    assert [t for _, _, t in searches] == [t0] * 6

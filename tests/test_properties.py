@@ -1,0 +1,52 @@
+"""Invariants of a whole solve on drawn valid configs, not hand-picked ones.
+
+Each example builds a small config and solves every scheme in nesting order,
+sharing warm starts as the harness does. No invariant has a tolerance but the
+power budget, which water-filling rescales to its total in floating point.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mara_sim.scenario import SCHEME_ORDER, generate_scenario
+from mara_sim.channel import ChannelWorkspace, validate_state
+from mara_sim.optim import WARM_STARTS, OptimOptions, alternating_optimize
+
+from conftest import make_config
+
+powers = st.floats(-6.0, 3.0).map(lambda exponent: 10.0 ** exponent)  # W, log-uniform
+
+
+@st.composite
+def configs(draw):
+    num_ues = draw(st.integers(1, 3))
+    return make_config(
+        num_ues=num_ues,
+        num_bs_antennas=num_ues + draw(st.integers(0, 2)),
+        num_paths_per_ue=draw(st.integers(1, 4)),
+        num_subcarriers=draw(st.integers(1, 6)),
+        shod_max_degree=draw(st.integers(0, 2)),
+        max_delay_s=draw(st.sampled_from([0.0, 1e-7, 1e-6])),
+        total_power_w=draw(powers),
+        noise_power_w=draw(powers),
+        seed=draw(st.integers(0, 2 ** 16)),
+    )
+
+
+options = st.builds(OptimOptions, max_outer_iters=st.integers(1, 2),
+                    inner_grad_iters=st.integers(0, 8), restarts=st.integers(0, 2),
+                    tol_rel=st.sampled_from([1e-8, 1e-4, 1e-2]),
+                    seed=st.integers(0, 100))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(cfg=configs(), opts=options)
+def test_every_scheme_nests_spends_its_budget_and_stays_feasible(cfg, opts):
+    ws = ChannelWorkspace(generate_scenario(cfg))
+    results = {}
+    for scheme in SCHEME_ORDER:
+        results[scheme] = res = alternating_optimize(ws, scheme, opts, results)
+        assert np.all(np.diff(res.se_trace) >= 0)
+        assert all(res.se >= results[source].se for source in WARM_STARTS[scheme])
+        assert abs(res.precoders.total_power - cfg.total_power_w) <= 1e-9 * cfg.total_power_w
+        validate_state(ws, res.state, scheme)

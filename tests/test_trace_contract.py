@@ -24,8 +24,8 @@ tracing = _tracing()
 
 # The first reference cell's work counters: a change in the work a cell does
 # fails here, whatever the machine's timings.
-FIRST_REFERENCE_CELL_WORK = {"forward_evals": 375, "tensor_evals": 375, "grad_evals": 326,
-                             "ls_candidates": 326, "precoders": 17, "workspaces": 1,
+FIRST_REFERENCE_CELL_WORK = {"forward_evals": 343, "tensor_evals": 343, "grad_evals": 268,
+                             "ls_candidates": 294, "precoders": 17, "workspaces": 1,
                              "bases": 1}
 
 
