@@ -23,7 +23,7 @@ from .channel import (MOVABLE_SCHEMES, AntennaState, ChannelWorkspace, initial_s
 from .errors import ContractError, SizeLimitError
 from .optim import digital_precoder, optimize_patterns, optimize_positions
 from .scenario import PathSet
-from .se import PrecoderSet, sum_se_arrays
+from .se import PrecoderSet, effective_channel, sum_se_arrays
 from .shod import build_basis, build_omega
 
 _BRUTE_FORCE_GUARD = 10_000_000
@@ -116,16 +116,17 @@ def se_gradient_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
                           m: int) -> np.ndarray:
     """Analytic gradient of sum_se with respect to antenna m's position."""
     phases, pattern = ws.phases(state.positions), ws.patterns(state.coefficients)
-    return optim._grad_positions_all(ws, phases, pattern, ws.tensor(phases, pattern),
-                                     precoders, ws.config.noise_power_w)[m]
+    gains = effective_channel(ws.tensor(phases, pattern), precoders.w)
+    return optim._grad_positions_all(ws, phases, pattern, gains, precoders,
+                                     ws.config.noise_power_w)[m]
 
 
 def se_gradient_patterns(ws: ChannelWorkspace, state: AntennaState, precoders,
                          m: int) -> np.ndarray:
     """Euclidean gradient of sum_se with respect to antenna m's pattern coefficients."""
     phases = ws.phases(state.positions)
-    h = ws.tensor(phases, ws.patterns(state.coefficients))
-    return optim._grad_patterns_all(ws, phases, h, precoders, ws.config.noise_power_w)[m]
+    gains = effective_channel(ws.tensor(phases, ws.patterns(state.coefficients)), precoders.w)
+    return optim._grad_patterns_all(ws, phases, gains, precoders, ws.config.noise_power_w)[m]
 
 
 def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
@@ -154,7 +155,7 @@ def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     offsets = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     offsets = offsets[np.linalg.norm(offsets, axis=1) <= radius]
-    noise = cfg.noise_power_w
+    noise, w = cfg.noise_power_w, precoders.w
     pattern = ws.patterns(state.coefficients)
     positions = project_to_movement_region(ws, state.positions).copy()
     for m in range(cfg.num_bs_antennas):
@@ -164,7 +165,7 @@ def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
         trial = positions.copy()
         for idx in range(candidates.shape[0]):
             trial[m] = candidates[idx]
-            f = sum_se_arrays(ws.tensor(ws.phases(trial), pattern), precoders.w, noise)
+            f = sum_se_arrays(effective_channel(ws.tensor(ws.phases(trial), pattern), w), noise)
             if f > best_f:
                 best_idx, best_f = idx, f
         positions[m] = candidates[best_idx]
@@ -228,7 +229,8 @@ def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders, m: int
     positions, coefficients = state.positions, state.coefficients
 
     def se(pos, coeff):
-        return sum_se_arrays(ws.tensor(ws.phases(pos), ws.patterns(coeff)), precoders.w, noise)
+        h = ws.tensor(ws.phases(pos), ws.patterns(coeff))
+        return sum_se_arrays(effective_channel(h, precoders.w), noise)
 
     pos = _rel_err(se_gradient_positions(ws, state, precoders, m),
                    fd_gradient(lambda p: se(p, coefficients), positions, m,
@@ -254,8 +256,8 @@ def position_oracle_gap(scenario, opts, grid_step: float) -> float:
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     opt, _ = optimize_positions(ws, state, prec, opts)
     bf = brute_force_positions(ws, state, prec, grid_step)
-    return _gap(sum_se_arrays(ws.state_tensor(bf), prec.w, cfg.noise_power_w),
-                sum_se_arrays(ws.state_tensor(opt), prec.w, cfg.noise_power_w))
+    return _gap(*(sum_se_arrays(effective_channel(ws.state_tensor(s), prec.w), cfg.noise_power_w)
+                  for s in (bf, opt)))
 
 
 def pattern_oracle_gap(scenario, opts) -> float:

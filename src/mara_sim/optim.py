@@ -13,7 +13,8 @@ state, precoders and SE as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .channel import (
     sample_unit_spheres,
     validate_state,
 )
-from .se import PrecoderSet, _gains, chain_weights, sum_se_arrays
+from .se import PrecoderSet, chain_weights, effective_channel, sum_se_arrays
 
 # Armijo sufficient-increase constant and the initial steps: a position step
 # as a fraction of the antenna spacing d, and a pattern step on the spheres.
@@ -50,7 +51,8 @@ WARM_STARTS = {"TFA": (), "SMA": ("TFA",), "ERA": ("TFA",), "MARA": ("SMA", "ERA
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Knobs for the gradient loops; defaults suit desk-scale instances."""
+    """Knobs for the gradient loops; defaults suit desk-scale instances. Stored as
+    Python int and float: a numpy integer seed would wrap in seed + r."""
 
     max_outer_iters: int = 50
     inner_grad_iters: int = 100
@@ -59,17 +61,19 @@ class OptimOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.tol_rel < np.inf:
-            raise ContractError("tol_rel must be finite and > 0")
-        for name in ("max_outer_iters", "inner_grad_iters", "restarts", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ContractError(f"{name} must be an integer")
-        if self.max_outer_iters < 1:
-            raise ContractError("max_outer_iters must be at least 1")
-        for name in ("inner_grad_iters", "restarts", "seed"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be nonnegative")
+        for f in fields(self):  # f.type is the annotation's text (future import)
+            name, value = f.name, getattr(self, f.name)
+            value = value.item() if isinstance(value, np.generic) else value
+            if (not isinstance(value, int if f.type == "int" else (int, float))
+                    or isinstance(value, bool) or not abs(value) <= sys.float_info.max):
+                raise ContractError(f"{name} must be a finite {f.type}")
+            object.__setattr__(self, name, value if f.type == "int" else float(value))
+        if not self.tol_rel > 0:
+            raise ContractError("tol_rel must be > 0")
+        for name, least in (("max_outer_iters", 1), ("inner_grad_iters", 0), ("restarts", 0),
+                            ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ContractError(f"{name} must be at least {least}")
 
 
 @dataclass
@@ -103,8 +107,8 @@ def water_fill(slopes: np.ndarray, total_power: float) -> np.ndarray:
     powers sum to total_power exactly.
     """
     slopes = np.asarray(slopes, dtype=np.float64)
-    if not np.all((0 < slopes) & (slopes < np.inf)):
-        raise ContractError("water_fill requires finite, strictly positive channel slopes")
+    if not (slopes.size and np.all((0 < slopes) & (slopes < np.inf))):
+        raise ContractError("water_fill requires one or more finite, positive slopes")
     if not 0 <= total_power < np.inf:
         raise ContractError("water_fill requires a finite, nonnegative total_power")
     if total_power == 0:
@@ -152,26 +156,26 @@ def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> P
     return PrecoderSet(pinv)
 
 
-def _sensitivities(ws, h, precoders, noise_power):
-    """Chain-rule sensitivities of sum_se at the channel h per (UE, antenna,
-    path), shape (U, M, L): the SINR weights folded through env."""
-    weights = chain_weights(_gains(h, precoders.w), noise_power)
+def _sensitivities(ws, gains, precoders, noise_power):
+    """Chain-rule sensitivities of sum_se at the effective channel gains per (UE,
+    antenna, path), shape (U, M, L): the SINR weights folded through env."""
+    weights = chain_weights(gains, noise_power)
     z = np.einsum("guv,gmv->umg", weights, precoders.w)
     return z @ np.swapaxes(ws.env, 1, 2)
 
 
 def _grad_positions_all(ws: ChannelWorkspace, phases: np.ndarray, pattern: np.ndarray,
-                        h: np.ndarray, precoders: PrecoderSet, noise_power: float):
-    """Gradient of sum_se in every antenna position (M, 3), at path factors and channel h."""
-    sens = _sensitivities(ws, h, precoders, noise_power)
+                        gains: np.ndarray, precoders: PrecoderSet, noise_power: float):
+    """Gradient of sum_se in every antenna position (M, 3), at path factors and gains."""
+    sens = _sensitivities(ws, gains, precoders, noise_power)
     moment = np.imag(phases * pattern * sens) @ ws.tx_wave_vectors  # (U, M, 3)
     return 2.0 * ws.wavenumber * moment.sum(axis=0)
 
 
-def _grad_patterns_all(ws: ChannelWorkspace, phases: np.ndarray, h: np.ndarray,
+def _grad_patterns_all(ws: ChannelWorkspace, phases: np.ndarray, gains: np.ndarray,
                        precoders: PrecoderSet, noise_power: float) -> np.ndarray:
-    """Euclidean gradient of sum_se in every alpha_m (M, K), at phases and channel h."""
-    sens = _sensitivities(ws, h, precoders, noise_power)
+    """Euclidean gradient of sum_se in every alpha_m (M, K), at phases and gains."""
+    sens = _sensitivities(ws, gains, precoders, noise_power)
     return 2.0 * (np.real(phases * sens) @ ws.omega).sum(axis=0)
 
 
@@ -188,15 +192,14 @@ def _line_search(steps, propose, objective, f):
     """
     for start, end in LADDER_CHUNKS:
         cands, advance = propose(steps[start:end])
-        stop = np.flatnonzero(advance <= 0.0)
-        n = stop[0] if stop.size else advance.size
+        advance = advance.tolist()
+        n = next((i for i, a in enumerate(advance) if a <= 0.0), len(advance))
         if n:
             fc, *stacks = objective(cands[:n])
-            accepted = np.flatnonzero(fc >= f + ARMIJO_C * advance[:n])
-            if accepted.size:
-                k = accepted[0]
-                return cands[k].copy(), float(fc[k]), [a[k].copy() for a in stacks]
-        if stop.size:
+            for k, (value, a) in enumerate(zip(fc.tolist(), advance)):
+                if value >= f + ARMIJO_C * a:
+                    return cands[k].copy(), value, [s[k].copy() for s in stacks]
+        if n < len(advance):
             return None
     return None
 
@@ -243,11 +246,11 @@ def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
 
     def objective(cands):
         phases = ws.phases(cands)
-        h = ws.tensor(phases, pattern)
-        return sum_se_arrays(h, precoders.w, noise_power), phases, h
+        gains = effective_channel(ws.tensor(phases, pattern), precoders.w)
+        return sum_se_arrays(gains, noise_power), phases, gains
 
-    def direction(positions, phases, h):
-        return _grad_positions_all(ws, phases, pattern, h, precoders, noise_power)
+    def direction(positions, phases, gains):
+        return _grad_positions_all(ws, phases, pattern, gains, precoders, noise_power)
 
     def propose(positions, grad, t):
         cands = project_to_movement_region(ws, positions + t[:, None, None] * grad)
@@ -262,11 +265,11 @@ def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
     phases = ws.phases(positions)  # fixed in this block, so built once
 
     def objective(cands):
-        h = ws.tensor(phases, ws.patterns(cands))
-        return sum_se_arrays(h, precoders.w, noise_power), h
+        gains = effective_channel(ws.tensor(phases, ws.patterns(cands)), precoders.w)
+        return sum_se_arrays(gains, noise_power), gains
 
-    def direction(coefficients, h):
-        grad = _grad_patterns_all(ws, phases, h, precoders, noise_power)
+    def direction(coefficients, gains):
+        grad = _grad_patterns_all(ws, phases, gains, precoders, noise_power)
         return grad - (grad * coefficients).sum(axis=1, keepdims=True) * coefficients
 
     def propose(coefficients, tangent, t):
@@ -349,7 +352,7 @@ def _optimize_scheme(ws, scheme, opts, warm):
         state = initial_state(ws, "TFA")
         h = ws.state_tensor(state)
         precoders = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
-        se = sum_se_arrays(h, precoders.w, cfg.noise_power_w)
+        se = sum_se_arrays(effective_channel(h, precoders.w), cfg.noise_power_w)
         return OptimResult(state, precoders, [se], True)
 
     for source in WARM_STARTS[scheme]:
@@ -385,7 +388,7 @@ def _accept_precoder(ws, state, precoders, current):
         candidate = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
     except SingularChannelError:
         return precoders, current
-    se_candidate = sum_se_arrays(h, candidate.w, cfg.noise_power_w)
+    se_candidate = sum_se_arrays(effective_channel(h, candidate.w), cfg.noise_power_w)
     if se_candidate > current:
         return candidate, se_candidate
     return precoders, current

@@ -1,5 +1,5 @@
-"""Sum spectral efficiency over the per-user SINRs, and its gradient's chain-rule
-weights from the same SINR terms (`checks.sinr` is the per-entry reference form).
+"""The effective channel, and from its SINR terms the sum spectral efficiency and
+that sum's chain-rule weights (`checks.sinr` is the per-entry reference form).
 
 The SINR convention uses the intended user's channel against the other users'
 precoders (standard downlink broadcast form): the interference at user u on
@@ -26,8 +26,8 @@ class PrecoderSet:
         return float(np.sum(np.abs(self.w) ** 2))
 
 
-def _gains(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """gains[..., g, u, v] = sum_m h[..., u, m, g] w[g, m, v], shape (..., G, U, U).
+def effective_channel(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Effective channel gains[..., g, u, v] = sum_m h[..., u, m, g] w[g, m, v], (..., G, U, U).
 
     With two or more UEs, the candidates and UEs fold into the rows of one
     (G, B*U, M) @ (G, M, U) matmul over subcarriers, returned C-ordered so a
@@ -49,13 +49,12 @@ def _sinr_terms(gains: np.ndarray, noise_power: float):
     return signal, power.sum(axis=-1) - signal + noise_power
 
 
-def sum_se_arrays(h: np.ndarray, w: np.ndarray, noise_power: float):
-    """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz,
-    for channel coefficients h with any leading axes (..., U, M, G) and
-    precoders w (G, M, U). Returns a float for one channel tensor h (U, M, G),
-    and an array of the leading shape for a stack of tensors.
+def sum_se_arrays(gains: np.ndarray, noise_power: float):
+    """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz, of
+    the effective channel gains (..., G, U, U): a float for one channel's gains
+    (G, U, U), and an array of the leading shape for a stack of them.
     """
-    signal, rest = _sinr_terms(_gains(h, w), noise_power)
+    signal, rest = _sinr_terms(gains, noise_power)
     se = np.log1p(signal / rest)
     # One reduction for both forms, so a stacked call equals its per-slice calls bitwise.
     total = se.sum(axis=(-2, -1)) / _LN2
@@ -67,8 +66,9 @@ def chain_weights(gains: np.ndarray, noise_power: float) -> np.ndarray:
     c[..., g, u, v] = (1/total at v = u, else 1/total - 1/rest) / ln 2, total = signal + rest."""
     signal, rest = _sinr_terms(gains, noise_power)
     on_diag = (1.0 / _LN2) / (signal + rest)
-    weights = np.conj(gains)
+    weights = np.conj(gains, order="C")
     weights *= (on_diag - (1.0 / _LN2) / rest)[..., None]
-    # einsum's diagonal is a writeable view
-    np.einsum("...uu->...u", weights)[...] = on_diag * np.conj(gains.diagonal(0, -2, -1))
+    U = gains.shape[-1]  # the diagonal: every (U + 1)-th entry of a C-ordered U x U block
+    diagonal = weights.reshape(*gains.shape[:-2], U * U)[..., ::U + 1]
+    diagonal[...] = on_diag * np.conj(gains.diagonal(0, -2, -1))
     return weights

@@ -16,7 +16,7 @@ from mara_sim import checks, scenario
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles
 from mara_sim.channel import ChannelWorkspace
-from mara_sim.se import sum_se_arrays
+from mara_sim.se import effective_channel, sum_se_arrays
 from mara_sim.optim import OptimOptions, digital_precoder
 from mara_sim.harness import emit_csv, reference_experiment, run_experiment
 
@@ -145,7 +145,7 @@ def test_criterion_05_se_form_equivalence():
         w = rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U))
         w *= math.sqrt(cfg.total_power_w) / np.linalg.norm(w)
         noise = cfg.noise_power_w
-        se_h = sum_se_arrays(h, w, noise)
+        se_h = sum_se_arrays(effective_channel(h, w), noise)
         lam_block = np.zeros((M * K, M), dtype=complex)
         for m in range(M):
             lam_block[m * K:(m + 1) * K, m] = state.coefficients[m]

@@ -4,7 +4,7 @@ import pytest
 from mara_sim import checks
 from mara_sim.scenario import PathSet, Scenario, generate_scenario
 from mara_sim.channel import ChannelWorkspace, initial_state
-from mara_sim.se import sum_se_arrays
+from mara_sim.se import effective_channel, sum_se_arrays
 from mara_sim.optim import digital_precoder
 
 from conftest import make_config, random_feasible_state
@@ -51,7 +51,7 @@ def test_single_path_single_user_position_gradient_vanishes(rng):
     state = initial_state(scen, "SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     grad = checks.se_gradient_positions(ws, state, prec, 0)
-    se = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
+    se = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
     scale = se * 2 * np.pi / scen.wavelength  # natural gradient magnitude unit
     assert np.linalg.norm(grad) < 1e-10 * scale
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from mara_sim.shod import build_basis, build_omega
 from mara_sim.channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState,
                               ChannelWorkspace, initial_state)
 from mara_sim.checks import brute_force_positions, ecsi
-from mara_sim.se import sum_se_arrays
+from mara_sim.se import effective_channel, sum_se_arrays
+from mara_sim.harness import reference_config
 from mara_sim.optim import (WARM_STARTS, OptimOptions, OptimResult, alternating_optimize,
                             digital_precoder, optimize_patterns, optimize_positions)
 
@@ -53,9 +55,9 @@ def test_optimize_positions_monotone_and_feasible(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
+    before = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
     out, _ = optimize_positions(ws, state, prec, FAST)
-    after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
+    after = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), cfg.noise_power_w)
     assert after >= before
     offsets = np.linalg.norm(out.positions - scen.initial_positions, axis=1)
     assert np.all(offsets <= cfg.movement_radius + 1e-12 * cfg.antenna_spacing)
@@ -70,9 +72,9 @@ def test_single_path_position_cannot_help():
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
+    before = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
     out, _ = optimize_positions(ws, state, prec, OptimOptions(restarts=3))
-    after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
+    after = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), cfg.noise_power_w)
     assert abs(after - before) <= 1e-9
 
 
@@ -90,7 +92,7 @@ def test_optimize_positions_matches_1d_grid_oracle():
     se_grid = max(math.log2(1 + abs(axis_channel_value(gains, kappa, x)) ** 2
                             * w_amp2 / noise) for x in xs)
     out, _ = optimize_positions(ws, state, prec, OptimOptions(seed=3))
-    se_opt = sum_se_arrays(ws.state_tensor(out), prec.w, noise)
+    se_opt = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), noise)
     assert se_opt == pytest.approx(se_grid, rel=1e-6)
 
 
@@ -172,9 +174,9 @@ def test_optimize_patterns_monotone(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="ERA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
+    before = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
     out, _ = optimize_patterns(ws, state, prec, FAST)
-    after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
+    after = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), cfg.noise_power_w)
     assert after >= before
     assert np.allclose(np.linalg.norm(out.coefficients, axis=1), 1.0, atol=1e-10)
 
@@ -215,8 +217,8 @@ def test_alternating_results_consistent_with_final_state():
     ws = ChannelWorkspace(scen)
     res = alternating_optimize(ws, "MARA", FAST)
     h = ws.state_tensor(res.state)
-    assert sum_se_arrays(h, res.precoders.w, cfg.noise_power_w) == pytest.approx(
-        res.se, rel=1e-12)
+    se = sum_se_arrays(effective_channel(h, res.precoders.w), cfg.noise_power_w)
+    assert se == pytest.approx(res.se, rel=1e-12)
     assert res.precoders.total_power == pytest.approx(cfg.total_power_w, rel=1e-9)
 
 
@@ -300,7 +302,8 @@ def test_block_optimizers_return_the_se_of_their_state(optimize, overrides, rng)
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     for opts in (FAST, OptimOptions(inner_grad_iters=0)):
         out, se = optimize(ws, state, prec, opts)
-        assert se == sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
+        assert se == sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w),
+                                   cfg.noise_power_w)
 
 
 @pytest.mark.parametrize("optimize", [optimize_positions, optimize_patterns],
@@ -316,7 +319,8 @@ def test_block_optimizers_without_iterations_return_their_start_as_given(optimiz
     out, se = optimize(ws, state, prec, OptimOptions(inner_grad_iters=0))
     assert np.array_equal(out.positions, state.positions)
     assert np.array_equal(out.coefficients, state.coefficients)
-    assert se == sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
+    assert se == sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w),
+                               cfg.noise_power_w)
 
 
 @pytest.mark.parametrize("optimize, name", [(optimize_positions, "movement ball"),
@@ -355,10 +359,32 @@ def test_options_reject_too_few_iterations(field):
     ("tol_rel", float("nan")), ("tol_rel", float("inf")),
     ("max_outer_iters", 2.0), ("inner_grad_iters", 1.5), ("restarts", 1.5),
     ("seed", 0.5), ("max_outer_iters", True), ("inner_grad_iters", True),
-    ("restarts", True), ("seed", True)])
+    ("restarts", True), ("seed", True), ("tol_rel", True), ("tol_rel", "1e-3"),
+    pytest.param("tol_rel", 10 ** 400, id="tol_rel-past-a-double"),
+    pytest.param("seed", 10 ** 400, id="seed-past-a-double")])
 def test_options_reject_non_finite_and_non_integral_values(field, value):
     with pytest.raises(ContractError, match=field):
         OptimOptions(**{field: value})
+
+
+def test_options_store_python_int_and_float():
+    opts = OptimOptions(max_outer_iters=np.int32(3), inner_grad_iters=np.uint16(4),
+                        tol_rel=np.float32(0.5), restarts=np.int8(2), seed=np.uint8(255))
+    assert opts == OptimOptions(3, 4, float(np.float32(0.5)), 2, 255)
+    assert [type(v) for v in vars(opts).values()] == [int, int, float, int, int]
+
+
+@pytest.mark.parametrize("seed", [np.uint8(255), np.int64(2 ** 63 - 1)],
+                         ids=["uint8-255", "int64-max"])
+def test_numpy_integer_seed_solves_like_its_python_int(seed):
+    # seed + r used to wrap: a uint8 255 to 0, so restart 1 drew another start,
+    # and the largest int64 to a negative seed, which numpy's generator rejects.
+    ws = ChannelWorkspace(generate_scenario(
+        dataclasses.replace(reference_config(), num_subcarriers=2)))
+    traces = [alternating_optimize(ws, "SMA", OptimOptions(
+        max_outer_iters=2, inner_grad_iters=10, restarts=2, seed=s)).se_trace
+        for s in (int(seed), seed)]
+    assert traces[0] == traces[1]
 
 
 def test_optim_result_rejects_decreasing_trace():
@@ -374,9 +400,9 @@ def test_brute_force_keeps_incoming_candidate(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    before = sum_se_arrays(ws.state_tensor(state), prec.w, cfg.noise_power_w)
+    before = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
     out = brute_force_positions(ws, state, prec, cfg.movement_radius / 3)
-    after = sum_se_arrays(ws.state_tensor(out), prec.w, cfg.noise_power_w)
+    after = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), cfg.noise_power_w)
     assert after >= before
 
 

@@ -7,7 +7,7 @@ from mara_sim.checks import mrt_precoder
 from mara_sim.errors import ContractError, SingularChannelError
 from mara_sim.scenario import generate_scenario
 from mara_sim.channel import ChannelWorkspace, initial_state
-from mara_sim.se import sum_se_arrays
+from mara_sim.se import effective_channel, sum_se_arrays
 from mara_sim.optim import digital_precoder, water_fill
 
 from conftest import make_config
@@ -62,10 +62,12 @@ def test_water_fill_rejects_negative_or_nonfinite_budget(total_power):
         water_fill(np.array([2.0, 1.0]), total_power)
 
 
-@pytest.mark.parametrize("slope", [0.0, np.nan, np.inf])
-def test_water_fill_rejects_nonpositive_slope(slope):
-    with pytest.raises(ContractError):
-        water_fill(np.array([1.0, slope]), 1.0)
+@pytest.mark.parametrize("slopes", [[1.0, 0.0], [1.0, np.nan], [1.0, np.inf], []],
+                         ids=["0.0", "nan", "inf", "empty"])
+def test_water_fill_rejects_nonpositive_slope(slopes):
+    for total_power in (1.0, 0.0):
+        with pytest.raises(ContractError):
+            water_fill(np.array(slopes), total_power)
 
 
 def test_zf_identity_channel_diagonal_equal_powers():
@@ -126,8 +128,8 @@ def test_total_power_spent_exactly(rng):
 def test_single_user_zf_equals_mrt_single_subcarrier(rng):
     h = random_tensor(rng, U=1, M=4, G=1)
     noise = 0.05
-    se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise).w, noise)
-    se_mrt = sum_se_arrays(h, mrt_precoder(h, 1.0).w, noise)
+    se_zf = sum_se_arrays(effective_channel(h, digital_precoder(h, 1.0, noise).w), noise)
+    se_mrt = sum_se_arrays(effective_channel(h, mrt_precoder(h, 1.0).w), noise)
     assert se_zf == pytest.approx(se_mrt, rel=1e-9)
 
 
@@ -139,8 +141,8 @@ def test_single_user_zf_equals_mrt_flat_channel(rng):
     scen = generate_scenario(cfg)
     h = ChannelWorkspace(scen).state_tensor(initial_state(scen, "TFA"))
     noise = cfg.noise_power_w
-    se_zf = sum_se_arrays(h, digital_precoder(h, 1.0, noise).w, noise)
-    se_mrt = sum_se_arrays(h, mrt_precoder(h, 1.0).w, noise)
+    se_zf = sum_se_arrays(effective_channel(h, digital_precoder(h, 1.0, noise).w), noise)
+    se_mrt = sum_se_arrays(effective_channel(h, mrt_precoder(h, 1.0).w), noise)
     assert se_zf == pytest.approx(se_mrt, rel=1e-9)
 
 
@@ -300,8 +302,8 @@ def test_waterfilling_beats_equal_split(rng):
     h = ChannelWorkspace(scen).state_tensor(initial_state(scen, "TFA"))
     noise = cfg.noise_power_w
     prec = digital_precoder(h, 1.0, noise)
-    se_wf = sum_se_arrays(h, prec.w, noise)
+    se_wf = sum_se_arrays(effective_channel(h, prec.w), noise)
     directions = prec.w / np.maximum(np.linalg.norm(prec.w, axis=1, keepdims=True), 1e-300)
     equal = directions * np.sqrt(1.0 / prec.w.shape[0])
-    se_eq = sum_se_arrays(h, equal, noise)
+    se_eq = sum_se_arrays(effective_channel(h, equal), noise)
     assert se_wf >= se_eq - 1e-12
