@@ -1,8 +1,8 @@
 """Reference forms and invariant checks for `mara-sim check`/`oracle` and the tests.
 
-The reference forms (`ecsi`, `sinr`, `mrt_precoder`, `brute_force_positions`
-and the basis quadratures `pattern_gain`, `pattern_power` and `gram_matrix`)
-evaluate the model one entry at a time; the solver never calls them.
+The reference forms (`ecsi`, `brute_force_positions` and the basis quadratures
+`pattern_power` and `gram_matrix`) evaluate the model one entry at a time; the
+solver never calls them. Forms that only the tests use live under `tests/`.
 `se_gradient_positions` and `se_gradient_patterns` are not reference forms:
 they pick antenna m's row of the solver's own gradient kernels, which
 `gradient_errors` checks against `fd_gradient`. Each check returns the worst
@@ -23,7 +23,7 @@ from .channel import (MOVABLE_SCHEMES, AntennaState, ChannelWorkspace, initial_s
 from .errors import ContractError, SizeLimitError
 from .optim import digital_precoder, optimize_patterns, optimize_positions
 from .scenario import PathSet
-from .se import PrecoderSet, effective_channel, sum_se_arrays
+from .se import effective_channel, sinr_terms, sum_se_arrays
 from .shod import build_basis, build_omega
 
 _BRUTE_FORCE_GUARD = 10_000_000
@@ -65,36 +65,6 @@ def ecsi(path_set: PathSet, omega: np.ndarray, position: np.ndarray,
     return omega.T @ np.conj(a * x * b)
 
 
-def sinr(h: np.ndarray, w: np.ndarray, u: int, g: int, noise_power: float) -> float:
-    """SINR of user u on subcarrier g, for h (U, M, G) and w (G, M, U)."""
-    U, _, G = h.shape
-    if not (0 <= u < U) or not (0 <= g < G):
-        raise ContractError(f"index (u={u}, g={g}) out of range for (U={U}, G={G})")
-    gains = h[u, :, g] @ w[g]
-    power = np.abs(gains) ** 2
-    interference = power.sum() - power[u]
-    return float(power[u] / (interference + noise_power))
-
-
-def mrt_precoder(h: np.ndarray, total_power: float) -> PrecoderSet:
-    """Matched-filter precoders for the channel h (U, M, G): columns conj(h[u, :, g])
-    with the budget split equally over the nonzero ones."""
-    cols = np.conj(np.transpose(h, (2, 1, 0)))  # (G, M, U)
-    norms = np.linalg.norm(cols, axis=1)        # (G, U)
-    usable = norms > 0
-    per_column = total_power / max(int(usable.sum()), 1)
-    scale = np.where(usable, math.sqrt(per_column) / np.where(usable, norms, 1.0), 0.0)
-    return PrecoderSet(cols * scale[:, None, :])
-
-
-def pattern_gain(basis, alpha: np.ndarray, theta, phi):
-    """Pattern response sum_k alpha_k omega_k(theta, phi)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (basis.size,):
-        raise ContractError(f"alpha must have shape ({basis.size},), got {alpha.shape}")
-    return basis.evaluate(theta, phi) @ alpha
-
-
 def pattern_power(basis, alpha: np.ndarray) -> float:
     """Radiated power of the pattern: quadrature of |f|^2 over the sphere.
 
@@ -117,8 +87,8 @@ def se_gradient_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
     """Analytic gradient of sum_se with respect to antenna m's position."""
     phases, pattern = ws.phases(state.positions), ws.patterns(state.coefficients)
     gains = effective_channel(ws.tensor(phases, pattern), precoders.w)
-    return optim._grad_positions_all(ws, phases, pattern, gains, precoders,
-                                     ws.config.noise_power_w)[m]
+    signal, rest = sinr_terms(gains, ws.config.noise_power_w)
+    return optim._grad_positions_all(ws, phases, pattern, gains, signal, rest, precoders)[m]
 
 
 def se_gradient_patterns(ws: ChannelWorkspace, state: AntennaState, precoders,
@@ -126,7 +96,8 @@ def se_gradient_patterns(ws: ChannelWorkspace, state: AntennaState, precoders,
     """Euclidean gradient of sum_se with respect to antenna m's pattern coefficients."""
     phases = ws.phases(state.positions)
     gains = effective_channel(ws.tensor(phases, ws.patterns(state.coefficients)), precoders.w)
-    return optim._grad_patterns_all(ws, phases, gains, precoders, ws.config.noise_power_w)[m]
+    signal, rest = sinr_terms(gains, ws.config.noise_power_w)
+    return optim._grad_patterns_all(ws, phases, gains, signal, rest, precoders)[m]
 
 
 def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
@@ -165,7 +136,8 @@ def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
         trial = positions.copy()
         for idx in range(candidates.shape[0]):
             trial[m] = candidates[idx]
-            f = sum_se_arrays(effective_channel(ws.tensor(ws.phases(trial), pattern), w), noise)
+            gains = effective_channel(ws.tensor(ws.phases(trial), pattern), w)
+            f = sum_se_arrays(*sinr_terms(gains, noise))
             if f > best_f:
                 best_idx, best_f = idx, f
         positions[m] = candidates[best_idx]
@@ -230,7 +202,7 @@ def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders, m: int
 
     def se(pos, coeff):
         h = ws.tensor(ws.phases(pos), ws.patterns(coeff))
-        return sum_se_arrays(effective_channel(h, precoders.w), noise)
+        return sum_se_arrays(*sinr_terms(effective_channel(h, precoders.w), noise))
 
     pos = _rel_err(se_gradient_positions(ws, state, precoders, m),
                    fd_gradient(lambda p: se(p, coefficients), positions, m,
@@ -256,8 +228,8 @@ def position_oracle_gap(scenario, opts, grid_step: float) -> float:
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     opt, _ = optimize_positions(ws, state, prec, opts)
     bf = brute_force_positions(ws, state, prec, grid_step)
-    return _gap(*(sum_se_arrays(effective_channel(ws.state_tensor(s), prec.w), cfg.noise_power_w)
-                  for s in (bf, opt)))
+    return _gap(*(sum_se_arrays(*sinr_terms(effective_channel(ws.state_tensor(s), prec.w),
+                                            cfg.noise_power_w)) for s in (bf, opt)))
 
 
 def pattern_oracle_gap(scenario, opts) -> float:

@@ -30,7 +30,7 @@ from .channel import (
     sample_unit_spheres,
     validate_state,
 )
-from .se import PrecoderSet, chain_weights, effective_channel, sum_se_arrays
+from .se import PrecoderSet, chain_weights, effective_channel, sinr_terms, sum_se_arrays
 
 # Armijo sufficient-increase constant and the initial steps: a position step
 # as a fraction of the antenna spacing d, and a pattern step on the spheres.
@@ -156,27 +156,31 @@ def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> P
     return PrecoderSet(pinv)
 
 
-def _sensitivities(ws, gains, precoders, noise_power):
-    """Chain-rule sensitivities of sum_se at the effective channel gains per (UE,
-    antenna, path), shape (U, M, L): the SINR weights folded through env."""
-    weights = chain_weights(gains, noise_power)
+def _sensitivities(ws, gains, signal, rest, precoders):
+    """Chain-rule sensitivities of sum_se at the effective channel gains and their SINR
+    terms per (UE, antenna, path), shape (U, M, L): the SINR weights folded through env."""
+    weights = chain_weights(gains, signal, rest)
     z = np.einsum("guv,gmv->umg", weights, precoders.w)
     return z @ np.swapaxes(ws.env, 1, 2)
 
 
 def _grad_positions_all(ws: ChannelWorkspace, phases: np.ndarray, pattern: np.ndarray,
-                        gains: np.ndarray, precoders: PrecoderSet, noise_power: float):
-    """Gradient of sum_se in every antenna position (M, 3), at path factors and gains."""
-    sens = _sensitivities(ws, gains, precoders, noise_power)
+                        gains: np.ndarray, signal: np.ndarray, rest: np.ndarray,
+                        precoders: PrecoderSet):
+    """Gradient of sum_se in every antenna position (M, 3), at path factors, gains
+    and SINR terms."""
+    sens = _sensitivities(ws, gains, signal, rest, precoders)
     moment = np.imag(phases * pattern * sens) @ ws.tx_wave_vectors  # (U, M, 3)
-    return 2.0 * ws.wavenumber * moment.sum(axis=0)
+    return 2.0 * ws.wavenumber * np.add.reduce(moment, 0)
 
 
 def _grad_patterns_all(ws: ChannelWorkspace, phases: np.ndarray, gains: np.ndarray,
-                       precoders: PrecoderSet, noise_power: float) -> np.ndarray:
-    """Euclidean gradient of sum_se in every alpha_m (M, K), at phases and gains."""
-    sens = _sensitivities(ws, gains, precoders, noise_power)
-    return 2.0 * (np.real(phases * sens) @ ws.omega).sum(axis=0)
+                       signal: np.ndarray, rest: np.ndarray,
+                       precoders: PrecoderSet) -> np.ndarray:
+    """Euclidean gradient of sum_se in every alpha_m (M, K), at phases, gains and
+    SINR terms."""
+    sens = _sensitivities(ws, gains, signal, rest, precoders)
+    return 2.0 * np.add.reduce(np.real(phases * sens) @ ws.omega, 0)
 
 
 def _line_search(steps, propose, objective, f):
@@ -223,12 +227,12 @@ def _ascend(x, t0, direction, propose, objective, opts):
     f, *at = objective(x)
     for i in range(opts.inner_grad_iters):
         d = direction(x, *at)
-        if float((d * d).sum()) < 1e-24 * max(1.0, f * f):
+        if float(np.add.reduce(d * d, None)) < 1e-24 * max(1.0, f * f):
             break
         if i:
             s, y = x - x_prev, d - d_prev
-            sy = abs(float((s * y).sum()))
-            t = min(max(float((s * s).sum()) / sy, lo), hi) if sy else t0
+            sy = abs(float(np.add.reduce(s * y, None)))
+            t = min(max(float(np.add.reduce(s * s, None)) / sy, lo), hi) if sy else t0
         found = _line_search(t * LADDER, lambda steps: propose(x, d, steps), objective, f)
         if found is None:
             break
@@ -247,14 +251,15 @@ def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
     def objective(cands):
         phases = ws.phases(cands)
         gains = effective_channel(ws.tensor(phases, pattern), precoders.w)
-        return sum_se_arrays(gains, noise_power), phases, gains
+        signal, rest = sinr_terms(gains, noise_power)
+        return sum_se_arrays(signal, rest), phases, gains, signal, rest
 
-    def direction(positions, phases, gains):
-        return _grad_positions_all(ws, phases, pattern, gains, precoders, noise_power)
+    def direction(positions, phases, gains, signal, rest):
+        return _grad_positions_all(ws, phases, pattern, gains, signal, rest, precoders)
 
     def propose(positions, grad, t):
         cands = project_to_movement_region(ws, positions + t[:, None, None] * grad)
-        return cands, (grad * (cands - positions)).sum(axis=(1, 2))
+        return cands, np.add.reduce(grad * (cands - positions), (1, 2))
 
     return _ascend(start, POSITION_STEP * ws.config.antenna_spacing, direction, propose,
                    objective, opts)
@@ -266,16 +271,17 @@ def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
 
     def objective(cands):
         gains = effective_channel(ws.tensor(phases, ws.patterns(cands)), precoders.w)
-        return sum_se_arrays(gains, noise_power), gains
+        signal, rest = sinr_terms(gains, noise_power)
+        return sum_se_arrays(signal, rest), gains, signal, rest
 
-    def direction(coefficients, gains):
-        grad = _grad_patterns_all(ws, phases, gains, precoders, noise_power)
-        return grad - (grad * coefficients).sum(axis=1, keepdims=True) * coefficients
+    def direction(coefficients, gains, signal, rest):
+        grad = _grad_patterns_all(ws, phases, gains, signal, rest, precoders)
+        return grad - np.add.reduce(grad * coefficients, 1, keepdims=True) * coefficients
 
     def propose(coefficients, tangent, t):
         cands = coefficients + t[:, None, None] * tangent
         cands /= np.sqrt(np.add.reduce(cands * cands, 2, keepdims=True))
-        return cands, t * float((tangent * tangent).sum())
+        return cands, t * float(np.add.reduce(tangent * tangent, None))
 
     return _ascend(start, PATTERN_STEP, direction, propose, objective, opts)
 
@@ -352,7 +358,7 @@ def _optimize_scheme(ws, scheme, opts, warm):
         state = initial_state(ws, "TFA")
         h = ws.state_tensor(state)
         precoders = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
-        se = sum_se_arrays(effective_channel(h, precoders.w), cfg.noise_power_w)
+        se = sum_se_arrays(*sinr_terms(effective_channel(h, precoders.w), cfg.noise_power_w))
         return OptimResult(state, precoders, [se], True)
 
     for source in WARM_STARTS[scheme]:
@@ -388,7 +394,8 @@ def _accept_precoder(ws, state, precoders, current):
         candidate = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
     except SingularChannelError:
         return precoders, current
-    se_candidate = sum_se_arrays(effective_channel(h, candidate.w), cfg.noise_power_w)
+    se_candidate = sum_se_arrays(*sinr_terms(effective_channel(h, candidate.w),
+                                             cfg.noise_power_w))
     if se_candidate > current:
         return candidate, se_candidate
     return precoders, current

@@ -37,9 +37,9 @@ class SystemConfig:
 
     A config is valid once built, by `dataclasses.replace` too: `__post_init__`
     checks the fields in field order, raises ValidationError naming the first
-    bad one, and stores the float fields as `float` (numpy scalars pass) and
-    `schemes` as a tuple. Then it checks that the arrays the counts imply fit
-    in memory numpy can index (`_check_array_bytes`).
+    bad one, and stores the integer fields as `int`, the float fields as `float`
+    (numpy scalars pass) and `schemes` as a tuple. Then it checks that the
+    arrays the counts imply fit in memory numpy can index (`_check_array_bytes`).
     """
 
     carrier_frequency_hz: float
@@ -77,6 +77,7 @@ class SystemConfig:
             if f.type == "int":
                 if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                     raise ValidationError(f"{key} must be an integer")
+                value = int(value)  # a numpy integer would wrap in seed + 1
                 if key == "num_bs_antennas":
                     if value < self.num_ues:
                         raise ValidationError(

@@ -1,9 +1,12 @@
-"""The effective channel, and from its SINR terms the sum spectral efficiency and
-that sum's chain-rule weights (`checks.sinr` is the per-entry reference form).
+"""The sum spectral efficiency as a chain of three stages: the effective channel,
+its SINR terms, and from those terms the sum SE and that sum's chain-rule weights.
 
 The SINR convention uses the intended user's channel against the other users'
 precoders (standard downlink broadcast form): the interference at user u on
-subcarrier g is sum over u' != u of |h_{u,g}^H w_{u',g}|^2.
+subcarrier g is sum over u' != u of |h_{u,g}^H w_{u',g}|^2. Each stage takes a
+stack of points on its leading axes and equals its per-slice calls bitwise, so
+the ascent forms each scored stack's gains and terms once and hands the
+accepted slice's to the gradient.
 """
 
 from __future__ import annotations
@@ -42,29 +45,28 @@ def effective_channel(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gains.transpose(1, 0, 2, 3)).reshape(*lead, G, U, U)
 
 
-def _sinr_terms(gains: np.ndarray, noise_power: float):
+def sinr_terms(gains: np.ndarray, noise_power: float):
     """Signal and interference plus noise (..., G, U) from gains (..., G, U, U)."""
     power = gains.real ** 2 + gains.imag ** 2
     signal = power.diagonal(0, -2, -1)
-    return signal, power.sum(axis=-1) - signal + noise_power
+    return signal, np.add.reduce(power, -1) - signal + noise_power
 
 
-def sum_se_arrays(gains: np.ndarray, noise_power: float):
-    """Total spectral efficiency: sum over g and u of log2(1 + SINR), bits/s/Hz, of
-    the effective channel gains (..., G, U, U): a float for one channel's gains
-    (G, U, U), and an array of the leading shape for a stack of them.
+def sum_se_arrays(signal: np.ndarray, rest: np.ndarray):
+    """Total spectral efficiency: sum over g and u of log2(1 + signal / rest), bits/s/Hz,
+    of the SINR terms (..., G, U): a float for one channel's terms (G, U), and an
+    array of the leading shape for a stack of them.
     """
-    signal, rest = _sinr_terms(gains, noise_power)
     se = np.log1p(signal / rest)
     # One reduction for both forms, so a stacked call equals its per-slice calls bitwise.
-    total = se.sum(axis=(-2, -1)) / _LN2
+    total = np.add.reduce(se, (-2, -1)) / _LN2
     return float(total) if se.ndim == 2 else total
 
 
-def chain_weights(gains: np.ndarray, noise_power: float) -> np.ndarray:
-    """Weights c * conj(gains) (..., G, U, U), d(sum SE) = sum 2 Re(weights * d gains), with
-    c[..., g, u, v] = (1/total at v = u, else 1/total - 1/rest) / ln 2, total = signal + rest."""
-    signal, rest = _sinr_terms(gains, noise_power)
+def chain_weights(gains: np.ndarray, signal: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Weights c * conj(gains) (..., G, U, U), d(sum SE) = sum 2 Re(weights * d gains), from
+    the gains and their SINR terms, with c[..., g, u, v] = (1/total at v = u, else
+    1/total - 1/rest) / ln 2, total = signal + rest."""
     on_diag = (1.0 / _LN2) / (signal + rest)
     weights = np.conj(gains, order="C")
     weights *= (on_diag - (1.0 / _LN2) / rest)[..., None]

@@ -16,11 +16,11 @@ from mara_sim import checks, scenario
 from mara_sim.scenario import generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles
 from mara_sim.channel import ChannelWorkspace
-from mara_sim.se import effective_channel, sum_se_arrays
 from mara_sim.optim import OptimOptions, digital_precoder
 from mara_sim.harness import emit_csv, reference_experiment, run_experiment
 
-from conftest import make_config, random_feasible_state
+from conftest import make_config, random_feasible_state, sum_se
+from reference_forms import pattern_gain
 
 TOP_POWER = 1.0  # highest point of the reference sweep
 
@@ -116,7 +116,7 @@ def test_criterion_04_factorization_exactness(monkeypatch):
             total = 0.0 + 0.0j
             for i in range(ps.num_paths):
                 x = ps.gains[i] * cmath.exp(-2j * math.pi * ps.delays[i] * f)
-                f_tx = checks.pattern_gain(basis, state.coefficients[m], theta[i], phi[i])
+                f_tx = pattern_gain(basis, state.coefficients[m], theta[i], phi[i])
                 kappa = 2 * math.pi / scen.wavelength
                 phase = cmath.exp(-1j * kappa * float(
                     ps.tx_wave_vectors[i] @ state.positions[m]))
@@ -145,7 +145,7 @@ def test_criterion_05_se_form_equivalence():
         w = rng.standard_normal((G, M, U)) + 1j * rng.standard_normal((G, M, U))
         w *= math.sqrt(cfg.total_power_w) / np.linalg.norm(w)
         noise = cfg.noise_power_w
-        se_h = sum_se_arrays(effective_channel(h, w), noise)
+        se_h = sum_se(h, w, noise)
         lam_block = np.zeros((M * K, M), dtype=complex)
         for m in range(M):
             lam_block[m * K:(m + 1) * K, m] = state.coefficients[m]

@@ -10,15 +10,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mara_sim import checks, optim
+from mara_sim import checks, optim, se
 from mara_sim.scenario import Scenario, generate_scenario
 from mara_sim.channel import (ChannelWorkspace, initial_state,
                               project_to_movement_region)
-from mara_sim.se import effective_channel, sum_se_arrays
+from mara_sim.se import effective_channel, sinr_terms, sum_se_arrays
 from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
                             _grad_patterns_all, _grad_positions_all, digital_precoder)
 
-from conftest import channel, make_config, random_feasible_state
+from conftest import channel, make_config, random_feasible_state, sum_se
 from test_channel import random_path_set
 from test_optim import two_path_axis_scenario
 
@@ -64,13 +64,13 @@ def test_tensor_batch_matches_single_calls(seed, rng):
 def test_sum_se_batch_matches_single_calls(seed, rng):
     cfg, scen, ws, _, prec = instance(seed, rng)
     h = channel(ws, *random_batch(scen, rng, BATCH))
-    batch = sum_se_arrays(effective_channel(h, prec.w), cfg.noise_power_w)
+    batch = sum_se(h, prec.w, cfg.noise_power_w)
     assert isinstance(batch, np.ndarray) and batch.shape == (BATCH,)
-    single = [sum_se_arrays(effective_channel(h[b], prec.w), cfg.noise_power_w)
+    single = [sum_se(h[b], prec.w, cfg.noise_power_w)
               for b in range(BATCH)]
     assert all(isinstance(v, float) for v in single)
     assert max_rel(batch, np.array(single)) < 1e-12
-    one = sum_se_arrays(effective_channel(h[:1], prec.w), cfg.noise_power_w)
+    one = sum_se(h[:1], prec.w, cfg.noise_power_w)
     assert one.shape == (1,) and one[0] == pytest.approx(single[0], rel=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
     noise = cfg.noise_power_w
 
     def se(pos, coeff):
-        return sum_se_arrays(effective_channel(channel(ws, pos, coeff), prec.w), noise)
+        return sum_se(channel(ws, pos, coeff), prec.w, noise)
 
     grad_p, grad_a = fresh_gradients(ws, state.positions, state.coefficients, prec, noise)
     for m in range(cfg.num_bs_antennas):
@@ -129,8 +129,9 @@ def fresh_gradients(ws, positions, coefficients, precoders, noise_power):
     """The position and pattern gradients at a point, every factor built there."""
     phases, pattern = ws.phases(positions), ws.patterns(coefficients)
     gains = effective_channel(ws.tensor(phases, pattern), precoders.w)
-    return (_grad_positions_all(ws, phases, pattern, gains, precoders, noise_power),
-            _grad_patterns_all(ws, phases, gains, precoders, noise_power))
+    signal, rest = sinr_terms(gains, noise_power)
+    return (_grad_positions_all(ws, phases, pattern, gains, signal, rest, precoders),
+            _grad_patterns_all(ws, phases, gains, signal, rest, precoders))
 
 
 # Reference line searches: the sequential Armijo loops the chunked ladder
@@ -151,8 +152,7 @@ def spectral_step(s, y, step0):
 def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
     step0 = optim.POSITION_STEP * ws.config.antenna_spacing
     positions = start.copy()
-    f = sum_se_arrays(effective_channel(channel(ws, positions, coefficients), precoders.w),
-                      noise_power)
+    f = sum_se(channel(ws, positions, coefficients), precoders.w, noise_power)
     reason = "iterations"
     for i in range(opts.inner_grad_iters):
         grad, _ = fresh_gradients(ws, positions, coefficients, precoders, noise_power)
@@ -169,8 +169,7 @@ def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
             if advance <= 0.0:
                 reason = "advance"
                 break
-            fc = sum_se_arrays(effective_channel(channel(ws, cand, coefficients), precoders.w),
-                               noise_power)
+            fc = sum_se(channel(ws, cand, coefficients), precoders.w, noise_power)
             if fc >= f + optim.ARMIJO_C * advance:
                 accepted = True
                 break
@@ -188,8 +187,7 @@ def reference_positions(ws, start, coefficients, precoders, noise_power, opts):
 
 def reference_patterns(ws, positions, start, precoders, noise_power, opts):
     coefficients = start.copy()
-    f = sum_se_arrays(effective_channel(channel(ws, positions, coefficients), precoders.w),
-                      noise_power)
+    f = sum_se(channel(ws, positions, coefficients), precoders.w, noise_power)
     reason = "iterations"
     step0 = optim.PATTERN_STEP
     for i in range(opts.inner_grad_iters):
@@ -207,8 +205,7 @@ def reference_patterns(ws, positions, start, precoders, noise_power, opts):
         while t > 1e-14 * top:
             cand = coefficients + t * tangent
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc = sum_se_arrays(effective_channel(channel(ws, positions, cand), precoders.w),
-                               noise_power)
+            fc = sum_se(channel(ws, positions, cand), precoders.w, noise_power)
             if fc >= f + optim.ARMIJO_C * t * tnorm2:
                 accepted = True
                 break
@@ -290,15 +287,19 @@ def test_gradient_from_accepted_slice_equals_fresh_gradient_bitwise(size, block,
                                    else (state.positions, point))
         phases, pattern = ws.phases(positions), ws.patterns(coefficients)
         gains = effective_channel(ws.tensor(phases, pattern), prec.w)
-        assert f == sum_se_arrays(gains, noise)
+        signal, rest = sinr_terms(gains, noise)
+        assert f == sum_se_arrays(signal, rest)
         if block == "positions":
-            assert np.array_equal(arrays[0], phases) and np.array_equal(arrays[1], gains)
-            got = _grad_positions_all(ws, arrays[0], pattern, arrays[1], prec, noise)
+            assert np.array_equal(arrays[0], phases)
+            carried = arrays[1:]
+            got = _grad_positions_all(ws, arrays[0], pattern, *carried, prec)
             want = fresh_gradients(ws, positions, coefficients, prec, noise)[0]
         else:
-            assert np.array_equal(arrays[0], gains)
-            got = _grad_patterns_all(ws, phases, arrays[0], prec, noise)
+            carried = arrays
+            got = _grad_patterns_all(ws, phases, *carried, prec)
             want = fresh_gradients(ws, positions, coefficients, prec, noise)[1]
+        assert len(carried) == 3  # the gains and their SINR terms
+        assert all(map(np.array_equal, carried, (gains, signal, rest)))
         assert np.array_equal(got, want)
 
 
@@ -333,6 +334,40 @@ def test_gradients_start_from_the_objectives_effective_channel(size, rng, monkey
     assert calls["grad"] > 2
     assert calls["gains"] == calls["tensor"] == calls["se"] > calls["grad"]
     assert calls["gains", "in a gradient"] == calls["tensor", "in a gradient"] == 0
+
+
+@pytest.mark.parametrize("size", list(SIZES))
+def test_sinr_terms_are_formed_once_per_scored_stack(size, rng, monkeypatch):
+    # The objective forms the SINR terms of each stack it scores and hands the
+    # accepted slice's to the next gradient, whose chain weights take them as
+    # they are: no gradient forms the terms again.
+    cfg, scen, ws, state, prec = instance(77, rng, **SIZES[size])
+    calls, grad_depth = Counter(), 0
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            nonlocal grad_depth
+            calls[key] += 1
+            calls[key, "in a gradient"] += grad_depth > 0
+            grad_depth += key == "grad"
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                grad_depth -= key == "grad"
+        return wrapped
+
+    terms = counted("terms", sinr_terms)
+    monkeypatch.setattr(optim, "sinr_terms", terms)
+    monkeypatch.setattr(se, "sinr_terms", terms)
+    monkeypatch.setattr(optim, "sum_se_arrays", counted("se", sum_se_arrays))
+    for name in ("_grad_positions_all", "_grad_patterns_all"):
+        monkeypatch.setattr(optim, name, counted("grad", getattr(optim, name)))
+    noise = cfg.noise_power_w
+    _ascend_positions(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    assert calls["grad"] > 2
+    assert calls["terms"] == calls["se"] > calls["grad"]
+    assert calls["terms", "in a gradient"] == 0
 
 
 def test_position_ascent_stops_where_no_step_advances():

@@ -9,9 +9,10 @@ from mara_sim.scenario import PathSet, generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles
 from mara_sim.channel import (AntennaState, ChannelWorkspace, initial_state,
                               project_to_movement_region, validate_state)
-from mara_sim.checks import ecsi, path_gains, pattern_gain, rx_steering, tx_steering
+from mara_sim.checks import ecsi, path_gains, rx_steering, tx_steering
 
 from conftest import channel, make_config, random_feasible_state
+from reference_forms import pattern_gain
 
 ISO = 1.0 / math.sqrt(4.0 * math.pi)
 

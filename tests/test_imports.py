@@ -48,9 +48,11 @@ def test_every_exported_name_resolves():
     assert [name for name in mara_sim.__all__ if not hasattr(mara_sim, name)] == []
 
 
-REFERENCE_FORMS = ("ecsi", "tx_steering", "rx_steering", "path_gains", "sinr",
-                   "mrt_precoder", "brute_force_positions", "se_gradient_positions",
-                   "se_gradient_patterns", "pattern_gain", "pattern_power", "gram_matrix")
+REFERENCE_FORMS = ("ecsi", "tx_steering", "rx_steering", "path_gains",
+                   "brute_force_positions", "se_gradient_positions",
+                   "se_gradient_patterns", "pattern_power", "gram_matrix")
+# Reference forms only the tests use; they live in tests/reference_forms.py.
+TEST_REFERENCE_FORMS = ("sinr", "mrt_precoder", "pattern_gain")
 
 
 def imported_modules(source: str) -> set[str]:
@@ -87,6 +89,15 @@ def test_reference_forms_live_only_in_checks():
     engine = [importlib.import_module(f"mara_sim.{m[:-3]}") for m in MODULES
               if m != "checks.py"]
     assert [(mod.__name__, name) for mod in engine for name in REFERENCE_FORMS
+            if hasattr(mod, name)] == []
+
+
+def test_test_only_reference_forms_live_under_tests():
+    import reference_forms
+    assert all(getattr(reference_forms, name).__module__ == "reference_forms"
+               for name in TEST_REFERENCE_FORMS)
+    package = [importlib.import_module(f"mara_sim.{m[:-3]}") for m in MODULES]
+    assert [(mod.__name__, name) for mod in package for name in TEST_REFERENCE_FORMS
             if hasattr(mod, name)] == []
 
 

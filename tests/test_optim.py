@@ -11,12 +11,12 @@ from mara_sim.shod import build_basis, build_omega
 from mara_sim.channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState,
                               ChannelWorkspace, initial_state)
 from mara_sim.checks import brute_force_positions, ecsi
-from mara_sim.se import effective_channel, sum_se_arrays
+from mara_sim.se import sum_se_arrays
 from mara_sim.harness import reference_config
 from mara_sim.optim import (WARM_STARTS, OptimOptions, OptimResult, alternating_optimize,
                             digital_precoder, optimize_patterns, optimize_positions)
 
-from conftest import make_config, random_feasible_state
+from conftest import make_config, random_feasible_state, sum_se
 
 ISO = 1.0 / math.sqrt(4.0 * math.pi)
 
@@ -55,9 +55,9 @@ def test_optimize_positions_monotone_and_feasible(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    before = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
+    before = sum_se(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     out, _ = optimize_positions(ws, state, prec, FAST)
-    after = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), cfg.noise_power_w)
+    after = sum_se(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert after >= before
     offsets = np.linalg.norm(out.positions - scen.initial_positions, axis=1)
     assert np.all(offsets <= cfg.movement_radius + 1e-12 * cfg.antenna_spacing)
@@ -72,9 +72,9 @@ def test_single_path_position_cannot_help():
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    before = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
+    before = sum_se(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     out, _ = optimize_positions(ws, state, prec, OptimOptions(restarts=3))
-    after = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), cfg.noise_power_w)
+    after = sum_se(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert abs(after - before) <= 1e-9
 
 
@@ -92,7 +92,7 @@ def test_optimize_positions_matches_1d_grid_oracle():
     se_grid = max(math.log2(1 + abs(axis_channel_value(gains, kappa, x)) ** 2
                             * w_amp2 / noise) for x in xs)
     out, _ = optimize_positions(ws, state, prec, OptimOptions(seed=3))
-    se_opt = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), noise)
+    se_opt = sum_se(ws.state_tensor(out), prec.w, noise)
     assert se_opt == pytest.approx(se_grid, rel=1e-6)
 
 
@@ -174,9 +174,9 @@ def test_optimize_patterns_monotone(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="ERA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    before = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
+    before = sum_se(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     out, _ = optimize_patterns(ws, state, prec, FAST)
-    after = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), cfg.noise_power_w)
+    after = sum_se(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert after >= before
     assert np.allclose(np.linalg.norm(out.coefficients, axis=1), 1.0, atol=1e-10)
 
@@ -217,7 +217,7 @@ def test_alternating_results_consistent_with_final_state():
     ws = ChannelWorkspace(scen)
     res = alternating_optimize(ws, "MARA", FAST)
     h = ws.state_tensor(res.state)
-    se = sum_se_arrays(effective_channel(h, res.precoders.w), cfg.noise_power_w)
+    se = sum_se(h, res.precoders.w, cfg.noise_power_w)
     assert se == pytest.approx(res.se, rel=1e-12)
     assert res.precoders.total_power == pytest.approx(cfg.total_power_w, rel=1e-9)
 
@@ -302,8 +302,7 @@ def test_block_optimizers_return_the_se_of_their_state(optimize, overrides, rng)
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     for opts in (FAST, OptimOptions(inner_grad_iters=0)):
         out, se = optimize(ws, state, prec, opts)
-        assert se == sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w),
-                                   cfg.noise_power_w)
+        assert se == sum_se(ws.state_tensor(out), prec.w, cfg.noise_power_w)
 
 
 @pytest.mark.parametrize("optimize", [optimize_positions, optimize_patterns],
@@ -319,8 +318,7 @@ def test_block_optimizers_without_iterations_return_their_start_as_given(optimiz
     out, se = optimize(ws, state, prec, OptimOptions(inner_grad_iters=0))
     assert np.array_equal(out.positions, state.positions)
     assert np.array_equal(out.coefficients, state.coefficients)
-    assert se == sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w),
-                               cfg.noise_power_w)
+    assert se == sum_se(ws.state_tensor(state), prec.w, cfg.noise_power_w)
 
 
 @pytest.mark.parametrize("optimize, name", [(optimize_positions, "movement ball"),
@@ -400,9 +398,9 @@ def test_brute_force_keeps_incoming_candidate(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    before = sum_se_arrays(effective_channel(ws.state_tensor(state), prec.w), cfg.noise_power_w)
+    before = sum_se(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     out = brute_force_positions(ws, state, prec, cfg.movement_radius / 3)
-    after = sum_se_arrays(effective_channel(ws.state_tensor(out), prec.w), cfg.noise_power_w)
+    after = sum_se(ws.state_tensor(out), prec.w, cfg.noise_power_w)
     assert after >= before
 
 

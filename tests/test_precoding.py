@@ -3,14 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from mara_sim.checks import mrt_precoder
 from mara_sim.errors import ContractError, SingularChannelError
 from mara_sim.scenario import generate_scenario
 from mara_sim.channel import ChannelWorkspace, initial_state
-from mara_sim.se import effective_channel, sum_se_arrays
 from mara_sim.optim import digital_precoder, water_fill
 
-from conftest import make_config
+from conftest import make_config, sum_se
+from reference_forms import mrt_precoder
 
 
 def random_tensor(rng, U, M, G):
@@ -128,8 +127,8 @@ def test_total_power_spent_exactly(rng):
 def test_single_user_zf_equals_mrt_single_subcarrier(rng):
     h = random_tensor(rng, U=1, M=4, G=1)
     noise = 0.05
-    se_zf = sum_se_arrays(effective_channel(h, digital_precoder(h, 1.0, noise).w), noise)
-    se_mrt = sum_se_arrays(effective_channel(h, mrt_precoder(h, 1.0).w), noise)
+    se_zf = sum_se(h, digital_precoder(h, 1.0, noise).w, noise)
+    se_mrt = sum_se(h, mrt_precoder(h, 1.0).w, noise)
     assert se_zf == pytest.approx(se_mrt, rel=1e-9)
 
 
@@ -141,8 +140,8 @@ def test_single_user_zf_equals_mrt_flat_channel(rng):
     scen = generate_scenario(cfg)
     h = ChannelWorkspace(scen).state_tensor(initial_state(scen, "TFA"))
     noise = cfg.noise_power_w
-    se_zf = sum_se_arrays(effective_channel(h, digital_precoder(h, 1.0, noise).w), noise)
-    se_mrt = sum_se_arrays(effective_channel(h, mrt_precoder(h, 1.0).w), noise)
+    se_zf = sum_se(h, digital_precoder(h, 1.0, noise).w, noise)
+    se_mrt = sum_se(h, mrt_precoder(h, 1.0).w, noise)
     assert se_zf == pytest.approx(se_mrt, rel=1e-9)
 
 
@@ -302,8 +301,8 @@ def test_waterfilling_beats_equal_split(rng):
     h = ChannelWorkspace(scen).state_tensor(initial_state(scen, "TFA"))
     noise = cfg.noise_power_w
     prec = digital_precoder(h, 1.0, noise)
-    se_wf = sum_se_arrays(effective_channel(h, prec.w), noise)
+    se_wf = sum_se(h, prec.w, noise)
     directions = prec.w / np.maximum(np.linalg.norm(prec.w, axis=1, keepdims=True), 1e-300)
     equal = directions * np.sqrt(1.0 / prec.w.shape[0])
-    se_eq = sum_se_arrays(effective_channel(h, equal), noise)
+    se_eq = sum_se(h, equal, noise)
     assert se_wf >= se_eq - 1e-12

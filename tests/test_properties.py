@@ -1,8 +1,9 @@
-"""Invariants of a whole solve on drawn valid configs, not hand-picked ones.
+"""Invariants of a whole solve, and of one block ascent, on drawn valid configs,
+not hand-picked ones.
 
-Each example builds a small config and solves every scheme in nesting order,
-sharing warm starts as the harness does. No invariant has a tolerance but the
-power budget, which water-filling rescales to its total in floating point.
+Each solve example builds a small config and solves every scheme in nesting
+order, sharing warm starts as the harness does. No invariant has a tolerance
+but the power budget, which water-filling rescales to its total in floating point.
 """
 
 import numpy as np
@@ -10,22 +11,24 @@ from hypothesis import given, settings, strategies as st
 
 from mara_sim.scenario import SCHEME_ORDER, generate_scenario
 from mara_sim.channel import ChannelWorkspace, validate_state
-from mara_sim.optim import WARM_STARTS, OptimOptions, alternating_optimize
+from mara_sim.optim import (WARM_STARTS, OptimOptions, alternating_optimize,
+                            optimize_patterns, optimize_positions)
 
-from conftest import make_config
+from conftest import make_config, random_feasible_state, sum_se
+from reference_forms import mrt_precoder
 
 powers = st.floats(-6.0, 3.0).map(lambda exponent: 10.0 ** exponent)  # W, log-uniform
 
 
 @st.composite
-def configs(draw):
-    num_ues = draw(st.integers(1, 3))
+def configs(draw, ues=3, paths=4, subcarriers=6, degree=2):
+    num_ues = draw(st.integers(1, ues))
     return make_config(
         num_ues=num_ues,
         num_bs_antennas=num_ues + draw(st.integers(0, 2)),
-        num_paths_per_ue=draw(st.integers(1, 4)),
-        num_subcarriers=draw(st.integers(1, 6)),
-        shod_max_degree=draw(st.integers(0, 2)),
+        num_paths_per_ue=draw(st.integers(1, paths)),
+        num_subcarriers=draw(st.integers(1, subcarriers)),
+        shod_max_degree=draw(st.integers(0, degree)),
         max_delay_s=draw(st.sampled_from([0.0, 1e-7, 1e-6])),
         total_power_w=draw(powers),
         noise_power_w=draw(powers),
@@ -50,3 +53,18 @@ def test_every_scheme_nests_spends_its_budget_and_stays_feasible(cfg, opts):
         assert all(res.se >= results[source].se for source in WARM_STARTS[scheme])
         assert abs(res.precoders.total_power - cfg.total_power_w) <= 1e-9 * cfg.total_power_w
         validate_state(ws, res.state, scheme)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cfg=configs(ues=4, paths=12, subcarriers=32, degree=3), opts=options,
+       state_seed=st.integers(0, 2 ** 16))
+def test_a_blocks_returned_se_is_its_states_se(cfg, opts, state_seed):
+    # The ascent scores stacks and keeps the accepted slice's arrays for the
+    # next gradient; the SE a block returns must still be its state's, bit for bit.
+    scen = generate_scenario(cfg)
+    ws = ChannelWorkspace(scen)
+    state = random_feasible_state(scen, np.random.default_rng(state_seed), "MARA")
+    prec = mrt_precoder(ws.state_tensor(state), cfg.total_power_w)
+    for optimize in (optimize_positions, optimize_patterns):
+        out, se = optimize(ws, state, prec, opts)
+        assert se == sum_se(ws.state_tensor(out), prec.w, cfg.noise_power_w)

@@ -198,6 +198,17 @@ def test_config_accepts_numpy_scalars_and_normalises_floats_and_schemes():
     hash(cfg)
 
 
+def test_config_stores_numpy_integers_as_int():
+    # A numpy integer seed would overflow in `seed + trial` (cli check and oracle).
+    cfg = make_config(num_ues=np.int64(2), seed=np.uint8(7))
+    assert type(cfg.num_ues) is int and cfg.num_ues == 2
+    assert type(cfg.seed) is int and cfg.seed == 7
+    cfg = dataclasses.replace(cfg, seed=np.uint8(255), num_bs_antennas=np.int32(3))
+    assert type(cfg.seed) is int and cfg.seed + 1 == 256
+    assert type(cfg.num_bs_antennas) is int
+    assert cfg == make_config(seed=255)
+
+
 def test_key_tables_follow_the_fields():
     assert _REQUIRED_KEYS == (
         "carrier_frequency_hz", "num_subcarriers", "subcarrier_spacing_hz",

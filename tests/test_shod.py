@@ -7,7 +7,9 @@ from scipy.special import sph_harm_y
 from mara_sim.errors import ContractError
 from mara_sim.scenario import PathSet
 from mara_sim.shod import build_basis, build_omega, evaluate_basis
-from mara_sim.checks import gram_matrix, pattern_gain, pattern_power
+from mara_sim.checks import gram_matrix, pattern_power
+
+from reference_forms import pattern_gain
 
 ISO = 1.0 / math.sqrt(4.0 * math.pi)
 
