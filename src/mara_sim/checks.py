@@ -29,39 +29,24 @@ from .shod import build_basis, build_omega
 _BRUTE_FORCE_GUARD = 10_000_000
 
 
-def tx_steering(path_set: PathSet, position: np.ndarray, wavelength: float) -> np.ndarray:
-    """Per-path transmit phase factors exp(-j 2 pi / lambda * k_tx . p)."""
-    phase = (2.0 * np.pi / wavelength) * (path_set.tx_wave_vectors @ np.asarray(position))
-    return np.exp(-1j * phase)
-
-
-def rx_steering(path_set: PathSet, ue_position: np.ndarray, wavelength: float) -> np.ndarray:
-    """Per-path receive phase factors exp(-j 2 pi / lambda * k_rx . q)."""
-    phase = (2.0 * np.pi / wavelength) * (path_set.rx_wave_vectors @ np.asarray(ue_position))
-    return np.exp(-1j * phase)
-
-
-def path_gains(path_set: PathSet, frequency_hz: float) -> np.ndarray:
-    """Complex per-path gains with the delay phase folded in at one subcarrier."""
-    return path_set.gains * np.exp(-2j * np.pi * path_set.delays * frequency_hz)
-
-
 def ecsi(path_set: PathSet, omega: np.ndarray, position: np.ndarray,
          ue_position: np.ndarray, frequency_hz: float, wavelength: float) -> np.ndarray:
     """Environment part of one channel coefficient: h = ecsi^H alpha.
 
     Returns the complex K-vector q with
-    q^H = (a ⊙ x ⊙ b)^T Omega, where a/b are the receive/transmit steering
-    factors and x the delay-adjusted path gains. The receive antenna is a
-    fixed isotropic element, so no receive-pattern factor appears.
+    q^H = (a ⊙ x ⊙ b)^T Omega, where a = exp(-j k k_rx . q) and b = exp(-j k k_tx . p)
+    are the receive and transmit steering factors, k = 2 pi / lambda, and x the path
+    gains with the delay phase exp(-j 2 pi tau f) folded in. The receive antenna is
+    a fixed isotropic element, so no receive-pattern factor appears.
     """
     L = path_set.num_paths
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[0] != L:
         raise ContractError(f"omega must have shape ({L}, K), got {omega.shape}")
-    a = rx_steering(path_set, ue_position, wavelength)
-    b = tx_steering(path_set, position, wavelength)
-    x = path_gains(path_set, frequency_hz)
+    k = 2.0 * np.pi / wavelength
+    a = np.exp(-1j * (k * (path_set.rx_wave_vectors @ np.asarray(ue_position))))
+    b = np.exp(-1j * (k * (path_set.tx_wave_vectors @ np.asarray(position))))
+    x = path_set.gains * np.exp(-2j * np.pi * path_set.delays * frequency_hz)
     return omega.T @ np.conj(a * x * b)
 
 

@@ -3,12 +3,13 @@
 Per scheme, an outer loop alternates between the digital precoder (zero
 forcing plus water-filling), antenna positions (projected gradient ascent
 inside per-antenna balls), and pattern coefficients (retracted gradient ascent
-on per-antenna unit spheres). Every sub-step keeps its candidate only if the
-objective does not decrease, so the reported trace is monotone by
-construction; each block ascent returns the SE it reached, so an accept
+on per-antenna unit spheres). A block's seeded restarts advance in lockstep as
+the slots of one ascent: each step scores every restart's candidates in one
+call, and each slot takes the steps it would take alone. Every sub-step keeps
+its candidate only if the objective does not decrease, so the trace is monotone
+by construction; each block ascent returns the SE it reached, so an accept
 scores only the re-derived precoder. Warm starts enforce the scheme nesting:
-SMA/ERA take the TFA solution and MARA the better of the SMA and ERA ones,
-state, precoders and SE as they are.
+SMA/ERA take the TFA solution and MARA the better of the SMA and ERA ones, as they are.
 """
 
 from __future__ import annotations
@@ -158,94 +159,128 @@ def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> P
 
 def _sensitivities(ws, gains, signal, rest, precoders):
     """Chain-rule sensitivities of sum_se at the effective channel gains and their SINR
-    terms per (UE, antenna, path), shape (U, M, L): the SINR weights folded through env."""
+    terms per (UE, antenna, path), shape (..., U, M, L): the weights folded through env."""
     weights = chain_weights(gains, signal, rest)
-    z = np.einsum("guv,gmv->umg", weights, precoders.w)
+    z = np.einsum("...guv,gmv->...umg", weights, precoders.w)
     return z @ np.swapaxes(ws.env, 1, 2)
 
 
 def _grad_positions_all(ws: ChannelWorkspace, phases: np.ndarray, pattern: np.ndarray,
                         gains: np.ndarray, signal: np.ndarray, rest: np.ndarray,
                         precoders: PrecoderSet):
-    """Gradient of sum_se in every antenna position (M, 3), at path factors, gains
+    """Gradient of sum_se in every antenna position (..., M, 3), at path factors, gains
     and SINR terms."""
     sens = _sensitivities(ws, gains, signal, rest, precoders)
-    moment = np.imag(phases * pattern * sens) @ ws.tx_wave_vectors  # (U, M, 3)
-    return 2.0 * ws.wavenumber * np.add.reduce(moment, 0)
+    moment = np.imag(phases * pattern * sens) @ ws.tx_wave_vectors  # (..., U, M, 3)
+    return 2.0 * ws.wavenumber * np.add.reduce(moment, -3)
 
 
 def _grad_patterns_all(ws: ChannelWorkspace, phases: np.ndarray, gains: np.ndarray,
                        signal: np.ndarray, rest: np.ndarray,
                        precoders: PrecoderSet) -> np.ndarray:
-    """Euclidean gradient of sum_se in every alpha_m (M, K), at phases, gains and
+    """Euclidean gradient of sum_se in every alpha_m (..., M, K), at phases, gains and
     SINR terms."""
     sens = _sensitivities(ws, gains, signal, rest, precoders)
-    return 2.0 * np.add.reduce(np.real(phases * sens) @ ws.omega, 0)
+    return 2.0 * np.add.reduce(np.real(phases * sens) @ ws.omega, -3)
 
 
-def _line_search(steps, propose, objective, f):
-    """First step of the ladder `steps` (t * LADDER), in order, whose
-    candidate passes the Armijo test.
+def _line_search(steps, rows, x, d, propose, objective, f, into):
+    """For each searching row of the slot stacks x and d, the first step of its ladder
+    steps[row] (t * LADDER), in order, whose candidate passes the Armijo test.
 
-    propose(t) returns the candidates for the steps t, stacked on a leading
-    axis, and the ascent each one promises; the first step promising none
-    ends the search. objective scores a stack of candidates, one call per chunk
-    of LADDER_CHUNKS, and also returns the stacked arrays the next direction
-    takes. Returns (candidate, SE, copies of its slices of those arrays), or
-    None when no step is accepted.
+    propose(x, d, t) returns each row's candidates for its steps t (rows, steps, ...)
+    and the ascent each promises; a row's first step promising none ends its search.
+    objective scores every searching row's candidates in one call per chunk of
+    LADDER_CHUNKS, with the stacked arrays the next direction takes; an accepted
+    candidate and its slices of those go to its row of the buffers `into`. Returns
+    each row's accepted SE, or None.
     """
+    found = [None] * len(x)
     for start, end in LADDER_CHUNKS:
-        cands, advance = propose(steps[start:end])
-        advance = advance.tolist()
-        n = next((i for i, a in enumerate(advance) if a <= 0.0), len(advance))
-        if n:
-            fc, *stacks = objective(cands[:n])
-            for k, (value, a) in enumerate(zip(fc.tolist(), advance)):
-                if value >= f + ARMIJO_C * a:
-                    return cands[k].copy(), value, [s[k].copy() for s in stacks]
-        if n < len(advance):
-            return None
-    return None
+        if not rows:
+            break
+        pick = slice(None) if len(rows) == len(x) else rows
+        cands, advance = propose(x[pick], d[pick], steps[pick, start:end])
+        advance, n = advance.tolist(), end - start
+        counts = [n if min(a) > 0.0 else next((k for k, v in enumerate(a) if v <= 0.0), n)
+                  for a in advance]
+        scored = (cands.reshape(-1, *cands.shape[2:]) if min(counts) == n
+                  else cands[np.arange(n) < np.array(counts)[:, None]])
+        if len(scored):
+            fc, *stacks = objective(scored)
+            fc = fc.tolist()
+        pending, first = [], 0
+        for r, a, count in zip(rows, advance, counts):
+            for k in range(first, first + count):
+                if fc[k] >= f[r] + ARMIJO_C * a[k - first]:
+                    found[r] = fc[k]
+                    for buffer, stack in zip(into, (scored, *stacks)):
+                        buffer[r] = stack[k]
+                    break
+            else:
+                if count == n:
+                    pending.append(r)
+            first += count
+        rows = pending
+    return found
 
 
 def _ascend(x, t0, direction, propose, objective, opts):
-    """Armijo ascent from x, shared by positions and patterns.
+    """Armijo ascent from each start of the stack x, shared by positions and patterns.
 
-    direction(x, *arrays) is the ascent direction at x; propose(x, d, t)
-    returns the retracted candidates for the steps t and the ascent each one
-    promises; objective scores one point or a stack of candidates, with the
-    arrays that direction takes there. The first line search runs the ladder
-    t0 * LADDER, each later one t * LADDER from the spectral step t = s.s / |s.y|
-    of the last move s and direction change y (Barzilai & Borwein, IMA J. Numer.
-    Anal. 8(1), 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000),
-    clamped to t0 * SPECTRAL_CLAMP, or t0 when s.y = 0. Stops when the direction
-    vanishes, no step is accepted, or the gain drops below tol_rel. Returns
-    (x, SE at x).
+    The starts advance in lockstep as slots of one stack, in buffers the ascent owns,
+    each taking the steps it would take alone. direction(x, *arrays) is each slot's
+    ascent direction; propose(x, d, t) retracts each slot's candidates for its steps
+    t; objective scores a stack of points, with the arrays direction takes there. A
+    slot's first line search runs the ladder t0 * LADDER, each later one t * LADDER
+    from the spectral step t = s.s / |s.y| of its last move s and direction change y
+    (Barzilai & Borwein, IMA J. Numer. Anal. 8(1), 1988; Birgin, Martinez & Raydan,
+    SIAM J. Optim. 10(4), 2000), clamped to t0 * SPECTRAL_CLAMP, or t0 when s.y = 0.
+    A slot leaves the stack when its direction vanishes, no step is accepted, or its
+    gain drops below tol_rel. Returns (points, SE at each) in slot order.
     """
-    x, t = x.copy(), t0
     lo, hi = t0 * SPECTRAL_CLAMP[0], t0 * SPECTRAL_CLAMP[1]
+    axes = tuple(range(1, x.ndim))
     f, *at = objective(x)
+    f, ids, at = f.tolist(), list(range(len(x))), [np.require(a, requirements="W") for a in at]
+    points, values = np.empty_like(x), list(f)  # each slot's result, set as it leaves
+    x, x_prev = x.copy(), np.empty_like(x)
     for i in range(opts.inner_grad_iters):
         d = direction(x, *at)
-        if float(np.add.reduce(d * d, None)) < 1e-24 * max(1.0, f * f):
-            break
+        dd = np.add.reduce(d * d, axes).tolist()
+        rows = [r for r, v in enumerate(dd) if not v < 1e-24 * max(1.0, f[r] * f[r])]
+        t = [t0] * len(ids)
         if i:
             s, y = x - x_prev, d - d_prev
-            sy = abs(float(np.add.reduce(s * y, None)))
-            t = min(max(float(np.add.reduce(s * s, None)) / sy, lo), hi) if sy else t0
-        found = _line_search(t * LADDER, lambda steps: propose(x, d, steps), objective, f)
-        if found is None:
-            break
-        gain = found[1] - f
-        x_prev, d_prev = x, d
-        x, f, at = found
-        if gain < opts.tol_rel * max(abs(f), 1e-12):
-            break
-    return x, f
+            sy = np.add.reduce(s * y, axes).tolist()
+            ss = np.add.reduce(s * s, axes).tolist()
+            t = [min(max(a / abs(b), lo), hi) if b else t0 for a, b in zip(ss, sy)]
+        x_prev, x = x, x_prev
+        found = _line_search(np.multiply.outer(t, LADDER), rows, x_prev, d, propose,
+                             objective, f, (x, *at))
+        keep = []
+        for r, value in enumerate(found):
+            if value is not None:
+                gain, f[r] = value - f[r], value
+            if value is not None and not gain < opts.tol_rel * max(abs(value), 1e-12):
+                keep.append(r)
+            else:  # the slot leaves at its accepted point, or where it stood
+                points[ids[r]], values[ids[r]] = (x_prev if value is None else x)[r], f[r]
+        if len(keep) < len(ids):
+            ids = [ids[r] for r in keep]
+            if not ids:
+                break
+            f = [f[r] for r in keep]
+            x, x_prev, d, *at = (a[keep] for a in (x, x_prev, d, *at))
+        d_prev = d
+    for r, slot in enumerate(ids):
+        points[slot], values[slot] = x[r], f[r]
+    return points, values
 
 
-def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
-    """Projected ascent over positions: gradient steps clamped into the balls."""
+def _ascend_positions(ws, starts, coefficients, precoders, noise_power, opts):
+    """Projected ascent over positions from the stack starts (R, M, 3): gradient
+    steps clamped into the balls."""
     pattern = ws.patterns(coefficients)  # fixed in this block, so built once
 
     def objective(cands):
@@ -258,15 +293,17 @@ def _ascend_positions(ws, start, coefficients, precoders, noise_power, opts):
         return _grad_positions_all(ws, phases, pattern, gains, signal, rest, precoders)
 
     def propose(positions, grad, t):
-        cands = project_to_movement_region(ws, positions + t[:, None, None] * grad)
-        return cands, np.add.reduce(grad * (cands - positions), (1, 2))
+        cands = project_to_movement_region(
+            ws, positions[:, None] + t[..., None, None] * grad[:, None])
+        return cands, np.add.reduce(grad[:, None] * (cands - positions[:, None]), (-2, -1))
 
-    return _ascend(start, POSITION_STEP * ws.config.antenna_spacing, direction, propose,
+    return _ascend(starts, POSITION_STEP * ws.config.antenna_spacing, direction, propose,
                    objective, opts)
 
 
-def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
-    """Retracted ascent over patterns: tangent steps renormalised onto the spheres."""
+def _ascend_patterns(ws, positions, starts, precoders, noise_power, opts):
+    """Retracted ascent over patterns from the stack starts (R, M, K): tangent steps
+    renormalised onto the spheres."""
     phases = ws.phases(positions)  # fixed in this block, so built once
 
     def objective(cands):
@@ -276,29 +313,29 @@ def _ascend_patterns(ws, positions, start, precoders, noise_power, opts):
 
     def direction(coefficients, gains, signal, rest):
         grad = _grad_patterns_all(ws, phases, gains, signal, rest, precoders)
-        return grad - np.add.reduce(grad * coefficients, 1, keepdims=True) * coefficients
+        return grad - np.add.reduce(grad * coefficients, -1, keepdims=True) * coefficients
 
     def propose(coefficients, tangent, t):
-        cands = coefficients + t[:, None, None] * tangent
-        cands /= np.sqrt(np.add.reduce(cands * cands, 2, keepdims=True))
-        return cands, t * float(np.add.reduce(tangent * tangent, None))
+        cands = coefficients[:, None] + t[..., None, None] * tangent[:, None]
+        cands /= np.sqrt(np.add.reduce(cands * cands, -1, keepdims=True))
+        return cands, t * np.add.reduce(tangent * tangent, (-2, -1))[:, None]
 
-    return _ascend(start, PATTERN_STEP, direction, propose, objective, opts)
+    return _ascend(starts, PATTERN_STEP, direction, propose, objective, opts)
 
 
 def _best_of_restarts(start, draw, ascend, opts):
-    """The best (x, f) over the restarts of ascend(init) -> (x, f).
+    """The best (x, f) over the restarts, run as the slots of one ascend(starts) call;
+    each slot ends where it would alone, so this is the best of sequential restarts.
 
-    Restart 0 starts from `start`, restart r > 0 from draw(rng) with rng seeded
-    opts.seed + r; without inner iterations only restart 0 runs. Ties keep the earliest.
+    Restart 0 starts from `start`, restart r > 0 from draw(rng) seeded opts.seed + r;
+    without inner iterations only restart 0 runs. Ties keep the earliest.
     """
-    best_x, best_f = None, -np.inf
-    for r in range(max(1, opts.restarts) if opts.inner_grad_iters else 1):
-        init = start if r == 0 else draw(np.random.default_rng(opts.seed + r))
-        x, f = ascend(init)
-        if f > best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
+    count = max(1, opts.restarts) if opts.inner_grad_iters else 1
+    starts = np.stack([start] + [draw(np.random.default_rng(opts.seed + r))
+                                 for r in range(1, count)])
+    points, values = ascend(starts)
+    best = max(range(count), key=values.__getitem__)
+    return points[best], values[best]
 
 
 def optimize_positions(ws: ChannelWorkspace, state: AntennaState, precoders: PrecoderSet,
@@ -313,11 +350,10 @@ def optimize_positions(ws: ChannelWorkspace, state: AntennaState, precoders: Pre
     if state.scheme not in MOVABLE_SCHEMES:
         raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
     validate_state(ws, state)
-    noise = ws.config.noise_power_w
     best, se = _best_of_restarts(
         state.positions, lambda rng: sample_movement_region(ws, rng),
-        lambda init: _ascend_positions(ws, init, state.coefficients, precoders,
-                                       noise, opts), opts)
+        lambda starts: _ascend_positions(ws, starts, state.coefficients, precoders,
+                                         ws.config.noise_power_w, opts), opts)
     return AntennaState(best, state.coefficients.copy(), state.scheme), se
 
 
@@ -328,11 +364,10 @@ def optimize_patterns(ws: ChannelWorkspace, state: AntennaState, precoders: Prec
     if state.scheme not in RECONFIGURABLE_SCHEMES:
         raise ContractError(f"patterns are pinned for scheme {state.scheme!r}")
     validate_state(ws, state)
-    noise = ws.config.noise_power_w
     best, se = _best_of_restarts(
         state.coefficients, lambda rng: sample_unit_spheres(rng, state.coefficients.shape),
-        lambda init: _ascend_patterns(ws, state.positions, init, precoders,
-                                      noise, opts), opts)
+        lambda starts: _ascend_patterns(ws, state.positions, starts, precoders,
+                                        ws.config.noise_power_w, opts), opts)
     return AntennaState(state.positions.copy(), best, state.scheme), se
 
 

@@ -1,7 +1,7 @@
 """The stacked kernels and the chunked line search against per-item references.
 
-Each reference is the loop the stacked code replaced: one UE, one candidate
-or one line-search step at a time.
+Each reference is the loop the stacked code replaced: one UE, one candidate,
+one line-search step or one restart at a time.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
                             _grad_patterns_all, _grad_positions_all, digital_precoder)
 
 from conftest import channel, make_config, random_feasible_state, sum_se
-from test_channel import random_path_set
+from test_channel import SIZES, random_path_set
 from test_optim import two_path_axis_scenario
 
 BATCH = 5
@@ -224,18 +224,19 @@ def reference_patterns(ws, positions, start, precoders, noise_power, opts):
 ASCENT = OptimOptions(inner_grad_iters=40, tol_rel=1e-8)
 
 
-def assert_same_ascent(got, ref):
-    point, f = got
+def assert_same_ascent(got, ref, slot=0):
+    points, values = got
     ref_point, ref_f, _ = ref
-    assert np.array_equal(point, ref_point)
-    assert f == ref_f
+    assert np.array_equal(points[slot], ref_point)
+    assert values[slot] == ref_f
 
 
 @pytest.mark.parametrize("seed", [70, 71, 72, 73])
 def test_position_ascent_matches_sequential_reference(seed, rng):
     cfg, scen, ws, state, prec = instance(seed, rng)
     noise = cfg.noise_power_w
-    got = _ascend_positions(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    got = _ascend_positions(ws, state.positions[None], state.coefficients, prec, noise,
+                            ASCENT)
     ref = reference_positions(ws, state.positions, state.coefficients, prec, noise,
                               ASCENT)
     assert_same_ascent(got, ref)
@@ -245,17 +246,10 @@ def test_position_ascent_matches_sequential_reference(seed, rng):
 def test_pattern_ascent_matches_sequential_reference(seed, rng):
     cfg, scen, ws, state, prec = instance(seed, rng)
     noise = cfg.noise_power_w
-    got = _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    got = _ascend_patterns(ws, state.positions, state.coefficients[None], prec, noise,
+                           ASCENT)
     ref = reference_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
     assert_same_ascent(got, ref)
-
-
-SIZES = {
-    "reference": dict(num_ues=2, num_bs_antennas=4, num_subcarriers=8, num_paths_per_ue=6),
-    "large": dict(num_ues=4, num_bs_antennas=8, num_subcarriers=32, num_paths_per_ue=12,
-                  shod_max_degree=3),
-    "one-UE": dict(num_ues=1, num_bs_antennas=4, num_subcarriers=8),
-}
 
 
 @pytest.mark.parametrize("block", ["positions", "patterns"])
@@ -269,18 +263,18 @@ def test_gradient_from_accepted_slice_equals_fresh_gradient_bitwise(size, block,
     noise = cfg.noise_power_w
     accepted = []
 
-    def recording(*args):
-        found = line_search(*args)
-        if found is not None:
-            accepted.append(found)
+    def recording(steps, rows, x, d, propose, objective, f, into):
+        found = line_search(steps, rows, x, d, propose, objective, f, into)
+        accepted.extend((into[0][r].copy(), value, [a[r].copy() for a in into[1:]])
+                        for r, value in enumerate(found) if value is not None)
         return found
 
     line_search = optim._line_search
     monkeypatch.setattr(optim, "_line_search", recording)
     if block == "positions":
-        _ascend_positions(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+        _ascend_positions(ws, state.positions[None], state.coefficients, prec, noise, ASCENT)
     else:
-        _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+        _ascend_patterns(ws, state.positions, state.coefficients[None], prec, noise, ASCENT)
     assert len(accepted) > 1
     for point, f, arrays in accepted:
         positions, coefficients = ((point, state.coefficients) if block == "positions"
@@ -329,8 +323,8 @@ def test_gradients_start_from_the_objectives_effective_channel(size, rng, monkey
     for name in ("_grad_positions_all", "_grad_patterns_all"):
         monkeypatch.setattr(optim, name, counted("grad", getattr(optim, name)))
     noise = cfg.noise_power_w
-    _ascend_positions(ws, state.positions, state.coefficients, prec, noise, ASCENT)
-    _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    _ascend_positions(ws, state.positions[None], state.coefficients, prec, noise, ASCENT)
+    _ascend_patterns(ws, state.positions, state.coefficients[None], prec, noise, ASCENT)
     assert calls["grad"] > 2
     assert calls["gains"] == calls["tensor"] == calls["se"] > calls["grad"]
     assert calls["gains", "in a gradient"] == calls["tensor", "in a gradient"] == 0
@@ -363,8 +357,8 @@ def test_sinr_terms_are_formed_once_per_scored_stack(size, rng, monkeypatch):
     for name in ("_grad_positions_all", "_grad_patterns_all"):
         monkeypatch.setattr(optim, name, counted("grad", getattr(optim, name)))
     noise = cfg.noise_power_w
-    _ascend_positions(ws, state.positions, state.coefficients, prec, noise, ASCENT)
-    _ascend_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
+    _ascend_positions(ws, state.positions[None], state.coefficients, prec, noise, ASCENT)
+    _ascend_patterns(ws, state.positions, state.coefficients[None], prec, noise, ASCENT)
     assert calls["grad"] > 2
     assert calls["terms"] == calls["se"] > calls["grad"]
     assert calls["terms", "in a gradient"] == 0
@@ -383,10 +377,10 @@ def test_position_ascent_stops_where_no_step_advances():
     ref = reference_positions(ws, start, state.coefficients, prec,
                               cfg.noise_power_w, ASCENT)
     assert ref[2] == "advance"
-    got = _ascend_positions(ws, start, state.coefficients, prec, cfg.noise_power_w,
+    got = _ascend_positions(ws, start[None], state.coefficients, prec, cfg.noise_power_w,
                             ASCENT)
     assert_same_ascent(got, ref)
-    assert np.array_equal(got[0], start)
+    assert np.array_equal(got[0][0], start)
 
 
 def test_ascent_that_exhausts_the_ladder_matches_reference(rng, monkeypatch):
@@ -395,13 +389,67 @@ def test_ascent_that_exhausts_the_ladder_matches_reference(rng, monkeypatch):
     cfg, scen, ws, state, prec = instance(74, rng)
     monkeypatch.setattr(optim, "ARMIJO_C", 1e6)
     opts = OptimOptions(inner_grad_iters=5)
-    got = _ascend_patterns(ws, state.positions, state.coefficients, prec,
+    got = _ascend_patterns(ws, state.positions, state.coefficients[None], prec,
                            cfg.noise_power_w, opts)
     ref = reference_patterns(ws, state.positions, state.coefficients, prec,
                              cfg.noise_power_w, opts)
     assert ref[2] == "ladder"
     assert_same_ascent(got, ref)
-    assert np.array_equal(got[0], state.coefficients)
+    assert np.array_equal(got[0][0], state.coefficients)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 4])
+@pytest.mark.parametrize("block", ["positions", "patterns"])
+@pytest.mark.parametrize("size", list(SIZES))
+def test_lockstep_slots_match_sequential_references(size, block, slots, rng):
+    # A block's restarts run as the slots of one ascent: restart 0 from the
+    # state, the others from random feasible starts. Each slot must end where
+    # the sequential reference ends from its start, bit for bit, and the
+    # caller's stack of starts must come back untouched.
+    cfg, scen, ws, state, prec = instance(78, rng, **SIZES[size])
+    noise = cfg.noise_power_w
+    others = [random_feasible_state(scen, rng, scheme="MARA") for _ in range(slots - 1)]
+    if block == "positions":
+        starts = np.stack([state.positions] + [o.positions for o in others])
+        given = starts.copy()
+        got = _ascend_positions(ws, starts, state.coefficients, prec, noise, ASCENT)
+        refs = [reference_positions(ws, start, state.coefficients, prec, noise, ASCENT)
+                for start in given]
+    else:
+        starts = np.stack([state.coefficients] + [o.coefficients for o in others])
+        given = starts.copy()
+        got = _ascend_patterns(ws, state.positions, starts, prec, noise, ASCENT)
+        refs = [reference_patterns(ws, state.positions, start, prec, noise, ASCENT)
+                for start in given]
+    assert np.array_equal(starts, given)
+    assert got[0].shape == starts.shape and len(got[1]) == slots
+    for slot, ref in enumerate(refs):
+        assert_same_ascent(got, ref, slot)
+
+
+@pytest.mark.parametrize("armijo, reasons", [
+    (optim.ARMIJO_C, ["advance", "gradient", "tolerance", "tolerance"]),
+    (1e6, ["advance", "gradient", "ladder", "tolerance"])], ids=["armijo-1e-4", "armijo-1e6"])
+def test_lockstep_slots_that_stop_for_different_reasons(armijo, reasons, monkeypatch):
+    # On the two-path axis, a slot at x = -r has no advancing step, one at the
+    # phase-alignment optimum x = delta no direction, and one just off it gains
+    # less than tol_rel; with ARMIJO_C = 1e6 no step passes from x = 0.2 r, so
+    # its slot exhausts the ladder. The slots leave the stack at different steps.
+    scen, delta, *_ = two_path_axis_scenario()
+    cfg = scen.config
+    ws = ChannelWorkspace(scen)
+    state = initial_state(scen, "SMA")
+    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    r = cfg.movement_radius
+    starts = np.array([[[x, 0.0, 0.0]] for x in (-r, delta, 0.2 * r, delta + 1e-12)])
+    monkeypatch.setattr(optim, "ARMIJO_C", armijo)
+    refs = [reference_positions(ws, start, state.coefficients, prec, cfg.noise_power_w,
+                                ASCENT) for start in starts]
+    assert [ref[2] for ref in refs] == reasons
+    got = _ascend_positions(ws, starts, state.coefficients, prec, cfg.noise_power_w,
+                            ASCENT)
+    for slot, ref in enumerate(refs):
+        assert_same_ascent(got, ref, slot)
 
 
 def test_ladder_equals_sequential_halving_bitwise():

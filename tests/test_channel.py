@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from mara_sim.scenario import PathSet, generate_scenario
 from mara_sim.shod import build_basis, build_omega, departure_angles
 from mara_sim.channel import (AntennaState, ChannelWorkspace, initial_state,
                               project_to_movement_region, validate_state)
-from mara_sim.checks import ecsi, path_gains, rx_steering, tx_steering
+from mara_sim.checks import ecsi
+from mara_sim.optim import _grad_patterns_all, _grad_positions_all, digital_precoder
+from mara_sim.se import effective_channel, sinr_terms
 
 from conftest import channel, make_config, random_feasible_state
 from reference_forms import pattern_gain
@@ -38,6 +41,30 @@ def direct_channel_sum(ps, basis, alpha, p, q, f, lam):
         phase *= cmath.exp(-1j * (2 * math.pi / lam) * float(ps.rx_wave_vectors[i] @ q))
         total += x * f_tx * phase
     return total
+
+
+def path_terms(ps, position, ue_position, frequency_hz, wavelength):
+    """ecsi read through omega = I: per path, the product a * x * b of the receive
+    steering factor, the delay-adjusted gain and the transmit steering factor."""
+    return np.conj(ecsi(ps, np.eye(ps.num_paths), position, ue_position, frequency_hz,
+                        wavelength))
+
+
+def tx_steering(ps, position, wavelength):
+    """ecsi's transmit steering factors: unit gains, the UE at the origin, f = 0."""
+    unit = replace(ps, gains=np.ones(ps.num_paths))
+    return path_terms(unit, position, np.zeros(3), 0.0, wavelength)
+
+
+def rx_steering(ps, ue_position, wavelength):
+    """ecsi's receive steering factors: unit gains, the antenna at the origin, f = 0."""
+    unit = replace(ps, gains=np.ones(ps.num_paths))
+    return path_terms(unit, np.zeros(3), ue_position, 0.0, wavelength)
+
+
+def path_gains(ps, frequency_hz):
+    """ecsi's delay-adjusted path gains: the antenna and the UE at the origin."""
+    return path_terms(ps, np.zeros(3), np.zeros(3), frequency_hz, 0.1)
 
 
 def test_tx_steering_zero_position(rng):
@@ -249,11 +276,16 @@ def test_validate_state_rejects_non_finite(rng, scheme, name, index):
         validate_state(scen, state)
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(num_ues=2, num_bs_antennas=4, num_subcarriers=8, num_paths_per_ue=6),
-    dict(num_ues=4, num_bs_antennas=8, num_subcarriers=32, num_paths_per_ue=12,
-         shod_max_degree=3),
-    dict(num_ues=1, num_bs_antennas=4, num_subcarriers=8)], ids=["reference", "large", "one-UE"])
+# The reference cell's size, the large-array benchmark's, and one UE.
+SIZES = {
+    "reference": dict(num_ues=2, num_bs_antennas=4, num_subcarriers=8, num_paths_per_ue=6),
+    "large": dict(num_ues=4, num_bs_antennas=8, num_subcarriers=32, num_paths_per_ue=12,
+                  shod_max_degree=3),
+    "one-UE": dict(num_ues=1, num_bs_antennas=4, num_subcarriers=8),
+}
+
+
+@pytest.mark.parametrize("overrides", SIZES.values(), ids=list(SIZES))
 def test_stacked_tensor_equals_per_slice_calls_bitwise(overrides, rng):
     # The line search scores stacked candidates and a block's start scores one
     # slice; monotone traces and exact nesting rest on the two agreeing bitwise.
@@ -271,6 +303,36 @@ def test_stacked_tensor_equals_per_slice_calls_bitwise(overrides, rng):
                           [ws.tensor(ws.phases(p), pattern) for p in positions])
     assert np.array_equal(ws.tensor(phases, stacked_pattern),
                           [ws.tensor(phases, ws.patterns(c)) for c in coefficients])
+
+
+@pytest.mark.parametrize("overrides", SIZES.values(), ids=list(SIZES))
+def test_stacked_gradients_equal_per_slice_calls_bitwise(overrides, rng):
+    # The lockstep ascent takes every live restart's gradient in one call on
+    # the slot stack; each slot must equal its own unstacked call bit for bit.
+    cfg = make_config(seed=12, **overrides)
+    ws = ChannelWorkspace(generate_scenario(cfg))
+    states = [random_feasible_state(ws, rng) for _ in range(4)]
+    fixed = states[0]
+    prec = digital_precoder(ws.state_tensor(fixed), cfg.total_power_w, cfg.noise_power_w)
+
+    def terms(phases, pattern):
+        gains = effective_channel(ws.tensor(phases, pattern), prec.w)
+        return (gains, *sinr_terms(gains, cfg.noise_power_w))
+
+    pattern, phases = ws.patterns(fixed.coefficients), ws.phases(fixed.positions)
+    for width in (1, 2, 4):
+        positions = np.stack([s.positions for s in states[:width]])
+        stacked = ws.phases(positions)
+        assert np.array_equal(
+            _grad_positions_all(ws, stacked, pattern, *terms(stacked, pattern), prec),
+            [_grad_positions_all(ws, ws.phases(p), pattern,
+                                 *terms(ws.phases(p), pattern), prec) for p in positions])
+        coefficients = np.stack([s.coefficients for s in states[:width]])
+        stacked = ws.patterns(coefficients)
+        assert np.array_equal(
+            _grad_patterns_all(ws, phases, *terms(phases, stacked), prec),
+            [_grad_patterns_all(ws, phases, *terms(phases, ws.patterns(c)), prec)
+             for c in coefficients])
 
 
 def test_factorization_exactness_random_entries(rng):

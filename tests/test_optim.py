@@ -461,13 +461,13 @@ def quadratic_searches(curvature, linear, start, t0, iters=6):
     def objective(x):
         return (x @ b - 0.5 * (a * x * x).sum(axis=-1),)
 
-    def propose(x, d, t):
-        if not searches or not np.array_equal(searches[-1][0], x):
-            searches.append((x.copy(), d.copy(), float(t[0])))
-        return x + t[:, None] * d, t * float((d * d).sum())
+    def propose(x, d, t):  # one slot: x and d (1, n), the steps t (1, chunk)
+        if not searches or not np.array_equal(searches[-1][0], x[0]):
+            searches.append((x[0].copy(), d[0].copy(), float(t[0, 0])))
+        return x[:, None] + t[..., None] * d[:, None], t * (d * d).sum(axis=-1)[:, None]
 
-    optim._ascend(np.asarray(start, float), t0, lambda x: b - a * x, propose, objective,
-                  OptimOptions(inner_grad_iters=iters, tol_rel=1e-12))
+    optim._ascend(np.asarray(start, float)[None], t0, lambda x: b - a * x, propose,
+                  objective, OptimOptions(inner_grad_iters=iters, tol_rel=1e-12))
     return searches
 
 

@@ -37,7 +37,7 @@ def configs(draw, ues=3, paths=4, subcarriers=6, degree=2):
 
 
 options = st.builds(OptimOptions, max_outer_iters=st.integers(1, 2),
-                    inner_grad_iters=st.integers(0, 8), restarts=st.integers(0, 2),
+                    inner_grad_iters=st.integers(0, 8), restarts=st.integers(0, 4),
                     tol_rel=st.sampled_from([1e-8, 1e-4, 1e-2]),
                     seed=st.integers(0, 100))
 

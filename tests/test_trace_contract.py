@@ -3,11 +3,14 @@ resolve, and the engine must still call through every one of them."""
 
 import importlib
 import importlib.util
+import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from mara_sim import optim
 from mara_sim.harness import reference_experiment, run_experiment
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -22,11 +25,20 @@ def _tracing():
 
 tracing = _tracing()
 
-# The first reference cell's work counters: a change in the work a cell does
-# fails here, whatever the machine's timings.
-FIRST_REFERENCE_CELL_WORK = {"forward_evals": 343, "tensor_evals": 343, "grad_evals": 268,
-                             "ls_candidates": 294, "precoders": 17, "workspaces": 1,
+# The first reference cell's traced call counts, whatever the machine's timings.
+# A block's restarts share each call, so these count calls; the rows below count work.
+FIRST_REFERENCE_CELL_WORK = {"forward_evals": 238, "tensor_evals": 238, "grad_evals": 181,
+                             "ls_candidates": 205, "precoders": 17, "workspaces": 1,
                              "bases": 1}
+
+# The rows those calls score: every point and candidate the first reference cell
+# evaluates, and every point it takes a gradient at.
+FIRST_REFERENCE_CELL_ROWS = {"scored": 793, "gradient": 268}
+
+
+def first_reference_cell():
+    spec = reference_experiment()
+    return replace(spec, seeds=spec.seeds[:1], sweep=(spec.sweep[0], spec.sweep[1][:1]))
 
 
 @pytest.mark.parametrize("name, module, attribute", tracing.LAYERS)
@@ -41,8 +53,7 @@ def test_traced_call_site_resolves(name, module, attribute):
 def test_reference_cell_reaches_every_traced_layer():
     # A call that bypasses a patched module attribute would read 0 calls
     # here, and zero the benchmark's work counters for that layer.
-    spec = reference_experiment()
-    cell = replace(spec, seeds=spec.seeds[:1], sweep=(spec.sweep[0], spec.sweep[1][:1]))
+    cell = first_reference_cell()
     counters = []
     for _ in range(2):
         tracer = tracing.Tracer()
@@ -55,3 +66,23 @@ def test_reference_cell_reaches_every_traced_layer():
         counters.append([tracing.work_counters(counts) for _, _, counts in tracer.cells])
     assert counters[0] == counters[1] == [FIRST_REFERENCE_CELL_WORK]
 
+
+
+def test_reference_cell_scores_the_same_rows_in_shared_calls(monkeypatch):
+    # Each SE call's terms (..., G, U) and each gradient's `rest` carry one row
+    # per point; the lockstep restarts make fewer calls over the same rows.
+    calls, rows = Counter(), Counter()
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            rows[key] += math.prod(args[-1 if key == "scored" else -2].shape[:-2])
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(optim, "sum_se_arrays", counted("scored", optim.sum_se_arrays))
+    for name in ("_grad_positions_all", "_grad_patterns_all"):
+        monkeypatch.setattr(optim, name, counted("gradient", getattr(optim, name)))
+    assert all(row.ok for row in run_experiment(first_reference_cell()))
+    assert rows == FIRST_REFERENCE_CELL_ROWS
+    assert calls["scored"] < rows["scored"] and calls["gradient"] < rows["gradient"]
