@@ -198,7 +198,13 @@ def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders, m: int
 
 
 def _rel_err(a, b) -> float:
-    return float(np.linalg.norm(a - b) / np.maximum(np.linalg.norm(b), 1e-300))
+    return float(_norm(a - b) / np.maximum(_norm(b), 1e-300))
+
+
+def _norm(v):
+    """The 2-norm of v at an exact power-of-two scale, so no square overflows."""
+    exponent = np.frexp(np.max(np.abs(v)))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -exponent)), exponent)
 
 
 def _gap(best, achieved) -> float:

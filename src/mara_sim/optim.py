@@ -39,11 +39,19 @@ ARMIJO_C = 1e-4
 POSITION_STEP = 1e-2
 PATTERN_STEP = 1e-1
 # Backtracking multipliers 2^-k, every one above 1e-14; halving is exact, so
-# t * LADDER equals t halved k times. Most searches accept the spectral step
-# (see `_ascend`) at k = 0, and the first accepted step ends a search, so the
-# line search scores chunks of 2, 8 and 37 steps, one chunk per call.
+# t * LADDER equals t halved k times. The line search scores the ladder in
+# chunks, one call per chunk, and the first accepted step ends a search. Most
+# later searches accept the spectral step (see `_ascend`) at k = 0. Below
+# WIDE_ROW entries in one scored row (U*M*G*L) a row costs less than a call,
+# and every search scores chunks of 2, 8 and 37 steps. From WIDE_ROW on a row
+# costs more, so each search scores its first step alone; an opening search,
+# from t0, where positions mostly backtrack 3-6 times, then scores 4 at once.
 LADDER = 0.5 ** np.arange(47)
-LADDER_CHUNKS = ((0, 2), (2, 10), (10, 47))
+WIDE_ROW = 2048
+LADDER_CHUNKS = {  # (an ascent's opening search, its later searches), by wide rows
+    False: (((0, 2), (2, 10), (10, 47)),) * 2,
+    True: (((0, 1), (1, 5), (5, 12), (12, 47)), ((0, 1), (1, 3), (3, 10), (10, 47))),
+}
 SPECTRAL_CLAMP = (2.0 ** -46, 2.0 ** 10)
 # The schemes whose solutions warm-start each scheme: the best of them is the
 # start point, so every scheme's SE dominates its sources' (scheme nesting).
@@ -184,19 +192,19 @@ def _grad_patterns_all(ws: ChannelWorkspace, phases: np.ndarray, gains: np.ndarr
     return 2.0 * np.add.reduce(np.real(phases * sens) @ ws.omega, -3)
 
 
-def _line_search(steps, rows, x, d, propose, objective, f, into):
+def _line_search(steps, chunks, rows, x, d, propose, objective, f, into):
     """For each searching row of the slot stacks x and d, the first step of its ladder
     steps[row] (t * LADDER), in order, whose candidate passes the Armijo test.
 
     propose(x, d, t) returns each row's candidates for its steps t (rows, steps, ...)
     and the ascent each promises; a row's first step promising none ends its search.
-    objective scores every searching row's candidates in one call per chunk of
-    LADDER_CHUNKS, with the stacked arrays the next direction takes; an accepted
+    objective scores every searching row's candidates in one call per (start, end)
+    of chunks, with the stacked arrays the next direction takes; an accepted
     candidate and its slices of those go to its row of the buffers `into`. Returns
     each row's accepted SE, or None.
     """
     found = [None] * len(x)
-    for start, end in LADDER_CHUNKS:
+    for start, end in chunks:
         if not rows:
             break
         pick = slice(None) if len(rows) == len(x) else rows
@@ -225,7 +233,7 @@ def _line_search(steps, rows, x, d, propose, objective, f, into):
     return found
 
 
-def _ascend(x, t0, direction, propose, objective, opts):
+def _ascend(x, t0, chunks, direction, propose, objective, opts):
     """Armijo ascent from each start of the stack x, shared by positions and patterns.
 
     The starts advance in lockstep as slots of one stack, in buffers the ascent owns,
@@ -236,8 +244,9 @@ def _ascend(x, t0, direction, propose, objective, opts):
     from the spectral step t = s.s / |s.y| of its last move s and direction change y
     (Barzilai & Borwein, IMA J. Numer. Anal. 8(1), 1988; Birgin, Martinez & Raydan,
     SIAM J. Optim. 10(4), 2000), clamped to t0 * SPECTRAL_CLAMP, or t0 when s.y = 0.
-    A slot leaves the stack when its direction vanishes, no step is accepted, or its
-    gain drops below tol_rel. Returns (points, SE at each) in slot order.
+    chunks holds the opening and the later searches' chunks (LADDER_CHUNKS). A slot
+    leaves the stack when its direction vanishes, no step is accepted, or its gain
+    drops below tol_rel. Returns (points, SE at each) in slot order.
     """
     lo, hi = t0 * SPECTRAL_CLAMP[0], t0 * SPECTRAL_CLAMP[1]
     axes = tuple(range(1, x.ndim))
@@ -256,8 +265,8 @@ def _ascend(x, t0, direction, propose, objective, opts):
             ss = np.add.reduce(s * s, axes).tolist()
             t = [min(max(a / abs(b), lo), hi) if b else t0 for a, b in zip(ss, sy)]
         x_prev, x = x, x_prev
-        found = _line_search(np.multiply.outer(t, LADDER), rows, x_prev, d, propose,
-                             objective, f, (x, *at))
+        found = _line_search(np.multiply.outer(t, LADDER), chunks[bool(i)], rows, x_prev,
+                             d, propose, objective, f, (x, *at))
         keep = []
         for r, value in enumerate(found):
             if value is not None:
@@ -297,8 +306,8 @@ def _ascend_positions(ws, starts, coefficients, precoders, noise_power, opts):
             ws, positions[:, None] + t[..., None, None] * grad[:, None])
         return cands, np.add.reduce(grad[:, None] * (cands - positions[:, None]), (-2, -1))
 
-    return _ascend(starts, POSITION_STEP * ws.config.antenna_spacing, direction, propose,
-                   objective, opts)
+    return _ascend(starts, POSITION_STEP * ws.config.antenna_spacing, _ladder_chunks(ws),
+                   direction, propose, objective, opts)
 
 
 def _ascend_patterns(ws, positions, starts, precoders, noise_power, opts):
@@ -320,7 +329,13 @@ def _ascend_patterns(ws, positions, starts, precoders, noise_power, opts):
         cands /= np.sqrt(np.add.reduce(cands * cands, -1, keepdims=True))
         return cands, t * np.add.reduce(tangent * tangent, (-2, -1))[:, None]
 
-    return _ascend(starts, PATTERN_STEP, direction, propose, objective, opts)
+    return _ascend(starts, PATTERN_STEP, _ladder_chunks(ws), direction, propose, objective,
+                   opts)
+
+
+def _ladder_chunks(ws):
+    """LADDER_CHUNKS for the width of one scored row of ws, U*M*G*L entries."""
+    return LADDER_CHUNKS[ws.env.size * ws.config.num_bs_antennas >= WIDE_ROW]
 
 
 def _best_of_restarts(start, draw, ascend, opts):

@@ -263,8 +263,8 @@ def test_gradient_from_accepted_slice_equals_fresh_gradient_bitwise(size, block,
     noise = cfg.noise_power_w
     accepted = []
 
-    def recording(steps, rows, x, d, propose, objective, f, into):
-        found = line_search(steps, rows, x, d, propose, objective, f, into)
+    def recording(steps, chunks, rows, x, d, propose, objective, f, into):
+        found = line_search(steps, chunks, rows, x, d, propose, objective, f, into)
         accepted.extend((into[0][r].copy(), value, [a[r].copy() for a in into[1:]])
                         for r, value in enumerate(found) if value is not None)
         return found
@@ -462,5 +462,10 @@ def test_ladder_equals_sequential_halving_bitwise():
         while steps[-1] * 0.5 > 1e-14 * t0:
             steps.append(steps[-1] * 0.5)
         assert (t0 * optim.LADDER).tolist() == steps
-    bounds = [i for start, end in optim.LADDER_CHUNKS for i in range(start, end)]
-    assert bounds == list(range(optim.LADDER.size))
+    # Every schedule, the opening and the later searches' at either row width,
+    # scores each ladder step once, in ladder order.
+    for schedule in optim.LADDER_CHUNKS.values():
+        for chunks in schedule:
+            bounds = [i for start, end in chunks for i in range(start, end)]
+            assert bounds == list(range(optim.LADDER.size))
+            assert all(start < end for start, end in chunks)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ def test_fd_gradient_of_quadratic(rng):
     grad = checks.fd_gradient(lambda y: float(np.sum(c * y * y)), x, 1, 1e-4)
     assert np.max(np.abs(grad - 2 * c[1] * x[1])) < 1e-9
     assert np.array_equal(x, before)
+
+
+def test_relative_error_of_huge_vectors_does_not_overflow(rng):
+    # Gradients at extreme power or noise reach 1e286; the norms' squares would
+    # overflow. Scaling by an exact power of two leaves the error as it is.
+    a, b = rng.standard_normal(3), rng.standard_normal(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert checks._rel_err(a * 2.0 ** 600, b * 2.0 ** 600) == checks._rel_err(a, b)
+        assert checks._rel_err(a, b) == float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
 @pytest.mark.parametrize("seed, degree, antennas", [(0, 2, 3), (1, 0, 2), (2, 3, 4)])

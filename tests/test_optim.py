@@ -466,8 +466,9 @@ def quadratic_searches(curvature, linear, start, t0, iters=6):
             searches.append((x[0].copy(), d[0].copy(), float(t[0, 0])))
         return x[:, None] + t[..., None] * d[:, None], t * (d * d).sum(axis=-1)[:, None]
 
-    optim._ascend(np.asarray(start, float)[None], t0, lambda x: b - a * x, propose,
-                  objective, OptimOptions(inner_grad_iters=iters, tol_rel=1e-12))
+    optim._ascend(np.asarray(start, float)[None], t0, optim.LADDER_CHUNKS[False],
+                  lambda x: b - a * x, propose, objective,
+                  OptimOptions(inner_grad_iters=iters, tol_rel=1e-12))
     return searches
 
 

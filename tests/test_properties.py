@@ -7,15 +7,18 @@ but the power budget, which water-filling rescales to its total in floating poin
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mara_sim.scenario import SCHEME_ORDER, generate_scenario
 from mara_sim.channel import ChannelWorkspace, validate_state
-from mara_sim.optim import (WARM_STARTS, OptimOptions, alternating_optimize,
-                            optimize_patterns, optimize_positions)
+from mara_sim.optim import (WARM_STARTS, WIDE_ROW, OptimOptions, _ascend_patterns,
+                            _ascend_positions, alternating_optimize, optimize_patterns,
+                            optimize_positions)
 
 from conftest import make_config, random_feasible_state, sum_se
 from reference_forms import mrt_precoder
+from test_batched import reference_patterns, reference_positions
 
 powers = st.floats(-6.0, 3.0).map(lambda exponent: 10.0 ** exponent)  # W, log-uniform
 
@@ -68,3 +71,49 @@ def test_a_blocks_returned_se_is_its_states_se(cfg, opts, state_seed):
     for optimize in (optimize_positions, optimize_patterns):
         out, se = optimize(ws, state, prec, opts)
         assert se == sum_se(ws.state_tensor(out), prec.w, cfg.noise_power_w)
+
+
+@st.composite
+def ascent_configs(draw, wide):
+    # Rows of U*M*G*L entries below WIDE_ROW, where the line search's chunks
+    # change, or from it on: G is drawn last, on the side asked for.
+    num_ues = draw(st.integers(1, 4))
+    antennas = draw(st.integers(num_ues, 8))
+    paths = draw(st.integers(1, 12))
+    others = num_ues * antennas * paths
+    assume(not wide or others * 32 >= WIDE_ROW)
+    subcarriers = draw(st.integers(-(-WIDE_ROW // others), 32) if wide
+                       else st.integers(1, min(32, (WIDE_ROW - 1) // others)))
+    cfg = make_config(num_ues=num_ues, num_bs_antennas=antennas, num_paths_per_ue=paths,
+                      num_subcarriers=subcarriers, shod_max_degree=draw(st.integers(0, 3)),
+                      seed=draw(st.integers(0, 99)))
+    ws = ChannelWorkspace(generate_scenario(cfg))
+    assert (ws.env.size * antennas >= WIDE_ROW) == wide
+    return ws
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow-rows", "wide-rows"])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), slots=st.integers(1, 4), iters=st.integers(1, 10),
+       state_seed=st.integers(0, 2 ** 16))
+def test_each_slot_ascends_as_the_sequential_reference(wide, data, slots, iters,
+                                                       state_seed):
+    # Whatever chunks the line search scores, each slot takes the steps the
+    # one-candidate-at-a-time reference takes from its start, bit for bit.
+    ws = data.draw(ascent_configs(wide))
+    cfg, rng = ws.config, np.random.default_rng(state_seed)
+    states = [random_feasible_state(ws, rng, "MARA") for _ in range(slots)]
+    state, noise = states[0], cfg.noise_power_w
+    prec = mrt_precoder(ws.state_tensor(state), cfg.total_power_w)
+    opts = OptimOptions(inner_grad_iters=iters, tol_rel=1e-8)
+    positions = np.stack([s.positions for s in states])
+    coefficients = np.stack([s.coefficients for s in states])
+    for (points, values), refs in (
+            (_ascend_positions(ws, positions, state.coefficients, prec, noise, opts),
+             [reference_positions(ws, p, state.coefficients, prec, noise, opts)
+              for p in positions]),
+            (_ascend_patterns(ws, state.positions, coefficients, prec, noise, opts),
+             [reference_patterns(ws, state.positions, c, prec, noise, opts)
+              for c in coefficients])):
+        for slot, (point, f, _) in enumerate(refs):
+            assert np.array_equal(points[slot], point) and values[slot] == f

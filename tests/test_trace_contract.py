@@ -35,10 +35,22 @@ FIRST_REFERENCE_CELL_WORK = {"forward_evals": 238, "tensor_evals": 238, "grad_ev
 # evaluates, and every point it takes a gradient at.
 FIRST_REFERENCE_CELL_ROWS = {"scored": 793, "gradient": 268}
 
+# The same cell at the benchmark's large_array size, U*M*G*L = 12,288, where the
+# line search scores each search's first step alone: its SE calls and rows.
+FIRST_LARGE_CELL_CALLS = {"scored": 217, "gradient": 151}
+FIRST_LARGE_CELL_ROWS = {"scored": 420, "gradient": 230}
+LARGE_ARRAY = dict(num_subcarriers=32, num_bs_antennas=8, num_ues=4, num_paths_per_ue=12,
+                   shod_max_degree=3)
+
 
 def first_reference_cell():
     spec = reference_experiment()
     return replace(spec, seeds=spec.seeds[:1], sweep=(spec.sweep[0], spec.sweep[1][:1]))
+
+
+def first_large_cell():
+    cell = first_reference_cell()
+    return replace(cell, base=replace(cell.base, **LARGE_ARRAY))
 
 
 @pytest.mark.parametrize("name, module, attribute", tracing.LAYERS)
@@ -68,9 +80,9 @@ def test_reference_cell_reaches_every_traced_layer():
 
 
 
-def test_reference_cell_scores_the_same_rows_in_shared_calls(monkeypatch):
+def rows_and_calls(cell, monkeypatch):
     # Each SE call's terms (..., G, U) and each gradient's `rest` carry one row
-    # per point; the lockstep restarts make fewer calls over the same rows.
+    # per point.
     calls, rows = Counter(), Counter()
 
     def counted(key, fn):
@@ -83,6 +95,21 @@ def test_reference_cell_scores_the_same_rows_in_shared_calls(monkeypatch):
     monkeypatch.setattr(optim, "sum_se_arrays", counted("scored", optim.sum_se_arrays))
     for name in ("_grad_positions_all", "_grad_patterns_all"):
         monkeypatch.setattr(optim, name, counted("gradient", getattr(optim, name)))
-    assert all(row.ok for row in run_experiment(first_reference_cell()))
+    assert all(row.ok for row in run_experiment(cell))
+    return dict(rows), dict(calls)
+
+
+def test_reference_cell_scores_the_same_rows_in_shared_calls(monkeypatch):
+    # The lockstep restarts make fewer calls over the same rows.
+    rows, calls = rows_and_calls(first_reference_cell(), monkeypatch)
     assert rows == FIRST_REFERENCE_CELL_ROWS
+    assert calls == {"scored": FIRST_REFERENCE_CELL_WORK["forward_evals"],
+                     "gradient": FIRST_REFERENCE_CELL_WORK["grad_evals"]}
     assert calls["scored"] < rows["scored"] and calls["gradient"] < rows["gradient"]
+
+
+def test_large_cell_scores_its_pinned_rows(monkeypatch):
+    # Rows this wide cost more than a call, so each search scores its first
+    # step alone and makes more calls over fewer rows.
+    assert rows_and_calls(first_large_cell(), monkeypatch) == (FIRST_LARGE_CELL_ROWS,
+                                                               FIRST_LARGE_CELL_CALLS)
