@@ -15,7 +15,7 @@ SMA/ERA take the TFA solution and MARA the better of the SMA and ERA ones, as th
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -287,103 +287,110 @@ def _ascend(x, t0, chunks, direction, propose, objective, opts):
     return points, values
 
 
+def _tangent(ws, phases, coefficients, *terms):
+    """The part of the pattern gradient tangent to the unit spheres at coefficients."""
+    grad = _grad_patterns_all(ws, phases, *terms)
+    return grad - np.add.reduce(grad * coefficients, -1, keepdims=True) * coefficients
+
+
+# One record per DoF block, read by `_optimize_block` and `_ascend_block`. At a stack x
+# and the path factor `fixed` the block holds, channel(ws, fixed, x) is the stacks that
+# direction(ws, fixed, x, *stacks, gains, signal, rest, precoders) takes, then the
+# tensor; retract(ws, steps) pulls steps onto the feasible set, and advance(x, d, t,
+# cands) is the ascent each candidate promises. ascend and direction call `_ascend_*`
+# and `_grad_*_all` through the module's globals, so a wrapper set there sees each call.
+_Block = make_dataclass("_Block", ["schemes", "noun", "field", "sample", "ascend",
+                                   "channel", "direction", "retract", "advance", "t0"])
+_POSITIONS = _Block(
+    schemes=MOVABLE_SCHEMES, noun="positions", field="positions",
+    sample=sample_movement_region,
+    ascend=lambda ws, state, x, *args: _ascend_positions(ws, x, state.coefficients, *args),
+    channel=lambda ws, pattern, x: (phases := ws.phases(x), ws.tensor(phases, pattern)),
+    direction=lambda ws, pattern, _, phases, *terms: _grad_positions_all(
+        ws, phases, pattern, *terms),
+    retract=project_to_movement_region,
+    advance=lambda x, d, t, c: np.add.reduce(d[:, None] * (c - x[:, None]), (-2, -1)),
+    t0=lambda ws: POSITION_STEP * ws.config.antenna_spacing)
+_PATTERNS = _Block(
+    schemes=RECONFIGURABLE_SCHEMES, noun="patterns", field="coefficients",
+    sample=lambda ws, rng: sample_unit_spheres(rng, (ws.config.num_bs_antennas,
+                                                     ws.basis.size)),
+    ascend=lambda ws, state, x, *args: _ascend_patterns(ws, state.positions, x, *args),
+    channel=lambda ws, phases, x: (ws.tensor(phases, ws.patterns(x)),),
+    direction=_tangent,
+    retract=lambda ws, c: np.divide(c, np.sqrt(np.add.reduce(c * c, -1, keepdims=True)), c),
+    advance=lambda x, d, t, c: t * np.add.reduce(d * d, (-2, -1))[:, None],
+    t0=lambda ws: PATTERN_STEP)
+
+
+def _ascend_block(ws, block, fixed, starts, precoders, noise_power, opts):
+    """`_ascend` of block from the stack starts, its path factor held at `fixed` and its
+    first step block.t0(ws); the chunks follow the width U*M*G*L of one scored row."""
+
+    def objective(cands):
+        *stacks, h = block.channel(ws, fixed, cands)
+        gains = effective_channel(h, precoders.w)
+        signal, rest = sinr_terms(gains, noise_power)
+        return sum_se_arrays(signal, rest), *stacks, gains, signal, rest
+
+    def propose(x, d, t):
+        cands = block.retract(ws, x[:, None] + t[..., None, None] * d[:, None])
+        return cands, block.advance(x, d, t, cands)
+
+    return _ascend(starts, block.t0(ws),
+                   LADDER_CHUNKS[ws.env.size * ws.config.num_bs_antennas >= WIDE_ROW],
+                   lambda x, *at: block.direction(ws, fixed, x, *at, precoders), propose,
+                   objective, opts)
+
+
 def _ascend_positions(ws, starts, coefficients, precoders, noise_power, opts):
     """Projected ascent over positions from the stack starts (R, M, 3): gradient
     steps clamped into the balls."""
-    pattern = ws.patterns(coefficients)  # fixed in this block, so built once
-
-    def objective(cands):
-        phases = ws.phases(cands)
-        gains = effective_channel(ws.tensor(phases, pattern), precoders.w)
-        signal, rest = sinr_terms(gains, noise_power)
-        return sum_se_arrays(signal, rest), phases, gains, signal, rest
-
-    def direction(positions, phases, gains, signal, rest):
-        return _grad_positions_all(ws, phases, pattern, gains, signal, rest, precoders)
-
-    def propose(positions, grad, t):
-        cands = project_to_movement_region(
-            ws, positions[:, None] + t[..., None, None] * grad[:, None])
-        return cands, np.add.reduce(grad[:, None] * (cands - positions[:, None]), (-2, -1))
-
-    return _ascend(starts, POSITION_STEP * ws.config.antenna_spacing, _ladder_chunks(ws),
-                   direction, propose, objective, opts)
+    return _ascend_block(ws, _POSITIONS, ws.patterns(coefficients), starts, precoders,
+                         noise_power, opts)
 
 
 def _ascend_patterns(ws, positions, starts, precoders, noise_power, opts):
     """Retracted ascent over patterns from the stack starts (R, M, K): tangent steps
     renormalised onto the spheres."""
-    phases = ws.phases(positions)  # fixed in this block, so built once
-
-    def objective(cands):
-        gains = effective_channel(ws.tensor(phases, ws.patterns(cands)), precoders.w)
-        signal, rest = sinr_terms(gains, noise_power)
-        return sum_se_arrays(signal, rest), gains, signal, rest
-
-    def direction(coefficients, gains, signal, rest):
-        grad = _grad_patterns_all(ws, phases, gains, signal, rest, precoders)
-        return grad - np.add.reduce(grad * coefficients, -1, keepdims=True) * coefficients
-
-    def propose(coefficients, tangent, t):
-        cands = coefficients[:, None] + t[..., None, None] * tangent[:, None]
-        cands /= np.sqrt(np.add.reduce(cands * cands, -1, keepdims=True))
-        return cands, t * np.add.reduce(tangent * tangent, (-2, -1))[:, None]
-
-    return _ascend(starts, PATTERN_STEP, _ladder_chunks(ws), direction, propose, objective,
-                   opts)
+    return _ascend_block(ws, _PATTERNS, ws.phases(positions), starts, precoders,
+                         noise_power, opts)
 
 
-def _ladder_chunks(ws):
-    """LADDER_CHUNKS for the width of one scored row of ws, U*M*G*L entries."""
-    return LADDER_CHUNKS[ws.env.size * ws.config.num_bs_antennas >= WIDE_ROW]
+def _optimize_block(ws, state, precoders, opts, block):
+    """Gradient ascent over one block of state; the best of seeded restarts.
 
-
-def _best_of_restarts(start, draw, ascend, opts):
-    """The best (x, f) over the restarts, run as the slots of one ascend(starts) call;
-    each slot ends where it would alone, so this is the best of sequential restarts.
-
-    Restart 0 starts from `start`, restart r > 0 from draw(rng) seeded opts.seed + r;
-    without inner iterations only restart 0 runs. Ties keep the earliest.
+    Rejects a scheme that pins the block (not in block.schemes) and checks the state
+    (`validate_state`). Restart 0 starts from the block's field as given, restart
+    r > 0 from block.sample seeded seed + r; without inner iterations only restart 0
+    runs. They run as the slots of one block.ascend call, each ending where it would
+    alone, so this is the best of sequential restarts; ties keep the earliest.
+    Returns (state, se): a copy of state with the best slot's field, and its SE under the
+    given precoders, never below the incoming one's, as a stacked SE call equals its
+    slices bitwise.
     """
+    if state.scheme not in block.schemes:
+        raise ContractError(f"{block.noun} are pinned for scheme {state.scheme!r}")
+    validate_state(ws, state)
     count = max(1, opts.restarts) if opts.inner_grad_iters else 1
-    starts = np.stack([start] + [draw(np.random.default_rng(opts.seed + r))
-                                 for r in range(1, count)])
-    points, values = ascend(starts)
+    starts = np.stack([getattr(state, block.field)] + [
+        block.sample(ws, np.random.default_rng(opts.seed + r)) for r in range(1, count)])
+    ends, values = block.ascend(ws, state, starts, precoders, ws.config.noise_power_w, opts)
     best = max(range(count), key=values.__getitem__)
-    return points[best], values[best]
+    return replace(state, **{block.field: ends[best]}).retagged(state.scheme), values[best]
 
 
 def optimize_positions(ws: ChannelWorkspace, state: AntennaState, precoders: PrecoderSet,
                        opts: OptimOptions = OptimOptions()) -> tuple[AntennaState, float]:
-    """Projected gradient ascent over antenna positions; best of seeded restarts.
-
-    Checks the incoming state (`validate_state`) and starts restart 0 from its
-    positions as given, restart r > 0 from random feasible ones seeded seed + r.
-    Returns (state, se): the SE of the returned state under the given precoders,
-    never below the incoming one's, as a stacked SE call equals its slices bitwise.
-    """
-    if state.scheme not in MOVABLE_SCHEMES:
-        raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
-    validate_state(ws, state)
-    best, se = _best_of_restarts(
-        state.positions, lambda rng: sample_movement_region(ws, rng),
-        lambda starts: _ascend_positions(ws, starts, state.coefficients, precoders,
-                                         ws.config.noise_power_w, opts), opts)
-    return AntennaState(best, state.coefficients.copy(), state.scheme), se
+    """Projected gradient ascent over antenna positions (`_optimize_block`)."""
+    return _optimize_block(ws, state, precoders, opts, _POSITIONS)
 
 
 def optimize_patterns(ws: ChannelWorkspace, state: AntennaState, precoders: PrecoderSet,
                       opts: OptimOptions = OptimOptions()) -> tuple[AntennaState, float]:
-    """Retracted gradient ascent over per-antenna unit-sphere pattern coefficients;
-    checks, starts and returns like `optimize_positions`."""
-    if state.scheme not in RECONFIGURABLE_SCHEMES:
-        raise ContractError(f"patterns are pinned for scheme {state.scheme!r}")
-    validate_state(ws, state)
-    best, se = _best_of_restarts(
-        state.coefficients, lambda rng: sample_unit_spheres(rng, state.coefficients.shape),
-        lambda starts: _ascend_patterns(ws, state.positions, starts, precoders,
-                                        ws.config.noise_power_w, opts), opts)
-    return AntennaState(state.positions.copy(), best, state.scheme), se
+    """Retracted gradient ascent over per-antenna unit-sphere pattern coefficients
+    (`_optimize_block`)."""
+    return _optimize_block(ws, state, precoders, opts, _PATTERNS)
 
 
 def alternating_optimize(ws: ChannelWorkspace, scheme: str,
@@ -403,49 +410,41 @@ def alternating_optimize(ws: ChannelWorkspace, scheme: str,
 
 
 def _optimize_scheme(ws, scheme, opts, warm):
-    if scheme == "TFA":
-        cfg = ws.config
-        state = initial_state(ws, "TFA")
-        h = ws.state_tensor(state)
-        precoders = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
-        se = sum_se_arrays(*sinr_terms(effective_channel(h, precoders.w), cfg.noise_power_w))
-        return OptimResult(state, precoders, [se], True)
-
+    """Solve scheme from the best of its warm starts, computing missing ones into warm.
+    TFA has none and moves no block: it is the nominal array under its ZF precoder.
+    After each block ascent, which scored the current precoder, the ZF precoder
+    re-derived at the new state is scored and kept only if the SE rises; at a singular
+    channel the current precoder stays."""
     for source in WARM_STARTS[scheme]:
         if source not in warm:
             warm[source] = _optimize_scheme(ws, source, opts, warm)
-    base = max((warm[source] for source in WARM_STARTS[scheme]), key=lambda r: r.se)
-    state, precoders, current = base.state.retagged(scheme), base.precoders, base.se
+    if WARM_STARTS[scheme]:
+        base = max((warm[source] for source in WARM_STARTS[scheme]), key=lambda r: r.se)
+        state, precoders, current = base.state.retagged(scheme), base.precoders, base.se
+    else:
+        state = initial_state(ws, scheme)
+        precoders, current = _zero_forcing(ws, state)
+    blocks = [block for block in (_POSITIONS, _PATTERNS) if scheme in block.schemes]
     trace: list[float] = []
     for _ in range(opts.max_outer_iters):
         before = current
-        if scheme in MOVABLE_SCHEMES:
-            state, current = optimize_positions(ws, state, precoders, opts)
-            precoders, current = _accept_precoder(ws, state, precoders, current)
-        if scheme in RECONFIGURABLE_SCHEMES:
-            state, current = optimize_patterns(ws, state, precoders, opts)
-            precoders, current = _accept_precoder(ws, state, precoders, current)
+        for block in blocks:
+            state, current = _optimize_block(ws, state, precoders, opts, block)
+            try:
+                candidate, se = _zero_forcing(ws, state)
+            except SingularChannelError:
+                continue
+            if se > current:
+                precoders, current = candidate, se
         trace.append(current)
         if current - before < opts.tol_rel * max(abs(before), 1e-12):
             return OptimResult(state, precoders, trace, True)
     return OptimResult(state, precoders, trace, False)
 
 
-def _accept_precoder(ws, state, precoders, current):
-    """Re-derive the ZF precoder at `state` and keep it only if the objective rises.
-
-    `current` is the SE of `precoders` at `state`, which the block ascent that
-    reached `state` already computed; only the ZF candidate is scored. Returns
-    (precoders, se) at `state`; a channel singular at `state` keeps `precoders`.
-    """
-    cfg = ws.config
-    h = ws.state_tensor(state)
-    try:
-        candidate = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
-    except SingularChannelError:
-        return precoders, current
-    se_candidate = sum_se_arrays(*sinr_terms(effective_channel(h, candidate.w),
-                                             cfg.noise_power_w))
-    if se_candidate > current:
-        return candidate, se_candidate
-    return precoders, current
+def _zero_forcing(ws, state):
+    """The ZF precoder at state (`digital_precoder`) and the SE it gives there."""
+    cfg, h = ws.config, ws.state_tensor(state)
+    precoders = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
+    return precoders, sum_se_arrays(*sinr_terms(effective_channel(h, precoders.w),
+                                                cfg.noise_power_w))
