@@ -7,7 +7,7 @@ from .scenario import (SCHEME_ORDER, PathSet, Scenario, SystemConfig,
                        generate_scenario, load_config, subcarrier_frequencies)
 from .shod import BasisSet, build_basis, build_omega
 from .channel import AntennaState, ChannelWorkspace, initial_state
-from .se import PrecoderSet, effective_channel, sinr_terms, sum_se_arrays
+from .se import PrecoderSet, effective_channel, sinr_terms, sum_se, sum_se_arrays
 from .optim import (OptimOptions, OptimResult, alternating_optimize, digital_precoder,
                     optimize_patterns, optimize_positions, water_fill)
 from .harness import (ExperimentSpec, ResultRow, emit_csv, iter_cells, reference_config,
@@ -17,7 +17,7 @@ __all__ = [
     "SCHEME_ORDER", "PathSet", "Scenario", "SystemConfig", "generate_scenario",
     "load_config", "subcarrier_frequencies", "BasisSet", "build_basis",
     "build_omega", "AntennaState", "ChannelWorkspace", "initial_state",
-    "PrecoderSet", "effective_channel", "sinr_terms", "sum_se_arrays",
+    "PrecoderSet", "effective_channel", "sinr_terms", "sum_se", "sum_se_arrays",
     "OptimOptions", "OptimResult", "alternating_optimize", "digital_precoder",
     "optimize_patterns", "optimize_positions", "water_fill",
     "ExperimentSpec", "ResultRow", "emit_csv", "iter_cells", "reference_config",

@@ -3,11 +3,11 @@
 The reference forms (`ecsi`, `brute_force_positions` and the basis quadratures
 `pattern_power` and `gram_matrix`) evaluate the model one entry at a time; the
 solver never calls them. Forms that only the tests use live under `tests/`.
-`se_gradient_positions` and `se_gradient_patterns` are not reference forms:
-they pick antenna m's row of the solver's own gradient kernels, which
-`gradient_errors` checks against `fd_gradient`. Each check returns the worst
-error it saw, and a NaN anywhere makes that worst error NaN, so it fails any
-`error < bound` test. Callers choose the instances, seeds, steps and bounds.
+`se_gradients` is not a reference form: it runs the solver's own gradient
+kernels at one state, which `gradient_errors` checks against `fd_gradient`.
+Each check returns the worst error it saw, and a NaN anywhere makes that worst
+error NaN, so it fails any `error < bound` test. Callers choose the instances,
+seeds, steps and bounds.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .channel import (MOVABLE_SCHEMES, AntennaState, ChannelWorkspace, initial_s
                       project_to_movement_region, sample_movement_region,
                       sample_unit_spheres)
 from .errors import ContractError, SizeLimitError
-from .optim import digital_precoder, optimize_patterns, optimize_positions
+from .optim import optimize_patterns, optimize_positions
 from .scenario import PathSet
-from .se import effective_channel, sinr_terms, sum_se_arrays
+from .se import sum_se
 from .shod import build_basis, build_omega
 
 _BRUTE_FORCE_GUARD = 10_000_000
@@ -67,22 +67,13 @@ def gram_matrix(basis) -> np.ndarray:
     return basis.node_values.T @ (basis.weights[:, None] * basis.node_values)
 
 
-def se_gradient_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
-                          m: int) -> np.ndarray:
-    """Analytic gradient of sum_se with respect to antenna m's position."""
+def se_gradients(ws: ChannelWorkspace, state: AntennaState, precoders):
+    """Analytic gradients of sum_se in every antenna position (M, 3) and pattern
+    coefficient (M, K), from the solver's one forward pass at state (`optim._scored`)."""
     phases, pattern = ws.phases(state.positions), ws.patterns(state.coefficients)
-    gains = effective_channel(ws.tensor(phases, pattern), precoders.w)
-    signal, rest = sinr_terms(gains, ws.config.noise_power_w)
-    return optim._grad_positions_all(ws, phases, pattern, gains, signal, rest, precoders)[m]
-
-
-def se_gradient_patterns(ws: ChannelWorkspace, state: AntennaState, precoders,
-                         m: int) -> np.ndarray:
-    """Euclidean gradient of sum_se with respect to antenna m's pattern coefficients."""
-    phases = ws.phases(state.positions)
-    gains = effective_channel(ws.tensor(phases, ws.patterns(state.coefficients)), precoders.w)
-    signal, rest = sinr_terms(gains, ws.config.noise_power_w)
-    return optim._grad_patterns_all(ws, phases, gains, signal, rest, precoders)[m]
+    _, *terms = optim._scored(ws.tensor(phases, pattern), precoders.w, ws.config.noise_power_w)
+    return (optim._grad_positions_all(ws, phases, pattern, *terms, precoders),
+            optim._grad_patterns_all(ws, phases, *terms, precoders))
 
 
 def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
@@ -121,8 +112,7 @@ def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
         trial = positions.copy()
         for idx in range(candidates.shape[0]):
             trial[m] = candidates[idx]
-            gains = effective_channel(ws.tensor(ws.phases(trial), pattern), w)
-            f = sum_se_arrays(*sinr_terms(gains, noise))
+            f = sum_se(ws.tensor(ws.phases(trial), pattern), w, noise)
             if f > best_f:
                 best_idx, best_f = idx, f
         positions[m] = candidates[best_idx]
@@ -178,23 +168,23 @@ def fd_gradient(f, x: np.ndarray, m: int, step: float) -> np.ndarray:
     return grad / (2.0 * step)
 
 
-def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders, m: int,
-                    fd_step: float) -> tuple[float, float]:
-    """Relative errors of antenna m's analytic position and pattern gradients
-    against central differences; the position step is fd_step wavelengths."""
+def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders,
+                    fd_step: float) -> list[tuple[float, float]]:
+    """Relative errors of each antenna's analytic (position, pattern) gradients,
+    from one `se_gradients` pass, against central differences; the position
+    step is fd_step wavelengths."""
     noise = ws.config.noise_power_w
     positions, coefficients = state.positions, state.coefficients
 
     def se(pos, coeff):
-        h = ws.tensor(ws.phases(pos), ws.patterns(coeff))
-        return sum_se_arrays(*sinr_terms(effective_channel(h, precoders.w), noise))
+        return sum_se(ws.tensor(ws.phases(pos), ws.patterns(coeff)), precoders.w, noise)
 
-    pos = _rel_err(se_gradient_positions(ws, state, precoders, m),
-                   fd_gradient(lambda p: se(p, coefficients), positions, m,
-                               fd_step * ws.config.wavelength))
-    pat = _rel_err(se_gradient_patterns(ws, state, precoders, m),
-                   fd_gradient(lambda a: se(positions, a), coefficients, m, fd_step))
-    return pos, pat
+    se_pos, se_pat = (lambda p: se(p, coefficients)), (lambda a: se(positions, a))
+    grad_pos, grad_pat = se_gradients(ws, state, precoders)
+    step = fd_step * ws.config.wavelength
+    return [(_rel_err(grad_pos[m], fd_gradient(se_pos, positions, m, step)),
+             _rel_err(grad_pat[m], fd_gradient(se_pat, coefficients, m, fd_step)))
+            for m in range(len(positions))]
 
 
 def _rel_err(a, b) -> float:
@@ -216,20 +206,19 @@ def position_oracle_gap(scenario, opts, grid_step: float) -> float:
     both from the SMA start under its precoder."""
     ws, cfg = ChannelWorkspace(scenario), scenario.config
     state = initial_state(ws, "SMA")
-    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    prec, _ = optim._zero_forcing(ws, state)
     opt, _ = optimize_positions(ws, state, prec, opts)
     bf = brute_force_positions(ws, state, prec, grid_step)
-    return _gap(*(sum_se_arrays(*sinr_terms(effective_channel(ws.state_tensor(s), prec.w),
-                                            cfg.noise_power_w)) for s in (bf, opt)))
+    return _gap(*(sum_se(ws.state_tensor(s), prec.w, cfg.noise_power_w) for s in (bf, opt)))
 
 
 def pattern_oracle_gap(scenario, opts) -> float:
     """Signed relative gap of antenna 0's optimized pattern gain toward UE 0 on
     subcarrier 0 below the leading eigenvalue of Re(conj(q) q^T); the optimum
     when M = U = G = 1."""
-    ws, cfg = ChannelWorkspace(scenario), scenario.config
+    ws = ChannelWorkspace(scenario)
     state = initial_state(ws, "ERA")
-    prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
+    prec, _ = optim._zero_forcing(ws, state)
     out, _ = optimize_patterns(ws, state, prec, opts)
     ps = scenario.path_sets[0]
     q = ecsi(ps, build_omega(ws.basis, ps), scenario.initial_positions[0],

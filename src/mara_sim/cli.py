@@ -21,7 +21,7 @@ from .scenario import (_OPTIONAL_KEYS, _REQUIRED_KEYS, SystemConfig, generate_sc
                        load_config)
 from .shod import build_basis
 from .channel import ChannelWorkspace
-from .optim import OptimOptions, digital_precoder
+from .optim import OptimOptions, _zero_forcing
 
 # Extra override keys understood by `check` and `oracle`.
 _TOOL_KEYS = {"fd_step", "grid_step"}
@@ -157,9 +157,7 @@ def cmd_check(args) -> int:
     for trial in range(5):
         ws = ChannelWorkspace(generate_scenario(replace(base, seed=base.seed + trial)))
         state = checks.random_feasible_state(ws, rng)
-        prec = digital_precoder(ws.state_tensor(state), base.total_power_w, base.noise_power_w)
-        errors += [checks.gradient_errors(ws, state, prec, m, fd_step)
-                   for m in range(base.num_bs_antennas)]
+        errors += checks.gradient_errors(ws, state, _zero_forcing(ws, state)[0], fd_step)
     worst = float(np.max(errors))
     record("gradients", worst < 1e-5,
            f"max rel err = {worst:.3e} at fd_step {fd_step:g}")

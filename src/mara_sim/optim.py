@@ -165,6 +165,14 @@ def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> P
     return PrecoderSet(pinv)
 
 
+def _scored(h, w, noise_power):
+    """The solver's forward pass: `se.sum_se`, and the gains and SINR terms a gradient
+    takes; it calls `sum_se_arrays` here, where a wrapper set on the module sees it."""
+    gains = effective_channel(h, w)
+    signal, rest = sinr_terms(gains, noise_power)
+    return sum_se_arrays(signal, rest), gains, signal, rest
+
+
 def _sensitivities(ws, gains, signal, rest, precoders):
     """Chain-rule sensitivities of sum_se at the effective channel gains and their SINR
     terms per (UE, antenna, path), shape (..., U, M, L): the weights folded through env."""
@@ -329,9 +337,8 @@ def _ascend_block(ws, block, fixed, starts, precoders, noise_power, opts):
 
     def objective(cands):
         *stacks, h = block.channel(ws, fixed, cands)
-        gains = effective_channel(h, precoders.w)
-        signal, rest = sinr_terms(gains, noise_power)
-        return sum_se_arrays(signal, rest), *stacks, gains, signal, rest
+        se, *terms = _scored(h, precoders.w, noise_power)
+        return se, *stacks, *terms
 
     def propose(x, d, t):
         cands = block.retract(ws, x[:, None] + t[..., None, None] * d[:, None])
@@ -446,5 +453,4 @@ def _zero_forcing(ws, state):
     """The ZF precoder at state (`digital_precoder`) and the SE it gives there."""
     cfg, h = ws.config, ws.state_tensor(state)
     precoders = digital_precoder(h, cfg.total_power_w, cfg.noise_power_w)
-    return precoders, sum_se_arrays(*sinr_terms(effective_channel(h, precoders.w),
-                                                cfg.noise_power_w))
+    return precoders, _scored(h, precoders.w, cfg.noise_power_w)[0]

@@ -63,6 +63,12 @@ def sum_se_arrays(signal: np.ndarray, rest: np.ndarray):
     return float(total) if se.ndim == 2 else total
 
 
+def sum_se(h: np.ndarray, w: np.ndarray, noise_power: float):
+    """Sum SE of the channel h (..., U, M, G) under precoders w (G, M, U): the three
+    stages in order, so it equals the stages called one by one bitwise."""
+    return sum_se_arrays(*sinr_terms(effective_channel(h, w), noise_power))
+
+
 def chain_weights(gains: np.ndarray, signal: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """Weights c * conj(gains) (..., G, U, U), d(sum SE) = sum 2 Re(weights * d gains), from
     the gains and their SINR terms, with c[..., g, u, v] = (1/total at v = u, else

@@ -6,7 +6,6 @@ import pytest
 from mara_sim import checks
 from mara_sim.scenario import SCHEME_ORDER, SystemConfig
 from mara_sim.channel import AntennaState
-from mara_sim.se import effective_channel, sinr_terms, sum_se_arrays
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -59,12 +58,6 @@ def channel(ws, positions, coefficients):
     """The workspace's channel tensor at positions and coefficients, both path
     factors built fresh; either argument may carry leading candidate axes."""
     return ws.tensor(ws.phases(positions), ws.patterns(coefficients))
-
-
-def sum_se(h, w, noise_power):
-    """Sum SE of the channel h (..., U, M, G) under precoders w (G, M, U), through the
-    three stages: effective channel, SINR terms, sum."""
-    return sum_se_arrays(*sinr_terms(effective_channel(h, w), noise_power))
 
 
 def random_feasible_state(scenario, rng, scheme="MARA") -> AntennaState:

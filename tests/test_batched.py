@@ -14,11 +14,11 @@ from mara_sim import checks, optim, se
 from mara_sim.scenario import Scenario, generate_scenario
 from mara_sim.channel import (ChannelWorkspace, initial_state,
                               project_to_movement_region)
-from mara_sim.se import effective_channel, sinr_terms, sum_se_arrays
+from mara_sim.se import effective_channel, sinr_terms, sum_se, sum_se_arrays
 from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
                             _grad_patterns_all, _grad_positions_all, digital_precoder)
 
-from conftest import channel, make_config, random_feasible_state, sum_se
+from conftest import channel, make_config, random_feasible_state
 from test_channel import SIZES, random_path_set
 from test_optim import two_path_axis_scenario
 

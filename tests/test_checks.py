@@ -86,7 +86,7 @@ def test_factorization_nan(rng):
 def test_gradient_errors_nan(rng):
     ws, state, prec = mara_instance(rng)
     nan_prec = type(prec)(with_nan(prec.w))
-    assert np.all(np.isnan(checks.gradient_errors(ws, state, nan_prec, 0, 1e-6)))
+    assert np.all(np.isnan(checks.gradient_errors(ws, state, nan_prec, 1e-6)))
 
 
 def test_position_oracle_gap_nan(monkeypatch):

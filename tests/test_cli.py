@@ -254,6 +254,29 @@ def test_check_default_passes(capsys):
         assert f"PASS {suite}" in out
 
 
+# The default `check` and `oracle` stdout, pinned with numpy 2.4.6 and OpenBLAS
+# 0.3.31 on x86-64 like the reference CSV; another BLAS or CPU may round some
+# last digits differently.
+PINNED_STDOUT = {
+    "check": """\
+PASS orthonormality (max |Gram - I| = 1.110e-15, N <= 2)
+PASS parseval (max |power - ||a||^2| = 1.066e-14)
+PASS factorization (max |h - q^H a| = 5.722e-17)
+PASS gradients (max rel err = 2.219e-10 at fd_step 1e-06)
+""",
+    "oracle": """\
+max relative SE gap, positions vs grid: 0.000e+00
+max relative gap, patterns vs eigenvector: 1.010e-12
+""",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT)
+def test_default_stdout_matches_its_pin(command, capsys):
+    assert main([command]) == 0
+    assert capsys.readouterr().out == PINNED_STDOUT[command]
+
+
 def test_check_coarse_fd_step_fails_gradients(capsys):
     code = main(["check", "--set", "fd_step=1e-1"])
     assert code == 1

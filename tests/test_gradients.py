@@ -5,8 +5,9 @@ from mara_sim import checks
 from mara_sim.scenario import PathSet, Scenario, generate_scenario
 from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.optim import digital_precoder
+from mara_sim.se import sum_se
 
-from conftest import make_config, random_feasible_state, sum_se
+from conftest import make_config, random_feasible_state
 
 
 def build_instance(seed, rng, **config_overrides):
@@ -20,7 +21,7 @@ def build_instance(seed, rng, **config_overrides):
 
 def gradient_errors(seed, rng, **config_overrides):
     cfg, _, ws, state, prec = build_instance(seed, rng, **config_overrides)
-    return checks.gradient_errors(ws, state, prec, seed % cfg.num_bs_antennas, 1e-6)
+    return checks.gradient_errors(ws, state, prec, 1e-6)[seed % cfg.num_bs_antennas]
 
 
 # The benchmark's large_array shape, whose gains take the folded matmul kernel.
@@ -49,7 +50,7 @@ def test_single_path_single_user_position_gradient_vanishes(rng):
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "SMA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    grad = checks.se_gradient_positions(ws, state, prec, 0)
+    grad = checks.se_gradients(ws, state, prec)[0][0]
     se = sum_se(ws.state_tensor(state), prec.w, cfg.noise_power_w)
     scale = se * 2 * np.pi / scen.wavelength  # natural gradient magnitude unit
     assert np.linalg.norm(grad) < 1e-10 * scale
@@ -72,13 +73,14 @@ def test_zero_path_gains_give_zero_gradients():
     state = initial_state(scen, "MARA")
     w = np.ones((2, 2, 1), dtype=complex) * 0.3
     prec = type("W", (), {"w": w})()
-    assert np.all(checks.se_gradient_positions(ws, state, prec, 0) == 0.0)
-    assert np.all(checks.se_gradient_patterns(ws, state, prec, 1) == 0.0)
+    grad_pos, grad_pat = checks.se_gradients(ws, state, prec)
+    assert np.all(grad_pos[0] == 0.0)
+    assert np.all(grad_pat[1] == 0.0)
 
 
 def test_pattern_gradient_is_real_valued(rng):
     cfg, scen, ws, state, prec = build_instance(43, rng)
-    grad = checks.se_gradient_patterns(ws, state, prec, 0)
+    grad = checks.se_gradients(ws, state, prec)[1][0]
     assert grad.dtype == np.float64
 
 
@@ -90,8 +92,7 @@ def test_degenerate_sphere_tangential_component_zero(rng):
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-    for m in range(cfg.num_bs_antennas):
-        grad = checks.se_gradient_patterns(ws, state, prec, m)
+    for m, grad in enumerate(checks.se_gradients(ws, state, prec)[1]):
         alpha = state.coefficients[m]
         tangent = grad - (grad @ alpha) * alpha
         assert np.linalg.norm(tangent) < 1e-12 * max(1.0, np.linalg.norm(grad))

@@ -48,8 +48,7 @@ def test_every_exported_name_resolves():
     assert [name for name in mara_sim.__all__ if not hasattr(mara_sim, name)] == []
 
 
-REFERENCE_FORMS = ("ecsi", "brute_force_positions", "se_gradient_positions",
-                   "se_gradient_patterns", "pattern_power", "gram_matrix")
+REFERENCE_FORMS = ("ecsi", "brute_force_positions", "pattern_power", "gram_matrix")
 # Reference forms only the tests use; they live in tests/reference_forms.py.
 TEST_REFERENCE_FORMS = ("sinr", "mrt_precoder", "pattern_gain")
 

@@ -11,12 +11,12 @@ from mara_sim.shod import build_basis, build_omega
 from mara_sim.channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState,
                               ChannelWorkspace, initial_state)
 from mara_sim.checks import brute_force_positions, ecsi
-from mara_sim.se import sum_se_arrays
+from mara_sim.se import sum_se, sum_se_arrays
 from mara_sim.harness import reference_config
 from mara_sim.optim import (WARM_STARTS, OptimOptions, OptimResult, alternating_optimize,
                             digital_precoder, optimize_patterns, optimize_positions)
 
-from conftest import make_config, random_feasible_state, sum_se
+from conftest import make_config, random_feasible_state
 
 ISO = 1.0 / math.sqrt(4.0 * math.pi)
 

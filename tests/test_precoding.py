@@ -7,8 +7,9 @@ from mara_sim.errors import ContractError, SingularChannelError
 from mara_sim.scenario import generate_scenario
 from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.optim import digital_precoder, water_fill
+from mara_sim.se import sum_se
 
-from conftest import make_config, sum_se
+from conftest import make_config
 from reference_forms import mrt_precoder
 
 

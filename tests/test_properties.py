@@ -4,7 +4,13 @@ not hand-picked ones.
 Each solve example builds a small config and solves every scheme in nesting
 order, sharing warm starts as the harness does. No invariant has a tolerance
 but the power budget, which water-filling rescales to its total in floating point.
+Two run whole experiments: scaling power and noise by 4^k leaves every row's
+bits, and two workers write the CSV of one.
 """
+
+import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +18,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mara_sim.scenario import SCHEME_ORDER, generate_scenario
 from mara_sim.channel import ChannelWorkspace, validate_state
+from mara_sim.harness import SWEEPABLE_PARAMS, ExperimentSpec, emit_csv, run_experiment
 from mara_sim.optim import (WARM_STARTS, WIDE_ROW, OptimOptions, _ascend_patterns,
                             _ascend_positions, alternating_optimize, optimize_patterns,
                             optimize_positions)
+from mara_sim.se import sum_se
 
-from conftest import make_config, random_feasible_state, sum_se
+from conftest import make_config, random_feasible_state
 from reference_forms import mrt_precoder
 from test_batched import reference_patterns, reference_positions
 
@@ -56,6 +64,56 @@ def test_every_scheme_nests_spends_its_budget_and_stays_feasible(cfg, opts):
         assert all(res.se >= results[source].se for source in WARM_STARTS[scheme])
         assert abs(res.precoders.total_power - cfg.total_power_w) <= 1e-9 * cfg.total_power_w
         validate_state(ws, res.state, scheme)
+
+
+def solved_rows(cfg, opts, sweep=None):
+    spec = ExperimentSpec(base=cfg, seeds=(cfg.seed,), schemes=SCHEME_ORDER, sweep=sweep,
+                          options=opts)
+    return run_experiment(spec)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cfg=configs(), opts=options, k=st.integers(-3, 3))
+def test_power_and_noise_times_four_to_the_k_give_the_same_rows(cfg, opts, k):
+    # Exact, not approximate: zero forcing's directions do not see the power,
+    # and scaling both budgets by 4^k scales water-filling's levels by 4^k and,
+    # through its sqrt, the precoder by 2^k. Powers of two scale without
+    # rounding, so every SINR term, gradient and Armijo decision is unchanged.
+    # Other factors are not exact: x3 moves last bits, on the reference cells
+    # by up to about 5e-9 relative.
+    scaled = dataclasses.replace(cfg, total_power_w=cfg.total_power_w * 4.0 ** k,
+                                 noise_power_w=cfg.noise_power_w * 4.0 ** k)
+    rows, moved = solved_rows(cfg, opts), solved_rows(scaled, opts)
+    assert all(row.ok for row in rows)
+    assert ([(r.scheme, r.se_sum, r.iterations) for r in moved]
+            == [(r.scheme, r.se_sum, r.iterations) for r in rows])
+
+
+@st.composite
+def sweeps(draw, cfg):
+    # Two increasing values of one sweepable parameter, both feasible for cfg.
+    name = draw(st.sampled_from(SWEEPABLE_PARAMS))
+    if name == "total_power_w":
+        return name, tuple(sorted(draw(st.lists(powers, min_size=2, max_size=2,
+                                                unique=True))))
+    low = getattr(cfg, name)
+    return name, (low, low + draw(st.integers(1, 2)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cfg=configs(), opts=options, data=st.data())
+def test_two_workers_write_the_csv_of_one(cfg, opts, data):
+    # The child process solves the second cell. Vacuous on a host with one
+    # usable CPU, where MARA_SIM_THREADS=2 runs a single worker.
+    sweep = data.draw(sweeps(cfg))
+    written = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for workers in ("1", "2"):
+            mp.setenv("MARA_SIM_THREADS", workers)
+            path = Path(tmp) / f"{workers}.csv"
+            emit_csv(solved_rows(cfg, opts, sweep), path, include_wall_time=False)
+            written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -9,9 +9,9 @@ from mara_sim.shod import build_basis, build_omega
 from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.checks import ecsi
 from mara_sim.optim import digital_precoder
-from mara_sim.se import chain_weights, effective_channel, sinr_terms, sum_se_arrays
+from mara_sim.se import chain_weights, effective_channel, sinr_terms, sum_se, sum_se_arrays
 
-from conftest import make_config, random_feasible_state, sum_se
+from conftest import make_config, random_feasible_state
 from reference_forms import sinr
 
 
