@@ -54,7 +54,7 @@ def project_to_movement_region(scenario: Scenario | ChannelWorkspace,
     offsets = positions - scenario.initial_positions
     radius = scenario.config.movement_radius
     norms = np.sqrt(np.add.reduce(offsets * offsets, -1))
-    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+    scale = np.fmin(1.0, radius / np.maximum(norms, 1e-300))
     return scenario.initial_positions + offsets * scale[..., None]
 
 

@@ -217,26 +217,20 @@ def _line_search(steps, chunks, rows, x, d, propose, objective, f, into):
             break
         pick = slice(None) if len(rows) == len(x) else rows
         cands, advance = propose(x[pick], d[pick], steps[pick, start:end])
-        advance, n = advance.tolist(), end - start
-        counts = [n if min(a) > 0.0 else next((k for k, v in enumerate(a) if v <= 0.0), n)
-                  for a in advance]
-        scored = (cands.reshape(-1, *cands.shape[2:]) if min(counts) == n
-                  else cands[np.arange(n) < np.array(counts)[:, None]])
-        if len(scored):
-            fc, *stacks = objective(scored)
-            fc = fc.tolist()
-        pending, first = [], 0
-        for r, a, count in zip(rows, advance, counts):
-            for k in range(first, first + count):
-                if fc[k] >= f[r] + ARMIJO_C * a[k - first]:
+        scored = cands.reshape(-1, *cands.shape[2:])
+        fc, *stacks = objective(scored)
+        fc, n, pending = fc.tolist(), end - start, []
+        for i, (r, a) in enumerate(zip(rows, advance.tolist())):
+            for k, v in enumerate(a, i * n):
+                if v <= 0.0:
+                    break
+                if fc[k] >= f[r] + ARMIJO_C * v:
                     found[r] = fc[k]
                     for buffer, stack in zip(into, (scored, *stacks)):
                         buffer[r] = stack[k]
                     break
             else:
-                if count == n:
-                    pending.append(r)
-            first += count
+                pending.append(r)
         rows = pending
     return found
 

@@ -383,6 +383,41 @@ def test_position_ascent_stops_where_no_step_advances():
     assert np.array_equal(got[0][0], start)
 
 
+def test_line_search_takes_each_rows_first_passing_step_before_any_that_stops_it():
+    # Four scripted rows, each case in the first chunk of three steps: a row
+    # ends at its first step promising no ascent (a NaN promise does not end
+    # it), takes its first advancing step that passes Armijo, and stays
+    # pending into the next chunk only when every step advanced and none passed.
+    nan = float("nan")
+    advances = np.array([[0.5, -1.0, 0.5, 0.5],   # the passing step lies past a stop
+                         [0.5, 0.5, 0.5, 0.5],    # the second and third steps pass
+                         [nan, 0.5, 0.5, 0.5],    # the NaN step's SE would pass
+                         [0.5, 0.5, 0.5, 0.5]])   # passes only in the next chunk
+    passes = np.array([[False, False, True, True],
+                       [False, True, True, True],
+                       [True, True, False, False],
+                       [False, False, False, True]])
+    proposed = []
+
+    def propose(x, d, t):  # a candidate is row * 10 + step
+        rows, steps = x[:, 0].astype(int), t.astype(int)
+        proposed.append(rows.tolist())
+        return 10.0 * x[:, None] + t[..., None], advances[rows[:, None], steps]
+
+    def objective(cands):
+        rows, steps = np.divmod(cands[:, 0].astype(int), 10)
+        return np.where(passes[rows, steps], 1.0, -1.0), 2.0 * cands
+
+    x, steps = np.arange(4.0)[:, None], np.tile(np.arange(4.0), (4, 1))
+    into = (np.full((4, 1), -1.0), np.full((4, 1), -1.0))
+    found = optim._line_search(steps, ((0, 3), (3, 4)), [0, 1, 2, 3], x, np.zeros_like(x),
+                               propose, objective, [0.0] * 4, into)
+    assert found == [None, 1.0, 1.0, 1.0]
+    assert proposed == [[0, 1, 2, 3], [3]]
+    assert into[0][:, 0].tolist() == [-1.0, 11.0, 21.0, 33.0]
+    assert into[1][:, 0].tolist() == [-1.0, 22.0, 42.0, 66.0]
+
+
 def test_ascent_that_exhausts_the_ladder_matches_reference(rng, monkeypatch):
     # With a huge Armijo constant no step passes, so every chunk of the ladder
     # is evaluated and the ascent stops where it started.

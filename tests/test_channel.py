@@ -395,3 +395,16 @@ def test_projection_radial_clamp(rng):
     assert np.all(offsets <= cfg.movement_radius + 1e-15)
     inside = scen.initial_positions + 1e-4 * cfg.antenna_spacing
     assert np.allclose(project_to_movement_region(scen, inside), inside)
+
+
+def test_projection_clamp_is_the_compare_and_select_bit_for_bit(rng):
+    # The projection's one-op clamp fmin(1, r / max(n, 1e-300)) against the
+    # compare-and-select it stands for, at random norms and at the edges: 0,
+    # the radius and its neighbours, a subnormal, inf and NaN.
+    radius = make_config(seed=13).movement_radius
+    norms = np.concatenate([rng.uniform(0.0, 2.0 * radius, 100_000),
+                            [0.0, radius, np.nextafter(radius, np.inf),
+                             np.nextafter(radius, -np.inf), 1e-320, np.inf, np.nan]])
+    clamp = np.fmin(1.0, radius / np.maximum(norms, 1e-300))
+    select = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+    assert np.array_equal(clamp.view(np.int64), select.view(np.int64))

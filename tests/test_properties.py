@@ -32,14 +32,15 @@ powers = st.floats(-6.0, 3.0).map(lambda exponent: 10.0 ** exponent)  # W, log-u
 
 
 @st.composite
-def configs(draw, ues=3, paths=4, subcarriers=6, degree=2):
+def configs(draw, ues=3, paths=5, subcarriers=8, degree=3):
     num_ues = draw(st.integers(1, ues))
     return make_config(
         num_ues=num_ues,
-        num_bs_antennas=num_ues + draw(st.integers(0, 2)),
+        num_bs_antennas=num_ues + draw(st.integers(0, 3)),
         num_paths_per_ue=draw(st.integers(1, paths)),
         num_subcarriers=draw(st.integers(1, subcarriers)),
         shod_max_degree=draw(st.integers(0, degree)),
+        antenna_spacing_wavelengths=draw(st.floats(0.05, 5.0)),
         max_delay_s=draw(st.sampled_from([0.0, 1e-7, 1e-6])),
         total_power_w=draw(powers),
         noise_power_w=draw(powers),
