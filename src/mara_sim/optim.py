@@ -39,12 +39,11 @@ ARMIJO_C = 1e-4
 POSITION_STEP = 1e-2
 PATTERN_STEP = 1e-1
 # Backtracking multipliers 2^-k, every one above 1e-14; halving is exact, so
-# t * LADDER equals t halved k times. The line search scores the ladder in
-# chunks, one call per chunk, and the first accepted step ends a search. Most
-# later searches accept the spectral step (see `_ascend`) at k = 0. Below
-# WIDE_ROW entries in one scored row (U*M*G*L) a row costs less than a call,
-# and every search scores chunks of 2, 8 and 37 steps. From WIDE_ROW on a row
-# costs more, so each search scores its first step alone; an opening search,
+# t * LADDER equals t halved k times. A line search scores the ladder in chunks
+# (see `_ascend`), and most later searches accept the spectral step at k = 0.
+# Below WIDE_ROW entries in one scored row (U*M*G*L) a row costs less than a
+# call, and every search scores chunks of 2, 8 and 37 steps. From WIDE_ROW on a
+# row costs more, so each search scores its first step alone; an opening search,
 # from t0, where positions mostly backtrack 3-6 times, then scores 4 at once.
 LADDER = 0.5 ** np.arange(47)
 WIDE_ROW = 2048
@@ -200,53 +199,23 @@ def _grad_patterns_all(ws: ChannelWorkspace, phases: np.ndarray, gains: np.ndarr
     return 2.0 * np.add.reduce(np.real(phases * sens) @ ws.omega, -3)
 
 
-def _line_search(steps, chunks, rows, x, d, propose, objective, f, into):
-    """For each searching row of the slot stacks x and d, the first step of its ladder
-    steps[row] (t * LADDER), in order, whose candidate passes the Armijo test.
-
-    propose(x, d, t) returns each row's candidates for its steps t (rows, steps, ...)
-    and the ascent each promises; a row's first step promising none ends its search.
-    objective scores every searching row's candidates in one call per (start, end)
-    of chunks, with the stacked arrays the next direction takes; an accepted
-    candidate and its slices of those go to its row of the buffers `into`. Returns
-    each row's accepted SE, or None.
-    """
-    found = [None] * len(x)
-    for start, end in chunks:
-        if not rows:
-            break
-        pick = slice(None) if len(rows) == len(x) else rows
-        cands, advance = propose(x[pick], d[pick], steps[pick, start:end])
-        scored = cands.reshape(-1, *cands.shape[2:])
-        fc, *stacks = objective(scored)
-        fc, n, pending = fc.tolist(), end - start, []
-        for i, (r, a) in enumerate(zip(rows, advance.tolist())):
-            for k, v in enumerate(a, i * n):
-                if v <= 0.0:
-                    break
-                if fc[k] >= f[r] + ARMIJO_C * v:
-                    found[r] = fc[k]
-                    for buffer, stack in zip(into, (scored, *stacks)):
-                        buffer[r] = stack[k]
-                    break
-            else:
-                pending.append(r)
-        rows = pending
-    return found
-
-
 def _ascend(x, t0, chunks, direction, propose, objective, opts):
     """Armijo ascent from each start of the stack x, shared by positions and patterns.
 
     The starts advance in lockstep as slots of one stack, in buffers the ascent owns,
     each taking the steps it would take alone. direction(x, *arrays) is each slot's
     ascent direction; propose(x, d, t) retracts each slot's candidates for its steps
-    t; objective scores a stack of points, with the arrays direction takes there. A
-    slot's first line search runs the ladder t0 * LADDER, each later one t * LADDER
-    from the spectral step t = s.s / |s.y| of its last move s and direction change y
-    (Barzilai & Borwein, IMA J. Numer. Anal. 8(1), 1988; Birgin, Martinez & Raydan,
-    SIAM J. Optim. 10(4), 2000), clamped to t0 * SPECTRAL_CLAMP, or t0 when s.y = 0.
-    chunks holds the opening and the later searches' chunks (LADDER_CHUNKS). A slot
+    t (slots, steps, ...) and the ascent each promises; objective scores a stack of
+    points, with the arrays direction takes there. A slot's first line search runs the
+    ladder t0 * LADDER, each later one t * LADDER from the spectral step t = s.s / |s.y|
+    of its last move s and direction change y (Barzilai & Borwein, IMA J. Numer. Anal.
+    8(1), 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000), clamped to
+    t0 * SPECTRAL_CLAMP, or t0 when s.y = 0. Each chunk of chunks (the opening and the
+    later searches', LADDER_CHUNKS) scores every searching slot in one objective call.
+    In ladder order a slot's search ends at its first step promising no ascent
+    (advance <= 0; a NaN promise does not end it) or at its first step passing Armijo,
+    whose candidate and array slices go to its row of x and the carried arrays; it runs
+    on into the next chunk only when every step advanced and none passed. A slot
     leaves the stack when its direction vanishes, no step is accepted, or its gain
     drops below tol_rel. Returns (points, SE at each) in slot order.
     """
@@ -267,8 +236,27 @@ def _ascend(x, t0, chunks, direction, propose, objective, opts):
             ss = np.add.reduce(s * s, axes).tolist()
             t = [min(max(a / abs(b), lo), hi) if b else t0 for a, b in zip(ss, sy)]
         x_prev, x = x, x_prev
-        found = _line_search(np.multiply.outer(t, LADDER), chunks[bool(i)], rows, x_prev,
-                             d, propose, objective, f, (x, *at))
+        steps, found = np.multiply.outer(t, LADDER), [None] * len(ids)
+        for start, end in chunks[bool(i)]:
+            if not rows:
+                break
+            pick = slice(None) if len(rows) == len(ids) else rows
+            cands, advance = propose(x_prev[pick], d[pick], steps[pick, start:end])
+            scored = cands.reshape(-1, *cands.shape[2:])
+            fc, *stacks = objective(scored)
+            fc, n, pending = fc.tolist(), end - start, []
+            for j, (r, a) in enumerate(zip(rows, advance.tolist())):
+                for k, v in enumerate(a, j * n):
+                    if v <= 0.0:
+                        break
+                    if fc[k] >= f[r] + ARMIJO_C * v:
+                        found[r] = fc[k]
+                        for buffer, stack in zip((x, *at), (scored, *stacks)):
+                            buffer[r] = stack[k]
+                        break
+                else:
+                    pending.append(r)
+            rows = pending
         keep = []
         for r, value in enumerate(found):
             if value is not None:

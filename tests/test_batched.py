@@ -256,33 +256,40 @@ def test_pattern_ascent_matches_sequential_reference(seed, rng):
 @pytest.mark.parametrize("size", list(SIZES))
 def test_gradient_from_accepted_slice_equals_fresh_gradient_bitwise(size, block, rng,
                                                                     monkeypatch):
-    # The ascent takes the next gradient from the arrays of the accepted slice
-    # of a stacked line-search call; each must equal the same built fresh at
-    # the accepted point, bit for bit.
+    # The ascent takes each direction from the arrays of a slice of a stacked
+    # objective call, the start's or the accepted candidate's; each must equal
+    # the same built fresh at that point, bit for bit, and so must the SE the
+    # ascent returns at its end point.
     cfg, scen, ws, state, prec = instance(75, rng, **SIZES[size])
     noise = cfg.noise_power_w
-    accepted = []
+    dof = optim._POSITIONS if block == "positions" else optim._PATTERNS
+    seen = []
 
-    def recording(steps, chunks, rows, x, d, propose, objective, f, into):
-        found = line_search(steps, chunks, rows, x, d, propose, objective, f, into)
-        accepted.extend((into[0][r].copy(), value, [a[r].copy() for a in into[1:]])
-                        for r, value in enumerate(found) if value is not None)
-        return found
+    def recording(ws, fixed, x, *arrays):  # arrays: the carried stacks, then precoders
+        seen.append((x[0].copy(), [a[0].copy() for a in arrays[:-1]]))
+        return direction(ws, fixed, x, *arrays)
 
-    line_search = optim._line_search
-    monkeypatch.setattr(optim, "_line_search", recording)
+    direction = dof.direction
+    monkeypatch.setattr(dof, "direction", recording)
     if block == "positions":
-        _ascend_positions(ws, state.positions[None], state.coefficients, prec, noise, ASCENT)
+        points, values = _ascend_positions(ws, state.positions[None], state.coefficients,
+                                           prec, noise, ASCENT)
     else:
-        _ascend_patterns(ws, state.positions, state.coefficients[None], prec, noise, ASCENT)
-    assert len(accepted) > 1
-    for point, f, arrays in accepted:
+        points, values = _ascend_patterns(ws, state.positions, state.coefficients[None],
+                                          prec, noise, ASCENT)
+    assert len(seen) > 2  # the start and more than one accepted point
+
+    def fresh(point):
         positions, coefficients = ((point, state.coefficients) if block == "positions"
                                    else (state.positions, point))
         phases, pattern = ws.phases(positions), ws.patterns(coefficients)
         gains = effective_channel(ws.tensor(phases, pattern), prec.w)
-        signal, rest = sinr_terms(gains, noise)
-        assert f == sum_se_arrays(signal, rest)
+        return positions, coefficients, phases, pattern, (gains, *sinr_terms(gains, noise))
+
+    *_, terms = fresh(points[0])
+    assert values[0] == sum_se_arrays(*terms[1:])
+    for point, arrays in seen:
+        positions, coefficients, phases, pattern, terms = fresh(point)
         if block == "positions":
             assert np.array_equal(arrays[0], phases)
             carried = arrays[1:]
@@ -293,7 +300,7 @@ def test_gradient_from_accepted_slice_equals_fresh_gradient_bitwise(size, block,
             got = _grad_patterns_all(ws, phases, *carried, prec)
             want = fresh_gradients(ws, positions, coefficients, prec, noise)[1]
         assert len(carried) == 3  # the gains and their SINR terms
-        assert all(map(np.array_equal, carried, (gains, signal, rest)))
+        assert all(map(np.array_equal, carried, terms))
         assert np.array_equal(got, want)
 
 
@@ -384,10 +391,12 @@ def test_position_ascent_stops_where_no_step_advances():
 
 
 def test_line_search_takes_each_rows_first_passing_step_before_any_that_stops_it():
-    # Four scripted rows, each case in the first chunk of three steps: a row
-    # ends at its first step promising no ascent (a NaN promise does not end
-    # it), takes its first advancing step that passes Armijo, and stays
-    # pending into the next chunk only when every step advanced and none passed.
+    # Four scripted slots, each case in the first chunk of three steps 2^-k: a
+    # slot's search ends at its first step promising no ascent (a NaN promise
+    # does not end it) or takes its first advancing step that passes Armijo,
+    # and runs on into the next chunk only when every step advanced and none
+    # passed. The second iteration's direction vanishes, so every slot leaves
+    # there, and its direction call shows the stacks carried from the first.
     nan = float("nan")
     advances = np.array([[0.5, -1.0, 0.5, 0.5],   # the passing step lies past a stop
                          [0.5, 0.5, 0.5, 0.5],    # the second and third steps pass
@@ -397,25 +406,31 @@ def test_line_search_takes_each_rows_first_passing_step_before_any_that_stops_it
                        [False, True, True, True],
                        [True, True, False, False],
                        [False, False, False, True]])
-    proposed = []
+    proposed, directions = [], []
 
-    def propose(x, d, t):  # a candidate is row * 10 + step
-        rows, steps = x[:, 0].astype(int), t.astype(int)
+    def direction(x, carried):
+        directions.append((x[:, 0].tolist(), carried[:, 0].tolist()))
+        return np.full_like(x, 0.0 if directions[1:] else 1.0)
+
+    def propose(x, d, t):  # a candidate is slot * 10 + k for the step t = 2^-k
+        rows, steps = x[:, 0].astype(int), np.rint(-np.log2(t)).astype(int)
         proposed.append(rows.tolist())
-        return 10.0 * x[:, None] + t[..., None], advances[rows[:, None], steps]
+        return 10.0 * x[:, None] + steps[..., None], advances[rows[:, None], steps]
 
-    def objective(cands):
+    def objective(cands):  # the starts score 0, a candidate 1 if it passes, else -1
+        if not proposed:
+            return np.zeros(len(cands)), 2.0 * cands
         rows, steps = np.divmod(cands[:, 0].astype(int), 10)
         return np.where(passes[rows, steps], 1.0, -1.0), 2.0 * cands
 
-    x, steps = np.arange(4.0)[:, None], np.tile(np.arange(4.0), (4, 1))
-    into = (np.full((4, 1), -1.0), np.full((4, 1), -1.0))
-    found = optim._line_search(steps, ((0, 3), (3, 4)), [0, 1, 2, 3], x, np.zeros_like(x),
-                               propose, objective, [0.0] * 4, into)
-    assert found == [None, 1.0, 1.0, 1.0]
+    points, values = optim._ascend(np.arange(4.0)[:, None], 1.0, (((0, 3), (3, 4)),) * 2,
+                                   direction, propose, objective,
+                                   OptimOptions(inner_grad_iters=2))
+    assert values == [0.0, 1.0, 1.0, 1.0]
     assert proposed == [[0, 1, 2, 3], [3]]
-    assert into[0][:, 0].tolist() == [-1.0, 11.0, 21.0, 33.0]
-    assert into[1][:, 0].tolist() == [-1.0, 22.0, 42.0, 66.0]
+    assert points[:, 0].tolist() == [0.0, 11.0, 21.0, 33.0]
+    assert directions == [([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 4.0, 6.0]),
+                          ([11.0, 21.0, 33.0], [22.0, 42.0, 66.0])]
 
 
 def test_ascent_that_exhausts_the_ladder_matches_reference(rng, monkeypatch):

@@ -1,10 +1,11 @@
-"""Every name a `mara_sim` module imports is used in that module, the
-third-party modules it imports are the declared runtime dependencies, and the
-solver runs without `mara_sim.checks`, the home of the reference forms, and
-without scipy, which only the tests use as a reference.
+"""Every name a `mara_sim` module imports is used in that module, every name it
+defines is used in the package or exported, the third-party modules it imports
+are the declared runtime dependencies, and the solver runs without
+`mara_sim.checks`, the home of the reference forms, and without scipy, which
+only the tests use as a reference.
 
-`__init__.py` is exempt from the unused-import scan: it imports names to
-re-export them.
+`__init__.py` is exempt from the unused-import scan, and its imports use no
+name for the dead-code scan: it imports names to re-export them.
 """
 
 import ast
@@ -41,6 +42,55 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def defined_names(source: str) -> list[str]:
+    """A module's top-level functions, classes and constants, and the methods of
+    its classes, dunders left out."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def dead_code(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Each `module:name` of sources (file name to text) that no module loads, as a
+    name, as an attribute or by a from import outside `__init__.py`, and that is
+    not exported."""
+    loaded = set(exported)
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and module != "__init__.py":
+                loaded |= {a.name for a in node.names}
+    return [f"{module}:{name}" for module, source in sorted(sources.items())
+            for name in defined_names(source) if name not in loaded]
+
+
+def test_scan_finds_dead_code():
+    sources = {
+        "a.py": ("X: int = 1\nY, Z = 2, 3\ndef f(): pass\ndef g(): return X\n"
+                 "class C:\n    def m(self): pass\n    def n(self): pass\n"
+                 "    def __len__(self): return 0\n"),
+        "b.py": "from .a import C\nC().n()\ng()\n",
+        "__init__.py": "from .a import Y, Z, f\n__all__ = ['Y']\n",
+    }
+    assert dead_code(sources, {"Y"}) == ["a.py:Z", "a.py:f", "a.py:m"]
+
+
+def test_every_definition_is_used_or_exported():
+    import mara_sim
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_code(sources, set(mara_sim.__all__)) == []
 
 
 def test_every_exported_name_resolves():

@@ -232,3 +232,23 @@ def test_se_is_invariant_to_permuting_the_ues(seed, size):
         assert abs(moved - base) <= 1e-12 * base
         if U == 2:
             assert moved == base
+
+
+@pytest.mark.parametrize("size", [(2, 4, 8), (2, 3, 16), (3, 6, 16), (4, 8, 32),
+                                  (4, 4, 5), (1, 4, 8)])
+@pytest.mark.parametrize("seed", range(3))
+def test_se_is_invariant_to_a_phase_rotation_per_ue(seed, size):
+    # Rotating UE u's row of h by e^{j theta_u} turns every gain of that UE by
+    # the same phase, so no |gain|^2 moves: the SE stays put with w held, and
+    # with the ZF precoder re-derived from the rotated channel.
+    U, M, G = size
+    rng = np.random.default_rng(seed)
+    h, w = random_instance(rng, U=U, M=M, G=G)
+    power, noise = 1.3, 0.05
+    base = sum_se(h, w, noise)
+    zf = sum_se(h, digital_precoder(h, power, noise).w, noise)
+    for theta in rng.uniform(0.0, 2.0 * np.pi, (4, U)):
+        rotated = np.exp(1j * theta)[:, None, None] * h
+        assert abs(sum_se(rotated, w, noise) - base) <= 1e-12 * base
+        moved = sum_se(rotated, digital_precoder(rotated, power, noise).w, noise)
+        assert abs(moved - zf) <= 1e-12 * zf
