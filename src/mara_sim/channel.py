@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError
 from .scenario import SCHEME_ORDER, Scenario, _unit_rows
-from .shod import build_basis, build_omega, isotropic_coefficients
+from .shod import build_basis, build_omega
 
 MOVABLE_SCHEMES = ("SMA", "MARA")
 RECONFIGURABLE_SCHEMES = ("ERA", "MARA")
@@ -39,8 +39,9 @@ def initial_state(scenario: Scenario | ChannelWorkspace, scheme: str) -> Antenna
     Reads only `config` and `initial_positions`: a scenario or its workspace."""
     if scheme not in SCHEME_ORDER:
         raise ContractError(f"unknown scheme {scheme!r}")
-    K = (scenario.config.shod_max_degree + 1) ** 2
-    coeffs = np.tile(isotropic_coefficients(K), (scenario.config.num_bs_antennas, 1))
+    cfg = scenario.config
+    coeffs = np.zeros((cfg.num_bs_antennas, (cfg.shod_max_degree + 1) ** 2))
+    coeffs[:, 0] = 1.0  # the constant (degree-0) pattern
     return AntennaState(scenario.initial_positions.copy(), coeffs, scheme)
 
 
@@ -68,32 +69,33 @@ def sample_movement_region(scenario: Scenario | ChannelWorkspace,
     return scenario.initial_positions + scenario.config.movement_radius * frac * direction
 
 
-def sample_unit_spheres(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform random rows on the unit sphere, shape (M, K)."""
-    return _unit_rows(rng.standard_normal(shape))
+def sample_unit_spheres(scenario: Scenario | ChannelWorkspace,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Uniform random pattern coefficients (M, K), one unit row per antenna.
+    Takes a scenario or its workspace."""
+    cfg = scenario.config
+    return _unit_rows(rng.standard_normal((cfg.num_bs_antennas,
+                                           (cfg.shod_max_degree + 1) ** 2)))
 
 
 def validate_state(scenario: Scenario | ChannelWorkspace, state: AntennaState,
                    scheme: str | None = None) -> None:
-    """Check state invariants for its scheme; raises ContractError on violation.
-    Takes a scenario or its workspace, as `initial_state` does."""
+    """Check state against its scheme's `initial_state`, which holds the shapes and
+    the pinned parts; raises ContractError on violation. Takes a scenario or its
+    workspace, as `initial_state` does."""
     if scheme is not None and scheme != state.scheme:
         raise ContractError(f"state is tagged {state.scheme!r}, expected {scheme!r}")
     scheme = state.scheme
-    if scheme not in SCHEME_ORDER:
-        raise ContractError(f"unknown scheme {scheme!r}")
-    cfg = scenario.config
-    M = cfg.num_bs_antennas
-    K = (cfg.shod_max_degree + 1) ** 2
-    if state.positions.shape != (M, 3):
-        raise ContractError(f"positions must have shape ({M}, 3)")
-    if state.coefficients.shape != (M, K):
-        raise ContractError(f"coefficients must have shape ({M}, {K})")
+    nominal = initial_state(scenario, scheme)
+    for name in ("positions", "coefficients"):
+        if getattr(state, name).shape != getattr(nominal, name).shape:
+            raise ContractError(f"{name} must have shape {getattr(nominal, name).shape}")
     for name in ("positions", "coefficients"):
         if not np.all(np.isfinite(getattr(state, name))):
             raise ContractError(f"{name} must be finite")
+    cfg = scenario.config
     d = cfg.antenna_spacing
-    offsets = np.linalg.norm(state.positions - scenario.initial_positions, axis=1)
+    offsets = np.linalg.norm(state.positions - nominal.positions, axis=1)
     if scheme in MOVABLE_SCHEMES:
         if np.any(offsets > cfg.movement_radius + 1e-9 * d):
             raise ContractError("a position lies outside its movement ball")
@@ -104,8 +106,7 @@ def validate_state(scenario: Scenario | ChannelWorkspace, state: AntennaState,
     if np.any(np.abs(norms - 1.0) > 1e-10):
         raise ContractError("pattern coefficient rows must be unit-norm within 1e-10")
     if scheme not in RECONFIGURABLE_SCHEMES:
-        pinned = np.tile(isotropic_coefficients(K), (M, 1))
-        if np.max(np.abs(state.coefficients - pinned)) > 1e-10:
+        if np.max(np.abs(state.coefficients - nominal.coefficients)) > 1e-10:
             raise ContractError(f"patterns must be the isotropic coefficient for {scheme}")
 
 
@@ -127,7 +128,7 @@ class ChannelWorkspace:
         self.config = scenario.config
         self.initial_positions = scenario.initial_positions
         self.basis = build_basis(scenario.config.shod_max_degree)
-        self.wavenumber = 2.0 * np.pi / scenario.wavelength
+        self.wavenumber = 2.0 * np.pi / scenario.config.wavelength
         U, K = len(scenario.path_sets), self.basis.size
         L = max(ps.num_paths for ps in scenario.path_sets)
         freqs = scenario.subcarrier_frequencies

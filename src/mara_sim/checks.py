@@ -134,11 +134,8 @@ def parseval_error(basis, rng: np.random.Generator, trials: int = 1000) -> float
 def random_feasible_state(scenario, rng: np.random.Generator) -> AntennaState:
     """A MARA state drawn uniformly: positions in the balls, unit pattern rows.
     Takes a scenario or its workspace."""
-    cfg = scenario.config
     positions = sample_movement_region(scenario, rng)
-    coefficients = sample_unit_spheres(
-        rng, (cfg.num_bs_antennas, (cfg.shod_max_degree + 1) ** 2))
-    return AntennaState(positions, coefficients, "MARA")
+    return AntennaState(positions, sample_unit_spheres(scenario, rng), "MARA")
 
 
 def factorization_error(scenario, state: AntennaState) -> float:
@@ -152,7 +149,7 @@ def factorization_error(scenario, state: AntennaState) -> float:
         for m, (position, alpha) in enumerate(zip(state.positions, state.coefficients)):
             for g, f in enumerate(scenario.subcarrier_frequencies):
                 q = ecsi(ps, omega, position, scenario.ue_positions[u], f,
-                         scenario.wavelength)
+                         scenario.config.wavelength)
                 errors.append(abs(h[u, m, g] - np.conj(q) @ alpha))
     return float(np.max(errors))
 
@@ -223,6 +220,6 @@ def pattern_oracle_gap(scenario, opts) -> float:
     ps = scenario.path_sets[0]
     q = ecsi(ps, build_omega(ws.basis, ps), scenario.initial_positions[0],
              scenario.ue_positions[0], scenario.subcarrier_frequencies[0],
-             scenario.wavelength)
+             scenario.config.wavelength)
     best = float(np.linalg.eigvalsh(np.real(np.outer(np.conj(q), q)))[-1])
     return _gap(best, abs(np.conj(q) @ out.coefficients[0]) ** 2)

@@ -23,8 +23,8 @@ from .shod import build_basis
 from .channel import ChannelWorkspace
 from .optim import OptimOptions, _zero_forcing
 
-# Extra override keys understood by `check` and `oracle`.
-_TOOL_KEYS = {"fd_step", "grid_step"}
+# The override keys each command reads beside the config's: any other is unknown.
+_TOOL_KEYS = {"run": (), "check": ("fd_step",), "oracle": ("grid_step",)}
 # Default finite-difference step of the `check` gradient suite.
 _FD_STEP = 1e-6
 
@@ -67,14 +67,14 @@ def _parse_value(raw: str):
     return raw
 
 
-def _parse_overrides(pairs, allow_tool_keys=False):
+def _parse_overrides(pairs, tool_keys):
     config_updates, tool_updates = {}, {}
     for pair in pairs:
         if "=" not in pair:
             raise ContractError(f"override {pair!r} is not of the form key=value")
         key, raw = pair.split("=", 1)
         key, value = key.strip(), _parse_value(raw)
-        if key in _TOOL_KEYS and allow_tool_keys:
+        if key in tool_keys:
             # float_info.max, not inf: an int above it would overflow float().
             if isinstance(value, str) or not 0.0 < value <= sys.float_info.max:
                 raise ContractError(f"{key} must be finite and > 0, got {raw!r}")
@@ -88,8 +88,8 @@ def _parse_overrides(pairs, allow_tool_keys=False):
     return config_updates, tool_updates
 
 
-def _load_base_config(args, default: SystemConfig | None, allow_tool_keys):
-    updates, tool = _parse_overrides(args.overrides, allow_tool_keys)
+def _load_base_config(args, default: SystemConfig | None):
+    updates, tool = _parse_overrides(args.overrides, _TOOL_KEYS[args.command])
     if args.config is None and default is None:
         raise ContractError("--config is required for this command")
     base = load_config(args.config) if args.config is not None else default
@@ -97,7 +97,7 @@ def _load_base_config(args, default: SystemConfig | None, allow_tool_keys):
 
 
 def cmd_run(args) -> int:
-    base, _ = _load_base_config(args, default=None, allow_tool_keys=False)
+    base, _ = _load_base_config(args, default=None)
     seeds = _parse_seeds(args.seeds) if args.seeds else (base.seed,)
     spec = harness.ExperimentSpec(base=base, seeds=seeds, schemes=base.schemes)
     results_path = os.path.join(args.out, "results.csv")
@@ -131,8 +131,7 @@ def _check_default_config() -> SystemConfig:
 
 
 def cmd_check(args) -> int:
-    base, tool = _load_base_config(args, default=_check_default_config(),
-                                   allow_tool_keys=True)
+    base, tool = _load_base_config(args, default=_check_default_config())
     fd_step = tool.get("fd_step", _FD_STEP)
     results = []
 
@@ -166,8 +165,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    base, tool = _load_base_config(args, default=_oracle_default_config(),
-                                   allow_tool_keys=True)
+    base, tool = _load_base_config(args, default=_oracle_default_config())
     grid_step = tool.get("grid_step", base.antenna_spacing / 40.0)
     opts = OptimOptions(restarts=4, seed=123)
     try:

@@ -303,8 +303,7 @@ _POSITIONS = _Block(
     t0=lambda ws: POSITION_STEP * ws.config.antenna_spacing)
 _PATTERNS = _Block(
     schemes=RECONFIGURABLE_SCHEMES, noun="patterns", field="coefficients",
-    sample=lambda ws, rng: sample_unit_spheres(rng, (ws.config.num_bs_antennas,
-                                                     ws.basis.size)),
+    sample=sample_unit_spheres,
     ascend=lambda ws, state, x, *args: _ascend_patterns(ws, state.positions, x, *args),
     channel=lambda ws, phases, x: (ws.tensor(phases, ws.patterns(x)),),
     direction=_tangent,
@@ -313,13 +312,13 @@ _PATTERNS = _Block(
     t0=lambda ws: PATTERN_STEP)
 
 
-def _ascend_block(ws, block, fixed, starts, precoders, noise_power, opts):
+def _ascend_block(ws, block, fixed, starts, precoders, opts):
     """`_ascend` of block from the stack starts, its path factor held at `fixed` and its
     first step block.t0(ws); the chunks follow the width U*M*G*L of one scored row."""
 
     def objective(cands):
         *stacks, h = block.channel(ws, fixed, cands)
-        se, *terms = _scored(h, precoders.w, noise_power)
+        se, *terms = _scored(h, precoders.w, ws.config.noise_power_w)
         return se, *stacks, *terms
 
     def propose(x, d, t):
@@ -332,18 +331,16 @@ def _ascend_block(ws, block, fixed, starts, precoders, noise_power, opts):
                    objective, opts)
 
 
-def _ascend_positions(ws, starts, coefficients, precoders, noise_power, opts):
+def _ascend_positions(ws, starts, coefficients, precoders, opts):
     """Projected ascent over positions from the stack starts (R, M, 3): gradient
     steps clamped into the balls."""
-    return _ascend_block(ws, _POSITIONS, ws.patterns(coefficients), starts, precoders,
-                         noise_power, opts)
+    return _ascend_block(ws, _POSITIONS, ws.patterns(coefficients), starts, precoders, opts)
 
 
-def _ascend_patterns(ws, positions, starts, precoders, noise_power, opts):
+def _ascend_patterns(ws, positions, starts, precoders, opts):
     """Retracted ascent over patterns from the stack starts (R, M, K): tangent steps
     renormalised onto the spheres."""
-    return _ascend_block(ws, _PATTERNS, ws.phases(positions), starts, precoders,
-                         noise_power, opts)
+    return _ascend_block(ws, _PATTERNS, ws.phases(positions), starts, precoders, opts)
 
 
 def _optimize_block(ws, state, precoders, opts, block):
@@ -364,7 +361,7 @@ def _optimize_block(ws, state, precoders, opts, block):
     count = max(1, opts.restarts) if opts.inner_grad_iters else 1
     starts = np.stack([getattr(state, block.field)] + [
         block.sample(ws, np.random.default_rng(opts.seed + r)) for r in range(1, count)])
-    ends, values = block.ascend(ws, state, starts, precoders, ws.config.noise_power_w, opts)
+    ends, values = block.ascend(ws, state, starts, precoders, opts)
     best = max(range(count), key=values.__getitem__)
     return replace(state, **{block.field: ends[best]}).retagged(state.scheme), values[best]
 

@@ -188,10 +188,6 @@ class Scenario:
         if len(self.path_sets) != cfg.num_ues:
             raise ValidationError(f"path_sets must hold one PathSet per UE ({cfg.num_ues})")
 
-    @property
-    def wavelength(self) -> float:
-        return self.config.wavelength
-
 
 def _frozen(arr, dtype) -> np.ndarray:
     out = np.array(arr, dtype=dtype)

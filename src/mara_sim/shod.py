@@ -41,10 +41,6 @@ class BasisSet:
         """K = (N+1)^2."""
         return (self.max_degree + 1) ** 2
 
-    def evaluate(self, theta, phi) -> np.ndarray:
-        """Evaluate all K basis functions; returns shape broadcast(theta, phi) + (K,)."""
-        return evaluate_basis(self.max_degree, theta, phi)
-
 
 @functools.lru_cache(maxsize=8)
 def build_basis(max_degree: int) -> BasisSet:
@@ -103,13 +99,6 @@ def evaluate_basis(max_degree: int, theta, phi) -> np.ndarray:
     return out
 
 
-def isotropic_coefficients(basis_size: int) -> np.ndarray:
-    """Unit coefficient vector selecting the constant (degree-0) pattern."""
-    alpha = np.zeros(basis_size)
-    alpha[0] = 1.0
-    return alpha
-
-
 def departure_angles(path_set: PathSet) -> tuple[np.ndarray, np.ndarray]:
     """Polar/azimuth departure angles of each path's transmit wave vector.
 
@@ -124,4 +113,4 @@ def departure_angles(path_set: PathSet) -> tuple[np.ndarray, np.ndarray]:
 def build_omega(basis: BasisSet, path_set: PathSet) -> np.ndarray:
     """Per-UE pattern-response matrix: row i is omega(theta_i, phi_i), shape (L, K)."""
     theta, phi = departure_angles(path_set)
-    return basis.evaluate(theta, phi)
+    return evaluate_basis(basis.max_degree, theta, phi)

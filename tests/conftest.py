@@ -5,7 +5,8 @@ import pytest
 
 from mara_sim import checks
 from mara_sim.scenario import SCHEME_ORDER, SystemConfig
-from mara_sim.channel import AntennaState
+from mara_sim.channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState,
+                              initial_state)
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -62,14 +63,14 @@ def channel(ws, positions, coefficients):
 
 def random_feasible_state(scenario, rng, scheme="MARA") -> AntennaState:
     """Random positions inside the movement balls, random unit pattern rows,
-    then the scheme's pinned parts reset to the nominal array and isotropy."""
+    then the scheme's pinned parts taken from its `initial_state`."""
     drawn = checks.random_feasible_state(scenario, rng)
+    nominal = initial_state(scenario, scheme)
     positions, coeffs = drawn.positions, drawn.coefficients
-    if scheme in ("TFA", "ERA"):
-        positions = scenario.initial_positions.copy()
-    if scheme in ("TFA", "SMA"):
-        coeffs = np.zeros_like(coeffs)
-        coeffs[:, 0] = 1.0
+    if scheme not in MOVABLE_SCHEMES:
+        positions = nominal.positions
+    if scheme not in RECONFIGURABLE_SCHEMES:
+        coeffs = nominal.coefficients
     return AntennaState(positions, coeffs, scheme)
 
 

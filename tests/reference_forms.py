@@ -7,6 +7,7 @@ import numpy as np
 
 from mara_sim.errors import ContractError
 from mara_sim.se import PrecoderSet
+from mara_sim.shod import evaluate_basis
 
 
 def sinr(h: np.ndarray, w: np.ndarray, u: int, g: int, noise_power: float) -> float:
@@ -36,4 +37,4 @@ def pattern_gain(basis, alpha: np.ndarray, theta, phi):
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (basis.size,):
         raise ContractError(f"alpha must have shape ({basis.size},), got {alpha.shape}")
-    return basis.evaluate(theta, phi) @ alpha
+    return evaluate_basis(basis.max_degree, theta, phi) @ alpha

@@ -118,7 +118,7 @@ def test_criterion_04_factorization_exactness(monkeypatch):
             for i in range(ps.num_paths):
                 x = ps.gains[i] * cmath.exp(-2j * math.pi * ps.delays[i] * f)
                 f_tx = pattern_gain(basis, state.coefficients[m], theta[i], phi[i])
-                kappa = 2 * math.pi / scen.wavelength
+                kappa = 2 * math.pi / scen.config.wavelength
                 phase = cmath.exp(-1j * kappa * float(
                     ps.tx_wave_vectors[i] @ state.positions[m]))
                 phase *= cmath.exp(-1j * kappa * float(
@@ -158,7 +158,7 @@ def test_criterion_05_se_form_equivalence():
                 omega = build_omega(basis, ps)
                 q_stack = np.concatenate([
                     checks.ecsi(ps, omega, state.positions[m], scen.ue_positions[u],
-                                f, scen.wavelength) for m in range(M)])
+                                f, scen.config.wavelength) for m in range(M)])
                 row = np.conj(q_stack) @ lam_block
                 sig = abs(row @ w[g][:, u]) ** 2
                 interf = sum(abs(row @ w[g][:, up]) ** 2

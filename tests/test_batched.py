@@ -118,7 +118,7 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
     grad_p, grad_a = fresh_gradients(ws, state.positions, state.coefficients, prec, noise)
     for m in range(cfg.num_bs_antennas):
         fd_p = checks.fd_gradient(lambda p: se(p, state.coefficients), state.positions,
-                                  m, 1e-6 * scen.wavelength)
+                                  m, 1e-6 * scen.config.wavelength)
         fd_a = checks.fd_gradient(lambda a: se(state.positions, a), state.coefficients,
                                   m, 1e-6)
         assert fd_p == pytest.approx(grad_p[m], rel=1e-5, abs=1e-6)
@@ -235,8 +235,7 @@ def assert_same_ascent(got, ref, slot=0):
 def test_position_ascent_matches_sequential_reference(seed, rng):
     cfg, scen, ws, state, prec = instance(seed, rng)
     noise = cfg.noise_power_w
-    got = _ascend_positions(ws, state.positions[None], state.coefficients, prec, noise,
-                            ASCENT)
+    got = _ascend_positions(ws, state.positions[None], state.coefficients, prec, ASCENT)
     ref = reference_positions(ws, state.positions, state.coefficients, prec, noise,
                               ASCENT)
     assert_same_ascent(got, ref)
@@ -246,8 +245,7 @@ def test_position_ascent_matches_sequential_reference(seed, rng):
 def test_pattern_ascent_matches_sequential_reference(seed, rng):
     cfg, scen, ws, state, prec = instance(seed, rng)
     noise = cfg.noise_power_w
-    got = _ascend_patterns(ws, state.positions, state.coefficients[None], prec, noise,
-                           ASCENT)
+    got = _ascend_patterns(ws, state.positions, state.coefficients[None], prec, ASCENT)
     ref = reference_patterns(ws, state.positions, state.coefficients, prec, noise, ASCENT)
     assert_same_ascent(got, ref)
 
@@ -273,10 +271,10 @@ def test_gradient_from_accepted_slice_equals_fresh_gradient_bitwise(size, block,
     monkeypatch.setattr(dof, "direction", recording)
     if block == "positions":
         points, values = _ascend_positions(ws, state.positions[None], state.coefficients,
-                                           prec, noise, ASCENT)
+                                           prec, ASCENT)
     else:
         points, values = _ascend_patterns(ws, state.positions, state.coefficients[None],
-                                          prec, noise, ASCENT)
+                                          prec, ASCENT)
     assert len(seen) > 2  # the start and more than one accepted point
 
     def fresh(point):
@@ -329,9 +327,8 @@ def test_gradients_start_from_the_objectives_effective_channel(size, rng, monkey
     monkeypatch.setattr(optim, "sum_se_arrays", counted("se", sum_se_arrays))
     for name in ("_grad_positions_all", "_grad_patterns_all"):
         monkeypatch.setattr(optim, name, counted("grad", getattr(optim, name)))
-    noise = cfg.noise_power_w
-    _ascend_positions(ws, state.positions[None], state.coefficients, prec, noise, ASCENT)
-    _ascend_patterns(ws, state.positions, state.coefficients[None], prec, noise, ASCENT)
+    _ascend_positions(ws, state.positions[None], state.coefficients, prec, ASCENT)
+    _ascend_patterns(ws, state.positions, state.coefficients[None], prec, ASCENT)
     assert calls["grad"] > 2
     assert calls["gains"] == calls["tensor"] == calls["se"] > calls["grad"]
     assert calls["gains", "in a gradient"] == calls["tensor", "in a gradient"] == 0
@@ -363,18 +360,22 @@ def test_sinr_terms_are_formed_once_per_scored_stack(size, rng, monkeypatch):
     monkeypatch.setattr(optim, "sum_se_arrays", counted("se", sum_se_arrays))
     for name in ("_grad_positions_all", "_grad_patterns_all"):
         monkeypatch.setattr(optim, name, counted("grad", getattr(optim, name)))
-    noise = cfg.noise_power_w
-    _ascend_positions(ws, state.positions[None], state.coefficients, prec, noise, ASCENT)
-    _ascend_patterns(ws, state.positions, state.coefficients[None], prec, noise, ASCENT)
+    _ascend_positions(ws, state.positions[None], state.coefficients, prec, ASCENT)
+    _ascend_patterns(ws, state.positions, state.coefficients[None], prec, ASCENT)
     assert calls["grad"] > 2
     assert calls["terms"] == calls["se"] > calls["grad"]
     assert calls["terms", "in a gradient"] == 0
 
 
-def test_position_ascent_stops_where_no_step_advances():
+def test_position_slot_pinned_against_its_ball_ends_where_it_stood():
     # At x = -r the two-path objective falls towards the ball's interior, so
     # the gradient points straight out of the ball: every projected step
-    # lands back on the start and promises no ascent.
+    # lands back on the start and promises no ascent. The slot ends at its
+    # start with the start's SE, as the reference does. That holds without the
+    # stop at a non-advancing step too: the candidate is the start, scores its
+    # SE and leaves by tol_rel. The scripted
+    # test_line_search_takes_each_rows_first_passing_step_before_any_that_stops_it
+    # guards the stop rule itself.
     scen, *_ = two_path_axis_scenario()
     cfg = scen.config
     ws = ChannelWorkspace(scen)
@@ -384,8 +385,7 @@ def test_position_ascent_stops_where_no_step_advances():
     ref = reference_positions(ws, start, state.coefficients, prec,
                               cfg.noise_power_w, ASCENT)
     assert ref[2] == "advance"
-    got = _ascend_positions(ws, start[None], state.coefficients, prec, cfg.noise_power_w,
-                            ASCENT)
+    got = _ascend_positions(ws, start[None], state.coefficients, prec, ASCENT)
     assert_same_ascent(got, ref)
     assert np.array_equal(got[0][0], start)
 
@@ -439,8 +439,7 @@ def test_ascent_that_exhausts_the_ladder_matches_reference(rng, monkeypatch):
     cfg, scen, ws, state, prec = instance(74, rng)
     monkeypatch.setattr(optim, "ARMIJO_C", 1e6)
     opts = OptimOptions(inner_grad_iters=5)
-    got = _ascend_patterns(ws, state.positions, state.coefficients[None], prec,
-                           cfg.noise_power_w, opts)
+    got = _ascend_patterns(ws, state.positions, state.coefficients[None], prec, opts)
     ref = reference_patterns(ws, state.positions, state.coefficients, prec,
                              cfg.noise_power_w, opts)
     assert ref[2] == "ladder"
@@ -462,13 +461,13 @@ def test_lockstep_slots_match_sequential_references(size, block, slots, rng):
     if block == "positions":
         starts = np.stack([state.positions] + [o.positions for o in others])
         given = starts.copy()
-        got = _ascend_positions(ws, starts, state.coefficients, prec, noise, ASCENT)
+        got = _ascend_positions(ws, starts, state.coefficients, prec, ASCENT)
         refs = [reference_positions(ws, start, state.coefficients, prec, noise, ASCENT)
                 for start in given]
     else:
         starts = np.stack([state.coefficients] + [o.coefficients for o in others])
         given = starts.copy()
-        got = _ascend_patterns(ws, state.positions, starts, prec, noise, ASCENT)
+        got = _ascend_patterns(ws, state.positions, starts, prec, ASCENT)
         refs = [reference_patterns(ws, state.positions, start, prec, noise, ASCENT)
                 for start in given]
     assert np.array_equal(starts, given)
@@ -496,8 +495,7 @@ def test_lockstep_slots_that_stop_for_different_reasons(armijo, reasons, monkeyp
     refs = [reference_positions(ws, start, state.coefficients, prec, cfg.noise_power_w,
                                 ASCENT) for start in starts]
     assert [ref[2] for ref in refs] == reasons
-    got = _ascend_positions(ws, starts, state.coefficients, prec, cfg.noise_power_w,
-                            ASCENT)
+    got = _ascend_positions(ws, starts, state.coefficients, prec, ASCENT)
     for slot, ref in enumerate(refs):
         assert_same_ascent(got, ref, slot)
 

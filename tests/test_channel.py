@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -208,7 +209,7 @@ def test_state_tensor_single_path_closed_form():
     f = scen.subcarrier_frequencies[0]
     expected = direct_channel_sum(ps, build_basis(0), np.array([1.0]),
                                   scen.initial_positions[0], scen.ue_positions[0],
-                                  f, scen.wavelength)
+                                  f, scen.config.wavelength)
     assert abs(h - expected) < 1e-12
 
 
@@ -260,6 +261,39 @@ def test_validate_state_rejects_out_of_ball(handle, scheme, error):
     state.positions[0, 0] += cfg.antenna_spacing  # leaves the d/2 ball
     with pytest.raises(ContractError, match=error):
         validate_state(handle(scen), state)
+
+
+@pytest.mark.parametrize("handle", [lambda scen: scen, ChannelWorkspace],
+                         ids=["scenario", "workspace"])
+def test_validate_state_checks_a_state_against_its_schemes_initial_state(handle):
+    # Every scheme's initial_state passes. A unit pattern 1e-6 rad off isotropy
+    # breaks only the pin of TFA and SMA, and arrays of one row, which would
+    # broadcast, break the shape checks; no solve produces either.
+    cfg = make_config(seed=10)
+    scen = generate_scenario(cfg)
+    M, K = cfg.num_bs_antennas, (cfg.shod_max_degree + 1) ** 2
+    tilted = np.zeros((M, K))
+    tilted[:, 0] = 1.0
+    tilted[0, :2] = math.cos(1e-6), math.sin(1e-6)
+    for scheme in ("TFA", "SMA", "ERA", "MARA"):
+        state = initial_state(scen, scheme)
+        validate_state(handle(scen), state)
+        off = AntennaState(state.positions, tilted, scheme)
+        if scheme in ("TFA", "SMA"):
+            with pytest.raises(ContractError,
+                               match=f"patterns must be the isotropic coefficient for {scheme}"):
+                validate_state(handle(scen), off)
+        else:
+            validate_state(handle(scen), off)
+        with pytest.raises(ContractError, match=re.escape(f"positions must have shape ({M}, 3)")):
+            validate_state(handle(scen), AntennaState(state.positions[:1], state.coefficients,
+                                                      scheme))
+        with pytest.raises(ContractError,
+                           match=re.escape(f"coefficients must have shape ({M}, {K})")):
+            validate_state(handle(scen), AntennaState(state.positions, state.coefficients[:1],
+                                                      scheme))
+    with pytest.raises(ContractError, match="unknown scheme 'XYZ'"):
+        validate_state(handle(scen), AntennaState(state.positions, state.coefficients, "XYZ"))
 
 
 @pytest.mark.parametrize("scheme, name, index", [
@@ -348,7 +382,7 @@ def test_factorization_exactness_random_entries(rng):
         ps = scen.path_sets[u]
         expected = direct_channel_sum(ps, basis, state.coefficients[m],
                                       state.positions[m], scen.ue_positions[u],
-                                      scen.subcarrier_frequencies[g], scen.wavelength)
+                                      scen.subcarrier_frequencies[g], scen.config.wavelength)
         assert abs(h[u, m, g] - expected) < 1e-12
 
 

@@ -297,6 +297,18 @@ def test_tool_step_must_be_finite_and_positive(command, key, value, capsys):
     assert capsys.readouterr().err.startswith(f"error: {key} must be finite and > 0")
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["check", "-q", "--set", "grid_step=0.5"], "grid_step"),
+    (["oracle", "--set", "fd_step=0.5", "--set", "grid_step=0.005"], "fd_step"),
+    (["run", "--set", "fd_step=1e-6"], "fd_step")], ids=["check", "oracle", "run"])
+def test_tool_key_of_another_command_is_unknown(argv, key, capsys):
+    # Each command accepts only the tool key it reads; another one would be ignored.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown override key: {key}\n"
+
+
 def test_check_degree_six_orthonormality(capsys):
     assert main(["check", "--set", "shod_max_degree=6", "-q"]) == 0
 

@@ -52,7 +52,7 @@ def test_single_path_single_user_position_gradient_vanishes(rng):
     prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
     grad = checks.se_gradients(ws, state, prec)[0][0]
     se = sum_se(ws.state_tensor(state), prec.w, cfg.noise_power_w)
-    scale = se * 2 * np.pi / scen.wavelength  # natural gradient magnitude unit
+    scale = se * 2 * np.pi / scen.config.wavelength  # natural gradient magnitude unit
     assert np.linalg.norm(grad) < 1e-10 * scale
 
 

@@ -93,6 +93,36 @@ def test_every_definition_is_used_or_exported():
     assert dead_code(sources, set(mara_sim.__all__)) == []
 
 
+def unread_parameters(source: str) -> list[str]:
+    """Each `function:parameter` of a def in source, methods and nested defs too, that
+    its body never reads. self, cls and _-prefixed names are exempt, and so are
+    lambdas: hooks that share one signature need not read all of it."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{node.name}:{p}" for p in params
+                       if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return unread
+
+
+def test_scan_finds_an_unread_parameter():
+    assert unread_parameters("def f(a, b): return a\n") == ["f:b"]
+    assert unread_parameters(
+        "class C:\n    def m(self, _x, *, y, **kw): return y\n"
+        "def g(a):\n    def h(b): return a\n    return h\n"
+        "k = lambda x: 0\n") == ["m:kw", "h:b"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_parameter_is_read(module):
+    assert unread_parameters((PACKAGE / module).read_text()) == []
+
+
 def test_every_exported_name_resolves():
     import mara_sim
     assert [name for name in mara_sim.__all__ if not hasattr(mara_sim, name)] == []

@@ -137,7 +137,7 @@ def rank_one_instance(seed):
     ps = scen.path_sets[0]
     q = ecsi(ps, build_omega(basis, ps), scen.initial_positions[0],
              scen.ue_positions[0], scen.subcarrier_frequencies[0],
-             scen.wavelength)
+             scen.config.wavelength)
     quad = np.real(np.outer(np.conj(q), q))
     return cfg, scen, q, quad
 

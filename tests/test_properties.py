@@ -168,10 +168,10 @@ def test_each_slot_ascends_as_the_sequential_reference(wide, data, slots, iters,
     positions = np.stack([s.positions for s in states])
     coefficients = np.stack([s.coefficients for s in states])
     for (points, values), refs in (
-            (_ascend_positions(ws, positions, state.coefficients, prec, noise, opts),
+            (_ascend_positions(ws, positions, state.coefficients, prec, opts),
              [reference_positions(ws, p, state.coefficients, prec, noise, opts)
               for p in positions]),
-            (_ascend_patterns(ws, state.positions, coefficients, prec, noise, opts),
+            (_ascend_patterns(ws, state.positions, coefficients, prec, opts),
              [reference_patterns(ws, state.positions, c, prec, noise, opts)
               for c in coefficients])):
         for slot, (point, f, _) in enumerate(refs):

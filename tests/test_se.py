@@ -116,7 +116,7 @@ def test_se_equivalence_h_form_vs_stacked_ecsi_form(rng):
             omega = build_omega(basis, ps)
             q_stack = np.concatenate([
                 ecsi(ps, omega, state.positions[m], scen.ue_positions[u], f,
-                     scen.wavelength) for m in range(M)])
+                     scen.config.wavelength) for m in range(M)])
             row = np.conj(q_stack) @ lam  # q^H Lambda, length M
             sig = abs(row @ w[g][:, u]) ** 2
             interf = sum(abs(row @ w[g][:, up]) ** 2 for up in range(U) if up != u)
