@@ -1,13 +1,11 @@
 """Reference forms and invariant checks for `mara-sim check`/`oracle` and the tests.
 
-The reference forms (`ecsi`, `brute_force_positions` and the basis quadratures
-`pattern_power` and `gram_matrix`) evaluate the model one entry at a time; the
-solver never calls them. Forms that only the tests use live under `tests/`.
-`se_gradients` is not a reference form: it runs the solver's own gradient
-kernels at one state, which `gradient_errors` checks against `fd_gradient`.
-Each check returns the worst error it saw, and a NaN anywhere makes that worst
-error NaN, so it fails any `error < bound` test. Callers choose the instances,
-seeds, steps and bounds.
+The reference forms (`ecsi`, the grid search `brute_force_positions` and the basis
+quadratures `pattern_power` and `gram_matrix`) evaluate the model entry by entry
+or by enumeration; the solver never calls them, and forms that only the tests use
+live under `tests/`. `se_gradients` runs the solver's own gradient kernels at one
+state, which `gradient_errors` checks against `fd_gradient`. Each check returns the
+worst error it saw, and a NaN anywhere makes it NaN, so it fails any `error < bound`.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from .se import sum_se
 from .shod import build_basis, build_omega
 
 _BRUTE_FORCE_GUARD = 10_000_000
+_SCORED_ENTRIES = 1 << 18  # bounds rows * M*U*L*G in one stacked sum_se call
 
 
 def ecsi(path_set: PathSet, omega: np.ndarray, position: np.ndarray,
@@ -82,39 +81,37 @@ def brute_force_positions(ws: ChannelWorkspace, state: AntennaState, precoders,
 
     Antennas are processed in index order; each one is moved to the best point
     of a Cartesian grid (spacing grid_step, centered on its nominal position)
-    intersected with its movement ball. The incoming position is always a
-    candidate, so the result never has lower SE. Ties keep the earliest
-    candidate: the incoming position first, then ascending grid index.
+    intersected with its movement ball, scored in stacked `sum_se` calls. The
+    incoming position is always a candidate, so the result never has lower SE.
+    Ties keep the earliest candidate (the incoming position, then ascending grid
+    index), and a NaN SE never wins.
     """
     if state.scheme not in MOVABLE_SCHEMES:
         raise ContractError(f"positions are pinned for scheme {state.scheme!r}")
     if grid_step <= 0:
         raise ContractError("grid_step must be positive")
     cfg = ws.config
-    radius = cfg.movement_radius
-    n = int(math.floor(radius / grid_step))
+    n = int(math.floor(cfg.movement_radius / grid_step))
     lattice = (2 * n + 1) ** 3
     if cfg.num_bs_antennas * lattice > _BRUTE_FORCE_GUARD:
-        raise SizeLimitError(
-            f"{cfg.num_bs_antennas} x {lattice} grid candidates exceed "
-            f"the {_BRUTE_FORCE_GUARD} guard")
+        raise SizeLimitError(f"{cfg.num_bs_antennas} x {lattice} grid candidates exceed "
+                             f"the {_BRUTE_FORCE_GUARD} guard")
     axis = np.arange(-n, n + 1, dtype=np.float64) * grid_step
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    offsets = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    offsets = offsets[np.linalg.norm(offsets, axis=1) <= radius]
-    noise, w = cfg.noise_power_w, precoders.w
+    offsets = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    offsets = offsets[np.linalg.norm(offsets, axis=1) <= cfg.movement_radius]
     pattern = ws.patterns(state.coefficients)
     positions = project_to_movement_region(ws, state.positions).copy()
+    rows = max(1, _SCORED_ENTRIES // (cfg.num_bs_antennas * ws.env.size))
     for m in range(cfg.num_bs_antennas):
-        candidates = np.vstack([positions[m][None, :],
-                                ws.initial_positions[m] + offsets])
+        candidates = np.vstack([positions[m][None, :], ws.initial_positions[m] + offsets])
         best_idx, best_f = 0, -np.inf
-        trial = positions.copy()
-        for idx in range(candidates.shape[0]):
-            trial[m] = candidates[idx]
-            f = sum_se(ws.tensor(ws.phases(trial), pattern), w, noise)
-            if f > best_f:
-                best_idx, best_f = idx, f
+        for start in range(0, len(candidates), rows):
+            trials = np.repeat(positions[None], len(candidates[start:start + rows]), axis=0)
+            trials[:, m] = candidates[start:start + rows]
+            se = sum_se(ws.tensor(ws.phases(trials), pattern), precoders.w, cfg.noise_power_w)
+            idx = int(np.argmax(np.where(np.isnan(se), -np.inf, se)))
+            if se[idx] > best_f:
+                best_idx, best_f = start + idx, se[idx]
         positions[m] = candidates[best_idx]
     return AntennaState(positions, state.coefficients.copy(), state.scheme)
 

@@ -158,8 +158,7 @@ def cmd_check(args) -> int:
         state = checks.random_feasible_state(ws, rng)
         errors += checks.gradient_errors(ws, state, _zero_forcing(ws, state)[0], fd_step)
     worst = float(np.max(errors))
-    record("gradients", worst < 1e-5,
-           f"max rel err = {worst:.3e} at fd_step {fd_step:g}")
+    record("gradients", worst < 1e-5, f"max rel err = {worst:.3e} at fd_step {fd_step:g}")
 
     return 0 if all(results) else 1
 

@@ -150,15 +150,18 @@ def digital_precoder(h: np.ndarray, total_power: float, noise_power: float) -> P
     q, r = np.linalg.qr(np.conj(np.transpose(h, (2, 1, 0))))   # (G, M, U), (G, U, U)
     zero = (np.diagonal(r, axis1=1, axis2=2) == 0).any(axis=1)
     n = int(np.argmax(zero)) if zero.any() else G  # invert only before the first zero
-    with np.errstate(over="ignore", invalid="ignore"):  # a near-singular R overflows
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # R or SNR overflows
         pinv = q[:n] @ np.conj(np.swapaxes(np.linalg.inv(r[:n]), 1, 2))  # (n, M, U)
         norms = np.linalg.norm(pinv, axis=1)  # (n, U); ||R^-1||_F = ||pinv||_F
         kappa = np.linalg.norm(r[:n], axis=(1, 2)) * np.linalg.norm(norms, axis=1)
+        slopes = 1.0 / (norms ** 2 * noise_power)
     singular = np.append(~(kappa < 0.99e12), n < G)  # inf and nan flag too
     if singular.any():
         raise SingularChannelError(
             f"channel matrix is rank-deficient at subcarrier {int(np.argmax(singular))}")
-    slopes = 1.0 / (norms ** 2 * noise_power)
+    if np.isinf(slopes).any():
+        raise ContractError(f"noise_power_w={noise_power!r} overflows the SNR at subcarrier "
+                            f"{int(np.argmax(np.isinf(slopes).any(axis=1)))}")
     powers = water_fill(slopes.ravel(), total_power).reshape(slopes.shape)
     pinv *= (np.sqrt(powers) / norms)[:, None, :]
     return PrecoderSet(pinv)

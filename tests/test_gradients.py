@@ -1,13 +1,20 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mara_sim import checks
+from mara_sim import checks, cli
+from mara_sim.errors import SingularChannelError
 from mara_sim.scenario import PathSet, Scenario, generate_scenario
 from mara_sim.channel import ChannelWorkspace, initial_state
-from mara_sim.optim import digital_precoder
+from mara_sim.optim import _zero_forcing, digital_precoder
 from mara_sim.se import sum_se
 
 from conftest import make_config, random_feasible_state
+from test_properties import configs
 
 
 def build_instance(seed, rng, **config_overrides):
@@ -96,3 +103,117 @@ def test_degenerate_sphere_tangential_component_zero(rng):
         alpha = state.coefficients[m]
         tangent = grad - (grad @ alpha) * alpha
         assert np.linalg.norm(tangent) < 1e-12 * max(1.0, np.linalg.norm(grad))
+
+
+# The Taylor-remainder test (Farrell, Ham, Funke & Rognes, SIAM J. Sci. Comput.
+# 35(4), 2013): along a direction v, r(h) = |f(x + h v) - f(x) - h <g, v>| falls as
+# h^2 for the gradient g of f at x, and only as h for a wrong one. Unlike a relative
+# error against finite differences it needs no step tuned to the SNR.
+TAYLOR_STEPS = 2.0 ** -np.arange(4, 20)
+
+
+def remainders(f, x, g, v):
+    """r(h) at each of TAYLOR_STEPS, the rounding floor 64 eps |f(x)| and <g, v>."""
+    fx, slope = f(x), float(np.sum(g * v))
+    r = np.array([abs(f(x + h * v) - fx - h * slope) for h in TAYLOR_STEPS])
+    return r, 64 * np.finfo(float).eps * abs(fx), slope
+
+
+def taylor_passes(r, floor) -> bool:
+    """True when no remainder lies above the floor, or when the order
+    log2(r(h) / r(h/2)) of the last pair with both remainders above it exceeds 1.6."""
+    above = r > floor
+    pairs = np.flatnonzero(above[:-1] & above[1:])
+    if not above.any():
+        return True
+    return pairs.size > 0 and math.log2(r[pairs[-1]] / r[pairs[-1] + 1]) > 1.6
+
+
+def block_remainders(ws, state, prec, seed, mutate=lambda g: g):
+    """`remainders` of the position and pattern gradients (`checks.se_gradients`,
+    passed through mutate) along random unit directions drawn from seed, the
+    position one scaled by lambda."""
+    noise, rng = ws.config.noise_power_w, np.random.default_rng(seed)
+
+    def se(positions, coefficients):
+        return sum_se(ws.tensor(ws.phases(positions), ws.patterns(coefficients)), prec.w, noise)
+
+    g_pos, g_pat = map(mutate, checks.se_gradients(ws, state, prec))
+    v_pos, v_pat = (v / np.linalg.norm(v) for v in map(rng.standard_normal,
+                                                       (g_pos.shape, g_pat.shape)))
+    return (remainders(lambda p: se(p, state.coefficients), state.positions, g_pos,
+                       v_pos * ws.config.wavelength),
+            remainders(lambda a: se(state.positions, a), state.coefficients, g_pat, v_pat))
+
+
+def taylor_checks(ws, state, prec, seed, mutate=lambda g: g):
+    """Whether each block's gradient passes the Taylor test (positions, patterns)."""
+    return tuple(taylor_passes(r, floor)
+                 for r, floor, _ in block_remainders(ws, state, prec, seed, mutate))
+
+
+def off_zf_instance(cfg, rng):
+    """A workspace, a drawn MARA state and the ZF precoder of another drawn state,
+    away from the state's own ZF point, where the fixed-precoder SE is not smooth."""
+    ws = ChannelWorkspace(generate_scenario(cfg))
+    state, other = checks.random_feasible_state(ws, rng), checks.random_feasible_state(ws, rng)
+    return ws, state, _zero_forcing(ws, other)[0]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cfg=configs(), noise_exponent=st.floats(-200.0, 3.0), seed=st.integers(0, 2 ** 16))
+def test_taylor_remainder_of_both_gradients_falls_as_h_squared_at_any_snr(
+        cfg, noise_exponent, seed):
+    cfg = dataclasses.replace(cfg, noise_power_w=10.0 ** noise_exponent)
+    try:
+        ws, state, prec = off_zf_instance(cfg, np.random.default_rng(seed))
+    except SingularChannelError:
+        assume(False)
+    assert taylor_checks(ws, state, prec, seed + 1) == (True, True)
+
+
+def one_row_zeroed(g):
+    g = g.copy()
+    g[np.argmax(np.linalg.norm(g, axis=1))] = 0.0
+    return g
+
+
+def one_sign_flipped(g):
+    g = g.copy()
+    g.flat[np.argmax(np.abs(g))] *= -1.0
+    return g
+
+
+MUTATIONS = {"x(1+1e-3)": lambda g: g * (1.0 + 1e-3), "row-zeroed": one_row_zeroed,
+             "sign-flipped": one_sign_flipped}
+STATES = range(5)
+
+
+@pytest.mark.parametrize("noise", [None, 1e-12, 1e-100, 1e-200],
+                         ids=["check-default", "1e-12", "1e-100", "1e-200"])
+def test_taylor_check_passes_the_gradient_and_fails_each_mutation(noise):
+    cfg = cli._check_default_config()
+    cfg = cfg if noise is None else dataclasses.replace(cfg, noise_power_w=noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in STATES:
+            ws, state, prec = off_zf_instance(cfg, np.random.default_rng(trial))
+            assert taylor_checks(ws, state, prec, [trial, 1]) == (True, True)
+            for name, mutate in MUTATIONS.items():
+                assert taylor_checks(ws, state, prec, [trial, 1], mutate) == (False, False), name
+
+
+def test_taylor_check_fails_a_one_in_1e5_slip_wherever_its_steps_resolve_it():
+    # A slip of g by a factor 1 + eps adds eps h <g, v> to r(h). The steps see it
+    # only where that lies above the correct gradient's h^2 remainder at the
+    # smallest step; along a random direction it does in most states, not all.
+    cfg, eps, resolved = cli._check_default_config(), 1e-5, 0
+    for trial in STATES:
+        ws, state, prec = off_zf_instance(cfg, np.random.default_rng(trial))
+        correct = block_remainders(ws, state, prec, [trial, 1])
+        slipped = block_remainders(ws, state, prec, [trial, 1], lambda g: g * (1.0 + eps))
+        for (r, _, slope), (r_slipped, floor, _) in zip(correct, slipped):
+            if eps * TAYLOR_STEPS[-1] * abs(slope) > 2.0 * r[-1]:
+                resolved += 1
+                assert not taylor_passes(r_slipped, floor)
+    assert resolved >= len(STATES)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -482,3 +483,16 @@ def test_fork_after_blas_started_its_threads_gives_the_rows_of_one_worker():
                          capture_output=True, text=True, timeout=120, check=True)
     threads, same_rows = ast.literal_eval(out.stdout)
     assert same_rows and len(threads) == 1 and threads[0] >= 2
+
+
+def test_a_cell_whose_snr_overflows_a_double_names_the_noise_power():
+    # At 1e-310 W every SNR lies beyond a double. The row names that cause, and
+    # no overflow warning (an error under the test suite's filter) comes first.
+    spec = reference_experiment(num_seeds=1)
+    spec = dataclasses.replace(spec, sweep=None,
+                               base=dataclasses.replace(spec.base, noise_power_w=1e-310))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_experiment(spec)
+    assert [(r.scheme, r.ok, r.note) for r in rows] == [
+        ("TFA", False, "error: noise_power_w=1e-310 overflows the SNR at subcarrier 0")]
