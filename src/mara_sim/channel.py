@@ -54,6 +54,9 @@ def project_to_movement_region(scenario: Scenario | ChannelWorkspace,
     """
     offsets = positions - scenario.initial_positions
     radius = scenario.config.movement_radius
+    if np.abs(offsets).max() > 2.0 ** 511:  # a sum of three squares could overflow, so
+        exponent = np.frexp(np.abs(offsets).max(-1, keepdims=True))[1]  # scale such rows
+        offsets = np.ldexp(offsets, np.minimum(0, 511 - exponent))  # exactly below 2^511
     norms = np.sqrt(np.add.reduce(offsets * offsets, -1))
     scale = np.fmin(1.0, radius / np.maximum(norms, 1e-300))
     return scenario.initial_positions + offsets * scale[..., None]

@@ -4,8 +4,8 @@ The reference forms (`ecsi`, the grid search `brute_force_positions` and the bas
 quadratures `pattern_power` and `gram_matrix`) evaluate the model entry by entry
 or by enumeration; the solver never calls them, and forms that only the tests use
 live under `tests/`. `se_gradients` runs the solver's own gradient kernels at one
-state, which `gradient_errors` checks against `fd_gradient`. Each check returns the
-worst error it saw, and a NaN anywhere makes it NaN, so it fails any `error < bound`.
+state, which the Taylor test (`taylor_remainders`, `taylor_order`) checks. A NaN
+anywhere makes a check's value NaN, so it fails its bound (`error < bound`, `order > 1.6`).
 """
 
 from __future__ import annotations
@@ -151,44 +151,42 @@ def factorization_error(scenario, state: AntennaState) -> float:
     return float(np.max(errors))
 
 
-def fd_gradient(f, x: np.ndarray, m: int, step: float) -> np.ndarray:
-    """Central difference of f over row m of x; x is not modified."""
-    grad = np.empty(x.shape[1])
-    for i in range(x.shape[1]):
-        plus, minus = x.copy(), x.copy()
-        plus[m, i] += step
-        minus[m, i] -= step
-        grad[i] = f(plus) - f(minus)
-    return grad / (2.0 * step)
+TAYLOR_STEPS = 2.0 ** -np.arange(4, 20)
 
 
-def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders,
-                    fd_step: float) -> list[tuple[float, float]]:
-    """Relative errors of each antenna's analytic (position, pattern) gradients,
-    from one `se_gradients` pass, against central differences; the position
-    step is fd_step wavelengths."""
-    noise = ws.config.noise_power_w
-    positions, coefficients = state.positions, state.coefficients
+def taylor_remainders(ws: ChannelWorkspace, state: AntennaState, precoders, rng):
+    """The Taylor test (Farrell, Ham, Funke & Rognes, SIAM J. Sci. Comput. 35(4), 2013)
+    of `se_gradients`: r(h) = |f(x + h v) - f(x) - h <g, v>| falls as h^2 for the
+    gradient g of f at x, and only as h for a wrong one. Per block, positions then
+    patterns, v is a unit direction drawn from rng (times lambda for positions), and
+    f(x) and its steps are scored in one stacked `sum_se` call. Returns, per block,
+    (r at each of TAYLOR_STEPS, the rounding floor 64 eps |f(x)|, <g, v>)."""
+    x, grads = (state.positions, state.coefficients), se_gradients(ws, state, precoders)
+    vs = [v / np.linalg.norm(v) for v in map(rng.standard_normal, (g.shape for g in grads))]
+    vs[0] *= ws.config.wavelength
+    out = []
+    for block, (g, v) in enumerate(zip(grads, vs)):
+        point = list(x)
+        point[block] = np.concatenate([x[block][None], x[block] + TAYLOR_STEPS[:, None, None] * v])
+        f = sum_se(ws.tensor(ws.phases(point[0]), ws.patterns(point[1])), precoders.w,
+                   ws.config.noise_power_w)
+        slope = float(np.sum(g * v))
+        out.append((np.abs(f[1:] - f[0] - TAYLOR_STEPS * slope),
+                    64 * np.finfo(float).eps * abs(f[0]), slope))
+    return out
 
-    def se(pos, coeff):
-        return sum_se(ws.tensor(ws.phases(pos), ws.patterns(coeff)), precoders.w, noise)
 
-    se_pos, se_pat = (lambda p: se(p, coefficients)), (lambda a: se(positions, a))
-    grad_pos, grad_pat = se_gradients(ws, state, precoders)
-    step = fd_step * ws.config.wavelength
-    return [(_rel_err(grad_pos[m], fd_gradient(se_pos, positions, m, step)),
-             _rel_err(grad_pat[m], fd_gradient(se_pat, coefficients, m, fd_step)))
-            for m in range(len(positions))]
-
-
-def _rel_err(a, b) -> float:
-    return float(_norm(a - b) / np.maximum(_norm(b), 1e-300))
-
-
-def _norm(v):
-    """The 2-norm of v at an exact power-of-two scale, so no square overflows."""
-    exponent = np.frexp(np.max(np.abs(v)))[1]
-    return np.ldexp(np.linalg.norm(np.ldexp(v, -exponent)), exponent)
+def taylor_order(r: np.ndarray, floor: float) -> float:
+    """The order log2(r(h) / r(h/2)) of the last pair of remainders with both above
+    the floor; a gradient passes when it exceeds 1.6. It is inf when no remainder
+    lies above the floor, -inf when none lies in such a pair, and NaN when any is NaN."""
+    if np.isnan(r).any():
+        return math.nan
+    above = r > floor
+    pairs = np.flatnonzero(above[:-1] & above[1:])
+    if pairs.size:
+        return math.log2(r[pairs[-1]] / r[pairs[-1] + 1])
+    return -math.inf if above.any() else math.inf
 
 
 def _gap(best, achieved) -> float:

@@ -24,9 +24,7 @@ from .channel import ChannelWorkspace
 from .optim import OptimOptions, _zero_forcing
 
 # The override keys each command reads beside the config's: any other is unknown.
-_TOOL_KEYS = {"run": (), "check": ("fd_step",), "oracle": ("grid_step",)}
-# Default finite-difference step of the `check` gradient suite.
-_FD_STEP = 1e-6
+_TOOL_KEYS = {"run": (), "check": (), "oracle": ("grid_step",)}
 
 
 class _UsageError(Exception):
@@ -131,8 +129,7 @@ def _check_default_config() -> SystemConfig:
 
 
 def cmd_check(args) -> int:
-    base, tool = _load_base_config(args, default=_check_default_config())
-    fd_step = tool.get("fd_step", _FD_STEP)
+    base, _ = _load_base_config(args, default=_check_default_config())
     results = []
 
     def record(name, passed, detail):
@@ -152,13 +149,14 @@ def cmd_check(args) -> int:
     worst = checks.factorization_error(scenario, checks.random_feasible_state(scenario, rng))
     record("factorization", worst < 1e-12, f"max |h - q^H a| = {worst:.3e}")
 
-    errors = []
-    for trial in range(5):
+    orders = []
+    for trial in range(5):  # ZF of another state: at its own, the fixed-precoder SE is not smooth
         ws = ChannelWorkspace(generate_scenario(replace(base, seed=base.seed + trial)))
-        state = checks.random_feasible_state(ws, rng)
-        errors += checks.gradient_errors(ws, state, _zero_forcing(ws, state)[0], fd_step)
-    worst = float(np.max(errors))
-    record("gradients", worst < 1e-5, f"max rel err = {worst:.3e} at fd_step {fd_step:g}")
+        state, other = (checks.random_feasible_state(ws, rng) for _ in range(2))
+        orders += [checks.taylor_order(r, floor) for r, floor, _ in
+                   checks.taylor_remainders(ws, state, _zero_forcing(ws, other)[0], rng)]
+    worst = float(np.min(orders))
+    record("gradients", worst > 1.6, f"min Taylor order = {worst:.3f} over 5 states x 2 blocks")
 
     return 0 if all(results) else 1
 
@@ -207,7 +205,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ContractError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

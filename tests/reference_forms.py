@@ -1,11 +1,13 @@
 """Reference forms that only the tests use: each evaluates the model one entry at a
-time, for the stacked kernels in `mara_sim` to be checked against."""
+time, for the stacked kernels in `mara_sim` to be checked against, and the central
+differences that the analytic gradients are checked against."""
 
 import math
 
 import numpy as np
 
-from mara_sim.channel import AntennaState, project_to_movement_region
+from mara_sim.channel import AntennaState, ChannelWorkspace, project_to_movement_region
+from mara_sim.checks import se_gradients
 from mara_sim.errors import ContractError
 from mara_sim.se import PrecoderSet, sum_se
 from mara_sim.shod import evaluate_basis
@@ -66,3 +68,43 @@ def brute_force_positions_loop(ws, state, precoders, grid_step: float) -> Antenn
                 best_idx, best_f = idx, f
         positions[m] = candidates[best_idx]
     return AntennaState(positions, state.coefficients.copy(), state.scheme)
+
+
+def fd_gradient(f, x: np.ndarray, m: int, step: float) -> np.ndarray:
+    """Central difference of f over row m of x; x is not modified."""
+    grad = np.empty(x.shape[1])
+    for i in range(x.shape[1]):
+        plus, minus = x.copy(), x.copy()
+        plus[m, i] += step
+        minus[m, i] -= step
+        grad[i] = f(plus) - f(minus)
+    return grad / (2.0 * step)
+
+
+def gradient_errors(ws: ChannelWorkspace, state: AntennaState, precoders,
+                    fd_step: float) -> list[tuple[float, float]]:
+    """Relative errors of each antenna's analytic (position, pattern) gradients,
+    from one `se_gradients` pass, against central differences; the position
+    step is fd_step wavelengths."""
+    noise = ws.config.noise_power_w
+    positions, coefficients = state.positions, state.coefficients
+
+    def se(pos, coeff):
+        return sum_se(ws.tensor(ws.phases(pos), ws.patterns(coeff)), precoders.w, noise)
+
+    se_pos, se_pat = (lambda p: se(p, coefficients)), (lambda a: se(positions, a))
+    grad_pos, grad_pat = se_gradients(ws, state, precoders)
+    step = fd_step * ws.config.wavelength
+    return [(_rel_err(grad_pos[m], fd_gradient(se_pos, positions, m, step)),
+             _rel_err(grad_pat[m], fd_gradient(se_pat, coefficients, m, fd_step)))
+            for m in range(len(positions))]
+
+
+def _rel_err(a, b) -> float:
+    return float(_norm(a - b) / np.maximum(_norm(b), 1e-300))
+
+
+def _norm(v):
+    """The 2-norm of v at an exact power-of-two scale, so no square overflows."""
+    exponent = np.frexp(np.max(np.abs(v)))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -exponent)), exponent)

@@ -21,7 +21,7 @@ from mara_sim.harness import emit_csv, reference_experiment, run_experiment
 from mara_sim.se import sum_se
 
 from conftest import make_config, random_feasible_state
-from reference_forms import pattern_gain
+from reference_forms import gradient_errors, pattern_gain
 
 TOP_POWER = 1.0  # highest point of the reference sweep
 
@@ -178,7 +178,7 @@ def test_criterion_06_gradient_checks():
         ws = ChannelWorkspace(generate_scenario(cfg))
         state = random_feasible_state(ws, rng, scheme="MARA")
         prec = digital_precoder(ws.state_tensor(state), cfg.total_power_w, cfg.noise_power_w)
-        errors.append(checks.gradient_errors(ws, state, prec, 1e-6)[trial % cfg.num_bs_antennas])
+        errors.append(gradient_errors(ws, state, prec, 1e-6)[trial % cfg.num_bs_antennas])
     worst_pos, worst_pat = np.max(errors, axis=0)
     elapsed = time.perf_counter() - t0
     ok = worst_pos < 1e-5 and worst_pat < 1e-5 and elapsed < 30

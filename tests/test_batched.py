@@ -21,6 +21,7 @@ from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
 from conftest import channel, make_config, random_feasible_state
 from test_channel import SIZES, random_path_set
 from test_optim import two_path_axis_scenario
+from reference_forms import fd_gradient
 
 BATCH = 5
 
@@ -117,10 +118,9 @@ def test_unequal_path_counts_gradients_match_finite_differences(rng):
 
     grad_p, grad_a = fresh_gradients(ws, state.positions, state.coefficients, prec, noise)
     for m in range(cfg.num_bs_antennas):
-        fd_p = checks.fd_gradient(lambda p: se(p, state.coefficients), state.positions,
-                                  m, 1e-6 * scen.config.wavelength)
-        fd_a = checks.fd_gradient(lambda a: se(state.positions, a), state.coefficients,
-                                  m, 1e-6)
+        fd_p = fd_gradient(lambda p: se(p, state.coefficients), state.positions,
+                           m, 1e-6 * scen.config.wavelength)
+        fd_a = fd_gradient(lambda a: se(state.positions, a), state.coefficients, m, 1e-6)
         assert fd_p == pytest.approx(grad_p[m], rel=1e-5, abs=1e-6)
         assert fd_a == pytest.approx(grad_a[m], rel=1e-5, abs=1e-6)
 

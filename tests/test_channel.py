@@ -431,6 +431,28 @@ def test_projection_radial_clamp(rng):
     assert np.allclose(project_to_movement_region(scen, inside), inside)
 
 
+@pytest.mark.parametrize("magnitude", [2.0 ** 512, 1e200, 1e300], ids=["2^512", "1e200", "1e300"])
+def test_projection_maps_an_offset_too_large_to_square_onto_the_sphere(magnitude, rng):
+    # Squared as it is, the offset overflows: its norm reads inf and the clamp maps
+    # it to the centre. Tier-1 also fails on the overflow warning.
+    cfg = make_config(seed=13)
+    scen = generate_scenario(cfg)
+    inside = scen.initial_positions + rng.uniform(-0.5, 0.5, (2, cfg.num_bs_antennas, 3)) * (
+        cfg.movement_radius / 2)
+    direction = rng.standard_normal(3)
+    wild = inside.copy()
+    wild[1, 0] = scen.initial_positions[0] + magnitude * direction
+    clamped = project_to_movement_region(scen, wild)
+    offset = clamped[1, 0] - scen.initial_positions[0]
+    assert abs(np.linalg.norm(offset) - cfg.movement_radius) <= 1e-12 * cfg.movement_radius
+    assert np.allclose(offset / cfg.movement_radius, direction / np.linalg.norm(direction),
+                       rtol=0.0, atol=1e-12)
+    # Every other row keeps the bits it has in a call with no such offset.
+    expected = project_to_movement_region(scen, inside)
+    expected[1, 0] = clamped[1, 0]
+    assert np.array_equal(clamped, expected)
+
+
 def test_projection_clamp_is_the_compare_and_select_bit_for_bit(rng):
     # The projection's one-op clamp fmin(1, r / max(n, 1e-300)) against the
     # compare-and-select it stands for, at random norms and at the edges: 0,

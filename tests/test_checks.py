@@ -11,6 +11,7 @@ from mara_sim.channel import AntennaState, ChannelWorkspace, validate_state
 from mara_sim.optim import OptimOptions, digital_precoder
 
 from conftest import make_config
+from reference_forms import _rel_err, fd_gradient, gradient_errors
 
 FAST = OptimOptions(inner_grad_iters=5, restarts=1, seed=0)
 
@@ -39,7 +40,7 @@ def test_fd_gradient_of_quadratic(rng):
     c = rng.uniform(0.5, 2.0, (3, 4))
     x = rng.standard_normal((3, 4))
     before = x.copy()
-    grad = checks.fd_gradient(lambda y: float(np.sum(c * y * y)), x, 1, 1e-4)
+    grad = fd_gradient(lambda y: float(np.sum(c * y * y)), x, 1, 1e-4)
     assert np.max(np.abs(grad - 2 * c[1] * x[1])) < 1e-9
     assert np.array_equal(x, before)
 
@@ -50,8 +51,8 @@ def test_relative_error_of_huge_vectors_does_not_overflow(rng):
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert checks._rel_err(a * 2.0 ** 600, b * 2.0 ** 600) == checks._rel_err(a, b)
-        assert checks._rel_err(a, b) == float(np.linalg.norm(a - b) / np.linalg.norm(b))
+        assert _rel_err(a * 2.0 ** 600, b * 2.0 ** 600) == _rel_err(a, b)
+        assert _rel_err(a, b) == float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
 @pytest.mark.parametrize("seed, degree, antennas", [(0, 2, 3), (1, 0, 2), (2, 3, 4)])
@@ -86,7 +87,33 @@ def test_factorization_nan(rng):
 def test_gradient_errors_nan(rng):
     ws, state, prec = mara_instance(rng)
     nan_prec = type(prec)(with_nan(prec.w))
-    assert np.all(np.isnan(checks.gradient_errors(ws, state, nan_prec, 1e-6)))
+    assert np.all(np.isnan(gradient_errors(ws, state, nan_prec, 1e-6)))
+
+
+def test_taylor_remainders_nan(rng):
+    ws, state, prec = mara_instance(rng)
+    nan_prec = type(prec)(with_nan(prec.w))
+    assert [np.isnan(checks.taylor_order(r, floor))
+            for r, floor, _ in checks.taylor_remainders(ws, state, nan_prec, rng)] == [True, True]
+
+
+QUADRATIC, LINEAR = 4.0 ** -np.arange(16), 2.0 ** -np.arange(16)
+
+
+@pytest.mark.parametrize("r, floor, order", [
+    (QUADRATIC, 0.0, 2.0),
+    (LINEAR, 0.0, 1.0),
+    (QUADRATIC, QUADRATIC[6], 2.0),
+    (np.r_[QUADRATIC[:8], QUADRATIC[7] * LINEAR[1:9]], 0.0, 1.0),
+    (np.full(16, 1e-20), 1e-14, np.inf),
+    (np.r_[1.0, 0.0, 1.0, np.zeros(13)], 0.5, -np.inf),
+    (np.full(16, np.nan), 1e-14, np.nan),
+    (np.r_[QUADRATIC[:15], np.nan], 0.0, np.nan),
+], ids=["quadratic", "linear", "floor", "last-pair-linear", "at-rounding", "no-pair",
+        "nan", "one-nan"])
+def test_taylor_order_reads_the_last_pair_above_the_floor(r, floor, order):
+    # A NaN remainder reads NaN, so it fails `order > 1.6` as a slip to order 1 does.
+    np.testing.assert_equal(checks.taylor_order(r, floor), order)
 
 
 def test_position_oracle_gap_nan(monkeypatch):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -13,6 +12,7 @@ from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.optim import _zero_forcing, digital_precoder
 from mara_sim.se import sum_se
 
+import reference_forms
 from conftest import make_config, random_feasible_state
 from test_properties import configs
 
@@ -28,7 +28,7 @@ def build_instance(seed, rng, **config_overrides):
 
 def gradient_errors(seed, rng, **config_overrides):
     cfg, _, ws, state, prec = build_instance(seed, rng, **config_overrides)
-    return checks.gradient_errors(ws, state, prec, 1e-6)[seed % cfg.num_bs_antennas]
+    return reference_forms.gradient_errors(ws, state, prec, 1e-6)[seed % cfg.num_bs_antennas]
 
 
 # The benchmark's large_array shape, whose gains take the folded matmul kernel.
@@ -105,50 +105,19 @@ def test_degenerate_sphere_tangential_component_zero(rng):
         assert np.linalg.norm(tangent) < 1e-12 * max(1.0, np.linalg.norm(grad))
 
 
-# The Taylor-remainder test (Farrell, Ham, Funke & Rognes, SIAM J. Sci. Comput.
-# 35(4), 2013): along a direction v, r(h) = |f(x + h v) - f(x) - h <g, v>| falls as
-# h^2 for the gradient g of f at x, and only as h for a wrong one. Unlike a relative
-# error against finite differences it needs no step tuned to the SNR.
-TAYLOR_STEPS = 2.0 ** -np.arange(4, 20)
-
-
-def remainders(f, x, g, v):
-    """r(h) at each of TAYLOR_STEPS, the rounding floor 64 eps |f(x)| and <g, v>."""
-    fx, slope = f(x), float(np.sum(g * v))
-    r = np.array([abs(f(x + h * v) - fx - h * slope) for h in TAYLOR_STEPS])
-    return r, 64 * np.finfo(float).eps * abs(fx), slope
-
-
-def taylor_passes(r, floor) -> bool:
-    """True when no remainder lies above the floor, or when the order
-    log2(r(h) / r(h/2)) of the last pair with both remainders above it exceeds 1.6."""
-    above = r > floor
-    pairs = np.flatnonzero(above[:-1] & above[1:])
-    if not above.any():
-        return True
-    return pairs.size > 0 and math.log2(r[pairs[-1]] / r[pairs[-1] + 1]) > 1.6
-
-
 def block_remainders(ws, state, prec, seed, mutate=lambda g: g):
-    """`remainders` of the position and pattern gradients (`checks.se_gradients`,
-    passed through mutate) along random unit directions drawn from seed, the
-    position one scaled by lambda."""
-    noise, rng = ws.config.noise_power_w, np.random.default_rng(seed)
-
-    def se(positions, coefficients):
-        return sum_se(ws.tensor(ws.phases(positions), ws.patterns(coefficients)), prec.w, noise)
-
-    g_pos, g_pat = map(mutate, checks.se_gradients(ws, state, prec))
-    v_pos, v_pat = (v / np.linalg.norm(v) for v in map(rng.standard_normal,
-                                                       (g_pos.shape, g_pat.shape)))
-    return (remainders(lambda p: se(p, state.coefficients), state.positions, g_pos,
-                       v_pos * ws.config.wavelength),
-            remainders(lambda a: se(state.positions, a), state.coefficients, g_pat, v_pat))
+    """`checks.taylor_remainders` along directions drawn from seed, of the gradients
+    of `checks.se_gradients` passed through mutate."""
+    se_gradients = checks.se_gradients
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "se_gradients",
+                      lambda *args: tuple(map(mutate, se_gradients(*args))))
+        return checks.taylor_remainders(ws, state, prec, np.random.default_rng(seed))
 
 
 def taylor_checks(ws, state, prec, seed, mutate=lambda g: g):
     """Whether each block's gradient passes the Taylor test (positions, patterns)."""
-    return tuple(taylor_passes(r, floor)
+    return tuple(checks.taylor_order(r, floor) > 1.6
                  for r, floor, _ in block_remainders(ws, state, prec, seed, mutate))
 
 
@@ -213,7 +182,7 @@ def test_taylor_check_fails_a_one_in_1e5_slip_wherever_its_steps_resolve_it():
         correct = block_remainders(ws, state, prec, [trial, 1])
         slipped = block_remainders(ws, state, prec, [trial, 1], lambda g: g * (1.0 + eps))
         for (r, _, slope), (r_slipped, floor, _) in zip(correct, slipped):
-            if eps * TAYLOR_STEPS[-1] * abs(slope) > 2.0 * r[-1]:
+            if eps * checks.TAYLOR_STEPS[-1] * abs(slope) > 2.0 * r[-1]:
                 resolved += 1
-                assert not taylor_passes(r_slipped, floor)
+                assert not checks.taylor_order(r_slipped, floor) > 1.6
     assert resolved >= len(STATES)
