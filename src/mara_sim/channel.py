@@ -10,6 +10,7 @@ comparison on one code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,17 +50,29 @@ def project_to_movement_region(scenario: Scenario | ChannelWorkspace,
                                positions: np.ndarray) -> np.ndarray:
     """Radially clamp each position into its closed per-antenna ball.
 
-    positions has shape (..., M, 3); leading candidate axes are kept. Takes
-    a scenario or its workspace, as `initial_state` does.
+    positions has shape (..., M, 3); leading candidate axes are kept. A row with
+    an infinite coordinate goes onto the sphere along the signs of its infinite
+    coordinates. Takes a scenario or its workspace, as `initial_state` does.
     """
-    offsets = positions - scenario.initial_positions
+    offsets = _squarable(positions - scenario.initial_positions, (-1,))
     radius = scenario.config.movement_radius
-    if np.abs(offsets).max() > 2.0 ** 511:  # a sum of three squares could overflow, so
-        exponent = np.frexp(np.abs(offsets).max(-1, keepdims=True))[1]  # scale such rows
-        offsets = np.ldexp(offsets, np.minimum(0, 511 - exponent))  # exactly below 2^511
     norms = np.sqrt(np.add.reduce(offsets * offsets, -1))
     scale = np.fmin(1.0, radius / np.maximum(norms, 1e-300))
     return scenario.initial_positions + offsets * scale[..., None]
+
+
+def _squarable(v, axes: tuple) -> np.ndarray:
+    """v, each slice over axes free to sum its squares with its direction kept: a slice
+    of n entries with one above 2^500 / sqrt(n) is scaled by the power of two that brings
+    its largest into [1/2, 1), and one with an infinite entry becomes the signs of those
+    entries. Other slices keep their bits, and v itself comes back if none needs either."""
+    if not np.abs(v).max() > 2.0 ** 500 / math.sqrt(v.size):  # no slice is past its bound
+        return v
+    bound = 2.0 ** 500 / math.sqrt(math.prod(v.shape[a] for a in axes))
+    infinite = np.isinf(v)
+    v = np.where(infinite.any(axes, keepdims=True), np.copysign(infinite, v), v)
+    peak = np.abs(v).max(axes, keepdims=True)
+    return np.ldexp(v, -np.where(peak > bound, np.frexp(peak)[1], 0))
 
 
 def sample_movement_region(scenario: Scenario | ChannelWorkspace,
@@ -116,12 +129,12 @@ def validate_state(scenario: Scenario | ChannelWorkspace, state: AntennaState,
 class ChannelWorkspace:
     """Precomputed per-scenario factors for fast channel/gradient evaluation.
 
-    Holds, stacked over UEs: the pattern-response matrices omega (U, L, K),
-    the transmit wave vectors (U, L, 3), and the position/pattern-independent
-    path factors env[u, i, g] = a_i * gains_i * exp(-j 2 pi tau_i f_g) of
-    shape (U, L, G), a_i being the receive phase exp(-j k k_rx . q_u). L is the
-    largest path count of any UE; a UE with fewer paths is zero-padded in
-    omega and env, so its padding paths contribute exactly 0.
+    Holds, stacked over UEs and built from the scenario's path table in one pass:
+    the pattern-response matrices omega (U, L, K), the transmit wave vectors
+    (U, L, 3), and the position/pattern-independent path factors
+    env[u, i, g] = a_ui * gains_ui * exp(-j 2 pi tau_ui f_g) of shape (U, L, G),
+    a_ui being the receive phase exp(-j k k_rx . q_u). A zero-gain path has a zero
+    env row, so it contributes exactly 0.
 
     The solver's one handle on a problem, it also keeps the scenario's `config`
     and `initial_positions`: all that the solver reads of a scenario.
@@ -132,19 +145,13 @@ class ChannelWorkspace:
         self.initial_positions = scenario.initial_positions
         self.basis = build_basis(scenario.config.shod_max_degree)
         self.wavenumber = 2.0 * np.pi / scenario.config.wavelength
-        U, K = len(scenario.path_sets), self.basis.size
-        L = max(ps.num_paths for ps in scenario.path_sets)
-        freqs = scenario.subcarrier_frequencies
-        self.omega = np.zeros((U, L, K))
-        self.tx_wave_vectors = np.zeros((U, L, 3))
-        self.env = np.zeros((U, L, freqs.size), dtype=np.complex128)
-        for u, ps in enumerate(scenario.path_sets):
-            n = ps.num_paths
-            self.omega[u, :n] = build_omega(self.basis, ps)
-            self.tx_wave_vectors[u, :n] = ps.tx_wave_vectors
-            a = np.exp(-1j * self.wavenumber * (ps.rx_wave_vectors @ scenario.ue_positions[u]))
-            x = ps.gains[:, None] * np.exp(-2j * np.pi * ps.delays[:, None] * freqs[None, :])
-            self.env[u, :n] = a[:, None] * x
+        paths, freqs = scenario.paths, scenario.subcarrier_frequencies
+        self.omega = build_omega(self.basis, paths)
+        self.tx_wave_vectors = paths.tx_wave_vectors
+        a = np.exp(-1j * self.wavenumber
+                   * (paths.rx_wave_vectors @ scenario.ue_positions[:, :, None])[..., 0])
+        self.env = a[..., None] * (paths.gains[..., None] * np.exp(
+            -2j * np.pi * paths.delays[..., None] * freqs))
         # (U, 3, L) and (U, K, L) views, so each product is a plain stacked matmul.
         self._tx_t = self.tx_wave_vectors.transpose(0, 2, 1)
         self._omega_t = self.omega.transpose(0, 2, 1)

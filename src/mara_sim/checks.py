@@ -28,24 +28,24 @@ _BRUTE_FORCE_GUARD = 10_000_000
 _SCORED_ENTRIES = 1 << 18  # bounds rows * M*U*L*G in one stacked sum_se call
 
 
-def ecsi(path_set: PathSet, omega: np.ndarray, position: np.ndarray,
+def ecsi(paths: PathSet, u: int, omega: np.ndarray, position: np.ndarray,
          ue_position: np.ndarray, frequency_hz: float, wavelength: float) -> np.ndarray:
-    """Environment part of one channel coefficient: h = ecsi^H alpha.
+    """Environment part of one channel coefficient of UE u: h = ecsi^H alpha.
 
-    Returns the complex K-vector q with
-    q^H = (a ⊙ x ⊙ b)^T Omega, where a = exp(-j k k_rx . q) and b = exp(-j k k_tx . p)
-    are the receive and transmit steering factors, k = 2 pi / lambda, and x the path
-    gains with the delay phase exp(-j 2 pi tau f) folded in. The receive antenna is
-    a fixed isotropic element, so no receive-pattern factor appears.
+    Returns the complex K-vector q with q^H = (a ⊙ x ⊙ b)^T Omega, from row u of the
+    path table and UE u's pattern responses Omega (L, K): a = exp(-j k k_rx . q) and
+    b = exp(-j k k_tx . p) are the receive and transmit steering factors, k = 2 pi /
+    lambda, and x the gains with the delay phase exp(-j 2 pi tau f) folded in. The
+    receive antenna is a fixed isotropic element, so no receive-pattern factor appears.
     """
-    L = path_set.num_paths
+    L = paths.gains.shape[1]
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[0] != L:
         raise ContractError(f"omega must have shape ({L}, K), got {omega.shape}")
     k = 2.0 * np.pi / wavelength
-    a = np.exp(-1j * (k * (path_set.rx_wave_vectors @ np.asarray(ue_position))))
-    b = np.exp(-1j * (k * (path_set.tx_wave_vectors @ np.asarray(position))))
-    x = path_set.gains * np.exp(-2j * np.pi * path_set.delays * frequency_hz)
+    a = np.exp(-1j * (k * (paths.rx_wave_vectors[u] @ np.asarray(ue_position))))
+    b = np.exp(-1j * (k * (paths.tx_wave_vectors[u] @ np.asarray(position))))
+    x = paths.gains[u] * np.exp(-2j * np.pi * paths.delays[u] * frequency_hz)
     return omega.T @ np.conj(a * x * b)
 
 
@@ -140,12 +140,11 @@ def factorization_error(scenario, state: AntennaState) -> float:
     workspace, q from `ecsi` on its raw paths."""
     ws = ChannelWorkspace(scenario)
     h = ws.state_tensor(state)
-    errors = []
-    for u, ps in enumerate(scenario.path_sets):
-        omega = build_omega(ws.basis, ps)
+    errors, omega = [], build_omega(ws.basis, scenario.paths)
+    for u, ue_position in enumerate(scenario.ue_positions):
         for m, (position, alpha) in enumerate(zip(state.positions, state.coefficients)):
             for g, f in enumerate(scenario.subcarrier_frequencies):
-                q = ecsi(ps, omega, position, scenario.ue_positions[u], f,
+                q = ecsi(scenario.paths, u, omega[u], position, ue_position, f,
                          scenario.config.wavelength)
                 errors.append(abs(h[u, m, g] - np.conj(q) @ alpha))
     return float(np.max(errors))
@@ -212,9 +211,8 @@ def pattern_oracle_gap(scenario, opts) -> float:
     state = initial_state(ws, "ERA")
     prec, _ = optim._zero_forcing(ws, state)
     out, _ = optimize_patterns(ws, state, prec, opts)
-    ps = scenario.path_sets[0]
-    q = ecsi(ps, build_omega(ws.basis, ps), scenario.initial_positions[0],
-             scenario.ue_positions[0], scenario.subcarrier_frequencies[0],
-             scenario.config.wavelength)
+    q = ecsi(scenario.paths, 0, build_omega(ws.basis, scenario.paths)[0],
+             scenario.initial_positions[0], scenario.ue_positions[0],
+             scenario.subcarrier_frequencies[0], scenario.config.wavelength)
     best = float(np.linalg.eigvalsh(np.real(np.outer(np.conj(q), q)))[-1])
     return _gap(best, abs(np.conj(q) @ out.coefficients[0]) ** 2)

@@ -20,17 +20,9 @@ from dataclasses import dataclass, fields, make_dataclass, replace
 import numpy as np
 
 from .errors import ContractError, SingularChannelError
-from .channel import (
-    MOVABLE_SCHEMES,
-    RECONFIGURABLE_SCHEMES,
-    AntennaState,
-    ChannelWorkspace,
-    initial_state,
-    project_to_movement_region,
-    sample_movement_region,
-    sample_unit_spheres,
-    validate_state,
-)
+from .channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState, ChannelWorkspace,
+                      _squarable, initial_state, project_to_movement_region,
+                      sample_movement_region, sample_unit_spheres, validate_state)
 from .se import PrecoderSet, chain_weights, effective_channel, sinr_terms, sum_se_arrays
 
 # Armijo sufficient-increase constant and the initial steps: a position step
@@ -230,7 +222,7 @@ def _ascend(x, t0, chunks, direction, propose, objective, opts):
     x, x_prev = x.copy(), np.empty_like(x)
     for i in range(opts.inner_grad_iters):
         d = direction(x, *at)
-        dd = np.add.reduce(d * d, axes).tolist()
+        dd = _sum_squares(d, axes).tolist()
         rows = [r for r, v in enumerate(dd) if not v < 1e-24 * max(1.0, f[r] * f[r])]
         t = [t0] * len(ids)
         if i:
@@ -280,6 +272,18 @@ def _ascend(x, t0, chunks, direction, propose, objective, opts):
     return points, values
 
 
+def _sum_squares(v, axes):
+    """np.add.reduce(v * v, axes), inf for each slice that
+    `_squarable` scales. Its exact sum of n squares exceeds 2^1000 / n: for n < 2^60 and
+    SEs below 1e150, inf is above the stop threshold 1e-24 max(1, f^2) as it is, and
+    times any ladder step (at least 2^-96) promises more than such an SE can gain."""
+    w = _squarable(v, axes)
+    if w is v:
+        return np.add.reduce(v * v, axes)
+    return np.where(np.abs(w).max(axes) < np.abs(v).max(axes), np.inf,
+                    np.add.reduce(w * w, axes))
+
+
 def _tangent(ws, phases, coefficients, *terms):
     """The part of the pattern gradient tangent to the unit spheres at coefficients."""
     grad = _grad_patterns_all(ws, phases, *terms)
@@ -310,8 +314,9 @@ _PATTERNS = _Block(
     ascend=lambda ws, state, x, *args: _ascend_patterns(ws, state.positions, x, *args),
     channel=lambda ws, phases, x: (ws.tensor(phases, ws.patterns(x)),),
     direction=_tangent,
-    retract=lambda ws, c: np.divide(c, np.sqrt(np.add.reduce(c * c, -1, keepdims=True)), c),
-    advance=lambda x, d, t, c: t * np.add.reduce(d * d, (-2, -1))[:, None],
+    retract=lambda ws, c: np.divide(s := _squarable(c, (-1,)),
+                                    np.sqrt(np.add.reduce(s * s, -1, keepdims=True)), s),
+    advance=lambda x, d, t, c: t * _sum_squares(d, (-2, -1))[:, None],
     t0=lambda ws: PATTERN_STEP)
 
 

@@ -133,33 +133,27 @@ _INT_KEYS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 
 @dataclass(frozen=True)
 class PathSet:
-    """Multipath parameters for one UE: complex gains, unit wave vectors, delays."""
+    """Multipath parameters of every UE, one row per UE and one column per path:
+    complex gains, unit wave vectors, delays. A UE with fewer physical paths than L
+    carries zero-gain paths, which add exactly 0 to its channel."""
 
-    gains: np.ndarray          # (L,) complex
-    tx_wave_vectors: np.ndarray  # (L, 3) unit rows
-    rx_wave_vectors: np.ndarray  # (L, 3) unit rows
-    delays: np.ndarray         # (L,) seconds
+    gains: np.ndarray            # (U, L) complex
+    tx_wave_vectors: np.ndarray  # (U, L, 3) unit rows
+    rx_wave_vectors: np.ndarray  # (U, L, 3) unit rows
+    delays: np.ndarray           # (U, L) seconds
 
     def __post_init__(self):
-        object.__setattr__(self, "gains", _frozen(self.gains, np.complex128))
-        object.__setattr__(self, "tx_wave_vectors", _frozen(self.tx_wave_vectors, np.float64))
-        object.__setattr__(self, "rx_wave_vectors", _frozen(self.rx_wave_vectors, np.float64))
-        object.__setattr__(self, "delays", _frozen(self.delays, np.float64))
-        L = self.gains.shape[0]
-        if self.tx_wave_vectors.shape != (L, 3) or self.rx_wave_vectors.shape != (L, 3):
-            raise ValidationError("wave vector arrays must have shape (L, 3)")
-        if self.delays.shape != (L,):
-            raise ValidationError("delays must have shape (L,)")
-        for name, k in (("tx_wave_vectors", self.tx_wave_vectors),
-                        ("rx_wave_vectors", self.rx_wave_vectors)):
-            if np.max(np.abs(np.linalg.norm(k, axis=1) - 1.0)) > 1e-12:
+        for name, dtype, tail in (("gains", np.complex128, ()), ("delays", np.float64, ()),
+                                  ("tx_wave_vectors", np.float64, (3,)),
+                                  ("rx_wave_vectors", np.float64, (3,))):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            if self.gains.ndim != 2 or getattr(self, name).shape != self.gains.shape + tail:
+                raise ValidationError(f"{name} must have shape (U, L{', 3' * len(tail)})")
+        for name in ("tx_wave_vectors", "rx_wave_vectors"):
+            if not np.all(np.abs(np.linalg.norm(getattr(self, name), axis=-1) - 1.0) <= 1e-12):
                 raise ValidationError(f"{name} rows must be unit-norm within 1e-12")
-        if np.any(self.delays < 0):
+        if not np.all(self.delays >= 0):
             raise ValidationError("delays must be nonnegative")
-
-    @property
-    def num_paths(self) -> int:
-        return self.gains.shape[0]
 
 
 @dataclass(frozen=True)
@@ -169,24 +163,21 @@ class Scenario:
     config: SystemConfig
     initial_positions: np.ndarray       # (M, 3) meters
     ue_positions: np.ndarray            # (U, 3) meters
-    path_sets: tuple[PathSet, ...]      # one per UE
+    paths: PathSet                      # (U, L) table, one row per UE
     subcarrier_frequencies: np.ndarray  # (G,) Hz
 
     def __post_init__(self):
-        """Freeze the arrays and check their shapes against the config; path
-        counts per UE are free, since the workspace pads them."""
-        object.__setattr__(self, "initial_positions", _frozen(self.initial_positions, np.float64))
-        object.__setattr__(self, "ue_positions", _frozen(self.ue_positions, np.float64))
-        object.__setattr__(self, "subcarrier_frequencies",
-                           _frozen(self.subcarrier_frequencies, np.float64))
+        """Freeze the arrays and check their shapes against the config; the path
+        count L is free, since a UE may carry zero-gain paths."""
         cfg = self.config
         for name, shape in (("initial_positions", (cfg.num_bs_antennas, 3)),
                             ("ue_positions", (cfg.num_ues, 3)),
                             ("subcarrier_frequencies", (cfg.num_subcarriers,))):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
             if getattr(self, name).shape != shape:
                 raise ValidationError(f"{name} must have shape {shape}")
-        if len(self.path_sets) != cfg.num_ues:
-            raise ValidationError(f"path_sets must hold one PathSet per UE ({cfg.num_ues})")
+        if self.paths.gains.shape[0] != cfg.num_ues:
+            raise ValidationError(f"paths must hold one row per UE ({cfg.num_ues})")
 
 
 def _frozen(arr, dtype) -> np.ndarray:
@@ -250,26 +241,21 @@ def generate_scenario(config: SystemConfig) -> Scenario:
     through fixed receive phases). The config checked itself when built.
     """
     rng = np.random.default_rng(config.seed)
-    L = config.num_paths_per_ue
-    path_sets = []
-    ue_positions = np.zeros((config.num_ues, 3))
-    r_lo, r_hi = UE_ANNULUS_M
-    for u in range(config.num_ues):
-        radius = rng.uniform(r_lo, r_hi)
-        azimuth = rng.uniform(0.0, 2.0 * np.pi)
-        ue_positions[u] = (radius * np.cos(azimuth), radius * np.sin(azimuth), 0.0)
-        gains = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * np.sqrt(0.5 / L)
-        path_sets.append(PathSet(
-            gains=gains,
-            tx_wave_vectors=_unit_rows(rng.standard_normal((L, 3))),
-            rx_wave_vectors=_unit_rows(rng.standard_normal((L, 3))),
-            delays=rng.uniform(0.0, config.max_delay_s, L),
-        ))
+    L, (r_lo, r_hi) = config.num_paths_per_ue, UE_ANNULUS_M
+    rows = []
+    for _ in range(config.num_ues):  # each UE's draws in turn: its placement, then its paths
+        radius, azimuth = rng.uniform(r_lo, r_hi), rng.uniform(0.0, 2.0 * np.pi)
+        rows.append(((radius * np.cos(azimuth), radius * np.sin(azimuth), 0.0),
+                     (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * np.sqrt(0.5 / L),
+                     _unit_rows(rng.standard_normal((L, 3))),
+                     _unit_rows(rng.standard_normal((L, 3))),
+                     rng.uniform(0.0, config.max_delay_s, L)))
+    ue_positions, *table = map(np.array, zip(*rows))
     return Scenario(
         config=config,
         initial_positions=initial_array_positions(config),
         ue_positions=ue_positions,
-        path_sets=tuple(path_sets),
+        paths=PathSet(*table),
         subcarrier_frequencies=subcarrier_frequencies(config),
     )
 

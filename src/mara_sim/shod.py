@@ -99,18 +99,19 @@ def evaluate_basis(max_degree: int, theta, phi) -> np.ndarray:
     return out
 
 
-def departure_angles(path_set: PathSet) -> tuple[np.ndarray, np.ndarray]:
-    """Polar/azimuth departure angles of each path's transmit wave vector.
+def departure_angles(paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
+    """Polar/azimuth departure angles (U, L) of each path's transmit wave vector.
 
     theta = arccos(k_z), phi = atan2(k_y, k_x) mapped to [0, 2 pi).
     """
-    k = path_set.tx_wave_vectors
-    theta = np.arccos(np.clip(k[:, 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(k[:, 1], k[:, 0]), 2.0 * np.pi)
+    k = paths.tx_wave_vectors
+    theta = np.arccos(np.clip(k[..., 2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(k[..., 1], k[..., 0]), 2.0 * np.pi)
     return theta, phi
 
 
-def build_omega(basis: BasisSet, path_set: PathSet) -> np.ndarray:
-    """Per-UE pattern-response matrix: row i is omega(theta_i, phi_i), shape (L, K)."""
-    theta, phi = departure_angles(path_set)
+def build_omega(basis: BasisSet, paths: PathSet) -> np.ndarray:
+    """Pattern-response matrices of every UE: omega[u, i] is omega(theta_ui, phi_ui),
+    shape (U, L, K)."""
+    theta, phi = departure_angles(paths)
     return evaluate_basis(basis.max_degree, theta, phi)

@@ -1,6 +1,6 @@
-"""Reference forms that only the tests use: each evaluates the model one entry at a
-time, for the stacked kernels in `mara_sim` to be checked against, and the central
-differences that the analytic gradients are checked against."""
+"""Reference forms that only the tests use: each evaluates the model one entry, one
+UE or one candidate at a time, for the stacked kernels in `mara_sim` to be checked
+against, and the central differences that the analytic gradients are checked against."""
 
 import math
 
@@ -10,7 +10,7 @@ from mara_sim.channel import AntennaState, ChannelWorkspace, project_to_movement
 from mara_sim.checks import se_gradients
 from mara_sim.errors import ContractError
 from mara_sim.se import PrecoderSet, sum_se
-from mara_sim.shod import evaluate_basis
+from mara_sim.shod import build_basis, evaluate_basis
 
 
 def sinr(h: np.ndarray, w: np.ndarray, u: int, g: int, noise_power: float) -> float:
@@ -33,6 +33,29 @@ def mrt_precoder(h: np.ndarray, total_power: float) -> PrecoderSet:
     per_column = total_power / max(int(usable.sum()), 1)
     scale = np.where(usable, math.sqrt(per_column) / np.where(usable, norms, 1.0), 0.0)
     return PrecoderSet(cols * scale[:, None, :])
+
+
+def workspace_arrays_loop(scenario):
+    """`ChannelWorkspace`'s omega (U, L, K), tx_wave_vectors (U, L, 3) and env (U, L, G),
+    built one UE at a time from its row of the path table: its departure angles and
+    basis responses, its receive phases, and its delay-adjusted gains."""
+    basis = build_basis(scenario.config.shod_max_degree)
+    wavenumber = 2.0 * np.pi / scenario.config.wavelength
+    paths, freqs = scenario.paths, scenario.subcarrier_frequencies
+    U, L = paths.gains.shape
+    omega, tx = np.zeros((U, L, basis.size)), np.zeros((U, L, 3))
+    env = np.zeros((U, L, freqs.size), dtype=np.complex128)
+    for u in range(U):
+        k = paths.tx_wave_vectors[u]
+        theta = np.arccos(np.clip(k[:, 2], -1.0, 1.0))
+        phi = np.mod(np.arctan2(k[:, 1], k[:, 0]), 2.0 * np.pi)
+        omega[u] = evaluate_basis(basis.max_degree, theta, phi)
+        tx[u] = k
+        a = np.exp(-1j * wavenumber * (paths.rx_wave_vectors[u] @ scenario.ue_positions[u]))
+        x = paths.gains[u][:, None] * np.exp(
+            -2j * np.pi * paths.delays[u][:, None] * freqs[None, :])
+        env[u] = a[:, None] * x
+    return omega, tx, env
 
 
 def pattern_gain(basis, alpha: np.ndarray, theta, phi):

@@ -106,23 +106,22 @@ def test_criterion_04_factorization_exactness(monkeypatch):
         basis = build_basis(cfg.shod_max_degree)
         state = random_feasible_state(scen, rng, scheme="MARA")
         h = ChannelWorkspace(scen).state_tensor(state)
-        angles = [departure_angles(ps) for ps in scen.path_sets]
+        theta, phi = departure_angles(scen.paths)
         for _ in range(1000):
             u = int(rng.integers(cfg.num_ues))
             m = int(rng.integers(cfg.num_bs_antennas))
             g = int(rng.integers(cfg.num_subcarriers))
-            ps = scen.path_sets[u]
-            theta, phi = angles[u]
+            ps = scen.paths
             f = scen.subcarrier_frequencies[g]
             total = 0.0 + 0.0j
-            for i in range(ps.num_paths):
-                x = ps.gains[i] * cmath.exp(-2j * math.pi * ps.delays[i] * f)
-                f_tx = pattern_gain(basis, state.coefficients[m], theta[i], phi[i])
+            for i in range(cfg.num_paths_per_ue):
+                x = ps.gains[u, i] * cmath.exp(-2j * math.pi * ps.delays[u, i] * f)
+                f_tx = pattern_gain(basis, state.coefficients[m], theta[u, i], phi[u, i])
                 kappa = 2 * math.pi / scen.config.wavelength
                 phase = cmath.exp(-1j * kappa * float(
-                    ps.tx_wave_vectors[i] @ state.positions[m]))
+                    ps.tx_wave_vectors[u, i] @ state.positions[m]))
                 phase *= cmath.exp(-1j * kappa * float(
-                    ps.rx_wave_vectors[i] @ scen.ue_positions[u]))
+                    ps.rx_wave_vectors[u, i] @ scen.ue_positions[u]))
                 total += x * f_tx * phase
             errors.append(abs(h[u, m, g] - total))
     worst, count = float(np.max(errors)), len(errors)
@@ -150,15 +149,15 @@ def test_criterion_05_se_form_equivalence():
         lam_block = np.zeros((M * K, M), dtype=complex)
         for m in range(M):
             lam_block[m * K:(m + 1) * K, m] = state.coefficients[m]
+        omega = build_omega(basis, scen.paths)
         se_q = 0.0
         for g in range(G):
             f = scen.subcarrier_frequencies[g]
             for u in range(U):
-                ps = scen.path_sets[u]
-                omega = build_omega(basis, ps)
                 q_stack = np.concatenate([
-                    checks.ecsi(ps, omega, state.positions[m], scen.ue_positions[u],
-                                f, scen.config.wavelength) for m in range(M)])
+                    checks.ecsi(scen.paths, u, omega[u], state.positions[m],
+                                scen.ue_positions[u], f, scen.config.wavelength)
+                    for m in range(M)])
                 row = np.conj(q_stack) @ lam_block
                 sig = abs(row @ w[g][:, u]) ** 2
                 interf = sum(abs(row @ w[g][:, up]) ** 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mara_sim import checks, optim, se
-from mara_sim.scenario import Scenario, generate_scenario
+from mara_sim.scenario import PathSet, Scenario, generate_scenario
 from mara_sim.channel import (ChannelWorkspace, initial_state,
                               project_to_movement_region)
 from mara_sim.se import effective_channel, sinr_terms, sum_se, sum_se_arrays
@@ -19,7 +19,7 @@ from mara_sim.optim import (OptimOptions, _ascend_patterns, _ascend_positions,
                             _grad_patterns_all, _grad_positions_all, digital_precoder)
 
 from conftest import channel, make_config, random_feasible_state
-from test_channel import SIZES, random_path_set
+from test_channel import SIZES, random_paths
 from test_optim import two_path_axis_scenario
 from reference_forms import fd_gradient
 
@@ -75,38 +75,44 @@ def test_sum_se_batch_matches_single_calls(seed, rng):
     assert one.shape == (1,) and one[0] == pytest.approx(single[0], rel=1e-12)
 
 
-def unequal_paths_scenario(rng, path_counts=(2, 5, 1)):
+def zero_gain_paths_scenario(rng, path_counts=(2, 5, 1)):
+    """A table of 5 paths per UE on which UE u has path_counts[u] physical paths and
+    zero-gain paths after them."""
     cfg = make_config(num_ues=len(path_counts), num_bs_antennas=4, seed=40)
     base = generate_scenario(cfg)
-    path_sets = tuple(random_path_set(rng, L) for L in path_counts)
+    paths = random_paths(rng, max(path_counts), U=len(path_counts))
+    physical = np.arange(max(path_counts)) < np.array(path_counts)[:, None]
     return Scenario(config=cfg, initial_positions=base.initial_positions,
-                    ue_positions=base.ue_positions, path_sets=path_sets,
-                    subcarrier_frequencies=base.subcarrier_frequencies)
+                    ue_positions=base.ue_positions,
+                    paths=dataclasses.replace(paths, gains=paths.gains * physical),
+                    subcarrier_frequencies=base.subcarrier_frequencies), path_counts
 
 
-def one_ue(scen, u):
+def one_ue(scen, u, n):
+    """UE u alone, on its first n paths."""
     cfg = dataclasses.replace(scen.config, num_ues=1)
+    paths = PathSet(*(getattr(scen.paths, f.name)[u:u + 1, :n]
+                      for f in dataclasses.fields(PathSet)))
     return Scenario(config=cfg, initial_positions=scen.initial_positions,
-                    ue_positions=scen.ue_positions[u:u + 1],
-                    path_sets=(scen.path_sets[u],),
+                    ue_positions=scen.ue_positions[u:u + 1], paths=paths,
                     subcarrier_frequencies=scen.subcarrier_frequencies)
 
 
-def test_unequal_path_counts_are_zero_padded(rng):
-    scen = unequal_paths_scenario(rng)
+def test_zero_gain_paths_add_nothing_to_a_ues_channel(rng):
+    scen, path_counts = zero_gain_paths_scenario(rng)
     ws = ChannelWorkspace(scen)
     assert ws.omega.shape[:2] == ws.env.shape[:2] == (3, 5)
-    assert np.all(ws.env[0, 2:] == 0) and np.all(ws.omega[2, 1:] == 0)
+    assert np.all(ws.env[0, 2:] == 0)
     state = random_feasible_state(scen, rng, scheme="MARA")
     h = ws.state_tensor(state)
-    for u in range(len(scen.path_sets)):
-        alone = ChannelWorkspace(one_ue(scen, u)).state_tensor(state)[0]
+    for u, n in enumerate(path_counts):
+        alone = ChannelWorkspace(one_ue(scen, u, n)).state_tensor(state)[0]
         assert max_rel(h[u], alone) < 1e-12
     assert checks.factorization_error(scen, state) < 1e-12
 
 
-def test_unequal_path_counts_gradients_match_finite_differences(rng):
-    scen = unequal_paths_scenario(rng)
+def test_zero_gain_paths_gradients_match_finite_differences(rng):
+    scen, _ = zero_gain_paths_scenario(rng)
     cfg = scen.config
     ws = ChannelWorkspace(scen)
     state = random_feasible_state(scen, rng, scheme="MARA")

@@ -13,53 +13,61 @@ from mara_sim.channel import (AntennaState, ChannelWorkspace, initial_state,
                               project_to_movement_region, validate_state)
 from mara_sim.checks import ecsi
 from mara_sim.optim import _grad_patterns_all, _grad_positions_all, digital_precoder
+from mara_sim.harness import reference_config
 from mara_sim.se import effective_channel, sinr_terms
 
 from conftest import channel, make_config, random_feasible_state
-from reference_forms import pattern_gain
+from reference_forms import pattern_gain, workspace_arrays_loop
 
 ISO = 1.0 / math.sqrt(4.0 * math.pi)
 
 
-def random_path_set(rng, L, max_delay=5e-7):
-    k_tx = rng.standard_normal((L, 3))
-    k_tx /= np.linalg.norm(k_tx, axis=1, keepdims=True)
-    k_rx = rng.standard_normal((L, 3))
-    k_rx /= np.linalg.norm(k_rx, axis=1, keepdims=True)
-    gains = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * math.sqrt(0.5 / L)
+def random_paths(rng, L, U=1, max_delay=5e-7):
+    """A random (U, L) path table: unit wave vectors, gains of variance 1/L."""
+    k_tx = rng.standard_normal((U, L, 3))
+    k_tx /= np.linalg.norm(k_tx, axis=-1, keepdims=True)
+    k_rx = rng.standard_normal((U, L, 3))
+    k_rx /= np.linalg.norm(k_rx, axis=-1, keepdims=True)
+    gains = (rng.standard_normal((U, L)) + 1j * rng.standard_normal((U, L))) * math.sqrt(0.5 / L)
     return PathSet(gains=gains, tx_wave_vectors=k_tx, rx_wave_vectors=k_rx,
-                   delays=rng.uniform(0, max_delay, L))
+                   delays=rng.uniform(0, max_delay, (U, L)))
 
 
-def direct_channel_sum(ps, basis, alpha, p, q, f, lam):
-    """Unfactored multipath sum: per-path gain x pattern x steering phases."""
-    theta, phi = departure_angles(ps)
+def one_path(k_tx, k_rx, gain=1.0 + 0j, delay=0.0):
+    """A table of one UE on one path."""
+    return PathSet(gains=[[gain]], tx_wave_vectors=[[k_tx]], rx_wave_vectors=[[k_rx]],
+                   delays=[[delay]])
+
+
+def direct_channel_sum(paths, u, basis, alpha, p, q, f, lam):
+    """Unfactored multipath sum of UE u: per-path gain x pattern x steering phases."""
+    theta, phi = departure_angles(paths)
     total = 0.0 + 0.0j
-    for i in range(ps.num_paths):
-        x = ps.gains[i] * cmath.exp(-2j * math.pi * ps.delays[i] * f)
-        f_tx = pattern_gain(basis, alpha, theta[i], phi[i])
-        phase = cmath.exp(-1j * (2 * math.pi / lam) * float(ps.tx_wave_vectors[i] @ p))
-        phase *= cmath.exp(-1j * (2 * math.pi / lam) * float(ps.rx_wave_vectors[i] @ q))
+    for i in range(paths.gains.shape[1]):
+        x = paths.gains[u, i] * cmath.exp(-2j * math.pi * paths.delays[u, i] * f)
+        f_tx = pattern_gain(basis, alpha, theta[u, i], phi[u, i])
+        phase = cmath.exp(-1j * (2 * math.pi / lam) * float(paths.tx_wave_vectors[u, i] @ p))
+        phase *= cmath.exp(-1j * (2 * math.pi / lam) * float(paths.rx_wave_vectors[u, i] @ q))
         total += x * f_tx * phase
     return total
 
 
-def path_terms(ps, position, ue_position, frequency_hz, wavelength):
-    """ecsi read through omega = I: per path, the product a * x * b of the receive
-    steering factor, the delay-adjusted gain and the transmit steering factor."""
-    return np.conj(ecsi(ps, np.eye(ps.num_paths), position, ue_position, frequency_hz,
-                        wavelength))
+def path_terms(paths, position, ue_position, frequency_hz, wavelength):
+    """ecsi of UE 0 read through omega = I: per path, the product a * x * b of the
+    receive steering factor, the delay-adjusted gain and the transmit steering factor."""
+    return np.conj(ecsi(paths, 0, np.eye(paths.gains.shape[1]), position, ue_position,
+                        frequency_hz, wavelength))
 
 
-def tx_steering(ps, position, wavelength):
+def tx_steering(paths, position, wavelength):
     """ecsi's transmit steering factors: unit gains, the UE at the origin, f = 0."""
-    unit = replace(ps, gains=np.ones(ps.num_paths))
+    unit = replace(paths, gains=np.ones(paths.gains.shape))
     return path_terms(unit, position, np.zeros(3), 0.0, wavelength)
 
 
-def rx_steering(ps, ue_position, wavelength):
+def rx_steering(paths, ue_position, wavelength):
     """ecsi's receive steering factors: unit gains, the antenna at the origin, f = 0."""
-    unit = replace(ps, gains=np.ones(ps.num_paths))
+    unit = replace(paths, gains=np.ones(paths.gains.shape))
     return path_terms(unit, np.zeros(3), ue_position, 0.0, wavelength)
 
 
@@ -69,69 +77,63 @@ def path_gains(ps, frequency_hz):
 
 
 def test_tx_steering_zero_position(rng):
-    ps = random_path_set(rng, 4)
+    ps = random_paths(rng, 4)
     assert np.allclose(tx_steering(ps, np.zeros(3), 0.1), 1.0)
 
 
 def test_tx_steering_half_wavelength():
-    ps = PathSet(gains=np.ones(1, dtype=complex),
-                 tx_wave_vectors=np.array([[0.0, 0.0, 1.0]]),
-                 rx_wave_vectors=np.array([[1.0, 0.0, 0.0]]),
-                 delays=np.zeros(1))
+    ps = one_path(k_tx=(0.0, 0.0, 1.0), k_rx=(1.0, 0.0, 0.0))
     lam = 0.08
     value = tx_steering(ps, np.array([0.0, 0.0, lam / 2]), lam)[0]
     assert value == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_tx_steering_matches_scalar_oracle(rng):
-    ps = random_path_set(rng, 6)
+    ps = random_paths(rng, 6)
     lam = 0.0857
     p = rng.standard_normal(3) * 0.01
     vec = tx_steering(ps, p, lam)
     for i in range(6):
-        expected = cmath.exp(-1j * (2 * math.pi / lam) * float(ps.tx_wave_vectors[i] @ p))
+        expected = cmath.exp(-1j * (2 * math.pi / lam) * float(ps.tx_wave_vectors[0, i] @ p))
         assert abs(vec[i] - expected) < 1e-14
 
 
 def test_rx_steering_zero_position(rng):
-    ps = random_path_set(rng, 5)
+    ps = random_paths(rng, 5)
     assert np.allclose(rx_steering(ps, np.zeros(3), 0.1), 1.0)
 
 
 def test_rx_steering_unit_modulus(rng):
-    ps = random_path_set(rng, 5)
+    ps = random_paths(rng, 5)
     vec = rx_steering(ps, rng.standard_normal(3) * 100, 0.0857)
     assert np.max(np.abs(np.abs(vec) - 1.0)) < 1e-14
 
 
 def test_rx_steering_matches_scalar_oracle(rng):
-    ps = random_path_set(rng, 5)
+    ps = random_paths(rng, 5)
     lam = 0.0857
     q = rng.standard_normal(3) * 0.3  # moderate phases keep exp() reductions comparable
     vec = rx_steering(ps, q, lam)
     for i in range(5):
-        expected = cmath.exp(-1j * (2 * math.pi / lam) * float(ps.rx_wave_vectors[i] @ q))
+        expected = cmath.exp(-1j * (2 * math.pi / lam) * float(ps.rx_wave_vectors[0, i] @ q))
         assert abs(vec[i] - expected) < 1e-14
 
 
 def test_path_gains_zero_delay(rng):
-    ps = random_path_set(rng, 4, max_delay=0.0)
-    assert np.array_equal(path_gains(ps, 2.4e9), ps.gains)
+    ps = random_paths(rng, 4, max_delay=0.0)
+    assert np.array_equal(path_gains(ps, 2.4e9), ps.gains[0])
 
 
 def test_path_gains_half_cycle():
-    ps = PathSet(gains=np.array([0.7 - 0.2j]),
-                 tx_wave_vectors=np.array([[1.0, 0.0, 0.0]]),
-                 rx_wave_vectors=np.array([[1.0, 0.0, 0.0]]),
-                 delays=np.array([5e-7]))
+    ps = one_path(k_tx=(1.0, 0.0, 0.0), k_rx=(1.0, 0.0, 0.0), gain=0.7 - 0.2j, delay=5e-7)
     # tau * f = 0.5 -> phase factor exp(-j pi) = -1
-    assert path_gains(ps, 1e6)[0] == pytest.approx(-ps.gains[0], abs=1e-14)
+    assert path_gains(ps, 1e6)[0] == pytest.approx(-ps.gains[0, 0], abs=1e-14)
 
 
 def test_path_gains_preserve_magnitude(rng):
-    ps = random_path_set(rng, 8)
+    ps = random_paths(rng, 8)
     x = path_gains(ps, 3.5e9)
-    assert np.allclose(np.abs(x), np.abs(ps.gains), atol=1e-15)
+    assert np.allclose(np.abs(x), np.abs(ps.gains[0]), atol=1e-15)
 
 
 def test_ecsi_single_path_hand_expansion():
@@ -139,15 +141,12 @@ def test_ecsi_single_path_hand_expansion():
     gain = 0.3 + 0.8j
     tau = 2e-7
     f = 3.5e9
-    ps = PathSet(gains=np.array([gain]),
-                 tx_wave_vectors=np.array([[0.0, 0.0, 1.0]]),
-                 rx_wave_vectors=np.array([[0.0, 1.0, 0.0]]),
-                 delays=np.array([tau]))
+    ps = one_path(k_tx=(0.0, 0.0, 1.0), k_rx=(0.0, 1.0, 0.0), gain=gain, delay=tau)
     basis = build_basis(0)
-    omega = build_omega(basis, ps)
+    omega = build_omega(basis, ps)[0]
     p = np.array([0.0, 0.0, 0.013])
     q = np.array([0.0, 7.5, 0.0])
-    qvec = ecsi(ps, omega, p, q, f, lam)
+    qvec = ecsi(ps, 0, omega, p, q, f, lam)
     expected = (gain * cmath.exp(-2j * math.pi * tau * f)
                 * cmath.exp(-1j * (2 * math.pi / lam) * 0.013)
                 * cmath.exp(-1j * (2 * math.pi / lam) * 7.5) * ISO)
@@ -157,27 +156,27 @@ def test_ecsi_single_path_hand_expansion():
 def test_ecsi_isotropic_matches_scaled_plain_sum(rng):
     # With alpha = e1 the factorized value is the pattern-free multipath sum
     # scaled by the constant-harmonic value.
-    ps = random_path_set(rng, 5)
+    ps = random_paths(rng, 5)
     lam = 0.0857
     f = 3.5e9
     basis = build_basis(2)
-    omega = build_omega(basis, ps)
+    omega = build_omega(basis, ps)[0]
     p = rng.standard_normal(3) * 0.01
     q = rng.standard_normal(3) * 10
     alpha = np.zeros(9)
     alpha[0] = 1.0
-    value = np.conj(ecsi(ps, omega, p, q, f, lam)) @ alpha
+    value = np.conj(ecsi(ps, 0, omega, p, q, f, lam)) @ alpha
     plain = 0.0 + 0.0j
     for i in range(5):
-        x = ps.gains[i] * cmath.exp(-2j * math.pi * ps.delays[i] * f)
+        x = ps.gains[0, i] * cmath.exp(-2j * math.pi * ps.delays[0, i] * f)
         phase = cmath.exp(-1j * (2 * math.pi / lam)
-                          * float(ps.tx_wave_vectors[i] @ p + ps.rx_wave_vectors[i] @ q))
+                          * float(ps.tx_wave_vectors[0, i] @ p + ps.rx_wave_vectors[0, i] @ q))
         plain += x * phase
     assert abs(value - plain * ISO) < 1e-12
 
 
 def test_ecsi_matches_unfactored_sum(rng):
-    ps = random_path_set(rng, 7)
+    ps = random_paths(rng, 7, U=3)
     lam = 0.0857
     f = 3.51e9
     basis = build_basis(2)
@@ -186,17 +185,20 @@ def test_ecsi_matches_unfactored_sum(rng):
     alpha /= np.linalg.norm(alpha)
     p = rng.standard_normal(3) * 0.02
     q = rng.standard_normal(3) * 12
-    value = np.conj(ecsi(ps, omega, p, q, f, lam)) @ alpha
-    expected = direct_channel_sum(ps, basis, alpha, p, q, f, lam)
-    assert abs(value - expected) < 1e-12
+    for u in range(3):
+        value = np.conj(ecsi(ps, u, omega[u], p, q, f, lam)) @ alpha
+        expected = direct_channel_sum(ps, u, basis, alpha, p, q, f, lam)
+        assert abs(value - expected) < 1e-12
 
 
 def test_ecsi_dimension_mismatch(rng):
-    ps = random_path_set(rng, 3)
+    ps = random_paths(rng, 3)
     basis = build_basis(1)
     omega = build_omega(basis, ps)
     with pytest.raises(ContractError):
-        ecsi(ps, omega[:2], np.zeros(3), np.zeros(3), 3.5e9, 0.0857)
+        ecsi(ps, 0, omega[0, :2], np.zeros(3), np.zeros(3), 3.5e9, 0.0857)
+    with pytest.raises(ContractError):
+        ecsi(ps, 0, omega, np.zeros(3), np.zeros(3), 3.5e9, 0.0857)
 
 
 def test_state_tensor_single_path_closed_form():
@@ -205,9 +207,8 @@ def test_state_tensor_single_path_closed_form():
     scen = generate_scenario(cfg)
     state = initial_state(scen, "TFA")
     h = ChannelWorkspace(scen).state_tensor(state)[0, 0, 0]
-    ps = scen.path_sets[0]
     f = scen.subcarrier_frequencies[0]
-    expected = direct_channel_sum(ps, build_basis(0), np.array([1.0]),
+    expected = direct_channel_sum(scen.paths, 0, build_basis(0), np.array([1.0]),
                                   scen.initial_positions[0], scen.ue_positions[0],
                                   f, scen.config.wavelength)
     assert abs(h - expected) < 1e-12
@@ -369,6 +370,28 @@ def test_stacked_gradients_equal_per_slice_calls_bitwise(overrides, rng):
              for c in coefficients])
 
 
+# The reference cell's shape and those of the tfa_wideband and large_array benchmarks.
+WORKSPACE_SHAPES = {
+    "reference": {},
+    "tfa_wideband": dict(num_subcarriers=256, num_bs_antennas=8, num_ues=4),
+    "large_array": dict(num_subcarriers=32, num_bs_antennas=8, num_ues=4,
+                        num_paths_per_ue=12, shod_max_degree=3),
+}
+
+
+@pytest.mark.parametrize("overrides", WORKSPACE_SHAPES.values(), ids=list(WORKSPACE_SHAPES))
+def test_workspace_equals_its_per_ue_build_bitwise(overrides):
+    # The workspace builds omega and env from the whole path table in one pass;
+    # every bit the solver reads must be the per-UE build's.
+    for seed in range(10):
+        scen = generate_scenario(replace(reference_config(seed), **overrides))
+        ws = ChannelWorkspace(scen)
+        for built, expected in zip((ws.omega, ws.tx_wave_vectors, ws.env),
+                                   workspace_arrays_loop(scen)):
+            assert built.shape == expected.shape and built.dtype == expected.dtype
+            assert built.tobytes() == expected.tobytes()
+
+
 def test_factorization_exactness_random_entries(rng):
     cfg = make_config(seed=9)
     scen = generate_scenario(cfg)
@@ -379,8 +402,7 @@ def test_factorization_exactness_random_entries(rng):
         u = int(rng.integers(cfg.num_ues))
         m = int(rng.integers(cfg.num_bs_antennas))
         g = int(rng.integers(cfg.num_subcarriers))
-        ps = scen.path_sets[u]
-        expected = direct_channel_sum(ps, basis, state.coefficients[m],
+        expected = direct_channel_sum(scen.paths, u, basis, state.coefficients[m],
                                       state.positions[m], scen.ue_positions[u],
                                       scen.subcarrier_frequencies[g], scen.config.wavelength)
         assert abs(h[u, m, g] - expected) < 1e-12
@@ -448,6 +470,30 @@ def test_projection_maps_an_offset_too_large_to_square_onto_the_sphere(magnitude
     assert np.allclose(offset / cfg.movement_radius, direction / np.linalg.norm(direction),
                        rtol=0.0, atol=1e-12)
     # Every other row keeps the bits it has in a call with no such offset.
+    expected = project_to_movement_region(scen, inside)
+    expected[1, 0] = clamped[1, 0]
+    assert np.array_equal(clamped, expected)
+
+
+@pytest.mark.parametrize("row", [(np.inf, 0.0, 0.0), (-np.inf, 1e300, np.inf),
+                                 (np.inf, np.inf, -np.inf), (2.0, -np.inf, -3.0)],
+                         ids=["x", "x-z", "xyz", "y"])
+def test_projection_maps_an_infinite_offset_onto_the_sphere_along_its_signs(row, rng):
+    # An infinite offset has no direction of its own; the clamp scale is then 0 and
+    # inf * 0 is NaN. It goes onto the sphere along the signs of its infinite
+    # coordinates, and every other row keeps the bits it has without it.
+    cfg = make_config(seed=13)
+    scen = generate_scenario(cfg)
+    inside = scen.initial_positions + rng.uniform(-0.5, 0.5, (2, cfg.num_bs_antennas, 3)) * (
+        cfg.movement_radius / 2)
+    wild = inside.copy()
+    wild[1, 0] = scen.initial_positions[0] + np.array(row)
+    clamped = project_to_movement_region(scen, wild)
+    offset = clamped[1, 0] - scen.initial_positions[0]
+    signs = np.copysign(np.isinf(row), row)
+    assert abs(np.linalg.norm(offset) - cfg.movement_radius) <= 1e-12 * cfg.movement_radius
+    assert np.allclose(offset / cfg.movement_radius, signs / np.linalg.norm(signs),
+                       rtol=0.0, atol=1e-12)
     expected = project_to_movement_region(scen, inside)
     expected[1, 0] = clamped[1, 0]
     assert np.array_equal(clamped, expected)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mara_sim import checks, cli
 from mara_sim.errors import SingularChannelError
-from mara_sim.scenario import PathSet, Scenario, generate_scenario
+from mara_sim.scenario import Scenario, generate_scenario
 from mara_sim.channel import ChannelWorkspace, initial_state
 from mara_sim.optim import _zero_forcing, digital_precoder
 from mara_sim.se import sum_se
@@ -67,14 +67,9 @@ def test_zero_path_gains_give_zero_gradients():
     cfg = make_config(num_ues=1, num_bs_antennas=2, num_paths_per_ue=2,
                       num_subcarriers=2, seed=42)
     template = generate_scenario(cfg)
-    dead_paths = tuple(
-        PathSet(gains=np.zeros(ps.num_paths, dtype=complex),
-                tx_wave_vectors=ps.tx_wave_vectors,
-                rx_wave_vectors=ps.rx_wave_vectors,
-                delays=ps.delays)
-        for ps in template.path_sets)
+    dead_paths = dataclasses.replace(template.paths, gains=np.zeros(template.paths.gains.shape))
     scen = Scenario(config=cfg, initial_positions=template.initial_positions,
-                    ue_positions=template.ue_positions, path_sets=dead_paths,
+                    ue_positions=template.ue_positions, paths=dead_paths,
                     subcarrier_frequencies=template.subcarrier_frequencies)
     ws = ChannelWorkspace(scen)
     state = initial_state(scen, "MARA")

@@ -19,6 +19,7 @@ from mara_sim.harness import (ExperimentSpec, ResultRow, emit_csv,
                               emit_summary_csv, format_summary, iter_cells,
                               reference_experiment, run_experiment, summarize)
 from mara_sim.optim import OptimOptions
+from mara_sim.scenario import SCHEME_ORDER
 
 from conftest import make_config
 
@@ -496,3 +497,19 @@ def test_a_cell_whose_snr_overflows_a_double_names_the_noise_power():
         rows = run_experiment(spec)
     assert [(r.scheme, r.ok, r.note) for r in rows] == [
         ("TFA", False, "error: noise_power_w=1e-310 overflows the SNR at subcarrier 0")]
+
+
+@pytest.mark.parametrize("noise", [1e-200, 1e-300], ids=["1e-200", "1e-300"])
+def test_a_reference_cell_at_extreme_snr_solves_without_a_warning(noise):
+    # The gradients follow the SNR, about 1e300 at 1e-300 W: their squares, and a
+    # pattern step's, lie beyond a double. Every scheme still solves, with no
+    # overflow warning (an error under the test suite's filter).
+    spec = reference_experiment(num_seeds=1)
+    spec = dataclasses.replace(spec, sweep=None,
+                               base=dataclasses.replace(spec.base, noise_power_w=noise))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_experiment(spec)
+    assert [(r.scheme, r.ok, r.note) for r in rows] == [(s, True, "") for s in SCHEME_ORDER]
+    se = {r.scheme: r.se_sum for r in rows}
+    assert se["TFA"] <= min(se["SMA"], se["ERA"]) and max(se["SMA"], se["ERA"]) <= se["MARA"]

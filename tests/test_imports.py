@@ -131,7 +131,7 @@ def test_every_exported_name_resolves():
 REFERENCE_FORMS = ("ecsi", "brute_force_positions", "pattern_power", "gram_matrix")
 # Reference forms only the tests use; they live in tests/reference_forms.py.
 TEST_REFERENCE_FORMS = ("sinr", "mrt_precoder", "pattern_gain", "brute_force_positions_loop",
-                        "fd_gradient", "gradient_errors")
+                        "fd_gradient", "gradient_errors", "workspace_arrays_loop")
 
 
 def imported_modules(source: str) -> set[str]:

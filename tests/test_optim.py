@@ -33,14 +33,14 @@ def two_path_axis_scenario(phase_offset_frac=0.3):
     kappa = 2 * math.pi / cfg.wavelength
     delta = phase_offset_frac * cfg.movement_radius
     gains = np.array([1.0, np.exp(-2j * kappa * delta)]) * math.sqrt(0.5)
-    ps = PathSet(gains=gains,
-                 tx_wave_vectors=np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
-                 rx_wave_vectors=np.array([[0.0, 0, 1], [0.0, 0, 1]]),
-                 delays=np.zeros(2))
+    paths = PathSet(gains=gains[None],
+                    tx_wave_vectors=np.array([[[1.0, 0, 0], [-1.0, 0, 0]]]),
+                    rx_wave_vectors=np.array([[[0.0, 0, 1], [0.0, 0, 1]]]),
+                    delays=np.zeros((1, 2)))
     scen = Scenario(config=cfg,
                     initial_positions=np.zeros((1, 3)),
                     ue_positions=np.array([[0.0, 150.0, 0.0]]),
-                    path_sets=(ps,),
+                    paths=paths,
                     subcarrier_frequencies=np.array([cfg.carrier_frequency_hz]))
     return scen, delta, kappa, gains
 
@@ -134,8 +134,7 @@ def rank_one_instance(seed):
                       seed=seed)
     scen = generate_scenario(cfg)
     basis = build_basis(cfg.shod_max_degree)
-    ps = scen.path_sets[0]
-    q = ecsi(ps, build_omega(basis, ps), scen.initial_positions[0],
+    q = ecsi(scen.paths, 0, build_omega(basis, scen.paths)[0], scen.initial_positions[0],
              scen.ue_positions[0], scen.subcarrier_frequencies[0],
              scen.config.wavelength)
     quad = np.real(np.outer(np.conj(q), q))
@@ -517,3 +516,47 @@ def test_spectral_step_falls_back_to_t0_when_the_direction_does_not_change():
     assert len(searches) == 6
     assert all(np.array_equal(d, [1.0, 0.0]) for _, d, _ in searches)
     assert [t for _, _, t in searches] == [t0] * 6
+
+
+def rows_with_huge_entries(rng):
+    """Rows of K = 9 at magnitudes from 1 to near the largest double, one with a
+    huge entry among small ones, and one whose squares overflow only as a sum."""
+    rows = [rng.standard_normal(9) * scale for scale in (1.0, 1e140, 2.0 ** 512, 1e200,
+                                                         1e300, 1e307)]
+    lopsided = rng.standard_normal(9)
+    lopsided[4] = -1.7e308
+    many_large = np.full(9, 2.0 ** 510)  # each square fits; their sum does not
+    return np.array(rows + [lopsided, many_large])
+
+
+def test_pattern_retraction_returns_unit_rows_along_any_finite_row(rng):
+    # Squared as they are, the larger rows overflow: their norm reads inf and
+    # the retraction returns zero rows. Tier-1 also fails on the warning.
+    c = rows_with_huge_entries(rng)
+    peak = np.abs(c).max(axis=1, keepdims=True)
+    direction = (c / peak) / np.linalg.norm(c / peak, axis=1, keepdims=True)
+    out = optim._PATTERNS.retract(None, c.copy())
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-15
+    assert np.allclose(out, direction, rtol=0.0, atol=1e-15)
+    # Rows within the bound keep the plain formula's bits, whatever rows share the call.
+    plain = c[:2]
+    assert np.array_equal(optim._PATTERNS.retract(None, c.copy())[:2],
+                          plain / np.sqrt(np.add.reduce(plain * plain, -1, keepdims=True)))
+
+
+def test_sum_squares_reads_inf_only_for_slices_past_the_bound(rng):
+    # A slice of n entries is read as inf once one exceeds 2^500 / sqrt(n); below
+    # that its squares sum as they always did, and no square or sum overflows.
+    rows = rows_with_huge_entries(rng)
+    stacked = np.stack([rows[[0, 1, 0]], rows[[0, 2, 1]], rows[[7, 0, 0]]])  # (3, 3, 9)
+    sums = optim._sum_squares(stacked, (1, 2))
+    assert sums[0] == np.add.reduce(stacked[0] * stacked[0], (0, 1))
+    assert np.isinf(sums[1:]).all()
+    plain = rows[:2]
+    assert np.array_equal(optim._sum_squares(rows, (-1,))[:2], np.add.reduce(plain * plain, -1))
+    assert np.isinf(optim._sum_squares(rows, (-1,))[2:]).all()
+    # 48 entries just inside the bound: their squares sum to 2^1000, with no overflow.
+    edge = np.full((2, 3, 16), 2.0 ** 500 / math.sqrt(48))
+    assert np.array_equal(optim._sum_squares(edge, (1, 2)), np.add.reduce(edge * edge, (1, 2)))
+    edge[1, 2, 15] = np.nextafter(edge[1, 2, 15], np.inf)
+    assert optim._sum_squares(edge, (1, 2))[1] == np.inf

@@ -8,8 +8,8 @@ import pytest
 from mara_sim import cli
 from mara_sim.errors import ConfigError, ValidationError
 from mara_sim.scenario import (_INT_KEYS, _OPTIONAL_KEYS, _REQUIRED_KEYS, SCHEME_ORDER,
-                               SystemConfig, config_from_mapping, generate_scenario,
-                               load_config, subcarrier_frequencies)
+                               UE_ANNULUS_M, PathSet, SystemConfig, config_from_mapping,
+                               generate_scenario, load_config, subcarrier_frequencies)
 
 from conftest import config_file_dict, make_config, write_config
 
@@ -65,16 +65,33 @@ def test_generate_scenario_bit_identical():
     assert np.array_equal(a.initial_positions, b.initial_positions)
     assert np.array_equal(a.ue_positions, b.ue_positions)
     assert np.array_equal(a.subcarrier_frequencies, b.subcarrier_frequencies)
-    for pa, pb in zip(a.path_sets, b.path_sets):
-        assert np.array_equal(pa.gains, pb.gains)
-        assert np.array_equal(pa.tx_wave_vectors, pb.tx_wave_vectors)
-        assert np.array_equal(pa.rx_wave_vectors, pb.rx_wave_vectors)
-        assert np.array_equal(pa.delays, pb.delays)
+    for f in dataclasses.fields(PathSet):
+        assert np.array_equal(getattr(a.paths, f.name), getattr(b.paths, f.name))
+
+
+def test_generate_scenario_draws_each_ue_in_turn():
+    # One UE's placement, gains, wave vectors and delays, then the next UE's: the
+    # order in which the table's rows are drawn is part of every seeded result.
+    cfg = make_config(num_ues=3, num_paths_per_ue=5, seed=4)
+    scen = generate_scenario(cfg)
+    rng, L = np.random.default_rng(cfg.seed), cfg.num_paths_per_ue
+    for u in range(cfg.num_ues):
+        radius, azimuth = rng.uniform(*UE_ANNULUS_M), rng.uniform(0.0, 2.0 * np.pi)
+        assert np.array_equal(scen.ue_positions[u], [radius * np.cos(azimuth),
+                                                     radius * np.sin(azimuth), 0.0])
+        gains = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * np.sqrt(0.5 / L)
+        assert np.array_equal(scen.paths.gains[u], gains)
+        for name in ("tx_wave_vectors", "rx_wave_vectors"):
+            k = rng.standard_normal((L, 3))
+            assert np.array_equal(getattr(scen.paths, name)[u],
+                                  k / np.linalg.norm(k, axis=1, keepdims=True))
+        assert np.array_equal(scen.paths.delays[u], rng.uniform(0.0, cfg.max_delay_s, L))
 
 
 def test_single_path_per_ue():
-    scen = generate_scenario(make_config(num_paths_per_ue=1))
-    assert all(ps.num_paths == 1 for ps in scen.path_sets)
+    scen = generate_scenario(make_config(num_ues=3, num_paths_per_ue=1))
+    assert scen.paths.gains.shape == scen.paths.delays.shape == (3, 1)
+    assert scen.paths.tx_wave_vectors.shape == scen.paths.rx_wave_vectors.shape == (3, 1, 3)
 
 
 def test_gain_variance_matches_one_over_l():
@@ -82,17 +99,17 @@ def test_gain_variance_matches_one_over_l():
     L = 100_000
     cfg = make_config(num_ues=1, num_bs_antennas=1, num_paths_per_ue=L, seed=9)
     scen = generate_scenario(cfg)
-    mean_power = float(np.mean(np.abs(scen.path_sets[0].gains) ** 2))
+    mean_power = float(np.mean(np.abs(scen.paths.gains[0]) ** 2))
     assert abs(mean_power - 1.0 / L) <= 0.02 / L
 
 
 def test_wave_vectors_unit_and_delays_bounded():
     cfg = make_config(seed=3, max_delay_s=2e-7)
     scen = generate_scenario(cfg)
-    for ps in scen.path_sets:
-        assert np.max(np.abs(np.linalg.norm(ps.tx_wave_vectors, axis=1) - 1)) <= 1e-12
-        assert np.max(np.abs(np.linalg.norm(ps.rx_wave_vectors, axis=1) - 1)) <= 1e-12
-        assert np.all(ps.delays >= 0) and np.all(ps.delays <= cfg.max_delay_s)
+    ps = scen.paths
+    assert np.max(np.abs(np.linalg.norm(ps.tx_wave_vectors, axis=-1) - 1)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(ps.rx_wave_vectors, axis=-1) - 1)) <= 1e-12
+    assert np.all(ps.delays >= 0) and np.all(ps.delays <= cfg.max_delay_s)
 
 
 def test_subcarrier_grid_single():
@@ -135,7 +152,7 @@ def test_scenario_arrays_immutable():
     with pytest.raises(ValueError):
         scen.initial_positions[0, 0] = 1.0
     with pytest.raises(ValueError):
-        scen.path_sets[0].gains[0] = 0.0
+        scen.paths.gains[0, 0] = 0.0
 
 
 def test_config_validation_errors_name_fields():
@@ -235,13 +252,72 @@ def test_cli_default_configs_keep_their_values():
 @pytest.mark.parametrize("name, cut", [
     ("initial_positions", lambda s: s.initial_positions[:-1]),
     ("ue_positions", lambda s: s.ue_positions[:, :2]),
-    ("path_sets", lambda s: s.path_sets[:-1]),
+    ("paths", lambda s: PathSet(*(getattr(s.paths, f.name)[:-1]
+                                  for f in dataclasses.fields(PathSet)))),
     ("subcarrier_frequencies", lambda s: s.subcarrier_frequencies[:-1]),
 ], ids=["M", "U", "paths", "G"])
 def test_scenario_rejects_arrays_that_disagree_with_its_config(name, cut):
     scen = generate_scenario(make_config(num_ues=3, num_subcarriers=8))
     with pytest.raises(ValidationError, match=name):
         dataclasses.replace(scen, **{name: cut(scen)})
+
+
+def stacked_paths(U=3, L=4):
+    """A valid (U, L) table as a dict of its fields: unit wave vectors along z and x."""
+    return dict(gains=np.ones((U, L), dtype=complex),
+                tx_wave_vectors=np.broadcast_to([0.0, 0.0, 1.0], (U, L, 3)),
+                rx_wave_vectors=np.broadcast_to([1.0, 0.0, 0.0], (U, L, 3)),
+                delays=np.zeros((U, L)))
+
+
+def test_path_set_holds_the_stacked_table_read_only():
+    paths = PathSet(**stacked_paths())
+    assert paths.gains.shape == paths.delays.shape == (3, 4)
+    assert paths.tx_wave_vectors.shape == paths.rx_wave_vectors.shape == (3, 4, 3)
+    for f in dataclasses.fields(PathSet):
+        with pytest.raises(ValueError):
+            getattr(paths, f.name)[-1, -1] = 0.0
+
+
+def off_unit(k):
+    k = np.array(k)
+    k[-1, -1] *= 1.0 + 1e-11
+    return k
+
+
+def nan_row(k):
+    k = np.array(k)
+    k[1, 2] = np.nan
+    return k
+
+
+def negative_last(d):
+    d = np.array(d)
+    d[-1, -1] = -1e-12
+    return d
+
+
+@pytest.mark.parametrize("name, cut, message", [
+    ("gains", lambda a: a[0], r"gains must have shape \(U, L\)"),
+    ("gains", lambda a: a[..., None], r"gains must have shape \(U, L\)"),
+    ("tx_wave_vectors", lambda a: a[:, :-1], r"tx_wave_vectors must have shape \(U, L, 3\)"),
+    ("rx_wave_vectors", lambda a: a[:-1], r"rx_wave_vectors must have shape \(U, L, 3\)"),
+    ("rx_wave_vectors", lambda a: a[..., :2], r"rx_wave_vectors must have shape \(U, L, 3\)"),
+    ("delays", lambda a: a[0], r"delays must have shape \(U, L\)"),
+    ("delays", lambda a: a[:, :-1], r"delays must have shape \(U, L\)"),
+    ("tx_wave_vectors", off_unit, "tx_wave_vectors rows must be unit-norm within 1e-12"),
+    ("rx_wave_vectors", off_unit, "rx_wave_vectors rows must be unit-norm within 1e-12"),
+    ("tx_wave_vectors", nan_row, "tx_wave_vectors rows must be unit-norm within 1e-12"),
+    ("delays", negative_last, "delays must be nonnegative"),
+], ids=["gains-1d", "gains-3d", "tx-L", "rx-U", "rx-2d-rows", "delays-1d", "delays-L",
+        "tx-off-unit", "rx-off-unit", "tx-nan", "delays-negative"])
+def test_path_set_checks_the_whole_table(name, cut, message):
+    # Each check runs once, over every UE's row: the fault sits in the last UE
+    # or off the table's (U, L) shape.
+    fields = stacked_paths()
+    fields[name] = cut(fields[name])
+    with pytest.raises(ValidationError, match=message):
+        PathSet(**fields)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -108,14 +108,13 @@ def test_se_equivalence_h_form_vs_stacked_ecsi_form(rng):
     lam = np.zeros((M * K, M), dtype=complex)
     for m in range(M):
         lam[m * K:(m + 1) * K, m] = state.coefficients[m]
+    omega = build_omega(basis, scen.paths)
     se_stacked = 0.0
     for g in range(G):
         f = scen.subcarrier_frequencies[g]
         for u in range(U):
-            ps = scen.path_sets[u]
-            omega = build_omega(basis, ps)
             q_stack = np.concatenate([
-                ecsi(ps, omega, state.positions[m], scen.ue_positions[u], f,
+                ecsi(scen.paths, u, omega[u], state.positions[m], scen.ue_positions[u], f,
                      scen.config.wavelength) for m in range(M)])
             row = np.conj(q_stack) @ lam  # q^H Lambda, length M
             sig = abs(row @ w[g][:, u]) ** 2

@@ -23,11 +23,11 @@ def reference_harmonic(ell, m, theta, phi):
     return math.sqrt(2.0) * np.imag(sph_harm_y(ell, -m, theta, phi))
 
 
-def single_path_set(k_tx, k_rx=(1.0, 0.0, 0.0), gain=1.0 + 0j, delay=0.0):
-    return PathSet(gains=np.array([gain]),
-                   tx_wave_vectors=np.array([k_tx], dtype=float),
-                   rx_wave_vectors=np.array([k_rx], dtype=float),
-                   delays=np.array([delay]))
+def unit_gain_paths(k_tx):
+    """A path table whose transmit wave vectors are k_tx (U, L, 3), gains 1, delays 0."""
+    shape = np.shape(k_tx)[:-1]
+    return PathSet(gains=np.ones(shape), tx_wave_vectors=k_tx, rx_wave_vectors=k_tx,
+                   delays=np.zeros(shape))
 
 
 def test_degree_zero_is_normalized_constant(rng):
@@ -136,34 +136,31 @@ def test_pattern_power_constant_pattern():
 
 def test_build_omega_at_pole():
     basis = build_basis(2)
-    ps = single_path_set(k_tx=(0.0, 0.0, 1.0))
-    omega = build_omega(basis, ps)
+    omega = build_omega(basis, unit_gain_paths([[(0.0, 0.0, 1.0)]]))
     expected = evaluate_basis(basis.max_degree, 0.0, 0.0)
-    assert np.allclose(omega[0], expected, atol=1e-13)
+    assert np.allclose(omega[0, 0], expected, atol=1e-13)
 
 
 def test_build_omega_shape(rng):
     basis = build_basis(1)
-    k = rng.standard_normal((3, 3))
-    k /= np.linalg.norm(k, axis=1, keepdims=True)
-    ps = PathSet(gains=np.ones(3, dtype=complex), tx_wave_vectors=k,
-                 rx_wave_vectors=k, delays=np.zeros(3))
-    assert build_omega(basis, ps).shape == (3, 4)
+    k = rng.standard_normal((2, 3, 3))
+    k /= np.linalg.norm(k, axis=-1, keepdims=True)
+    assert build_omega(basis, unit_gain_paths(k)).shape == (2, 3, 4)
 
 
 def test_omega_alpha_reproduces_pattern_gain(rng):
     basis = build_basis(2)
-    k = rng.standard_normal((5, 3))
-    k /= np.linalg.norm(k, axis=1, keepdims=True)
-    ps = PathSet(gains=np.ones(5, dtype=complex), tx_wave_vectors=k,
-                 rx_wave_vectors=k, delays=np.zeros(5))
-    omega = build_omega(basis, ps)
+    k = rng.standard_normal((2, 5, 3))
+    k /= np.linalg.norm(k, axis=-1, keepdims=True)
+    omega = build_omega(basis, unit_gain_paths(k))
     alpha = rng.standard_normal(9)
     values = omega @ alpha
-    for i in range(5):
-        theta = math.acos(k[i, 2])
-        phi = math.atan2(k[i, 1], k[i, 0]) % (2 * math.pi)
-        assert values[i] == pytest.approx(pattern_gain(basis, alpha, theta, phi), abs=1e-12)
+    for u in range(2):
+        for i in range(5):
+            theta = math.acos(k[u, i, 2])
+            phi = math.atan2(k[u, i, 1], k[u, i, 0]) % (2 * math.pi)
+            assert values[u, i] == pytest.approx(pattern_gain(basis, alpha, theta, phi),
+                                                 abs=1e-12)
 
 
 def test_degree_zero_pattern_angle_independent(rng):
