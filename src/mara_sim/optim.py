@@ -15,7 +15,7 @@ SMA/ERA take the TFA solution and MARA the better of the SMA and ERA ones, as th
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields, make_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -199,20 +199,20 @@ def _ascend(x, t0, chunks, direction, propose, objective, opts):
 
     The starts advance in lockstep as slots of one stack, in buffers the ascent owns,
     each taking the steps it would take alone. direction(x, *arrays) is each slot's
-    ascent direction; propose(x, d, t) retracts each slot's candidates for its steps
-    t (slots, steps, ...) and the ascent each promises; objective scores a stack of
-    points, with the arrays direction takes there. A slot's first line search runs the
-    ladder t0 * LADDER, each later one t * LADDER from the spectral step t = s.s / |s.y|
-    of its last move s and direction change y (Barzilai & Borwein, IMA J. Numer. Anal.
-    8(1), 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10(4), 2000), clamped to
-    t0 * SPECTRAL_CLAMP, or t0 when s.y = 0. Each chunk of chunks (the opening and the
-    later searches', LADDER_CHUNKS) scores every searching slot in one objective call.
-    In ladder order a slot's search ends at its first step promising no ascent
-    (advance <= 0; a NaN promise does not end it) or at its first step passing Armijo,
-    whose candidate and array slices go to its row of x and the carried arrays; it runs
-    on into the next chunk only when every step advanced and none passed. A slot
-    leaves the stack when its direction vanishes, no step is accepted, or its gain
-    drops below tol_rel. Returns (points, SE at each) in slot order.
+    ascent direction; propose(x, d, t, dd), dd each slot's sum of squares of d, retracts
+    its candidates for its steps t (slots, steps, ...) and the ascent each promises;
+    objective scores a stack of points, with the arrays direction takes there. A slot's
+    first line search runs the ladder t0 * LADDER, each later one t * LADDER from the
+    spectral step t = s.s / |s.y| of its last move s and direction change y (Barzilai &
+    Borwein, IMA J. Numer. Anal. 8(1), 1988; Birgin, Martinez & Raydan, SIAM J. Optim.
+    10(4), 2000), clamped to t0 * SPECTRAL_CLAMP, or t0 when s.y = 0. Each chunk of
+    chunks (the opening and the later searches', LADDER_CHUNKS) scores every searching
+    slot in one objective call. In ladder order a slot's search ends at its first step
+    promising no ascent (advance <= 0; a NaN promise does not end it) or at its first
+    step passing Armijo, whose candidate and array slices go to its row of x and the
+    carried arrays; it runs on into the next chunk only when every step advanced and
+    none passed. A slot leaves the stack when its direction vanishes, no step is
+    accepted, or its gain drops below tol_rel. Returns (points, SE at each) in slot order.
     """
     lo, hi = t0 * SPECTRAL_CLAMP[0], t0 * SPECTRAL_CLAMP[1]
     axes = tuple(range(1, x.ndim))
@@ -222,8 +222,8 @@ def _ascend(x, t0, chunks, direction, propose, objective, opts):
     x, x_prev = x.copy(), np.empty_like(x)
     for i in range(opts.inner_grad_iters):
         d = direction(x, *at)
-        dd = _sum_squares(d, axes).tolist()
-        rows = [r for r, v in enumerate(dd) if not v < 1e-24 * max(1.0, f[r] * f[r])]
+        dd = _sum_squares(d, axes)
+        rows = [r for r, v in enumerate(dd.tolist()) if not v < 1e-24 * max(1.0, f[r] * f[r])]
         t = [t0] * len(ids)
         if i:
             s, y = x - x_prev, d - d_prev
@@ -236,7 +236,7 @@ def _ascend(x, t0, chunks, direction, propose, objective, opts):
             if not rows:
                 break
             pick = slice(None) if len(rows) == len(ids) else rows
-            cands, advance = propose(x_prev[pick], d[pick], steps[pick, start:end])
+            cands, advance = propose(x_prev[pick], d[pick], steps[pick, start:end], dd[pick])
             scored = cands.reshape(-1, *cands.shape[2:])
             fc, *stacks = objective(scored)
             fc, n, pending = fc.tolist(), end - start, []
@@ -284,107 +284,95 @@ def _sum_squares(v, axes):
                     np.add.reduce(w * w, axes))
 
 
-def _tangent(ws, phases, coefficients, *terms):
-    """The part of the pattern gradient tangent to the unit spheres at coefficients."""
-    grad = _grad_patterns_all(ws, phases, *terms)
-    return grad - np.add.reduce(grad * coefficients, -1, keepdims=True) * coefficients
+def _chunks(ws):
+    """The ladder chunks (LADDER_CHUNKS) for ws's scored row width U*M*G*L."""
+    return LADDER_CHUNKS[ws.env.size * ws.config.num_bs_antennas >= WIDE_ROW]
 
 
-# One record per DoF block, read by `_optimize_block` and `_ascend_block`. At a stack x
-# and the path factor `fixed` the block holds, channel(ws, fixed, x) is the stacks that
-# direction(ws, fixed, x, *stacks, gains, signal, rest, precoders) takes, then the
-# tensor; retract(ws, steps) pulls steps onto the feasible set, and advance(x, d, t,
-# cands) is the ascent each candidate promises. ascend and direction call `_ascend_*`
-# and `_grad_*_all` through the module's globals, so a wrapper set there sees each call.
-_Block = make_dataclass("_Block", ["schemes", "noun", "field", "sample", "ascend",
-                                   "channel", "direction", "retract", "advance", "t0"])
-_POSITIONS = _Block(
-    schemes=MOVABLE_SCHEMES, noun="positions", field="positions",
-    sample=sample_movement_region,
-    ascend=lambda ws, state, x, *args: _ascend_positions(ws, x, state.coefficients, *args),
-    channel=lambda ws, pattern, x: (phases := ws.phases(x), ws.tensor(phases, pattern)),
-    direction=lambda ws, pattern, _, phases, *terms: _grad_positions_all(
-        ws, phases, pattern, *terms),
-    retract=project_to_movement_region,
-    advance=lambda x, d, t, c: np.add.reduce(d[:, None] * (c - x[:, None]), (-2, -1)),
-    t0=lambda ws: POSITION_STEP * ws.config.antenna_spacing)
-_PATTERNS = _Block(
-    schemes=RECONFIGURABLE_SCHEMES, noun="patterns", field="coefficients",
-    sample=sample_unit_spheres,
-    ascend=lambda ws, state, x, *args: _ascend_patterns(ws, state.positions, x, *args),
-    channel=lambda ws, phases, x: (ws.tensor(phases, ws.patterns(x)),),
-    direction=_tangent,
-    retract=lambda ws, c: np.divide(s := _squarable(c, (-1,)),
-                                    np.sqrt(np.add.reduce(s * s, -1, keepdims=True)), s),
-    advance=lambda x, d, t, c: t * _sum_squares(d, (-2, -1))[:, None],
-    t0=lambda ws: PATTERN_STEP)
+def _retract_patterns(c):
+    """Each row of c renormalised onto its unit sphere; `_squarable` scales huge rows first."""
+    s = _squarable(c, (-1,))
+    return np.divide(s, np.sqrt(np.add.reduce(s * s, -1, keepdims=True)), s)
 
 
-def _ascend_block(ws, block, fixed, starts, precoders, opts):
-    """`_ascend` of block from the stack starts, its path factor held at `fixed` and its
-    first step block.t0(ws); the chunks follow the width U*M*G*L of one scored row."""
-
-    def objective(cands):
-        *stacks, h = block.channel(ws, fixed, cands)
-        se, *terms = _scored(h, precoders.w, ws.config.noise_power_w)
-        return se, *stacks, *terms
-
-    def propose(x, d, t):
-        cands = block.retract(ws, x[:, None] + t[..., None, None] * d[:, None])
-        return cands, block.advance(x, d, t, cands)
-
-    return _ascend(starts, block.t0(ws),
-                   LADDER_CHUNKS[ws.env.size * ws.config.num_bs_antennas >= WIDE_ROW],
-                   lambda x, *at: block.direction(ws, fixed, x, *at, precoders), propose,
-                   objective, opts)
-
-
+# The ascents call `_ascend`, `_scored` and their gradient as globals, seen by wrappers.
 def _ascend_positions(ws, starts, coefficients, precoders, opts):
     """Projected ascent over positions from the stack starts (R, M, 3): gradient
-    steps clamped into the balls."""
-    return _ascend_block(ws, _POSITIONS, ws.patterns(coefficients), starts, precoders, opts)
+    steps clamped into the balls, the pattern responses held."""
+    pattern = ws.patterns(coefficients)
+
+    def objective(x):
+        phases = ws.phases(x)
+        se, *terms = _scored(ws.tensor(phases, pattern), precoders.w, ws.config.noise_power_w)
+        return se, phases, *terms
+
+    def propose(x, d, t, _dd):
+        cands = project_to_movement_region(ws, x[:, None] + t[..., None, None] * d[:, None])
+        return cands, np.add.reduce(d[:, None] * (cands - x[:, None]), (-2, -1))
+
+    return _ascend(starts, POSITION_STEP * ws.config.antenna_spacing, _chunks(ws),
+                   lambda x, phases, *terms: _grad_positions_all(ws, phases, pattern, *terms,
+                                                                 precoders),
+                   propose, objective, opts)
 
 
 def _ascend_patterns(ws, positions, starts, precoders, opts):
-    """Retracted ascent over patterns from the stack starts (R, M, K): tangent steps
-    renormalised onto the spheres."""
-    return _ascend_block(ws, _PATTERNS, ws.phases(positions), starts, precoders, opts)
+    """Retracted ascent over patterns from the stack starts (R, M, K): the gradient's
+    part tangent to the unit spheres, steps renormalised onto them, the phases held."""
+    phases = ws.phases(positions)
+
+    def objective(x):
+        return _scored(ws.tensor(phases, ws.patterns(x)), precoders.w, ws.config.noise_power_w)
+
+    def direction(x, *terms):
+        grad = _grad_patterns_all(ws, phases, *terms, precoders)
+        return grad - np.add.reduce(grad * x, -1, keepdims=True) * x
+
+    def propose(x, d, t, dd):
+        return _retract_patterns(x[:, None] + t[..., None, None] * d[:, None]), t * dd[:, None]
+
+    return _ascend(starts, PATTERN_STEP, _chunks(ws), direction, propose, objective, opts)
 
 
-def _optimize_block(ws, state, precoders, opts, block):
-    """Gradient ascent over one block of state; the best of seeded restarts.
+def _optimize_block(ws, state, opts, schemes, noun, field, sample, ascend):
+    """Gradient ascent over one block of state, the field `field`; the best of seeded
+    restarts.
 
-    Rejects a scheme that pins the block (not in block.schemes) and checks the state
-    (`validate_state`). Restart 0 starts from the block's field as given, restart
-    r > 0 from block.sample seeded seed + r; without inner iterations only restart 0
-    runs. They run as the slots of one block.ascend call, each ending where it would
-    alone, so this is the best of sequential restarts; ties keep the earliest.
+    Rejects a scheme that pins the block (not in schemes) and checks the state
+    (`validate_state`). Restart 0 starts from the field as given, restart r > 0 from
+    sample seeded seed + r; without inner iterations only restart 0 runs. They run as
+    the slots of one ascend(starts) call, each ending where it would alone, so this is
+    the best of sequential restarts; ties keep the earliest.
     Returns (state, se): a copy of state with the best slot's field, and its SE under the
     given precoders, never below the incoming one's, as a stacked SE call equals its
     slices bitwise.
     """
-    if state.scheme not in block.schemes:
-        raise ContractError(f"{block.noun} are pinned for scheme {state.scheme!r}")
+    if state.scheme not in schemes:
+        raise ContractError(f"{noun} are pinned for scheme {state.scheme!r}")
     validate_state(ws, state)
     count = max(1, opts.restarts) if opts.inner_grad_iters else 1
-    starts = np.stack([getattr(state, block.field)] + [
-        block.sample(ws, np.random.default_rng(opts.seed + r)) for r in range(1, count)])
-    ends, values = block.ascend(ws, state, starts, precoders, opts)
+    starts = np.stack([getattr(state, field)] + [
+        sample(ws, np.random.default_rng(opts.seed + r)) for r in range(1, count)])
+    ends, values = ascend(starts)
     best = max(range(count), key=values.__getitem__)
-    return replace(state, **{block.field: ends[best]}).retagged(state.scheme), values[best]
+    return replace(state, **{field: ends[best]}).retagged(state.scheme), values[best]
 
 
 def optimize_positions(ws: ChannelWorkspace, state: AntennaState, precoders: PrecoderSet,
                        opts: OptimOptions = OptimOptions()) -> tuple[AntennaState, float]:
     """Projected gradient ascent over antenna positions (`_optimize_block`)."""
-    return _optimize_block(ws, state, precoders, opts, _POSITIONS)
+    return _optimize_block(
+        ws, state, opts, MOVABLE_SCHEMES, "positions", "positions", sample_movement_region,
+        lambda x: _ascend_positions(ws, x, state.coefficients, precoders, opts))
 
 
 def optimize_patterns(ws: ChannelWorkspace, state: AntennaState, precoders: PrecoderSet,
                       opts: OptimOptions = OptimOptions()) -> tuple[AntennaState, float]:
     """Retracted gradient ascent over per-antenna unit-sphere pattern coefficients
     (`_optimize_block`)."""
-    return _optimize_block(ws, state, precoders, opts, _PATTERNS)
+    return _optimize_block(
+        ws, state, opts, RECONFIGURABLE_SCHEMES, "patterns", "coefficients",
+        sample_unit_spheres, lambda x: _ascend_patterns(ws, state.positions, x, precoders, opts))
 
 
 def alternating_optimize(ws: ChannelWorkspace, scheme: str,
@@ -418,12 +406,14 @@ def _optimize_scheme(ws, scheme, opts, warm):
     else:
         state = initial_state(ws, scheme)
         precoders, current = _zero_forcing(ws, state)
-    blocks = [block for block in (_POSITIONS, _PATTERNS) if scheme in block.schemes]
+    blocks = [optimize for optimize, schemes in ((optimize_positions, MOVABLE_SCHEMES),
+                                                 (optimize_patterns, RECONFIGURABLE_SCHEMES))
+              if scheme in schemes]
     trace: list[float] = []
     for _ in range(opts.max_outer_iters):
         before = current
-        for block in blocks:
-            state, current = _optimize_block(ws, state, precoders, opts, block)
+        for optimize in blocks:
+            state, current = optimize(ws, state, precoders, opts)
             try:
                 candidate, se = _zero_forcing(ws, state)
             except SingularChannelError:

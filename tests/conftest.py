@@ -1,8 +1,12 @@
+import importlib
 import json
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mara_sim
 from mara_sim import checks
 from mara_sim.scenario import SCHEME_ORDER, SystemConfig
 from mara_sim.channel import (MOVABLE_SCHEMES, RECONFIGURABLE_SCHEMES, AntennaState,
@@ -84,3 +88,16 @@ def one_worker(monkeypatch):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# Hypothesis adds the literals of every local module in sys.modules but test files (the
+# package's, and the tracer a test loads) to the pool its draws take constants from, so a
+# derandomized property draws the same examples only if the same modules are loaded. Load
+# every package and test module before any test runs, whichever files run. A module that
+# fails to import is left to fail its own collection, not every test's.
+for _module in [f"mara_sim.{m.name}" for m in pkgutil.iter_modules(mara_sim.__path__)] + [
+        path.stem for path in sorted(Path(__file__).parent.glob("*.py"))]:
+    try:
+        importlib.import_module(_module)
+    except Exception:
+        pass

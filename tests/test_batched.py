@@ -266,15 +266,16 @@ def test_gradient_from_accepted_slice_equals_fresh_gradient_bitwise(size, block,
     # ascent returns at its end point.
     cfg, scen, ws, state, prec = instance(75, rng, **SIZES[size])
     noise = cfg.noise_power_w
-    dof = optim._POSITIONS if block == "positions" else optim._PATTERNS
     seen = []
 
-    def recording(ws, fixed, x, *arrays):  # arrays: the carried stacks, then precoders
-        seen.append((x[0].copy(), [a[0].copy() for a in arrays[:-1]]))
-        return direction(ws, fixed, x, *arrays)
+    def recording(x, t0, chunks, direction, *rest):  # records each direction call
+        def recorded(x, *arrays):  # arrays: the carried stacks
+            seen.append((x[0].copy(), [a[0].copy() for a in arrays]))
+            return direction(x, *arrays)
+        return ascend(x, t0, chunks, recorded, *rest)
 
-    direction = dof.direction
-    monkeypatch.setattr(dof, "direction", recording)
+    ascend = optim._ascend
+    monkeypatch.setattr(optim, "_ascend", recording)
     if block == "positions":
         points, values = _ascend_positions(ws, state.positions[None], state.coefficients,
                                            prec, ASCENT)
@@ -418,7 +419,7 @@ def test_line_search_takes_each_rows_first_passing_step_before_any_that_stops_it
         directions.append((x[:, 0].tolist(), carried[:, 0].tolist()))
         return np.full_like(x, 0.0 if directions[1:] else 1.0)
 
-    def propose(x, d, t):  # a candidate is slot * 10 + k for the step t = 2^-k
+    def propose(x, d, t, _dd):  # a candidate is slot * 10 + k for the step t = 2^-k
         rows, steps = x[:, 0].astype(int), np.rint(-np.log2(t)).astype(int)
         proposed.append(rows.tolist())
         return 10.0 * x[:, None] + steps[..., None], advances[rows[:, None], steps]
@@ -451,6 +452,31 @@ def test_ascent_that_exhausts_the_ladder_matches_reference(rng, monkeypatch):
     assert ref[2] == "ladder"
     assert_same_ascent(got, ref)
     assert np.array_equal(got[0][0], state.coefficients)
+
+
+@pytest.mark.parametrize("armijo", [optim.ARMIJO_C, 1e6], ids=["armijo-1e-4", "armijo-1e6"])
+def test_pattern_ascent_sums_each_directions_squares_once(armijo, rng, monkeypatch):
+    # Each chunk's promised ascent reuses the sum of squares the iteration took of
+    # its direction, so a pattern ascent sums squares once per iteration (one
+    # gradient call), however many chunks it scores; at ARMIJO_C = 1e6 it scores
+    # every chunk of the ladder.
+    cfg, scen, ws, state, prec = instance(79, rng)
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(optim, "ARMIJO_C", armijo)
+    for key, name in (("sums", "_sum_squares"), ("iterations", "_grad_patterns_all"),
+                      ("scores", "sum_se_arrays")):
+        monkeypatch.setattr(optim, name, counted(key, getattr(optim, name)))
+    starts = np.stack([state.coefficients, random_feasible_state(scen, rng).coefficients])
+    _ascend_patterns(ws, state.positions, starts, prec, ASCENT)
+    assert calls["scores"] > 1 + calls["iterations"] > 1  # some iteration scored 2 chunks
+    assert calls["sums"] == calls["iterations"]
 
 
 @pytest.mark.parametrize("slots", [1, 2, 4])

@@ -460,10 +460,10 @@ def quadratic_searches(curvature, linear, start, t0, iters=6):
     def objective(x):
         return (x @ b - 0.5 * (a * x * x).sum(axis=-1),)
 
-    def propose(x, d, t):  # one slot: x and d (1, n), the steps t (1, chunk)
+    def propose(x, d, t, dd):  # one slot: x and d (1, n), the steps t (1, chunk), dd (1,)
         if not searches or not np.array_equal(searches[-1][0], x[0]):
             searches.append((x[0].copy(), d[0].copy(), float(t[0, 0])))
-        return x[:, None] + t[..., None] * d[:, None], t * (d * d).sum(axis=-1)[:, None]
+        return x[:, None] + t[..., None] * d[:, None], t * dd[:, None]
 
     optim._ascend(np.asarray(start, float)[None], t0, optim.LADDER_CHUNKS[False],
                   lambda x: b - a * x, propose, objective,
@@ -535,12 +535,12 @@ def test_pattern_retraction_returns_unit_rows_along_any_finite_row(rng):
     c = rows_with_huge_entries(rng)
     peak = np.abs(c).max(axis=1, keepdims=True)
     direction = (c / peak) / np.linalg.norm(c / peak, axis=1, keepdims=True)
-    out = optim._PATTERNS.retract(None, c.copy())
+    out = optim._retract_patterns(c.copy())
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-15
     assert np.allclose(out, direction, rtol=0.0, atol=1e-15)
     # Rows within the bound keep the plain formula's bits, whatever rows share the call.
     plain = c[:2]
-    assert np.array_equal(optim._PATTERNS.retract(None, c.copy())[:2],
+    assert np.array_equal(optim._retract_patterns(c.copy())[:2],
                           plain / np.sqrt(np.add.reduce(plain * plain, -1, keepdims=True)))
 
 

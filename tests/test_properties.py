@@ -29,12 +29,14 @@ from reference_forms import mrt_precoder
 from test_batched import reference_patterns, reference_positions
 
 powers = st.floats(-6.0, 3.0).map(lambda exponent: 10.0 ** exponent)  # W, log-uniform
-# Down to 1e-300 W, where the SNR, and with it the gradients, nears a double's range.
+# Down to 1e-300 W noise, or up to 1e300 W power with power / noise below 1e300, where
+# the SNR, and with it the gradients, nears a double's range.
 extreme_noises = st.floats(-300.0, 3.0).map(lambda exponent: 10.0 ** exponent)
+extreme_powers = st.floats(-6.0, 300.0).map(lambda exponent: 10.0 ** exponent)
 
 
 @st.composite
-def configs(draw, ues=3, paths=5, subcarriers=8, degree=3, noises=powers):
+def configs(draw, ues=3, paths=5, subcarriers=8, degree=3, powers=powers, noises=powers):
     num_ues = draw(st.integers(1, ues))
     return make_config(
         num_ues=num_ues,
@@ -57,7 +59,8 @@ options = st.builds(OptimOptions, max_outer_iters=st.integers(1, 2),
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(cfg=configs(noises=extreme_noises), opts=options)
+@given(cfg=configs(powers=extreme_powers, noises=extreme_noises).filter(
+    lambda cfg: cfg.total_power_w / cfg.noise_power_w < 1e300), opts=options)
 def test_every_scheme_nests_spends_its_budget_and_stays_feasible(cfg, opts):
     ws = ChannelWorkspace(generate_scenario(cfg))
     results = {}
@@ -76,7 +79,7 @@ def solved_rows(cfg, opts, sweep=None):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(cfg=configs(), opts=options, k=st.integers(-3, 3))
+@given(cfg=configs(noises=extreme_noises), opts=options, k=st.integers(-3, 3))
 def test_power_and_noise_times_four_to_the_k_give_the_same_rows(cfg, opts, k):
     # Exact, not approximate: zero forcing's directions do not see the power,
     # and scaling both budgets by 4^k scales water-filling's levels by 4^k and,
