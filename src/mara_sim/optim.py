@@ -47,6 +47,10 @@ SPECTRAL_CLAMP = (2.0 ** -46, 2.0 ** 10)
 # The schemes whose solutions warm-start each scheme: the best of them is the
 # start point, so every scheme's SE dominates its sources' (scheme nesting).
 WARM_STARTS = {"TFA": (), "SMA": ("TFA",), "ERA": ("TFA",), "MARA": ("SMA", "ERA")}
+# glibc's first free of a block above its mmap threshold (128 KiB, the size of the (G, M, U)
+# precoder temporaries) lifts it and the heap-top trim threshold (twice it) to that size, so
+# after this 1 MiB block no cell trims and refaults the heap top, whatever the heap layout.
+np.empty(1 << 20, np.uint8)
 
 
 @dataclass(frozen=True)
