@@ -170,6 +170,4 @@ class ChannelWorkspace:
         return (phases * pattern) @ self.env
 
     def state_tensor(self, state: AntennaState) -> np.ndarray:
-        # Pattern first: phases first made glibc trim the heap top on every call.
-        pattern = self.patterns(state.coefficients)
-        return self.tensor(self.phases(state.positions), pattern)
+        return self.tensor(self.phases(state.positions), self.patterns(state.coefficients))

@@ -382,30 +382,22 @@ def optimize_patterns(ws: ChannelWorkspace, state: AntennaState, precoders: Prec
 def alternating_optimize(ws: ChannelWorkspace, scheme: str,
                          opts: OptimOptions = OptimOptions(),
                          warm: dict[str, OptimResult] | None = None) -> OptimResult:
-    """Alternate precoder, position, and pattern steps for one scheme.
+    """Alternate precoder, position, and pattern steps for one scheme, on the shared `ws`.
 
-    `warm` may carry already-computed results for the schemes a run depends on
-    (its WARM_STARTS sources and theirs in turn); missing entries are
-    computed internally. Each sub-step keeps its candidate only if the
-    objective does not drop, so the trace is nondecreasing and the final SE
-    dominates the warm-start SE. Every solve of the call shares the workspace `ws`.
+    Starts from the best of the scheme's WARM_STARTS sources in `warm`, solving each
+    missing one by a call of its own that adds it to `warm` (filled in place), so one
+    call solves the chain. TFA has no source and moves no block: it is the nominal array
+    under its ZF precoder (`initial_state` rejects an unknown scheme). After each block
+    ascent, which scored the current precoder, the ZF precoder re-derived at the new
+    state is kept only if it scores higher; at a singular channel the current one stays.
     """
-    if scheme not in ws.config.schemes:
-        raise ContractError(f"scheme {scheme!r} is not in the configured set")
-    return _optimize_scheme(ws, scheme, opts, dict(warm or {}))
-
-
-def _optimize_scheme(ws, scheme, opts, warm):
-    """Solve scheme from the best of its warm starts, computing missing ones into warm.
-    TFA has none and moves no block: it is the nominal array under its ZF precoder.
-    After each block ascent, which scored the current precoder, the ZF precoder
-    re-derived at the new state is scored and kept only if the SE rises; at a singular
-    channel the current precoder stays."""
-    for source in WARM_STARTS[scheme]:
+    warm = {} if warm is None else warm
+    sources = WARM_STARTS.get(scheme, ())
+    for source in sources:
         if source not in warm:
-            warm[source] = _optimize_scheme(ws, source, opts, warm)
-    if WARM_STARTS[scheme]:
-        base = max((warm[source] for source in WARM_STARTS[scheme]), key=lambda r: r.se)
+            warm[source] = alternating_optimize(ws, source, opts, warm)
+    if sources:
+        base = max((warm[source] for source in sources), key=lambda r: r.se)
         state, precoders, current = base.state.retagged(scheme), base.precoders, base.se
     else:
         state = initial_state(ws, scheme)

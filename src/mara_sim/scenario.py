@@ -20,7 +20,7 @@ from .errors import ConfigError, ValidationError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# Canonical scheme order; also the warm-start dependency order used by optim.
+# Canonical scheme order; the harness solves a cell's schemes in it (warm starts first).
 SCHEME_ORDER = ("TFA", "SMA", "ERA", "MARA")
 
 # Fraction of the antenna spacing by which the open movement ball is shrunk

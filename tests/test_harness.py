@@ -92,13 +92,14 @@ def test_spec_validation():
         tiny_spec(sweep=("total_power_w", (1.0, 1.0)))
     with pytest.raises(ContractError):
         tiny_spec(sweep=("noise_power_w", (1.0, 2.0)))
-    with pytest.raises(ContractError):
-        tiny_spec(schemes=("TFA", "XXX"))
     with pytest.raises(ContractError, match="seeds must not repeat"):
         tiny_spec(seeds=(0, 0))
-    with pytest.raises(ContractError, match="schemes must not repeat"):
+    # The cell's SystemConfig checks the scheme set, with its own messages.
+    with pytest.raises(ValidationError, match=r"schemes contains unknown entries \['XXX'\]"):
+        tiny_spec(schemes=("TFA", "XXX"))
+    with pytest.raises(ValidationError, match="schemes must not repeat"):
         tiny_spec(schemes=("TFA", "TFA"))
-    with pytest.raises(ContractError, match="schemes must be nonempty"):
+    with pytest.raises(ValidationError, match="schemes must be nonempty"):
         tiny_spec(schemes=())
 
 

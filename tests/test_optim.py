@@ -188,10 +188,31 @@ def test_alternating_tfa_single_step():
     assert res.iterations == 1
 
 
-def test_alternating_rejects_unconfigured_scheme():
-    cfg = make_config(schemes=("TFA",), seed=62)
-    with pytest.raises(ContractError):
-        alternating_optimize(ChannelWorkspace(generate_scenario(cfg)), "SMA", FAST)
+def test_alternating_rejects_an_unknown_scheme():
+    ws = ChannelWorkspace(generate_scenario(make_config(seed=62)))
+    with pytest.raises(ContractError, match="unknown scheme 'XXX'"):
+        alternating_optimize(ws, "XXX", FAST)
+
+
+def test_alternating_solves_a_scheme_the_config_does_not_list():
+    # config.schemes selects what a run reports; the solver does not read it.
+    ws = ChannelWorkspace(generate_scenario(make_config(schemes=("TFA",), seed=62)))
+    tfa = alternating_optimize(ws, "TFA", FAST)
+    sma = alternating_optimize(ws, "SMA", FAST, {"TFA": tfa})
+    assert sma.state.scheme == "SMA" and sma.se >= tfa.se
+
+
+def test_one_call_solves_the_chain_into_warm_as_the_explicit_chain():
+    # Each missing warm-start source is solved by its own call, in place in warm.
+    ws = ChannelWorkspace(generate_scenario(make_config(seed=67)))
+    chain = {}
+    for scheme in SCHEME_ORDER:
+        chain[scheme] = alternating_optimize(ws, scheme, FAST, dict(chain))
+    warm = {}
+    mara = alternating_optimize(ws, "MARA", FAST, warm)
+    assert sorted(warm) == ["ERA", "SMA", "TFA"]
+    for scheme, result in (*warm.items(), ("MARA", mara)):
+        assert result.se_trace == chain[scheme].se_trace
 
 
 @pytest.mark.parametrize("seed", [63, 64])

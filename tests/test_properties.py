@@ -52,6 +52,12 @@ def configs(draw, ues=3, paths=5, subcarriers=8, degree=3, powers=powers, noises
     )
 
 
+def extreme_configs(**sizes):
+    """`configs` with the extreme power and noise draws, power / noise below 1e300."""
+    return configs(powers=extreme_powers, noises=extreme_noises, **sizes).filter(
+        lambda cfg: cfg.total_power_w / cfg.noise_power_w < 1e300)
+
+
 options = st.builds(OptimOptions, max_outer_iters=st.integers(1, 2),
                     inner_grad_iters=st.integers(0, 8), restarts=st.integers(0, 4),
                     tol_rel=st.sampled_from([1e-8, 1e-4, 1e-2]),
@@ -59,8 +65,7 @@ options = st.builds(OptimOptions, max_outer_iters=st.integers(1, 2),
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(cfg=configs(powers=extreme_powers, noises=extreme_noises).filter(
-    lambda cfg: cfg.total_power_w / cfg.noise_power_w < 1e300), opts=options)
+@given(cfg=extreme_configs(), opts=options)
 def test_every_scheme_nests_spends_its_budget_and_stays_feasible(cfg, opts):
     ws = ChannelWorkspace(generate_scenario(cfg))
     results = {}
@@ -138,7 +143,7 @@ def test_two_runs_in_one_process_write_the_same_bytes(cfg, opts, data):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(cfg=configs(ues=4, paths=12, subcarriers=32, degree=3), opts=options,
+@given(cfg=extreme_configs(ues=4, paths=12, subcarriers=32, degree=3), opts=options,
        state_seed=st.integers(0, 2 ** 16))
 def test_a_blocks_returned_se_is_its_states_se(cfg, opts, state_seed):
     # The ascent scores stacks and keeps the accepted slice's arrays for the
@@ -163,9 +168,11 @@ def ascent_configs(draw, wide):
     assume(not wide or others * 32 >= WIDE_ROW)
     subcarriers = draw(st.integers(-(-WIDE_ROW // others), 32) if wide
                        else st.integers(1, min(32, (WIDE_ROW - 1) // others)))
+    power, noise = draw(extreme_powers), draw(extreme_noises)
+    assume(power / noise < 1e300)
     cfg = make_config(num_ues=num_ues, num_bs_antennas=antennas, num_paths_per_ue=paths,
                       num_subcarriers=subcarriers, shod_max_degree=draw(st.integers(0, 3)),
-                      seed=draw(st.integers(0, 99)))
+                      total_power_w=power, noise_power_w=noise, seed=draw(st.integers(0, 99)))
     ws = ChannelWorkspace(generate_scenario(cfg))
     assert (ws.env.size * antennas >= WIDE_ROW) == wide
     return ws
