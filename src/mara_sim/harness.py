@@ -1,10 +1,10 @@
 """Multi-seed, multi-scheme experiment runner with CSV emission.
 
-Cells (seed, sweep value) are independent pure computations; within a cell the
-schemes are solved in nesting order so warm starts can be shared. After each
-cell the scheme-ordering assertions are evaluated and any violation is
-recorded as a failure row rather than aborting the run. An error in one scheme
-ends its cell with a diagnostic row after the rows already solved; an error
+Cells (seed, sweep value) are independent pure computations. Within a cell each
+requested scheme is one `alternating_optimize` call, in nesting order on one warm
+dict; a call solves any unrequested warm-start source itself. After each cell the
+nesting checks run, and a violation is recorded as a failure row. An error in one
+scheme ends its cell with a diagnostic row after the rows already solved; an error
 while building the cell's scenario or workspace gives the cell one error row.
 
 `MARA_SIM_THREADS` (default 1; the name is the benchmark's) counts processes:
@@ -108,35 +108,28 @@ def _run_cell(spec: ExperimentSpec, seed: int, sweep_value) -> list[ResultRow]:
                          iterations, wall, ok, note)
 
     config = _cell_config(spec, seed, sweep_value)
-    # Solve in nesting order so later schemes reuse converged warm starts.
-    needed = set(spec.schemes)
-    for scheme in reversed(SCHEME_ORDER):
-        if scheme in needed:
-            needed.update(WARM_STARTS[scheme])
+    # One call per requested scheme, in nesting order; each solves unrequested sources.
+    order = [s for s in SCHEME_ORDER if s in spec.schemes]
     try:
         ws = ChannelWorkspace(generate_scenario(config))
     except Exception as exc:  # an error row for this cell, not the run
-        first = next(s for s in SCHEME_ORDER if s in needed)
-        return [make_row(first, ok=False, note=f"error: set-up: {exc}")]
+        return [make_row(order[0], ok=False, note=f"error: set-up: {exc}")]
     warm, rows, error = {}, {}, []
-    for scheme in SCHEME_ORDER:
-        if scheme not in needed:
-            continue
+    for scheme in order:
         start = time.perf_counter()
         try:
-            result = alternating_optimize(ws, scheme, spec.options, warm)
+            warm[scheme] = result = alternating_optimize(ws, scheme, spec.options, warm)
         except Exception as exc:  # diagnostic row ends the cell, not the run
             error.append(make_row(scheme, ok=False, note=f"error: {exc}"))
             break
-        warm[scheme] = result
         rows[scheme] = make_row(scheme, result.se, result.iterations,
                                 time.perf_counter() - start)
     out = [rows[s] for s in spec.schemes if s in rows] + error
     for lo, hi in ((lo, hi) for hi in SCHEME_ORDER for lo in WARM_STARTS[hi]):
-        if lo in rows and hi in rows and rows[hi].se_sum < rows[lo].se_sum:
+        if lo in warm and hi in warm and warm[hi].se < warm[lo].se:
             out.append(make_row(
                 "nesting_violation", ok=False,
-                note=f"{hi} se {rows[hi].se_sum!r} < {lo} se {rows[lo].se_sum!r}"))
+                note=f"{hi} se {warm[hi].se!r} < {lo} se {warm[lo].se!r}"))
     return out
 
 

@@ -20,7 +20,7 @@ from .errors import ConfigError, ValidationError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# Canonical scheme order; the harness solves a cell's schemes in it (warm starts first).
+# Canonical scheme order, warm starts first; the harness calls requested schemes in it.
 SCHEME_ORDER = ("TFA", "SMA", "ERA", "MARA")
 
 # Fraction of the antenna spacing by which the open movement ball is shrunk

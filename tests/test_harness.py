@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mara_sim.harness as harness
+import mara_sim.optim as optim
 from mara_sim.channel import ChannelWorkspace
 from mara_sim.errors import ContractError, ValidationError
 from mara_sim.harness import (ExperimentSpec, ResultRow, emit_csv,
@@ -267,6 +268,33 @@ def test_decreasing_trace_ends_its_cell_with_that_error_row(monkeypatch, workers
     _assert_no_child_left()
 
 
+
+@pytest.fixture(scope="module")
+def full_rows():
+    return {(r.seed, r.scheme): r for r in run_experiment(tiny_spec(seeds=(0, 1)))}
+
+
+@pytest.mark.parametrize("schemes", [
+    *(subset for k in range(1, 5) for subset in itertools.combinations(SCHEME_ORDER, k)),
+    ("MARA", "ERA", "SMA", "TFA")])
+def test_each_row_names_a_requested_scheme_with_the_full_runs_se(full_rows, schemes):
+    # An unrequested warm-start source is solved inside its requester's call and
+    # gets no row; every requested scheme's SE and iterations are the full run's.
+    rows = run_experiment(tiny_spec(schemes=schemes, seeds=(0, 1)))
+    assert [(r.seed, r.scheme) for r in rows] == [(s, x) for s in (0, 1) for x in schemes]
+    assert [(r.se_sum, r.iterations) for r in rows] == [
+        (full_rows[r.seed, r.scheme].se_sum, full_rows[r.seed, r.scheme].iterations)
+        for r in rows]
+
+
+def test_a_failing_unrequested_source_ends_the_cell_under_the_requester(monkeypatch):
+    def no_state(ws, scheme):
+        raise RuntimeError(f"no {scheme} state")
+    monkeypatch.setattr(optim, "initial_state", no_state)
+    rows = run_experiment(tiny_spec(schemes=("MARA",)))
+    assert [(r.scheme, r.ok, r.note) for r in rows] == [
+        ("MARA", False, "error: no TFA state")]
+
 def test_full_run_determinism_bytes(tmp_path):
     spec = tiny_spec(seeds=(0, 1), sweep=("total_power_w", (0.5, 1.0)))
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -315,9 +343,9 @@ def test_setup_error_gives_the_cell_one_error_row(monkeypatch, workers):
     _assert_no_child_left()
     assert _without_wall(r for r in rows if r.seed != 1) == expected
     bad = [r for r in rows if r.seed == 1]
-    # TFA, SMA's warm start, is the first scheme the cell would solve.
+    # Named after the first requested scheme, not TFA, the source SMA's call solves.
     assert [(r.scheme, r.ok, r.note) for r in bad] == [
-        ("TFA", False, "error: set-up: no scenario")]
+        ("SMA", False, "error: set-up: no scenario")]
     assert math.isnan(bad[0].se_sum)
 
 
